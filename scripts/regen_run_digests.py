@@ -1,0 +1,33 @@
+#!/usr/bin/env python3
+"""Regenerate tests/golden/run_digests.json, the whole-run behaviour lock.
+
+The file maps every shipped scenario, and every scenario from
+`swarmlink.golden.generated_scenarios`, to the SHA-256 of its canonical
+report followed by its trace. tests/test_run_digests.py checks each run
+against it. Regenerate only when a change is meant to alter run output,
+and say in CHANGES.md which digests moved and why:
+
+    PYTHONPATH=src python scripts/regen_run_digests.py
+"""
+
+import json
+import pathlib
+
+from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
+from swarmlink.golden import generated_scenarios, run_digest
+from swarmlink.scenario import scenario_from_dict
+
+OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "run_digests.json"
+
+
+def main() -> int:
+    digests = {name: run_digest(resolve_scenario(name)) for name in SHIPPED_SCENARIOS}
+    for name, data in generated_scenarios().items():
+        digests[name] = run_digest(scenario_from_dict(data))
+    OUT.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"run digests: {OUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -197,7 +197,16 @@ class WirePacket:
         """Copy with hop_limit decremented; header changes, seal stays valid."""
         if self.hop_limit == 0:
             raise ValidationError("hop_limit", "cannot forward at hop_limit 0")
-        return replace(self, hop_limit=self.hop_limit - 1)
+        return WirePacket(
+            self.epoch,
+            self.origin,
+            self.seq,
+            self.hop_limit - 1,
+            self.counter,
+            self.ciphertext,
+            self.tag,
+            self.version,
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WirePacket":

@@ -1,16 +1,22 @@
-"""Golden wire samples: fixed inputs through the real codec paths.
+"""Golden samples: fixed inputs through the real code paths.
 
 Everything here derives from hard-coded constants and seeded RNGs, so the
-output is identical on every run and platform. The committed copy under
-tests/golden/ pins the wire formats; any byte-level change to framing,
-sealing, or the handshake messages shows up as a diff against it.
+output is identical on every run and platform. The committed copies under
+tests/golden/ pin two things: the wire formats (any byte-level change to
+framing, sealing, or the handshake messages shows up as a diff), and whole
+runs, as one SHA-256 per scenario over its canonical report and trace.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from typing import Dict, List
 
 from . import codec, crypto, handshake, rekey
+from .metrics import render_json
+from .scenario import Scenario
+from .sim import run_scenario
 
 _GOLDEN_SEED = 0x5EED
 
@@ -105,4 +111,69 @@ def generate_golden() -> dict:
         "packet_samples": packet_samples,
         "handshake_sample": handshake_sample,
         "rekey_sample": rekey_sample,
+    }
+
+
+def run_digest(sc: Scenario) -> str:
+    """SHA-256 of a run's canonical JSON report followed by its joined trace."""
+    report, trace = run_scenario(sc)
+    text = render_json(report) + "\n".join(trace) + ("\n" if trace else "")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _grid_nodes(side: int, spacing: float, down_at: Dict[int, float]) -> List[dict]:
+    """side x side lattice, ids row by row from 1, ground station in the centre;
+    `down_at` maps node id to the time that node powers off."""
+    centre = (side * side) // 2
+    return [
+        {
+            "id": i + 1,
+            "role": "gcs" if i == centre else "uav",
+            "position": [(i % side) * spacing, (i // side) * spacing],
+            "down_at_s": down_at.get(i + 1),
+        }
+        for i in range(side * side)
+    ]
+
+
+def generated_scenarios() -> Dict[str, dict]:
+    """Scenario dicts the run-digest lock covers beside the shipped ones.
+
+    `grid49_wifi_cellular` floods a 7 x 7 grid at 120 m spacing, so each
+    node hears at most its lattice neighbours on 300 m WiFi and every peer
+    on cellular. `grid25_churn` loses a relay and a corner node mid-run and
+    raises WiFi loss by a timed link event, so broadcasts must skip down
+    receivers and the selector sees a degraded link.
+    """
+    protocol = {
+        "hop_limit": 6,
+        "handshake_timeout_s": 0.5,
+        "handshake_retries": 8,
+        "rekey_resend_interval_s": 0.25,
+    }
+    return {
+        "grid49_wifi_cellular": {
+            "name": "grid49_wifi_cellular",
+            "seed": 4901,
+            "duration_s": 6.0,
+            "mode": "mesh",
+            "nodes": _grid_nodes(7, 120.0, {}),
+            "links": {"wifi24": {"band": "wifi24"}, "cellular": {"band": "cellular"}},
+            "protocol": protocol,
+            "traffic": {"senders": "uavs", "rate_hz": 1.0, "payload_bytes": 32, "start_s": 3.5},
+        },
+        "grid25_churn": {
+            "name": "grid25_churn",
+            "seed": 2502,
+            "duration_s": 10.0,
+            "mode": "mesh",
+            "nodes": _grid_nodes(5, 150.0, {8: 5.0, 25: 6.5}),
+            "links": {
+                "wifi24": {"band": "wifi24", "loss_prob": 0.05},
+                "cellular": {"band": "cellular"},
+            },
+            "protocol": protocol,
+            "traffic": {"senders": "uavs", "rate_hz": 2.0, "payload_bytes": 32, "start_s": 3.5},
+            "link_events": [{"at_s": 6.0, "link": "wifi24", "set": {"loss_prob": 0.6}}],
+        },
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MtuExceeded, NoViableLink, ValidationError
 
@@ -124,9 +124,11 @@ class DutyCycleMeter:
         self._bursts: List[Tuple[float, float]] = []  # (tx_start, airtime)
 
     def _prune(self, now: float) -> None:
-        cutoff = now - self.window_s
+        # Expiry is `start + window_s`, exactly as earliest_allowed computes
+        # it; `start <= now - window_s` can round the other way and defer a
+        # send to the same instant forever.
         keep = 0
-        while keep < len(self._bursts) and self._bursts[keep][0] <= cutoff:
+        while keep < len(self._bursts) and self._bursts[keep][0] + self.window_s <= now:
             keep += 1
         if keep:
             del self._bursts[:keep]
@@ -259,30 +261,21 @@ class LinkSelector:
         self.health[link_name] = h
         return h
 
-    def _covering(
-        self, profiles: Dict[str, LinkProfile], distances: Sequence[Optional[float]]
-    ) -> List[LinkProfile]:
-        out = []
-        for name in self.link_names:
-            profile = profiles[name]
-            if not distances or any(profile.covers(d) for d in distances):
-                out.append(profile)
-        return out
-
     def select(
         self,
         profiles: Dict[str, LinkProfile],
-        distances: Sequence[Optional[float]],
+        covers: Callable[[LinkProfile], bool],
         now: float,
     ) -> LinkProfile:
-        """Pick the link for a transmission to receivers at these distances.
+        """Pick the link for one transmission.
 
-        For unicast pass one distance; for broadcast pass all neighbor
-        distances (coverage of any neighbor qualifies the link).
+        `covers(profile)` tells whether that link reaches a receiver: for
+        unicast, whether the destination lies in range; for broadcast,
+        whether the link has any live neighbour.
         """
         if self.pinned is not None:
             return profiles[self.pinned]
-        covering = self._covering(profiles, distances)
+        covering = [profiles[name] for name in self.link_names if covers(profiles[name])]
         if not covering:
             raise NoViableLink("no configured link covers any receiver")
         healthy = [p for p in covering if self.health[p.name] >= self.health_threshold]

@@ -100,6 +100,9 @@ class RxResult:
     error: Optional[SwarmLinkError] = None
 
 
+_DUPLICATE = RxResult(duplicate=True)  # immutable, so every dedup hit shares it
+
+
 def handle_rx(
     state: MeshState,
     keyring,
@@ -116,7 +119,7 @@ def handle_rx(
     still gets through.
     """
     if state.dedup.seen(packet.origin, packet.seq):
-        return RxResult(duplicate=True)
+        return _DUPLICATE
     try:
         if plaintext_mode:
             frame = codec.open_packet_plain(window, packet)

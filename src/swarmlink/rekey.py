@@ -74,6 +74,8 @@ class RekeyMessage:
         sealed = data[header:]
         if len(sealed) != box_len:
             raise ValidationError("box_len", f"declared {box_len}, carried {len(sealed)}")
+        if box_len < crypto.TAG_LEN:
+            raise ValidationError("box_len", f"{box_len} bytes cannot hold the {crypto.TAG_LEN}-byte tag")
         return cls(gcs_id=gcs_id, uav_id=uav_id, nonce=nonce, box=crypto.AeadBox.from_bytes(sealed))
 
 

@@ -9,6 +9,9 @@ metrics and a trace. Determinism rules:
   adversary choices) so draws in one domain never shift another;
 - the event heap orders by (time, insertion sequence), so simultaneous
   events fire in scheduling order;
+- the receivers of one transmission share its arrival time and are
+  delivered by one event, in node_order: the order in which separate
+  per-receiver events with consecutive sequence numbers would pop;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values.
@@ -26,7 +29,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import codec, crypto, handshake, links, mesh, rekey, wire
 from .errors import (
@@ -49,6 +53,13 @@ class _TxItem:
     kind: str  # "offer" | "response" | "rekey" | "ack" | "data"
     data: bytes
     dest: Optional[int]  # None broadcasts to every in-range node
+    # Data items: the packet `data` was serialised from, handed as is to
+    # every honest receiver, so none of them parses the bytes again.
+    packet: Optional[codec.WirePacket] = None
+
+
+def _every_link(_profile: links.LinkProfile) -> bool:
+    return True
 
 
 class _Node:
@@ -187,10 +198,12 @@ class Simulation:
         self.gcs = self.nodes[sc.gcs().id]
         if sc.mode == "mesh" and sc.security.encryption:
             self.gcs.source = rekey.BroadcastKeySource(sc.protocol.key_lifetime_s)
-        self._dist: Dict[Tuple[int, int], float] = {}
-        for a in specs:
-            for b in specs:
-                self._dist[(a.id, b.id)] = links.distance(a.position, b.position)
+        # (node, link) -> [(peer, distance)] in range, in node_order, down or
+        # not. Exact for the whole run: positions are static and range_m is
+        # not a mutable link field. Built on first use, so set-up time does
+        # not grow with N^2.
+        self._neighbour_index: Dict[Tuple[int, str], List[Tuple[int, float]]] = {}
+        self._down: Set[int] = set()
 
         self.eavesdrop: Optional[_Eavesdrop] = None
         self.mitm: Optional[_Mitm] = None
@@ -258,18 +271,44 @@ class Simulation:
 
     def _node_down(self, node: _Node) -> None:
         node.down = True
+        self._down.add(node.id)
         self._trace("node_down", node=node.id)
 
     def _apply_link_event(self, ev) -> None:
         self.profiles[ev.link] = dc_replace(self.profiles[ev.link], **ev.set)
         self._trace("link_event", link=ev.link, set=dict(sorted(ev.set.items())))
 
-    def _alive_others(self, node: _Node) -> List[_Node]:
-        return [
-            self.nodes[nid]
-            for nid in self.node_order
-            if nid != node.id and not self.nodes[nid].down
-        ]
+    def _neighbours(self, node_id: int, link: str) -> List[Tuple[int, float]]:
+        key = (node_id, link)
+        found = self._neighbour_index.get(key)
+        if found is None:
+            covers = self.profiles[link].covers
+            here = self.nodes[node_id].position
+            found = []
+            for other in self.node_order:
+                if other != node_id:
+                    dist = links.distance(here, self.nodes[other].position)
+                    if covers(dist):
+                        found.append((other, dist))
+            self._neighbour_index[key] = found
+        return found
+
+    def _live_neighbours(self, node_id: int, link: str) -> List[Tuple[int, float]]:
+        found = self._neighbours(node_id, link)
+        down = self._down
+        return [n for n in found if n[0] not in down] if down else found
+
+    def _broadcast_coverage(self, node: _Node) -> Callable[[links.LinkProfile], bool]:
+        """A link covers a broadcast iff it has a live neighbour; with no
+        live peer at all every link covers, and the send reaches nobody.
+        An unbounded link reaches every live peer, so its list is not built
+        unless it carries the broadcast."""
+        if len(self._down) + 1 == len(self.node_order):
+            return _every_link
+        down = self._down
+        return lambda p: p.range_m is None or any(
+            n[0] not in down for n in self._neighbours(node.id, p.name)
+        )
 
     # ---- handshake orchestration -------------------------------------------
 
@@ -507,7 +546,7 @@ class Simulation:
                 )
             self._register_truth(packet, frame.to_bytes())
             self.counters.bump("frames_sealed")
-            self._enqueue(node, _TxItem("data", packet.to_bytes(), None))
+            self._enqueue(node, _TxItem("data", packet.to_bytes(), None, packet))
 
     def _originate_star_uplink(self, node: _Node, message: codec.TelemetryMessage) -> None:
         if node.session_key is None:
@@ -518,7 +557,7 @@ class Simulation:
             packet = mesh.star_uplink(node.mesh, node.session_key, node.counters, frame)
             self._register_truth(packet, frame.to_bytes())
             self.counters.bump("frames_sealed")
-            self._enqueue(node, _TxItem("data", packet.to_bytes(), self.gcs.id))
+            self._enqueue(node, _TxItem("data", packet.to_bytes(), self.gcs.id, packet))
 
     def _originate_star_downlink(self, node: _Node, message: codec.TelemetryMessage) -> None:
         if not node.table.sessioned_ids():
@@ -530,7 +569,7 @@ class Simulation:
             for uav_id, packet in fanout:
                 self._register_truth(packet, frame.to_bytes())
                 self.counters.bump("frames_sealed")
-                self._enqueue(node, _TxItem("data", packet.to_bytes(), uav_id))
+                self._enqueue(node, _TxItem("data", packet.to_bytes(), uav_id, packet))
 
     # ---- transmission ------------------------------------------------------
 
@@ -551,14 +590,14 @@ class Simulation:
                 node.defer_until = None
             item = node.txq[0]
             if item.dest is None:
-                cands = [(o.id, self._dist[(node.id, o.id)]) for o in self._alive_others(node)]
+                covers = self._broadcast_coverage(node)
             else:
                 dest = self.nodes[item.dest]
-                cands = [] if dest.down else [(dest.id, self._dist[(node.id, dest.id)])]
-            dists = [d for _, d in cands] or [None]
+                dist = links.distance(node.position, dest.position)
+                covers = _every_link if dest.down else (lambda p, d=dist: p.covers(d))
             prev_active = node.selector.active
             try:
-                profile = node.selector.select(self.profiles, dists, self.now)
+                profile = node.selector.select(self.profiles, covers, self.now)
             except NoViableLink:
                 node.txq.popleft()
                 self.counters.bump("tx_dropped_no_link")
@@ -571,9 +610,15 @@ class Simulation:
                 self.counters.bump("tx_dropped_mtu")
                 self._trace("drop", node=node.id, reason="mtu", item=item.kind)
                 continue
+            if item.dest is None:
+                receivers = self._live_neighbours(node.id, profile.name)
+            elif dest.down or not profile.covers(dist):
+                receivers = ()
+            else:
+                receivers = ((dest.id, dist),)
             meter = node.meters.get(profile.name)
             result = links.transmit(
-                profile, len(item.data), self.now, cands, self.rng_loss, meter
+                profile, len(item.data), self.now, receivers, self.rng_loss, meter
             )
             if isinstance(result, links.Deferred):
                 if math.isinf(result.until):
@@ -623,12 +668,13 @@ class Simulation:
             rx_ids = tuple(rid for rid, _ in result.delivered)
             if rx_ids:
                 self.replayer.recorded.append((item.data, rx_ids))
-        for receiver_id, arrival in result.delivered:
-            self.counters.bump("rx_events")
+        delivered = result.delivered
+        if delivered:
+            self.counters.bump("rx_events", len(delivered))
             self._schedule(
-                arrival,
+                delivered[0][1],
                 "rx",
-                lambda r=receiver_id, d=delivered_bytes: self._deliver_bytes(r, d, False),
+                partial(self._deliver_rx, delivered, delivered_bytes, item.packet),
             )
         if result.lost:
             self.counters.bump("rx_lost", len(result.lost))
@@ -705,7 +751,7 @@ class Simulation:
         for receiver_id in rx_ids:
             self.counters.bump("adv_rx_events")
             self._schedule(
-                self.now, "advrx", lambda r=receiver_id, d=data: self._deliver_bytes(r, d, True)
+                self.now, "advrx", lambda r=receiver_id, d=data: self._deliver_injected(r, d)
             )
 
     def _eavesdrop_recovery(self) -> Dict[str, object]:
@@ -750,11 +796,29 @@ class Simulation:
 
     # ---- receive dispatch ----------------------------------------------------
 
-    def _deliver_bytes(self, node_id: int, data: bytes, injected: bool) -> None:
-        self.counters.bump("adv_rx_processed" if injected else "rx_processed")
+    def _deliver_rx(
+        self,
+        receivers: Sequence[Tuple[int, float]],
+        data: bytes,
+        packet: Optional[codec.WirePacket],
+    ) -> None:
+        self.counters.bump("rx_processed", len(receivers))
+        for receiver_id, _arrival in receivers:
+            self._deliver_bytes(receiver_id, data, packet, False)
+
+    def _deliver_injected(self, node_id: int, data: bytes) -> None:
+        self.counters.bump("adv_rx_processed")
+        self._deliver_bytes(node_id, data, None, True)
+
+    def _deliver_bytes(
+        self, node_id: int, data: bytes, packet: Optional[codec.WirePacket], injected: bool
+    ) -> None:
         node = self.nodes[node_id]
         if node.down:
             self.counters.bump("rx_ignored_down")
+            return
+        if packet is not None:
+            self._rx_packet(node, packet, injected)
             return
         if not data:
             self.counters.bump("rx_unparseable")
@@ -779,6 +843,9 @@ class Simulation:
         except ValidationError:
             self.counters.bump("rx_unparseable")
             return
+        self._rx_packet(node, packet, injected)
+
+    def _rx_packet(self, node: _Node, packet: codec.WirePacket, injected: bool) -> None:
         if self.sc.mode == "mesh":
             self._rx_data_mesh(node, packet, injected)
         else:
@@ -807,7 +874,7 @@ class Simulation:
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s
             delay = self.rng_jitter.uniform(0.0, jitter_max) if jitter_max > 0 else 0.0
-            item = _TxItem("data", result.forward.to_bytes(), None)
+            item = _TxItem("data", result.forward.to_bytes(), None, result.forward)
             self._schedule(
                 self.now + delay, "timer", lambda n=node, i=item: self._enqueue(n, i)
             )
@@ -832,7 +899,7 @@ class Simulation:
             for uav_id, relayed in fanout:
                 self._register_truth(relayed, frame.to_bytes())
                 self.counters.bump("star_relayed")
-                self._enqueue(node, _TxItem("data", relayed.to_bytes(), uav_id))
+                self._enqueue(node, _TxItem("data", relayed.to_bytes(), uav_id, relayed))
         else:
             if node.session_key is None:
                 self._security_event(node, NoSession(f"node {node.id} has no session"), injected)
@@ -863,7 +930,8 @@ class Simulation:
             self.now = max(self.now, t)
             fn()
         self.now = duration
-        rx_in_flight = sum(1 for e in self._heap if e[2] == "rx")
+        # An rx event is a partial over all receivers of one transmission.
+        rx_in_flight = sum(len(e[3].args[0]) for e in self._heap if e[2] == "rx")
         adv_in_flight = sum(1 for e in self._heap if e[2] == "advrx")
         return self._build_report(rx_in_flight, adv_in_flight)
 

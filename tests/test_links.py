@@ -135,6 +135,18 @@ def test_meter_earliest_allowed_is_exact():
     assert not meter.allows(t - 1e-6, 0.5 + 1e-9)
 
 
+def test_meter_admits_a_deferred_burst_at_the_instant_it_was_told():
+    # 0.02936 + 60 - 60 rounds above 0.02936: at t = 0.02936 + 60 the test
+    # `start <= now - window` still holds the burst that `start + window`
+    # says has expired, so the send would be deferred to "now" forever.
+    meter = DutyCycleMeter(limit=0.01, window_s=60.0)  # budget 0.6 s
+    meter.record(0.02936, 0.6)
+    t = meter.earliest_allowed(1.0, 0.1)
+    assert t == 0.02936 + 60.0
+    assert meter.allows(t, 0.1)
+    assert meter.earliest_allowed(t, 0.1) == t
+
+
 def test_meter_impossible_burst_is_infinite():
     meter = DutyCycleMeter(limit=0.01, window_s=10.0)  # budget 100 ms
     assert meter.earliest_allowed(0.0, 0.2) == math.inf
@@ -153,6 +165,11 @@ def test_meter_parameters_validated():
 # ---- selector ---------------------------------------------------------------
 
 
+def in_range(distance):
+    """Coverage test for a unicast to a receiver at this distance."""
+    return lambda p: p.covers(distance)
+
+
 def two_profiles():
     fast = profile(name="fast", bitrate=1e7, range_m=100.0)
     slow = profile(name="slow", bitrate=1e5, range_m=1000.0)
@@ -162,19 +179,19 @@ def two_profiles():
 def test_selector_prefers_fastest_covering():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast", "slow"))
-    assert sel.select(profiles, [50.0], now=0.0).name == "fast"
-    assert sel.select(profiles, [500.0], now=10.0).name == "slow"
+    assert sel.select(profiles, in_range(50.0), now=0.0).name == "fast"
+    assert sel.select(profiles, in_range(500.0), now=10.0).name == "slow"
 
 
 def test_selector_avoids_unhealthy_link():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast", "slow"))
-    sel.select(profiles, [50.0], now=0.0)
+    sel.select(profiles, in_range(50.0), now=0.0)
     for _ in range(20):
         sel.update_health("fast", 0.0)
     assert sel.health["fast"] < sel.health_threshold
     # past the hysteresis hold, the healthy slow link wins despite lower bitrate
-    assert sel.select(profiles, [50.0], now=10.0).name == "slow"
+    assert sel.select(profiles, in_range(50.0), now=10.0).name == "slow"
     assert sel.switches >= 1
 
 
@@ -189,12 +206,12 @@ def test_selector_health_ewma_tracks_fractions():
 def test_selector_hysteresis_holds_choice():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast", "slow"), hysteresis_s=2.0)
-    assert sel.select(profiles, [50.0], now=0.0).name == "fast"
+    assert sel.select(profiles, in_range(50.0), now=0.0).name == "fast"
     for _ in range(20):
         sel.update_health("fast", 0.0)
     # inside the hold the active link is kept even though slow scores better
-    assert sel.select(profiles, [50.0], now=1.0).name == "fast"
-    assert sel.select(profiles, [50.0], now=2.5).name == "slow"
+    assert sel.select(profiles, in_range(50.0), now=1.0).name == "fast"
+    assert sel.select(profiles, in_range(50.0), now=2.5).name == "slow"
 
 
 def test_selector_falls_back_when_nothing_healthy():
@@ -204,14 +221,14 @@ def test_selector_falls_back_when_nothing_healthy():
         sel.update_health("fast", 0.0)
         sel.update_health("slow", 0.0)
     # both unhealthy: still transmit on the best covering link
-    assert sel.select(profiles, [50.0], now=10.0).name == "fast"
+    assert sel.select(profiles, in_range(50.0), now=10.0).name == "fast"
 
 
 def test_selector_no_viable_link():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast",))
     with pytest.raises(NoViableLink):
-        sel.select({"fast": profiles["fast"]}, [500.0], now=0.0)
+        sel.select({"fast": profiles["fast"]}, in_range(500.0), now=0.0)
 
 
 def test_selector_pinned_mode():
@@ -219,7 +236,7 @@ def test_selector_pinned_mode():
     sel = LinkSelector(link_names=("fast", "slow"), pinned="slow")
     for _ in range(20):
         sel.update_health("slow", 0.0)
-    assert sel.select(profiles, [50.0], now=0.0).name == "slow"
+    assert sel.select(profiles, in_range(50.0), now=0.0).name == "slow"
     assert sel.switches == 0
     with pytest.raises(ValidationError):
         LinkSelector(link_names=("fast",), pinned="slow")

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from swarmlink import crypto, rekey
-from swarmlink.errors import AuthError, NoSession, StaleEpoch, UnknownEpoch
+from swarmlink import crypto, rekey, wire
+from swarmlink.errors import AuthError, NoSession, StaleEpoch, UnknownEpoch, ValidationError
 
 SESSION = crypto.SymmetricKey(b"\x42" * 32, crypto.KeyPurpose.SESSION)
 OTHER_SESSION = crypto.SymmetricKey(b"\x43" * 32, crypto.KeyPurpose.SESSION)
@@ -65,6 +65,17 @@ def test_rekey_message_wire_roundtrip():
     bkey = rekey.BroadcastKeySource(60.0).new_epoch(rng, now=0.0)
     msg = rekey.wrap_for(SESSION, 1, 2, bkey, rng)
     assert rekey.RekeyMessage.from_bytes(msg.to_bytes()) == msg
+
+
+def test_rekey_message_with_box_shorter_than_tag_is_a_validation_error():
+    header = bytes([wire.MSG_REKEY]) + b"\x00\x01\x00\x02" + bytes(crypto.NONCE_LEN)
+    for box_len in (0, 1, crypto.TAG_LEN - 1):
+        data = header + box_len.to_bytes(2, "big") + bytes(box_len)
+        with pytest.raises(ValidationError) as info:
+            rekey.RekeyMessage.from_bytes(data)
+        assert info.value.field == "box_len"
+    tag_only = header + crypto.TAG_LEN.to_bytes(2, "big") + bytes(crypto.TAG_LEN)
+    assert rekey.RekeyMessage.from_bytes(tag_only).box.ciphertext == b""
 
 
 def test_rekey_ack_wire_roundtrip():

@@ -1,9 +1,13 @@
 """End-to-end simulator behavior on small scripted scenarios."""
 
 import json
+import signal
+from dataclasses import replace
 
 import pytest
 
+from swarmlink import crypto, sim as sim_module, wire
+from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
 from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation, report_json, run_scenario
@@ -160,3 +164,37 @@ def test_rekey_resend_until_acked():
     assert b["acks_received"] > 0
     # under 40% loss some rekeys or acks must have needed another round
     assert b["rekey_resends"] > 0
+
+
+def test_crafted_short_rekey_is_unparseable_and_the_run_goes_on():
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    # 20 bytes: a rekey header declaring a 1-byte box, too short for the tag.
+    crafted = bytes([wire.MSG_REKEY]) + b"\x00\x01\x00\x02" + bytes(crypto.NONCE_LEN) + b"\x00\x01\x00"
+    assert len(crafted) == 20
+    sim._schedule(
+        1.5, "timer", lambda: sim._enqueue(sim.gcs, sim_module._TxItem("rekey", crafted, 2))
+    )
+    report = sim.run()
+    assert sim.counters.get("rx_unparseable") == 1
+    assert report["conservation"]["balanced"]
+    assert report["delivery"]["overall_ratio"] == 1.0  # traffic after t=1.5 still flows
+
+
+def test_duty_cycle_stress_runs_past_its_window():
+    # Past 60 s the sub-GHz meters roll their window over, and at t=60.02936
+    # a deferral lands exactly on the expiry of the burst that caused it. A
+    # hang there fails the test through the alarm instead of stalling it.
+    sc = replace(resolve_scenario("duty_cycle_stress"), duration_s=61.0)
+
+    def stalled(_signum, _frame):
+        raise TimeoutError("duty_cycle_stress at 61 s did not finish")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(20)
+    try:
+        report, _ = run_scenario(sc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report["conservation"]["balanced"]
+    assert report["duration_s"] == 61.0
