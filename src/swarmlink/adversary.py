@@ -1,0 +1,233 @@
+"""Adversaries as taps on the simulated air.
+
+Adversaries act on wire bytes only. Their outcomes (keys compromised,
+plaintexts recovered, replays delivered) are computed from what they
+captured plus ground truth, never asserted.
+
+A tap is active from its spec's start_s until its end_s (the end of the
+run when unset) and sees the run through four hooks:
+
+- on_epoch(bkey): the ground station minted a broadcast epoch;
+- on_seal(packet, frame): a data packet was sealed from this frame;
+- on_air(item, result, data) -> bytes: a transmission is on the air while
+  the tap is active; returns the bytes its receivers get, `data` unless
+  the tap rewrites them;
+- report(): what the tap obtained, under `name` in the run report.
+
+The simulation builds its taps in scenario order, so their draws from the
+adversary RNG follow that order.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from . import codec, crypto, handshake
+from .errors import SwarmLinkError, ValidationError
+
+
+class Tap:
+    """An adversary's active window and no-op hooks."""
+
+    name = ""
+
+    def __init__(self, spec, sim) -> None:
+        self.sim = sim
+        self.start = spec.start_s
+        self.end = spec.end_s if spec.end_s is not None else sim.sc.duration_s
+
+    def active(self, now: float) -> bool:
+        return self.start <= now < self.end
+
+    def on_epoch(self, bkey) -> None:
+        pass
+
+    def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
+        pass
+
+    def on_air(self, item, result, data: bytes) -> bytes:
+        return data
+
+
+class Eavesdrop(Tap):
+    """Records every data packet on the air and holds the leaked epochs' keys.
+
+    Ground truth, the frame each packet was sealed from, lives here alone,
+    so a run without an eavesdropper keeps none.
+    """
+
+    name = "eavesdrop"
+
+    def __init__(self, spec, sim) -> None:
+        super().__init__(spec, sim)
+        self.recorded: List[bytes] = []
+        self.leaked: Dict[int, bytes] = {}
+        self.truth: Dict[Tuple[int, int, int], codec.Frame] = {}
+
+    def on_epoch(self, bkey) -> None:
+        if bkey.epoch in self.sim.sc.security.leak_epochs:
+            self.leaked[bkey.epoch] = bkey.key.bytes_
+            self.sim._trace("key_leaked", epoch=bkey.epoch)
+
+    def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
+        self.truth[(packet.origin, packet.epoch, packet.counter)] = frame
+
+    def on_air(self, item, result, data: bytes) -> bytes:
+        if item.kind == "data":
+            self.recorded.append(item.data)
+        return data
+
+    def report(self) -> Dict[str, object]:
+        observed_by_epoch: Dict[str, int] = {}
+        recovered_by_epoch: Dict[str, int] = {}
+        recovered = 0
+        for data in self.recorded:
+            try:
+                packet = codec.WirePacket.from_bytes(data)
+            except ValidationError:
+                continue
+            ekey = str(packet.epoch)
+            observed_by_epoch[ekey] = observed_by_epoch.get(ekey, 0) + 1
+            if not self.sim.sc.security.encryption:
+                plaintext = packet.ciphertext  # rides in the clear
+            elif packet.epoch in self.leaked:
+                key = crypto.SymmetricKey(self.leaked[packet.epoch], crypto.KeyPurpose.BROADCAST)
+                try:
+                    plaintext = crypto.aead_open(
+                        key,
+                        packet.nonce(),
+                        crypto.AeadBox(packet.ciphertext, packet.tag),
+                        packet.aad(),
+                    )
+                except SwarmLinkError:
+                    continue
+            else:
+                continue
+            truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
+            if truth is not None and plaintext == truth.to_bytes():
+                recovered += 1
+                recovered_by_epoch[ekey] = recovered_by_epoch.get(ekey, 0) + 1
+        return {
+            "observed_packets": len(self.recorded),
+            "observed_by_epoch": observed_by_epoch,
+            "recovered_packets": recovered,
+            "recovered_by_epoch": recovered_by_epoch,
+            "leaked_epochs": sorted(self.leaked),
+        }
+
+
+class KeySubstitution(Tap):
+    """Swaps the ephemeral key in every handshake offer and response for its own."""
+
+    name = "mitm"
+
+    def __init__(self, spec, sim) -> None:
+        super().__init__(spec, sim)
+        self.keypair = crypto.keypair_from_seed(sim.rng_adv.randbytes(crypto.SEED_LEN), "agreement")
+        self.substituted_offers = 0
+        self.substituted_responses = 0
+        # nonce -> {gcs, uav, gcs_eph, uav_eph}
+        self.handshakes: Dict[bytes, Dict[str, object]] = {}
+
+    def on_air(self, item, result, data: bytes) -> bytes:
+        if item.kind not in ("offer", "response"):
+            return data
+        cls = handshake.KeyOffer if item.kind == "offer" else handshake.KeyResponse
+        msg = cls.from_bytes(item.data)
+        record = self.handshakes.setdefault(msg.nonce, {})
+        if item.kind == "offer":
+            self.substituted_offers += 1
+            record["gcs"] = msg.sender_id
+            record["uav"] = msg.recipient_id
+            record["gcs_eph"] = msg.ephemeral_pub
+        else:
+            self.substituted_responses += 1
+            record.setdefault("gcs", msg.recipient_id)
+            record.setdefault("uav", msg.sender_id)
+            record["uav_eph"] = msg.ephemeral_pub
+        forged = cls(
+            sender_id=msg.sender_id,
+            recipient_id=msg.recipient_id,
+            ephemeral_pub=self.keypair.public_point,
+            nonce=msg.nonce,
+            signature=msg.signature,  # stale: signs the honest key, not ours
+        )
+        self.sim._trace("mitm_substitute", item=item.kind, nonce=msg.nonce.hex())
+        return forged.to_bytes()
+
+    def report(self) -> Dict[str, object]:
+        candidates = set()
+        for nonce, record in self.handshakes.items():
+            # Both hooks set the ids, so every record has them.
+            context = handshake._session_context(record["gcs"], record["uav"], nonce)
+            for eph_field in ("gcs_eph", "uav_eph"):
+                eph = record.get(eph_field)
+                if eph is None:
+                    continue
+                try:
+                    shared = crypto.ecdh_shared_secret(self.keypair.private_scalar, eph)
+                except SwarmLinkError:
+                    continue
+                candidates.add(crypto.derive_key(shared, context).bytes_)
+        installed = self.sim.installed_keys
+        return {
+            "substituted_offers": self.substituted_offers,
+            "substituted_responses": self.substituted_responses,
+            "handshakes_touched": len(self.handshakes),
+            "installed_keys_checked": len(installed),
+            "compromised_keys": sum(1 for _node, key in installed if key in candidates),
+        }
+
+
+class ReplayInjector(Tap):
+    """Records delivered data packets and re-sends one at random times.
+
+    The injection times are drawn, and queued, when the tap is built.
+    """
+
+    name = "replay"
+
+    def __init__(self, spec, sim) -> None:
+        super().__init__(spec, sim)
+        self.recorded: List[Tuple[bytes, Tuple[int, ...]]] = []
+        self.injections = 0
+        self.noops = 0
+        window = max(self.end - self.start, 0.0)
+        for t in sorted(self.start + sim.rng_adv.random() * window for _ in range(spec.injections)):
+            sim._schedule(t, "timer", self.inject)
+
+    def on_air(self, item, result, data: bytes) -> bytes:
+        if item.kind == "data" and result.delivered:
+            self.recorded.append((item.data, tuple(rid for rid, _ in result.delivered)))
+        return data
+
+    def inject(self) -> None:
+        sim = self.sim
+        if not self.recorded:
+            self.noops += 1
+            return
+        data, rx_ids = self.recorded[sim.rng_adv.randrange(len(self.recorded))]
+        self.injections += 1
+        sim._trace("replay_inject", receivers=list(rx_ids))
+        sim.inject(rx_ids, data)
+
+    def report(self) -> Dict[str, object]:
+        outcomes = self.sim.injected.values
+        return {
+            "injections": self.injections,
+            "noops": self.noops,
+            "rejected": {
+                k[len("rejected_"):]: v
+                for k, v in sorted(outcomes.items())
+                if k.startswith("rejected_")
+            },
+            "delivered_new": outcomes.get("delivered_new", 0),
+            "duplicate_deliveries": self.sim.audit.duplicate_deliveries,
+        }
+
+
+TAPS = {
+    "eavesdrop": Eavesdrop,
+    "mitm_key_substitution": KeySubstitution,
+    "replay_injector": ReplayInjector,
+}

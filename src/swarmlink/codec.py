@@ -42,7 +42,6 @@ MAX_COUNTER = 2**48 - 1
 MAX_SEQ = 2**32 - 1
 REPLAY_WINDOW = 64
 
-HEARTBEAT_MSG_ID = 0x00
 PLAIN_TAG = b"\x00" * crypto.TAG_LEN
 
 

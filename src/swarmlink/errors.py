@@ -43,7 +43,12 @@ class NoSession(SwarmLinkError):
 
 
 class StaleEpoch(SwarmLinkError):
-    """Rekey message carries an epoch at or below the installed one."""
+    """Rekey message carries an epoch at or below the installed one; `epoch`
+    holds it, so callers can tell a benign resend of the installed key from a replay."""
+
+    def __init__(self, message: str, epoch: int):
+        self.epoch = epoch
+        super().__init__(message)
 
 
 class UnknownEpoch(SwarmLinkError):

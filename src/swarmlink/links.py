@@ -174,13 +174,11 @@ class Deferred:
 
 @dataclass(frozen=True)
 class TransmitResult:
-    """One transmission's fate per candidate receiver."""
+    """One transmission's fate per receiver."""
 
-    link: str
     airtime_s: float
     delivered: Tuple[Tuple[int, float], ...]  # (receiver id, arrival time)
     lost: Tuple[int, ...]
-    out_of_range: Tuple[int, ...]
 
 
 def transmit(
@@ -191,12 +189,12 @@ def transmit(
     rng,
     meter: Optional[DutyCycleMeter] = None,
 ):
-    """Send nbytes to every in-range receiver, or defer on duty-cycle breach.
+    """Send nbytes to every receiver, or defer on duty-cycle breach.
 
     Returns a TransmitResult, or a Deferred when the link's duty budget
     cannot absorb the burst yet (in which case nothing is sent or charged).
-    Each in-range receiver suffers an independent loss roll in the order
-    given, so callers pass receivers sorted for determinism.
+    Callers pass only receivers in range of the link, sorted for
+    determinism; each suffers an independent loss roll in that order.
     """
     if nbytes > profile.mtu_bytes:
         raise MtuExceeded(f"{nbytes} bytes exceeds {profile.name} MTU {profile.mtu_bytes}")
@@ -207,21 +205,16 @@ def transmit(
         meter.record(now, airtime)
     delivered: List[Tuple[int, float]] = []
     lost: List[int] = []
-    out_of_range: List[int] = []
     arrival = now + profile.base_latency_s + airtime
-    for receiver_id, dist in receivers:
-        if not profile.covers(dist):
-            out_of_range.append(receiver_id)
-        elif rng.random() < profile.loss_prob:
+    for receiver_id, _dist in receivers:
+        if rng.random() < profile.loss_prob:
             lost.append(receiver_id)
         else:
             delivered.append((receiver_id, arrival))
     return TransmitResult(
-        link=profile.name,
         airtime_s=airtime,
         delivered=tuple(delivered),
         lost=tuple(lost),
-        out_of_range=tuple(out_of_range),
     )
 
 

@@ -152,11 +152,10 @@ class KeyRing:
     def install(self, bkey: BroadcastKey, now: float, grace_window_s: float) -> None:
         """Adopt a newer epoch; the old current stays usable until grace expiry."""
         if self.current is not None and bkey.epoch <= self.current.epoch:
-            exc = StaleEpoch(
-                f"epoch {bkey.epoch} not newer than installed epoch {self.current.epoch}"
+            raise StaleEpoch(
+                f"epoch {bkey.epoch} not newer than installed epoch {self.current.epoch}",
+                bkey.epoch,
             )
-            exc.epoch = bkey.epoch  # lets callers tell a benign resend from a replay
-            raise exc
         self.previous = self.current
         self.current = bkey
         self.grace_until = now + grace_window_s

