@@ -11,7 +11,8 @@ import os
 import sys
 
 from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
-from swarmlink.sim import report_json, run_scenario
+from swarmlink.metrics import render_json
+from swarmlink.sim import run_scenario
 
 
 def _adversary_note(report: dict) -> str:
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
         if args.out_dir:
             path = os.path.join(args.out_dir, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(report_json(report))
+                fh.write(render_json(report))
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from . import codec, crypto, handshake
-from .errors import SwarmLinkError, ValidationError
+from .errors import SwarmLinkError
 
 
 class Tap:
@@ -50,19 +50,22 @@ class Tap:
 
 
 class Eavesdrop(Tap):
-    """Records every data packet on the air and holds the leaked epochs' keys.
+    """Counts the data packets on the air and opens those it can read as
+    they pass: every packet when encryption is off, else those of leaked epochs.
 
-    Ground truth, the frame each packet was sealed from, lives here alone,
-    so a run without an eavesdropper keeps none.
+    Ground truth, the frame each readable packet was sealed from, lives
+    here alone, so a run without an eavesdropper keeps none.
     """
 
     name = "eavesdrop"
 
     def __init__(self, spec, sim) -> None:
         super().__init__(spec, sim)
-        self.recorded: List[bytes] = []
+        self.plaintext = not sim.sc.security.encryption
         self.leaked: Dict[int, bytes] = {}
         self.truth: Dict[Tuple[int, int, int], codec.Frame] = {}
+        self.observed: Dict[str, int] = {}
+        self.recovered: Dict[str, int] = {}
 
     def on_epoch(self, bkey) -> None:
         if bkey.epoch in self.sim.sc.security.leak_epochs:
@@ -70,48 +73,38 @@ class Eavesdrop(Tap):
             self.sim._trace("key_leaked", epoch=bkey.epoch)
 
     def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
-        self.truth[(packet.origin, packet.epoch, packet.counter)] = frame
+        if self.plaintext or packet.epoch in self.leaked:
+            self.truth[(packet.origin, packet.epoch, packet.counter)] = frame
 
     def on_air(self, item, result, data: bytes) -> bytes:
-        if item.kind == "data":
-            self.recorded.append(item.data)
+        if item.kind != "data":
+            return data
+        packet = item.packet  # the bytes on the air, already parsed
+        ekey = str(packet.epoch)
+        self.observed[ekey] = self.observed.get(ekey, 0) + 1
+        if self.plaintext:
+            plaintext = packet.ciphertext  # rides in the clear
+        elif packet.epoch in self.leaked:
+            key = crypto.SymmetricKey(self.leaked[packet.epoch], crypto.KeyPurpose.BROADCAST)
+            try:
+                plaintext = crypto.aead_open(
+                    key, packet.nonce(), crypto.AeadBox(packet.ciphertext, packet.tag), packet.aad()
+                )
+            except SwarmLinkError:
+                return data
+        else:
+            return data
+        truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
+        if truth is not None and plaintext == truth.to_bytes():
+            self.recovered[ekey] = self.recovered.get(ekey, 0) + 1
         return data
 
     def report(self) -> Dict[str, object]:
-        observed_by_epoch: Dict[str, int] = {}
-        recovered_by_epoch: Dict[str, int] = {}
-        recovered = 0
-        for data in self.recorded:
-            try:
-                packet = codec.WirePacket.from_bytes(data)
-            except ValidationError:
-                continue
-            ekey = str(packet.epoch)
-            observed_by_epoch[ekey] = observed_by_epoch.get(ekey, 0) + 1
-            if not self.sim.sc.security.encryption:
-                plaintext = packet.ciphertext  # rides in the clear
-            elif packet.epoch in self.leaked:
-                key = crypto.SymmetricKey(self.leaked[packet.epoch], crypto.KeyPurpose.BROADCAST)
-                try:
-                    plaintext = crypto.aead_open(
-                        key,
-                        packet.nonce(),
-                        crypto.AeadBox(packet.ciphertext, packet.tag),
-                        packet.aad(),
-                    )
-                except SwarmLinkError:
-                    continue
-            else:
-                continue
-            truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
-            if truth is not None and plaintext == truth.to_bytes():
-                recovered += 1
-                recovered_by_epoch[ekey] = recovered_by_epoch.get(ekey, 0) + 1
         return {
-            "observed_packets": len(self.recorded),
-            "observed_by_epoch": observed_by_epoch,
-            "recovered_packets": recovered,
-            "recovered_by_epoch": recovered_by_epoch,
+            "observed_packets": sum(self.observed.values()),
+            "observed_by_epoch": self.observed,
+            "recovered_packets": sum(self.recovered.values()),
+            "recovered_by_epoch": self.recovered,
             "leaked_epochs": sorted(self.leaked),
         }
 

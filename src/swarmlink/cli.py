@@ -102,7 +102,6 @@ def _cmd_run(args) -> int:
         sc = replace(sc, seed=args.seed)
     if args.mode is not None:
         sc = replace(sc, mode=args.mode)
-    sc.validate()
     report, trace = run_scenario(sc)
     text = render_json(report) if args.fmt == "json" else render_csv(report)
     out_path = args.out if args.out is not None else _default_out(sc.name, args.fmt)
@@ -128,7 +127,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     sc = resolve_scenario(args.scenario)
-    sc.validate()
     print(f"{sc.name}: valid ({len(sc.nodes)} nodes, mode {sc.mode}, seed {sc.seed})")
     return 0
 

@@ -1,52 +1,66 @@
 """Scenario configuration: schema, JSON loading, and validation.
 
 A scenario fixes everything a run needs: nodes and positions, link
-profiles, protocol timers, traffic, adversaries, and the seed. Validation
-reports the offending field by path so a bad file fails fast with a
-message naming the constraint instead of surfacing mid-run.
+profiles, protocol timers, traffic, adversaries, and the seed. A field's
+type carries its own constraints (Annotated bounds, Literal choices), and
+JSON is read against those types in one pass. `Scenario.validate` holds the
+rules that tie fields together and runs whenever a Scenario is built.
+Either way a bad file fails fast with an error naming the field path and
+the constraint instead of surfacing mid-run.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Dict, Literal, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from . import wire
-from .links import Band, LinkProfile, default_profiles
+from .codec import PER_MESSAGE_OVERHEAD, frame_capacity
 from .errors import ValidationError
+from .links import Band, LinkProfile, default_profiles
 
-ADVERSARY_KINDS = ("eavesdrop", "mitm_key_substitution", "replay_injector")
-MODES = ("mesh", "star")
+# Bounds ride on field types as Annotated[type, (test, what the value must be)].
+Positive = Annotated[float, (lambda v: v > 0, "positive")]
+NonNeg = Annotated[float, (lambda v: v >= 0, "nonnegative")]
+Count = Annotated[int, (lambda v: v >= 0, "nonnegative")]
+NodeId = Annotated[int, (lambda v: 0 <= v <= wire.NODE_ID_MAX, f"in [0, {wire.NODE_ID_MAX}]")]
+_NONEMPTY = (bool, "nonempty")
+
+AdversaryKind = Literal["eavesdrop", "mitm_key_substitution", "replay_injector"]
+ADVERSARY_KINDS = get_args(AdversaryKind)
 # Link fields a timed event may rewrite mid-run.
-MUTABLE_LINK_FIELDS = ("loss_prob", "bitrate_bps", "base_latency_s")
+MutableLinkField = Literal["loss_prob", "bitrate_bps", "base_latency_s"]
 
 
 @dataclass(frozen=True)
 class NodeSpec:
-    id: int
-    role: str  # "gcs" or "uav"
+    id: NodeId
+    role: Literal["gcs", "uav"]
     position: Tuple[float, float]
-    down_at_s: Optional[float] = None  # node powers off at this time
+    down_at_s: Optional[NonNeg] = None  # node powers off at this time
 
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    senders: Union[str, Tuple[int, ...]] = "uavs"  # "uavs", "all", "gcs", or ids
-    rate_hz: float = 1.0
-    payload_bytes: int = 32
-    start_s: float = 2.0
+    senders: Union[Literal["uavs", "all", "gcs"], Tuple[int, ...]] = "uavs"  # or node ids
+    rate_hz: NonNeg = 1.0
+    # 8 bytes carry the delivery-audit uid; 255 is the frame field cap.
+    payload_bytes: Annotated[int, (lambda v: 8 <= v <= 255, "in [8, 255]")] = 32
+    start_s: NonNeg = 2.0
     stop_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    kind: str
-    start_s: float = 0.0
+    kind: AdversaryKind
+    start_s: NonNeg = 0.0
     end_s: Optional[float] = None
     # replay_injector: how many recorded packets to re-send.
-    injections: int = 100
+    injections: Count = 100
 
 
 @dataclass(frozen=True)
@@ -55,53 +69,57 @@ class SecuritySpec:
     verify_signatures: bool = True
     # Epochs whose broadcast key is handed to the eavesdropper, to measure
     # exactly how far one leaked key reaches.
-    leak_epochs: Tuple[int, ...] = ()
+    leak_epochs: Tuple[Annotated[int, (lambda v: v >= 1, "an epoch; epochs start at 1")], ...] = ()
 
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    key_lifetime_s: float = 60.0
-    grace_window_s: float = 5.0
-    hop_limit: int = 8
-    handshake_timeout_s: float = 5.0
-    handshake_retries: int = 3  # further attempts after the first
-    rekey_resend_interval_s: Optional[float] = 1.0  # None disables resends
-    dedup_capacity: int = 1024
-    forward_jitter_max_s: float = 0.010  # uniform rebroadcast delay in mesh
+    key_lifetime_s: Positive = 60.0
+    grace_window_s: NonNeg = 5.0
+    hop_limit: Annotated[int, (lambda v: 0 <= v <= 255, "in [0, 255]")] = 8
+    handshake_timeout_s: Positive = 5.0
+    handshake_retries: Count = 3  # further attempts after the first
+    rekey_resend_interval_s: Optional[Positive] = 1.0  # None disables resends
+    dedup_capacity: Annotated[int, (lambda v: v >= 1, "at least 1")] = 1024
+    forward_jitter_max_s: NonNeg = 0.010  # uniform rebroadcast delay in mesh
 
 
 @dataclass(frozen=True)
 class LinkPolicySpec:
-    mode: str = "adaptive"  # or "pinned"
+    mode: Literal["adaptive", "pinned"] = "adaptive"
     pinned_link: Optional[str] = None
-    health_threshold: float = 0.5
-    hysteresis_s: float = 2.0
-    ewma_alpha: float = 0.2
+    health_threshold: Annotated[float, (lambda v: 0 <= v <= 1, "in [0, 1]")] = 0.5
+    hysteresis_s: NonNeg = 2.0
+    ewma_alpha: Annotated[float, (lambda v: 0 < v <= 1, "in (0, 1]")] = 0.2
 
 
 @dataclass(frozen=True)
 class LinkEvent:
     """Scripted mid-run change to one link profile, e.g. jamming as loss."""
 
-    at_s: float
+    at_s: NonNeg
     link: str
-    set: Dict[str, float] = field(default_factory=dict)
+    set: Annotated[Dict[MutableLinkField, float], _NONEMPTY] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
+    name: Annotated[str, _NONEMPTY]
     seed: int
-    duration_s: float
+    duration_s: Positive
     nodes: Tuple[NodeSpec, ...]
-    links: Dict[str, LinkProfile]
-    mode: str = "mesh"  # or "star"
+    links: Annotated[Dict[str, LinkProfile], _NONEMPTY]
+    mode: Literal["mesh", "star"] = "mesh"
     protocol: ProtocolSpec = ProtocolSpec()
     traffic: TrafficSpec = TrafficSpec()
     security: SecuritySpec = SecuritySpec()
     adversaries: Tuple[AdversarySpec, ...] = ()
     link_events: Tuple[LinkEvent, ...] = ()
     link_policy: LinkPolicySpec = LinkPolicySpec()
+
+    def __post_init__(self) -> None:
+        # dataclasses.replace builds anew, so an override is checked too.
+        self.validate()
 
     def gcs(self) -> NodeSpec:
         return next(n for n in self.nodes if n.role == "gcs")
@@ -123,88 +141,45 @@ class Scenario:
         return tuple(sel)
 
     def validate(self) -> None:
-        if not self.name:
-            raise ValidationError("name", "must be nonempty")
-        if not isinstance(self.seed, int):
-            raise ValidationError("seed", "must be an integer")
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s", "must be positive")
-        if self.mode not in MODES:
-            raise ValidationError("mode", f"{self.mode!r} not one of {MODES}")
-        self._validate_nodes()
-        self._validate_links()
-        self._validate_protocol()
-        self._validate_traffic()
-        self._validate_security()
-        self._validate_adversaries()
-        self._validate_link_events()
-        self._validate_link_policy()
-
-    def _validate_nodes(self) -> None:
-        if not self.nodes:
-            raise ValidationError("nodes", "scenario needs nodes")
+        """The rules that tie fields together. A field's own type and bounds
+        are checked where JSON is read, as in-program callers pass typed values."""
         gcs_count = sum(1 for n in self.nodes if n.role == "gcs")
         if gcs_count != 1:
             raise ValidationError("nodes", f"exactly one gcs required, found {gcs_count}")
+        if not self.uavs():
+            raise ValidationError("nodes", "at least one uav required")
         seen = set()
         for i, n in enumerate(self.nodes):
-            path = f"nodes[{i}]"
-            if n.role not in ("gcs", "uav"):
-                raise ValidationError(f"{path}.role", f"{n.role!r} not 'gcs' or 'uav'")
-            if not 0 <= n.id <= wire.NODE_ID_MAX:
-                raise ValidationError(f"{path}.id", f"{n.id} outside [0, {wire.NODE_ID_MAX}]")
             if n.id in seen:
-                raise ValidationError(f"{path}.id", f"duplicate node id {n.id}")
+                raise ValidationError(f"nodes[{i}].id", f"duplicate node id {n.id}")
             seen.add(n.id)
-            if len(n.position) != 2:
-                raise ValidationError(f"{path}.position", "must be [x, y]")
-            if n.down_at_s is not None and n.down_at_s < 0:
-                raise ValidationError(f"{path}.down_at_s", "must be nonnegative")
-        if not any(n.role == "uav" for n in self.nodes):
-            raise ValidationError("nodes", "at least one uav required")
-
-    def _validate_links(self) -> None:
-        if not self.links:
-            raise ValidationError("links", "scenario needs at least one link")
         for name, profile in self.links.items():
             if profile.name != name:
                 raise ValidationError(f"links.{name}", "profile name must match its key")
-
-    def _validate_protocol(self) -> None:
-        p = self.protocol
-        checks = [
-            ("key_lifetime_s", p.key_lifetime_s > 0),
-            ("grace_window_s", p.grace_window_s >= 0),
-            ("hop_limit", 0 <= p.hop_limit <= 255),
-            ("handshake_timeout_s", p.handshake_timeout_s > 0),
-            ("handshake_retries", p.handshake_retries >= 0),
-            ("dedup_capacity", p.dedup_capacity >= 1),
-            ("forward_jitter_max_s", p.forward_jitter_max_s >= 0),
-        ]
-        for fname, ok in checks:
-            if not ok:
-                raise ValidationError(f"protocol.{fname}", "out of range")
-        if p.rekey_resend_interval_s is not None and p.rekey_resend_interval_s <= 0:
-            raise ValidationError("protocol.rekey_resend_interval_s", "must be positive or null")
+        if not self.security.encryption and self.mode != "mesh":
+            raise ValidationError("security.encryption", "plaintext baseline requires mesh mode")
+        self._validate_traffic()
+        for i, adv in enumerate(self.adversaries):
+            if any(earlier.kind == adv.kind for earlier in self.adversaries[:i]):
+                raise ValidationError(f"adversaries[{i}].kind", f"{adv.kind!r} given more than once")
+            if adv.end_s is not None and adv.end_s < adv.start_s:
+                raise ValidationError(f"adversaries[{i}].end_s", "must be >= start_s")
+        self._validate_link_events()
+        lp = self.link_policy
+        if lp.mode == "pinned":
+            if lp.pinned_link is None:
+                raise ValidationError("link_policy.pinned_link", "required when mode is 'pinned'")
+            if lp.pinned_link not in self.links:
+                raise ValidationError("link_policy.pinned_link", f"unknown link {lp.pinned_link!r}")
 
     def _validate_traffic(self) -> None:
         t = self.traffic
-        if isinstance(t.senders, str):
-            if t.senders not in ("uavs", "all", "gcs"):
-                raise ValidationError("traffic.senders", f"{t.senders!r} unknown")
-        else:
+        if not isinstance(t.senders, str):
             ids = set(self.node_ids())
             for sender in t.senders:
                 if sender not in ids:
                     raise ValidationError("traffic.senders", f"unknown node id {sender}")
-        if t.rate_hz < 0:
-            raise ValidationError("traffic.rate_hz", "must be nonnegative")
-        if not 8 <= t.payload_bytes <= 255:
-            # 8 bytes carry the delivery-audit uid; 255 is the frame field cap.
-            raise ValidationError("traffic.payload_bytes", "must lie in [8, 255]")
         # One message must fit a frame on the tightest configured link.
-        from .codec import PER_MESSAGE_OVERHEAD, frame_capacity
-
         tightest = min(frame_capacity(p.mtu_bytes) for p in self.links.values())
         max_payload = tightest - 1 - PER_MESSAGE_OVERHEAD
         if t.payload_bytes > max_payload:
@@ -212,103 +187,120 @@ class Scenario:
                 "traffic.payload_bytes",
                 f"{t.payload_bytes} exceeds {max_payload}, the most the smallest-MTU link carries",
             )
-        if t.start_s < 0:
-            raise ValidationError("traffic.start_s", "must be nonnegative")
         if t.stop_s is not None and t.stop_s < t.start_s:
             raise ValidationError("traffic.stop_s", "must be >= start_s")
-
-    def _validate_security(self) -> None:
-        for epoch in self.security.leak_epochs:
-            if epoch < 1:
-                raise ValidationError("security.leak_epochs", "epochs start at 1")
-
-    def _validate_adversaries(self) -> None:
-        for i, adv in enumerate(self.adversaries):
-            path = f"adversaries[{i}]"
-            if adv.kind not in ADVERSARY_KINDS:
-                raise ValidationError(f"{path}.kind", f"{adv.kind!r} not one of {ADVERSARY_KINDS}")
-            if any(earlier.kind == adv.kind for earlier in self.adversaries[:i]):
-                raise ValidationError(f"{path}.kind", f"{adv.kind!r} given more than once")
-            if adv.start_s < 0:
-                raise ValidationError(f"{path}.start_s", "must be nonnegative")
-            if adv.end_s is not None and adv.end_s < adv.start_s:
-                raise ValidationError(f"{path}.end_s", "must be >= start_s")
-            if adv.injections < 0:
-                raise ValidationError(f"{path}.injections", "must be nonnegative")
 
     def _validate_link_events(self) -> None:
         for i, ev in enumerate(self.link_events):
             path = f"link_events[{i}]"
-            if ev.at_s < 0:
-                raise ValidationError(f"{path}.at_s", "must be nonnegative")
             if ev.link not in self.links:
                 raise ValidationError(f"{path}.link", f"unknown link {ev.link!r}")
-            if not ev.set:
-                raise ValidationError(f"{path}.set", "must change at least one field")
             for fname, value in ev.set.items():
-                if fname not in MUTABLE_LINK_FIELDS:
-                    raise ValidationError(f"{path}.set.{fname}", "not a mutable link field")
                 # Apply to a copy now so a bad value fails at validation time.
                 try:
                     replace(self.links[ev.link], **{fname: value})
-                except (ValidationError, TypeError) as exc:
-                    raise ValidationError(f"{path}.set.{fname}", str(exc)) from None
-
-    def _validate_link_policy(self) -> None:
-        lp = self.link_policy
-        if lp.mode not in ("adaptive", "pinned"):
-            raise ValidationError("link_policy.mode", f"{lp.mode!r} not 'adaptive' or 'pinned'")
-        if lp.mode == "pinned":
-            if lp.pinned_link is None:
-                raise ValidationError("link_policy.pinned_link", "required when mode is 'pinned'")
-            if lp.pinned_link not in self.links:
-                raise ValidationError("link_policy.pinned_link", f"unknown link {lp.pinned_link!r}")
-        if not 0 <= lp.health_threshold <= 1:
-            raise ValidationError("link_policy.health_threshold", "must lie in [0, 1]")
-        if lp.hysteresis_s < 0:
-            raise ValidationError("link_policy.hysteresis_s", "must be nonnegative")
-        if not 0 < lp.ewma_alpha <= 1:
-            raise ValidationError("link_policy.ewma_alpha", "must lie in (0, 1]")
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}.set.{fname}", exc.message) from None
 
 
-def _converter(hint) -> Optional[Callable]:
-    """How a JSON value becomes a field of type `hint`: objects become
-    nested dataclasses (or link profiles), arrays become tuples; None
-    means the value is taken as it is."""
+# ---- reading JSON against the field types -----------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _reader(hint) -> Callable:
+    """The function of (value, path) that reads a JSON value as type `hint`.
+
+    It checks the value's type and bounds in the same pass and raises
+    ValidationError naming `path` when either fails: bool is not an int,
+    and a float must be finite. Scalars are kept as given, so 6 stays an
+    int; arrays become tuples, objects dicts or dataclasses.
+    """
+    origin, args = get_origin(hint), get_args(hint)
     if is_dataclass(hint):
         return partial(_build, hint)
-    if get_origin(hint) is dict:
-        return _links_from_dict if get_args(hint)[1] is LinkProfile else (lambda v, _p: dict(v))
-    for h in (hint, *get_args(hint)):  # inside Optional[...] and Union[...] too
-        if get_origin(h) is tuple:
-            args = get_args(h)
-            return partial(_to_tuple, _converter(args[0]) if args[-1] is Ellipsis else None)
-    return None
+    if origin is Annotated:
+        return partial(_bounded, _reader(args[0]), hint.__metadata__)
+    if origin is Literal:
+        return partial(_choice, args)
+    if origin is Union:  # Optional[T] too: None is read as type(None)
+        return partial(_either, tuple(_reader(a) for a in args))
+    if origin is tuple:  # Tuple[T, ...], or a fixed Tuple[T, T] of one item type
+        return partial(_array, _reader(args[0]), None if args[-1] is Ellipsis else len(args))
+    if origin is dict:
+        if args[1] is LinkProfile:
+            return _links_from_dict
+        return partial(_mapping, _reader(args[0]), _reader(args[1]))
+    if hint is float:
+        return _finite
+    return partial(_exact, hint)
 
 
-def _to_tuple(item: Optional[Callable], value, path: str):
-    if not isinstance(value, list):
-        return value
-    if item is None:
-        return tuple(value)
-    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _exact(kind: type, value, path: str):
+    if type(value) is not kind:
+        raise ValidationError(path, f"must be {_TYPE_NAMES.get(kind, kind.__name__)}, not {value!r}")
+    return value
 
 
-@lru_cache(maxsize=None)
-def _field_table(cls) -> Tuple[Dict[str, Optional[Callable]], Tuple[str, ...]]:
-    """A dataclass's fields with their converters, and its required fields."""
-    hints = get_type_hints(cls)
-    converters = {f.name: _converter(hints[f.name]) for f in fields(cls)}
-    required = tuple(
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    )
-    return converters, required
+def _finite(value, path: str):
+    if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValidationError(path, f"must be a finite number, not {value!r}")
+    return value
+
+
+def _bounded(read: Callable, checks, value, path: str):
+    value = read(value, path)
+    for test, what in checks:
+        if not test(value):
+            raise ValidationError(path, f"must be {what}, not {value!r}")
+    return value
+
+
+def _choice(choices: tuple, value, path: str):
+    if value not in choices:
+        raise ValidationError(path, f"{value!r} not one of {choices}")
+    return value
+
+
+def _either(readers: tuple, value, path: str):
+    """The members take disjoint JSON kinds, so at most one reads the value;
+    a value that none reads fails as it fails the first member."""
+    for read in readers[1:]:
+        try:
+            return read(value, path)
+        except ValidationError:
+            pass
+    return readers[0](value, path)
+
+
+def _array(read: Callable, size: Optional[int], value, path: str) -> tuple:
+    if type(value) is not list or size is not None and len(value) != size:
+        what = "an array" if size is None else f"an array of {size}"
+        raise ValidationError(path, f"must be {what}, not {value!r}")
+    return tuple([read(item, f"{path}[{i}]") for i, item in enumerate(value)])
+
+
+def _mapping(read_key: Callable, read_value: Callable, value, path: str) -> dict:
+    items = _object(value, path).items()
+    return {read_key(k, f"{path}.{k}"): read_value(v, f"{path}.{k}") for k, v in items}
 
 
 def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(path or "json", "must be an object")
     return value
+
+
+@lru_cache(maxsize=None)
+def _field_table(cls) -> Tuple[Dict[str, Callable], Tuple[str, ...]]:
+    """A dataclass's fields with their readers, and its required fields."""
+    hints = get_type_hints(cls, include_extras=True)
+    readers = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+    required = tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return readers, required
 
 
 def _build(cls, data, path: str, defaults: Optional[dict] = None):
@@ -319,19 +311,19 @@ def _build(cls, data, path: str, defaults: Optional[dict] = None):
     raise ValidationError naming their path.
     """
     where = f"{path}." if path else ""
-    converters, required = _field_table(cls)
+    readers, required = _field_table(cls)
     kwargs = dict(defaults) if defaults else {}
     for key, value in _object(data, path).items():
-        if key not in converters:
+        read = readers.get(key)
+        if read is None:
             raise ValidationError(f"{where}{key}", "unknown field")
-        convert = converters[key]
-        kwargs[key] = value if convert is None else convert(value, f"{where}{key}")
+        kwargs[key] = read(value, f"{where}{key}")
     for name in required:
         if name not in kwargs:
             raise ValidationError(f"{where}{name}", "missing required field")
     try:
         return cls(**kwargs)
-    except ValidationError as exc:  # __post_init__ names the bare field
+    except ValidationError as exc:  # LinkProfile.__post_init__ names the bare field
         raise ValidationError(f"{where}{exc.field}", exc.message) from None
 
 
@@ -353,10 +345,8 @@ def _links_from_dict(data, path: str) -> Dict[str, LinkProfile]:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a Scenario from parsed JSON."""
-    scenario = _build(Scenario, data, "")
-    scenario.validate()
-    return scenario
+    """Build a Scenario from parsed JSON, checking every field and rule."""
+    return _build(Scenario, data, "")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -364,8 +354,6 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
             raise ValidationError("json", f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError("json", f"{path}: top level must be an object")
     return scenario_from_dict(data)

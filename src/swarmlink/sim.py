@@ -40,7 +40,8 @@ from .errors import (
     UnknownEpoch,
     ValidationError,
 )
-from .metrics import Counters, DeliveryAudit, latency_summary, render_json
+# render_json stays importable as sim.render_json.
+from .metrics import Counters, DeliveryAudit, latency_summary, render_json  # noqa: F401
 from .scenario import Scenario
 
 TELEMETRY_MSG_ID = 0x01
@@ -104,8 +105,8 @@ class _Node:
         # GCS side only:
         self.table = handshake.SessionTable()
         self.source: Optional[rekey.BroadcastKeySource] = None
-        self.unacked: Dict[int, int] = {}
-        self.rekey_cache: Dict[Tuple[int, int], bytes] = {}
+        # UAV id -> the rekey for the current epoch it has not acked yet.
+        self.unacked: Dict[int, bytes] = {}
         self.hs_attempts: Dict[int, int] = {}
         self.unreachable: List[int] = []
 
@@ -114,9 +115,6 @@ class Simulation:
     """One scenario run. Build, call run(), read report and trace."""
 
     def __init__(self, sc: Scenario):
-        sc.validate()
-        if not sc.security.encryption and sc.mode != "mesh":
-            raise ValidationError("security.encryption", "plaintext baseline requires mesh mode")
         self.sc = sc
         master = random.Random(sc.seed)
         self.rng_keys = random.Random(master.getrandbits(64))
@@ -384,10 +382,9 @@ class Simulation:
         message = rekey.wrap_for(
             g.table.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys
         )
-        g.rekey_cache[(uav_id, bkey.epoch)] = message.to_bytes()
-        g.unacked[uav_id] = bkey.epoch
+        g.unacked[uav_id] = message.to_bytes()
         self.counters.bump("rekeys_sent")
-        self._enqueue(g, _TxItem("rekey", message.to_bytes(), uav_id))
+        self._enqueue(g, _TxItem("rekey", g.unacked[uav_id], uav_id))
         self._ensure_resend_timer()
 
     def _ensure_resend_timer(self) -> None:
@@ -402,13 +399,10 @@ class Simulation:
         g = self.gcs
         if g.down or g.source is None or g.source.current is None or not g.unacked:
             return
-        epoch = g.source.current.epoch
-        g.unacked = {u: e for u, e in g.unacked.items() if e == epoch}
         for uav_id in sorted(g.unacked):
             self.counters.bump("rekey_resends")
-            self._enqueue(g, _TxItem("rekey", g.rekey_cache[(uav_id, epoch)], uav_id))
-        if g.unacked:
-            self._ensure_resend_timer()
+            self._enqueue(g, _TxItem("rekey", g.unacked[uav_id], uav_id))
+        self._ensure_resend_timer()
 
     def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage, _injected: bool) -> None:
         if node.role != "uav" or node.session_key is None:
@@ -435,7 +429,7 @@ class Simulation:
     def _rx_ack(self, node: _Node, ack: rekey.RekeyAck, _injected: bool) -> None:
         if node.role != "gcs":
             return
-        if node.unacked.get(ack.uav_id) == ack.epoch:
+        if ack.uav_id in node.unacked and ack.epoch == node.source.current.epoch:
             del node.unacked[ack.uav_id]
             self.counters.bump("acks_received")
 
@@ -819,7 +813,3 @@ def run_scenario(sc: Scenario) -> Tuple[dict, List[str]]:
     sim = Simulation(sc)
     report = sim.run()
     return report, sim.trace
-
-
-def report_json(report: dict) -> str:
-    return render_json(report)

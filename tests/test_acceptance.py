@@ -46,9 +46,10 @@ from swarmlink.handshake import (
     gcs_start_handshake,
     uav_on_offer,
 )
+from swarmlink.metrics import render_json
 from swarmlink.rekey import BroadcastKeySource, KeyRing
 from swarmlink.scenario import LinkPolicySpec, scenario_from_dict
-from swarmlink.sim import Simulation, report_json, run_scenario
+from swarmlink.sim import Simulation, run_scenario
 
 
 def _roster(rng: random.Random, n_uavs: int):
@@ -675,7 +676,7 @@ def test_every_shipped_scenario_reruns_byte_identical():
         sc = resolve_scenario(name)
         report_a, trace_a = run_scenario(sc)
         report_b, trace_b = run_scenario(sc)
-        assert report_json(report_a) == report_json(report_b), name
+        assert render_json(report_a) == render_json(report_b), name
         assert trace_a == trace_b, name
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -86,6 +86,23 @@ def test_validate_rejects_bad_scenario(tmp_path):
     assert main(["validate", "--scenario", str(p)]) == 1
 
 
+def test_plaintext_star_fails_validate_and_run_alike(tmp_path):
+    p = tmp_path / "star_plain.json"
+    p.write_text(json.dumps(base_scenario_dict(mode="star", security={"encryption": False})))
+    assert main(["validate", "--scenario", str(p)]) == 1
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "r.json")]) == 1
+    p.write_text(json.dumps(base_scenario_dict(security={"encryption": False})))
+    assert main(["validate", "--scenario", str(p)]) == 0
+    assert main(["run", "--scenario", str(p), "--mode", "star", "--out", "-"]) == 1
+
+
+def test_non_utf8_scenario_is_invalid(tmp_path):
+    p = tmp_path / "latin1.json"
+    text = json.dumps(base_scenario_dict(name="caf\u00e9"), ensure_ascii=False)
+    p.write_text(text, encoding="latin-1")  # the name's last byte is not UTF-8
+    assert main(["validate", "--scenario", str(p)]) == 1
+
+
 def test_missing_scenario_is_io_error(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 2
     assert main(["validate", "--scenario", "not_a_shipped_name"]) == 2

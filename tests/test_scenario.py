@@ -1,10 +1,13 @@
 """Scenario schema loading and validation tests."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from swarmlink.errors import ValidationError
+from swarmlink.sim import Simulation
 from swarmlink.scenario import Scenario, load_scenario, scenario_from_dict
 
 from conftest import base_scenario_dict
@@ -27,6 +30,23 @@ def test_minimal_scenario_loads():
     d = base_scenario_dict()
     del d["mode"]
     assert scenario_from_dict(d).mode == "mesh"
+    d = base_scenario_dict(duration_s=6)
+    assert type(scenario_from_dict(d).duration_s) is int  # values are kept as given
+
+
+def test_top_level_field_types():
+    expect_invalid(base_scenario_dict(duration_s="x"), "duration_s")
+    expect_invalid(base_scenario_dict(seed=True), "seed")  # bool is not an int
+    expect_invalid(base_scenario_dict(name=5), "name")
+    expect_invalid(base_scenario_dict(name=""), "name")
+    expect_invalid(base_scenario_dict(nodes={}), "nodes")
+    expect_invalid(base_scenario_dict(links={}), "links")
+
+
+def test_security_field_types():
+    expect_invalid(base_scenario_dict(security={"encryption": "no"}), "security.encryption")
+    expect_invalid(base_scenario_dict(security={"leak_epochs": 3}), "security.leak_epochs")
+    expect_invalid(base_scenario_dict(security={"leak_epochs": [0]}), "security.leak_epochs[0]")
 
 
 def test_defaults_from_band():
@@ -47,6 +67,12 @@ def test_link_overrides_merge_over_band_defaults():
 
     d = base_scenario_dict(links={"wifi24": {"band": "wifi24", "name": "other"}})
     expect_invalid(d, "links.wifi24")  # a link's name is its key
+
+    d = base_scenario_dict(links={"wifi24": {"mtu_bytes": 1000.5}})
+    expect_invalid(d, "links.wifi24.mtu_bytes")
+
+    d = base_scenario_dict(links={"wifi24": {"loss_prob": True}})
+    expect_invalid(d, "links.wifi24.loss_prob")
 
 
 def test_sender_id_forms():
@@ -93,6 +119,22 @@ def test_node_shape_errors():
     del d["nodes"][2]["role"]
     expect_invalid(d, "nodes[2].role")
 
+    d = base_scenario_dict()
+    d["nodes"][1]["position"] = [math.nan, 0.0]
+    expect_invalid(d, "nodes[1].position[0]")
+
+    d = base_scenario_dict()
+    d["nodes"][1]["position"] = 5
+    expect_invalid(d, "nodes[1].position")
+
+    d = base_scenario_dict()
+    d["nodes"][1]["position"] = [1.0, 2.0, 3.0]
+    expect_invalid(d, "nodes[1].position")
+
+    d = base_scenario_dict()
+    d["nodes"][1]["id"] = "2"
+    expect_invalid(d, "nodes[1].id")
+
 
 def test_traffic_errors():
     d = base_scenario_dict()
@@ -123,6 +165,18 @@ def test_traffic_errors():
     d = base_scenario_dict()
     d["traffic"]["rate_hx"] = 5.0  # a typo once ran at the default rate
     expect_invalid(d, "traffic.rate_hx")
+
+    d = base_scenario_dict()
+    d["traffic"]["payload_bytes"] = 24.5  # once crashed mid-run
+    expect_invalid(d, "traffic.payload_bytes")
+
+    d = base_scenario_dict()
+    d["traffic"]["senders"] = 5
+    expect_invalid(d, "traffic.senders")
+
+    d = base_scenario_dict()
+    d["traffic"]["rate_hz"] = math.inf
+    expect_invalid(d, "traffic.rate_hz")
 
 
 def test_payload_must_fit_tightest_link():
@@ -161,6 +215,12 @@ def test_protocol_field_ranges():
     d = base_scenario_dict(protocol=[2])
     expect_invalid(d, "protocol")
 
+    d = base_scenario_dict(protocol={"hop_limit": 2.5})
+    expect_invalid(d, "protocol.hop_limit")
+
+    d = base_scenario_dict(protocol={"dedup_capacity": 1.5})
+    expect_invalid(d, "protocol.dedup_capacity")
+
 
 def test_adversary_validation():
     d = base_scenario_dict(adversaries=[{"kind": "eavesdrop", "start_s": 0.0, "end_s": 2.0}])
@@ -186,6 +246,9 @@ def test_adversary_validation():
     )
     expect_invalid(d, "adversaries[2].kind")
 
+    d = base_scenario_dict(adversaries=[{"kind": "replay_injector", "injections": 2.5}])
+    expect_invalid(d, "adversaries[0].injections")
+
 
 def test_link_event_validation():
     ok = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"loss_prob": 0.9}}])
@@ -203,6 +266,12 @@ def test_link_event_validation():
     d = base_scenario_dict(link_events=[{"at": 2.0, "link": "wifi24", "set": {"loss_prob": 0.9}}])
     expect_invalid(d, "link_events[0].at")
 
+    d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"loss_prob": "x"}}])
+    expect_invalid(d, "link_events[0].set.loss_prob")
+
+    d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"loss_prob": 1.5}}])
+    expect_invalid(d, "link_events[0].set.loss_prob")  # LinkProfile's own bound
+
 
 def test_link_policy_validation():
     d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": "wifi24"})
@@ -217,10 +286,31 @@ def test_link_policy_validation():
     d = base_scenario_dict(link_policy={"hysteresis": 0.5})
     expect_invalid(d, "link_policy.hysteresis")
 
+    d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": 5})
+    expect_invalid(d, "link_policy.pinned_link")
+
 
 def test_mode_validation():
     d = base_scenario_dict(mode="ring")
     expect_invalid(d, "mode")
+
+    d = base_scenario_dict(mode="star", security={"encryption": False})
+    expect_invalid(d, "security.encryption")  # the plaintext baseline floods
+
+
+def test_replace_rechecks_the_whole_scenario():
+    sc = scenario_from_dict(base_scenario_dict(security={"encryption": False}))
+    with pytest.raises(ValidationError) as exc_info:
+        replace(sc, mode="star")
+    assert exc_info.value.field == "security.encryption"
+
+
+def test_validate_runs_once_per_load_and_set_up(monkeypatch):
+    calls = []
+    original = Scenario.validate
+    monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(1) or original(self))
+    Simulation(scenario_from_dict(base_scenario_dict()))
+    assert len(calls) == 1
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -234,5 +324,17 @@ def test_load_scenario_from_file(tmp_path):
 def test_load_scenario_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
+    with pytest.raises(ValidationError):
+        load_scenario(p)
+
+    p.write_bytes(b'{"name": "\xff"}')  # not UTF-8
+    with pytest.raises(ValidationError):
+        load_scenario(p)
+
+    p.write_text("[" * 100_000)  # nested deeper than the parser recurses
+    with pytest.raises(ValidationError):
+        load_scenario(p)
+
+    p.write_text("[1, 2]")
     with pytest.raises(ValidationError):
         load_scenario(p)

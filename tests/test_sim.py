@@ -9,8 +9,9 @@ import pytest
 from swarmlink import crypto, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
+from swarmlink.metrics import render_json
 from swarmlink.scenario import scenario_from_dict
-from swarmlink.sim import Simulation, report_json, run_scenario
+from swarmlink.sim import Simulation, run_scenario
 
 from conftest import base_scenario_dict
 
@@ -33,7 +34,7 @@ def test_same_seed_same_bytes():
     d = base_scenario_dict()
     r1, t1 = run(d)
     r2, t2 = run(d)
-    assert report_json(r1) == report_json(r2)
+    assert render_json(r1) == render_json(r2)
     assert t1 == t2
 
 
@@ -41,7 +42,7 @@ def test_different_seed_different_run():
     r1, _ = run(base_scenario_dict(seed=1))
     r2, _ = run(base_scenario_dict(seed=2))
     # deliveries still complete, but the scheduled timeline differs
-    assert report_json(r1) != report_json(r2)
+    assert render_json(r1) != render_json(r2)
 
 
 def test_epochs_roll_with_short_lifetime():
