@@ -14,6 +14,10 @@ run when unset) and sees the run through four hooks:
   the tap rewrites them;
 - report(): what the tap obtained, under `name` in the run report.
 
+A tap sends bytes of its own with `sim.inject(receiver_ids, data, outcomes)`
+down the honest receive path and tallies their fate in its own `outcomes`
+Counters; `sim.chain(times, step)` runs its timed steps.
+
 The simulation builds its taps in scenario order, so their draws from the
 adversary RNG follow that order.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from . import codec, crypto, handshake
+from . import codec, crypto, handshake, metrics
 from .errors import SwarmLinkError
 
 
@@ -175,7 +179,7 @@ class KeySubstitution(Tap):
 class ReplayInjector(Tap):
     """Records delivered data packets and re-sends one at random times.
 
-    The injection times are drawn, and queued, when the tap is built.
+    The injection times are drawn when the tap is built and run as a chain.
     """
 
     name = "replay"
@@ -185,9 +189,10 @@ class ReplayInjector(Tap):
         self.recorded: List[Tuple[bytes, Tuple[int, ...]]] = []
         self.injections = 0
         self.noops = 0
+        self.outcomes = metrics.Counters()
         window = max(self.end - self.start, 0.0)
-        for t in sorted(self.start + sim.rng_adv.random() * window for _ in range(spec.injections)):
-            sim._schedule(t, "timer", self.inject)
+        times = sorted(self.start + sim.rng_adv.random() * window for _ in range(spec.injections))
+        sim.chain(iter(times), self.inject)
 
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind == "data" and result.delivered:
@@ -202,10 +207,10 @@ class ReplayInjector(Tap):
         data, rx_ids = self.recorded[sim.rng_adv.randrange(len(self.recorded))]
         self.injections += 1
         sim._trace("replay_inject", receivers=list(rx_ids))
-        sim.inject(rx_ids, data)
+        sim.inject(rx_ids, data, self.outcomes)
 
     def report(self) -> Dict[str, object]:
-        outcomes = self.sim.injected.values
+        outcomes = self.outcomes.values
         return {
             "injections": self.injections,
             "noops": self.noops,

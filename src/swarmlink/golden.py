@@ -143,7 +143,9 @@ def generated_scenarios() -> Dict[str, dict]:
     node hears at most its lattice neighbours on 300 m WiFi and every peer
     on cellular. `grid25_churn` loses a relay and a corner node mid-run and
     raises WiFi loss by a timed link event, so broadcasts must skip down
-    receivers and the selector sees a degraded link.
+    receivers and the selector sees a degraded link. `contested13_replay`
+    runs 13 nodes under 4 s key churn with an eavesdropper and a replay
+    injector, so injected bytes meet the mesh rejection paths.
     """
     protocol = {
         "hop_limit": 6,
@@ -175,5 +177,26 @@ def generated_scenarios() -> Dict[str, dict]:
             "protocol": protocol,
             "traffic": {"senders": "uavs", "rate_hz": 2.0, "payload_bytes": 32, "start_s": 3.5},
             "link_events": [{"at_s": 6.0, "link": "wifi24", "set": {"loss_prob": 0.6}}],
+        },
+        "contested13_replay": {
+            "name": "contested13_replay",
+            "seed": 1313,
+            "duration_s": 16.0,
+            "mode": "mesh",
+            "nodes": [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}] + [
+                {"id": i + 2, "role": "uav", "position": [(i % 4 - 1.5) * 75, (i // 4 - 1.0) * 75]}
+                for i in range(12)
+            ],
+            "links": {"wifi24": {"band": "wifi24", "loss_prob": 0.2}, "subghz": {"band": "subghz"}},
+            "protocol": {
+                "key_lifetime_s": 4.0, "grace_window_s": 1.0, "handshake_timeout_s": 1.0,
+                "handshake_retries": 8, "rekey_resend_interval_s": 0.5, "dedup_capacity": 64,
+            },
+            "security": {"leak_epochs": [2, 5]},
+            "traffic": {"senders": "uavs", "rate_hz": 2.0, "payload_bytes": 24, "start_s": 2.0},
+            "adversaries": [
+                {"kind": "eavesdrop", "start_s": 0.0},
+                {"kind": "replay_injector", "start_s": 4.0, "injections": 600},
+            ],
         },
     }

@@ -108,7 +108,7 @@ class Scenario:
     seed: int
     duration_s: Positive
     nodes: Tuple[NodeSpec, ...]
-    links: Annotated[Dict[str, LinkProfile], _NONEMPTY]
+    links: Dict[str, LinkProfile]
     mode: Literal["mesh", "star"] = "mesh"
     protocol: ProtocolSpec = ProtocolSpec()
     traffic: TrafficSpec = TrafficSpec()
@@ -153,6 +153,8 @@ class Scenario:
             if n.id in seen:
                 raise ValidationError(f"nodes[{i}].id", f"duplicate node id {n.id}")
             seen.add(n.id)
+        if not self.links:  # the MTU rule below needs one
+            raise ValidationError("links", "at least one link required")
         for name, profile in self.links.items():
             if profile.name != name:
                 raise ValidationError(f"links.{name}", "profile name must match its key")

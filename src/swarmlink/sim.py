@@ -9,15 +9,21 @@ metrics and a trace. Determinism rules:
   adversary choices) so draws in one domain never shift another;
 - the event heap orders by (time, insertion sequence), so simultaneous
   events fire in scheduling order;
+- one event per pending step: a chain (a sender's traffic, a tap's
+  injections, key rotation, rekey resends) queues its next step before
+  the current step's own work, so the heap does not grow with run length;
 - the receivers of one transmission share its arrival time and are
   delivered by one event, in node_order: the order in which separate
-  per-receiver events with consecutive sequence numbers would pop;
+  per-receiver events with consecutive sequence numbers would pop. Bytes
+  a tap injects follow the same rule, one event for all their receivers;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values.
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
-their hooks and never names one.
+their hooks and never names one. Every receive handler returns what
+became of the reception (None, "delivered_new", "rejected_dedup" or
+"rejected_<error>"), which is how a tap learns the fate of its bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import count, takewhile
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
 from .errors import (
@@ -132,12 +139,10 @@ class Simulation:
         self.security_events = Counters()
         self.audit = DeliveryAudit()
         self.trace: List[str] = []
-        # What became of bytes the taps injected: rejected_<cause>, delivered_new.
-        self.injected = Counters()
         self.installed_keys: List[Tuple[int, bytes]] = []
-        self.session_time: Dict[int, float] = {}
         self.duty_log: List[Tuple[int, str, float, float]] = []
-        self.duty_max_util: Dict[Tuple[int, str], float] = {}
+        # (node, link) -> [peak window utilisation, total airtime], per metered send.
+        self.duty_use: Dict[Tuple[int, str], List[float]] = {}
         self.per_link_tx: Dict[str, int] = {name: 0 for name in sc.links}
         self.per_link_data_tx: Dict[str, int] = {name: 0 for name in sc.links}
         self.wire_bytes = {"data": 0, "control": 0}
@@ -181,7 +186,7 @@ class Simulation:
         self._resend_active = False
         self._schedule_initial_events()
         # Built last, in scenario order: taps draw from rng_adv as they are
-        # built, and an injector's events queue behind the traffic events.
+        # built, and an injector's first step queues behind the traffic.
         self.taps: List[adversary.Tap] = [
             adversary.TAPS[spec.kind](spec, self) for spec in sc.adversaries
         ]
@@ -191,6 +196,16 @@ class Simulation:
     def _schedule(self, t: float, kind: str, fn: Callable[[], None]) -> None:
         heapq.heappush(self._heap, (t, self._eseq, kind, fn))
         self._eseq += 1
+
+    def chain(self, times: Iterator[float], step: Callable[[], None]) -> None:
+        """Run `step` at each of the ascending `times`; each run first queues the next."""
+        t = next(times, None)
+        if t is not None:
+            self._schedule(t, "timer", partial(self._chain_step, times, step))
+
+    def _chain_step(self, times: Iterator[float], step: Callable[[], None]) -> None:
+        self.chain(times, step)
+        step()
 
     def _schedule_initial_events(self) -> None:
         sc = self.sc
@@ -206,15 +221,12 @@ class Simulation:
                 self._schedule(0.0, "timer", lambda u=uav_id: self._start_handshake(u))
         if sc.traffic.rate_hz > 0:
             period = 1.0 / sc.traffic.rate_hz
-            stop = min(
-                sc.traffic.stop_s if sc.traffic.stop_s is not None else sc.duration_s,
-                sc.duration_s,
-            )
+            stop = min(sc.duration_s, math.inf if sc.traffic.stop_s is None else sc.traffic.stop_s)
             for sender in sorted(sc.sender_ids()):
-                t = sc.traffic.start_s + self.rng_traffic.uniform(0.0, period)
-                while t < stop:
-                    self._schedule(t, "timer", lambda s=sender: self._traffic_event(s))
-                    t += period
+                start = sc.traffic.start_s + self.rng_traffic.uniform(0.0, period)
+                # count() adds `period` to the float before, as `t += period` would.
+                times = takewhile(lambda t: t < stop, count(start, period))
+                self.chain(times, partial(self._traffic_event, sender))
 
     # ---- tracing / accounting --------------------------------------------
 
@@ -223,12 +235,12 @@ class Simulation:
         entry.update(fields)
         self.trace.append(json.dumps(entry, sort_keys=True))
 
-    def _security_event(self, node: _Node, exc: SwarmLinkError, injected: bool = False) -> None:
+    def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
+        """Count and trace a rejection; returns it as a receive outcome."""
         name = type(exc).__name__
         self.security_events.bump(name)
-        if injected:
-            self.injected.bump(f"rejected_{name}")
         self._trace("security", node=node.id, error=name, detail=str(exc))
+        return f"rejected_{name}"
 
     # ---- node and link lifecycle ------------------------------------------
 
@@ -279,23 +291,14 @@ class Simulation:
         g = self.gcs
         if g.down or g.table.has_session(uav_id):
             return
+        timeout = self.sc.protocol.handshake_timeout_s
         offer = handshake.gcs_start_handshake(
-            self.roster,
-            g.sig_key,
-            g.table,
-            uav_id,
-            self.rng_keys,
-            self.now,
-            self.sc.protocol.handshake_timeout_s,
+            self.roster, g.sig_key, g.table, uav_id, self.rng_keys, self.now, timeout
         )
         self.counters.bump("handshake_attempts")
         self._trace("handshake_offer", uav=uav_id, attempt=g.hs_attempts[uav_id])
         self._enqueue(g, _TxItem("offer", offer.to_bytes(), uav_id))
-        self._schedule(
-            self.now + self.sc.protocol.handshake_timeout_s + _EPS,
-            "timer",
-            lambda u=uav_id: self._handshake_timeout(u),
-        )
+        self._schedule(self.now + timeout + _EPS, "timer", partial(self._handshake_timeout, uav_id))
 
     def _handshake_timeout(self, uav_id: int) -> None:
         g = self.gcs
@@ -310,49 +313,41 @@ class Simulation:
             g.unreachable.append(uav_id)
             self._trace("unreachable", uav=uav_id)
 
-    def _rx_offer(self, node: _Node, offer: handshake.KeyOffer, _injected: bool) -> None:
+    def _rx_offer(self, node: _Node, offer: handshake.KeyOffer) -> Optional[str]:
         if node.role != "uav":
-            return
+            return None
         try:
             response, session_key = handshake.uav_on_offer(
-                self.roster,
-                node.id,
-                node.sig_key,
-                offer,
-                self.rng_keys,
+                self.roster, node.id, node.sig_key, offer, self.rng_keys,
                 verify_signatures=self.sc.security.verify_signatures,
             )
         except SwarmLinkError as exc:
-            self._security_event(node, exc)
-            return
+            return self._security_event(node, exc)
         node.session_key = session_key
         self.installed_keys.append((node.id, session_key.bytes_))
         self._trace("session_uav", node=node.id)
         self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id))
+        return None
 
-    def _rx_response(self, node: _Node, response: handshake.KeyResponse, _injected: bool) -> None:
+    def _rx_response(self, node: _Node, response: handshake.KeyResponse) -> Optional[str]:
         if node.role != "gcs":
-            return
+            return None
         try:
             session_key = handshake.gcs_on_response(
-                self.roster,
-                node.table,
-                response,
-                self.now,
+                self.roster, node.table, response, self.now,
                 verify_signatures=self.sc.security.verify_signatures,
             )
         except SwarmLinkError as exc:
-            self._security_event(node, exc)
-            return
+            return self._security_event(node, exc)
         uav_id = response.sender_id
         self.installed_keys.append((node.id, session_key.bytes_))
-        self.session_time[uav_id] = self.now
         self.counters.bump("sessions_established")
         self._trace("session_gcs", uav=uav_id)
         if node.source is not None:
             if node.source.current is None:
                 self._generate_epoch()
             self._send_rekey(uav_id)
+        return None
 
     # ---- broadcast key lifecycle ------------------------------------------
 
@@ -366,10 +361,9 @@ class Simulation:
         self._schedule(bkey.not_after, "timer", self._rotation_due)
 
     def _rotation_due(self) -> None:
+        # The one pending rotation, queued by the epoch it ends.
         g = self.gcs
-        if g.down or g.source is None or g.source.current is None:
-            return
-        if self.now + _EPS < g.source.current.not_after:
+        if g.down:
             return
         self._generate_epoch()
         g.unacked = {}
@@ -379,9 +373,7 @@ class Simulation:
     def _send_rekey(self, uav_id: int) -> None:
         g = self.gcs
         bkey = g.source.current
-        message = rekey.wrap_for(
-            g.table.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys
-        )
+        message = rekey.wrap_for(g.table.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys)
         g.unacked[uav_id] = message.to_bytes()
         self.counters.bump("rekeys_sent")
         self._enqueue(g, _TxItem("rekey", g.unacked[uav_id], uav_id))
@@ -389,25 +381,24 @@ class Simulation:
 
     def _ensure_resend_timer(self) -> None:
         interval = self.sc.protocol.rekey_resend_interval_s
-        if interval is None or self._resend_active:
-            return
-        self._resend_active = True
-        self._schedule(self.now + interval, "timer", self._resend_due)
+        if interval is not None and not self._resend_active:
+            self._resend_active = True
+            self._schedule(self.now + interval, "timer", self._resend_due)
 
     def _resend_due(self) -> None:
         self._resend_active = False
         g = self.gcs
-        if g.down or g.source is None or g.source.current is None or not g.unacked:
+        if g.down or not g.unacked:
             return
         for uav_id in sorted(g.unacked):
             self.counters.bump("rekey_resends")
             self._enqueue(g, _TxItem("rekey", g.unacked[uav_id], uav_id))
         self._ensure_resend_timer()
 
-    def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage, _injected: bool) -> None:
+    def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage) -> Optional[str]:
         if node.role != "uav" or node.session_key is None:
             self.counters.bump("rekey_without_session")
-            return
+            return None
         try:
             bkey = rekey.unwrap(
                 node.session_key, message, node.keyring, self.now, self.sc.protocol.grace_window_s
@@ -415,8 +406,7 @@ class Simulation:
         except SwarmLinkError as exc:
             current = node.keyring.current
             if not (isinstance(exc, StaleEpoch) and current is not None and exc.epoch == current.epoch):
-                self._security_event(node, exc)
-                return
+                return self._security_event(node, exc)
             # Benign duplicate of the rekey we already installed: re-ack.
             self.counters.bump("rekey_duplicates")
             bkey = current
@@ -425,8 +415,9 @@ class Simulation:
             self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
         self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id))
+        return None
 
-    def _rx_ack(self, node: _Node, ack: rekey.RekeyAck, _injected: bool) -> None:
+    def _rx_ack(self, node: _Node, ack: rekey.RekeyAck) -> None:
         if node.role != "gcs":
             return
         if ack.uav_id in node.unacked and ack.epoch == node.source.current.epoch:
@@ -534,9 +525,7 @@ class Simulation:
                     continue
                 self.counters.bump("tx_deferrals")
                 node.defer_until = result.until
-                self._trace(
-                    "defer", node=node.id, link=profile.name, until=round(result.until, 9)
-                )
+                self._trace("defer", node=node.id, link=profile.name, until=round(result.until, 9))
                 self._schedule(result.until, "timer", lambda n=node: self._pump(n))
                 return
             node.txq.popleft()
@@ -549,22 +538,18 @@ class Simulation:
         self._trace("drop", node=node.id, reason=reason, item=item.kind)
 
     def _complete_tx(
-        self,
-        node: _Node,
-        item: _TxItem,
-        profile: links.LinkProfile,
-        result: links.TransmitResult,
+        self, node: _Node, item: _TxItem, profile: links.LinkProfile, result: links.TransmitResult
     ) -> None:
         self.counters.bump("tx_sent")
         self.per_link_tx[profile.name] += 1
         if item.kind == "data":
             self.per_link_data_tx[profile.name] += 1
         self.wire_bytes["data" if item.kind == "data" else "control"] += len(item.data)
-        if profile.name in node.meters:
-            meter = node.meters[profile.name]
-            util = meter.used_airtime(self.now) / meter.budget()
-            key = (node.id, profile.name)
-            self.duty_max_util[key] = max(self.duty_max_util.get(key, 0.0), util)
+        meter = node.meters.get(profile.name)
+        if meter is not None:
+            use = self.duty_use.setdefault((node.id, profile.name), [0.0, 0.0])
+            use[0] = max(use[0], meter.used_airtime(self.now) / meter.budget())
+            use[1] += result.airtime_s
             self.duty_log.append((node.id, profile.name, self.now, result.airtime_s))
         if result.delivered or result.lost:
             total = len(result.delivered) + len(result.lost)
@@ -577,7 +562,8 @@ class Simulation:
         if delivered:
             self.counters.bump("rx_events", len(delivered))
             packet = item.packet if data is item.data else None
-            self._schedule(delivered[0][1], "rx", partial(self._deliver_rx, delivered, data, packet))
+            deliver = partial(self._deliver, "rx_processed", delivered, data, packet)
+            self._schedule(delivered[0][1], "rx", deliver)
         if result.lost:
             self.counters.bump("rx_lost", len(result.lost))
         node.busy = True
@@ -589,34 +575,32 @@ class Simulation:
 
     # ---- receive dispatch ----------------------------------------------------
 
-    def _deliver_rx(
-        self,
-        receivers: Sequence[Tuple[int, float]],
-        data: bytes,
-        packet: Optional[codec.WirePacket],
+    def _deliver(
+        self, counter: str, receivers: Sequence[Tuple[int, float]], data: bytes,
+        packet: Optional[codec.WirePacket], outcomes: Optional[Counters] = None,
     ) -> None:
-        self.counters.bump("rx_processed", len(receivers))
+        """Hand one transmission to its (receiver, arrival) pairs; tally outcomes if given."""
+        self.counters.bump(counter, len(receivers))
         for receiver_id, _arrival in receivers:
-            self._receive(receiver_id, data, packet, False)
+            outcome = self._receive(receiver_id, data, packet)
+            if outcomes is not None and outcome is not None:
+                outcomes.bump(outcome)
 
-    def inject(self, receiver_ids: Sequence[int], data: bytes) -> None:
-        """Deliver bytes a tap made up to each receiver now, one event each."""
-        for receiver_id in receiver_ids:
-            self.counters.bump("adv_rx_events")
-            self._schedule(self.now, "advrx", partial(self._deliver_injected, receiver_id, data))
+    def inject(self, receiver_ids: Sequence[int], data: bytes, outcomes: Counters) -> None:
+        """Hand a tap's bytes to its receivers now, in one event, tallying each outcome."""
+        self.counters.bump("adv_rx_events", len(receiver_ids))
+        receivers = [(receiver_id, self.now) for receiver_id in receiver_ids]
+        deliver = partial(self._deliver, "adv_rx_processed", receivers, data, None, outcomes)
+        self._schedule(self.now, "advrx", deliver)
 
-    def _deliver_injected(self, node_id: int, data: bytes) -> None:
-        self.counters.bump("adv_rx_processed")
-        self._receive(node_id, data, None, True)
-
-    def _receive(self, node_id: int, data: bytes, message, injected: bool) -> None:
+    def _receive(self, node_id: int, data: bytes, message) -> Optional[str]:
         """The one receive dispatch: the first byte picks the message class
         and its handler, and bytes that come without their message are
-        parsed here."""
+        parsed here. Returns the handler's outcome."""
         node = self.nodes[node_id]
         if node.down:
             self.counters.bump("rx_ignored_down")
-            return
+            return None
         entry = self._rx_table.get(data[0]) if data else None
         if entry is not None and message is None:
             try:
@@ -625,34 +609,28 @@ class Simulation:
                 entry = None
         if entry is None:
             self.counters.bump("rx_unparseable")
-            return
-        entry[1](node, message, injected)
+            return None
+        return entry[1](node, message)
 
-    def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket, injected: bool) -> None:
+    def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
         result = mesh.handle_rx(
-            node.mesh,
-            node.keyring,
-            node.window,
-            packet,
-            self.now,
+            node.mesh, node.keyring, node.window, packet, self.now,
             plaintext_mode=not self.sc.security.encryption,
         )
         if result.duplicate:
             self.counters.bump("rx_duplicates")
-            if injected:
-                self.injected.bump("rejected_dedup")
-            return
+            return "rejected_dedup"
         if result.error is not None:
-            self._security_event(node, result.error, injected)
-            return
-        self._deliver_frame(node, result.deliver, injected)
+            return self._security_event(node, result.error)
+        self._deliver_frame(node, result.deliver)
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s
             delay = self.rng_jitter.uniform(0.0, jitter_max) if jitter_max > 0 else 0.0
             forward = ((None, result.forward),)
             self._schedule(self.now + delay, "timer", partial(self._enqueue_data, node, forward))
+        return "delivered_new"
 
-    def _rx_data_star(self, node: _Node, packet: codec.WirePacket, injected: bool) -> None:
+    def _rx_data_star(self, node: _Node, packet: codec.WirePacket) -> str:
         try:
             if packet.epoch != 0:
                 raise UnknownEpoch(f"epoch {packet.epoch} in star mode")
@@ -664,24 +642,22 @@ class Simulation:
                 key = node.session_key
             frame = codec.open_with_key(key, node.window, packet)
         except SwarmLinkError as exc:
-            self._security_event(node, exc, injected)
-            return
-        self._deliver_frame(node, frame, injected)
+            return self._security_event(node, exc)
+        self._deliver_frame(node, frame)
         if node.role == "gcs":
             fanout = mesh.star_fanout(
                 node.mesh, node.table, node.counters, frame, exclude_id=packet.origin
             )
             self._enqueue_data(node, fanout, frame, "star_relayed")
+        return "delivered_new"
 
-    def _deliver_frame(self, node: _Node, frame: codec.Frame, injected: bool) -> None:
+    def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:
         for message in frame.messages:
             if len(message.payload) < 8:
                 continue
             uid = int.from_bytes(message.payload[:8], "big")
             self.audit.record_delivery(uid, node.id, self.now)
             self.counters.bump("messages_delivered")
-        if injected:
-            self.injected.bump("delivered_new")
 
     # ---- run and report -------------------------------------------------------
 
@@ -692,9 +668,9 @@ class Simulation:
             self.now = max(self.now, t)
             fn()
         self.now = duration
-        # An rx event is a partial over all receivers of one transmission.
-        rx_in_flight = sum(len(e[3].args[0]) for e in self._heap if e[2] == "rx")
-        adv_in_flight = sum(1 for e in self._heap if e[2] == "advrx")
+        # rx and advrx events are partials of _deliver over all their receivers.
+        rx_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "rx")
+        adv_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "advrx")
         return self._build_report(rx_in_flight, adv_in_flight)
 
     def _build_report(self, rx_in_flight: int, adv_in_flight: int) -> dict:
@@ -733,20 +709,18 @@ class Simulation:
                 and c.get("adv_rx_events") == c.get("adv_rx_processed") + adv_in_flight
             ),
         }
-        duty = {}
-        for (node_id, link_name), util in sorted(self.duty_max_util.items()):
-            meter = self.nodes[node_id].meters[link_name]
-            duty[f"{node_id}:{link_name}"] = {
-                "max_window_utilization": round(util, 9),
-                "budget_s": meter.budget(),
-                "total_airtime_s": round(
-                    sum(a for nid, ln, _t, a in self.duty_log if nid == node_id and ln == link_name),
-                    9,
-                ),
+        duty = {
+            f"{node_id}:{link_name}": {
+                "max_window_utilization": round(peak, 9),
+                "budget_s": self.nodes[node_id].meters[link_name].budget(),
+                "total_airtime_s": round(airtime, 9),
             }
+            for (node_id, link_name), (peak, airtime) in sorted(self.duty_use.items())
+        }
         latencies = self.audit.latencies()
         uav_latencies = self.audit.latencies_between(uav_ids, uav_ids)
-        session_times = sorted(self.session_time.values())
+        session_times = sorted(t for _key, t in self.gcs.table.established.values())
+        source = self.gcs.source
         return {
             "scenario": sc.name,
             "seed": sc.seed,
@@ -762,11 +736,7 @@ class Simulation:
                 "all_established": len(session_times) == len(uav_ids),
             },
             "broadcast": {
-                "epochs_reached": (
-                    self.gcs.source.current.epoch
-                    if self.gcs.source is not None and self.gcs.source.current is not None
-                    else 0
-                ),
+                "epochs_reached": source.current.epoch if source and source.current else 0,
                 "rekeys_sent": c.get("rekeys_sent"),
                 "rekeys_installed": c.get("rekeys_installed"),
                 "rekey_resends": c.get("rekey_resends"),

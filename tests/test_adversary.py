@@ -3,7 +3,9 @@
 import inspect
 
 from swarmlink import adversary, sim
+from swarmlink.cli import resolve_scenario
 from swarmlink.scenario import ADVERSARY_KINDS
+from swarmlink.sim import run_scenario
 
 
 def test_every_adversary_kind_has_a_tap():
@@ -14,3 +16,10 @@ def test_every_adversary_kind_has_a_tap():
 def test_the_simulator_names_no_adversary_kind():
     source = inspect.getsource(sim)
     assert [kind for kind in ADVERSARY_KINDS if kind in source] == []
+
+
+def test_replay_outcomes_account_for_every_injected_reception():
+    report, _ = run_scenario(resolve_scenario("replay_attack"))
+    replay = report["adversary"]["replay"]
+    tallied = sum(replay["rejected"].values()) + replay["delivered_new"]
+    assert tallied == report["conservation"]["adv_rx_processed"] > 0

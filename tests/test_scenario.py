@@ -305,6 +305,13 @@ def test_replace_rechecks_the_whole_scenario():
     assert exc_info.value.field == "security.encryption"
 
 
+def test_a_scenario_built_in_python_needs_a_link():
+    sc = scenario_from_dict(base_scenario_dict())
+    with pytest.raises(ValidationError) as exc_info:
+        replace(sc, links={})
+    assert exc_info.value.field == "links"
+
+
 def test_validate_runs_once_per_load_and_set_up(monkeypatch):
     calls = []
     original = Scenario.validate

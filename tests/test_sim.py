@@ -9,7 +9,7 @@ import pytest
 from swarmlink import crypto, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
-from swarmlink.metrics import render_json
+from swarmlink.metrics import Counters, render_json
 from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation, run_scenario
 
@@ -222,3 +222,32 @@ def test_duty_cycle_stress_runs_past_its_window():
         signal.signal(signal.SIGALRM, previous)
     assert report["conservation"]["balanced"]
     assert report["duration_s"] == 61.0
+
+
+def test_set_up_queues_one_event_per_pending_step_whatever_the_duration():
+    # Traffic and injections are chains: building a run queues each
+    # chain's first step only, so the heap does not grow with duration.
+    def heap_after_build(duration_s):
+        d = base_scenario_dict(
+            duration_s=duration_s,
+            traffic={"senders": "uavs", "rate_hz": 2.0, "payload_bytes": 24, "start_s": 1.0},
+            adversaries=[{"kind": "replay_injector", "start_s": 1.0, "injections": 1000}],
+        )
+        return len(Simulation(scenario_from_dict(d))._heap)
+
+    assert heap_after_build(10.0) == heap_after_build(1000.0) == 5  # 2 handshakes, 2 senders, 1 injection
+
+
+def test_inject_queues_one_event_for_all_its_receivers():
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    before = len(sim._heap)
+    outcomes = Counters()
+    sim.inject((2, 3), bytes([wire.PACKET_VERSION]) + bytes(20), outcomes)
+    advrx = [e for e in sim._heap if e[2] == "advrx"]
+    assert len(sim._heap) == before + 1 and len(advrx) == 1
+    assert [rid for rid, _arrival in advrx[0][3].args[1]] == [2, 3]
+    report = sim.run()
+    c = report["conservation"]
+    assert c["adv_rx_events"] == c["adv_rx_processed"] == 2 and c["balanced"]
+    assert sim.counters.get("rx_unparseable") == 2
+    assert outcomes.values == {}  # unparseable bytes reach no handler
