@@ -149,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValidationError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,6 +59,10 @@ class ReplayError(SwarmLinkError):
     """Packet counter already seen or older than the replay window."""
 
 
+class UnknownMessage(SwarmLinkError):
+    """Delivered telemetry carries no message uid, or one nobody originated."""
+
+
 class NoBroadcastKey(SwarmLinkError):
     """Node has not been provisioned with a broadcast key yet."""
 

@@ -4,14 +4,24 @@ Reports are plain dicts rendered with sorted keys, so two runs of the same
 scenario and seed produce byte-identical JSON. Latency percentiles use the
 nearest-rank method on the sorted sample; no field ever depends on wall
 clock or iteration order of unordered containers.
+
+The delivery ledger keeps each fact once, in the shape the report reads:
+per message its source, origination time and a bitmask of the nodes it
+reached; per source its message count; per (source, destination) pair the
+latency of each first delivery. Report cost grows with pairs plus
+deliveries, never messages x nodes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+from .errors import UnknownMessage
 
 
 def percentile(sorted_values: List[float], fraction: float) -> Optional[float]:
@@ -24,64 +34,55 @@ def percentile(sorted_values: List[float], fraction: float) -> Optional[float]:
 
 @dataclass
 class DeliveryAudit:
-    """Ground truth of which message reached which node, keyed by uid."""
+    """Ground truth of which message reached which node: the delivery ledger."""
 
-    # uid -> (source node, origination time)
-    originated: Dict[int, Tuple[int, float]] = field(default_factory=dict)
-    # (uid, node) -> first delivery time
-    delivered: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    originated: Dict[int, Tuple[int, float]] = field(default_factory=dict)  # uid -> (source, t)
+    sent_by: Dict[int, int] = field(default_factory=dict)  # source -> messages originated
+    # node -> its bit in `reach`, by first delivery: ids up to 65535 are too sparse for bits.
+    node_bits: Dict[int, int] = field(default_factory=dict)
+    reach: Dict[int, int] = field(default_factory=dict)  # uid -> bits of nodes reached
+    # (source, destination) -> latency of each first delivery
+    pair_latencies: Dict[Tuple[int, int], array] = field(default_factory=dict)
     duplicate_deliveries: int = 0
 
     def record_send(self, uid: int, source: int, t: float) -> None:
         self.originated[uid] = (source, t)
+        self.sent_by[source] = self.sent_by.get(source, 0) + 1
 
     def record_delivery(self, uid: int, node: int, t: float) -> None:
-        key = (uid, node)
-        if key in self.delivered:
+        """Record `node` receiving `uid`, or a repeat; raises UnknownMessage if none sent it."""
+        if uid not in self.originated:
+            raise UnknownMessage(f"message uid {uid} was never originated")
+        bit = self.node_bits.setdefault(node, 1 << len(self.node_bits))
+        reach = self.reach.get(uid, 0)
+        if reach & bit:
             self.duplicate_deliveries += 1
             return
-        self.delivered[key] = t
+        self.reach[uid] = reach | bit
+        source, t_tx = self.originated[uid]
+        self.pair_latencies.setdefault((source, node), array("d")).append(t - t_tx)
 
     def pair_stats(self, node_ids: Tuple[int, ...]) -> Dict[str, Dict[str, float]]:
-        """Per source->destination sent/delivered counts and ratio."""
-        sent: Dict[Tuple[int, int], int] = {}
-        got: Dict[Tuple[int, int], int] = {}
-        for uid, (src, _) in self.originated.items():
-            for dst in node_ids:
-                if dst == src:
-                    continue
-                pair = (src, dst)
-                sent[pair] = sent.get(pair, 0) + 1
-                if (uid, dst) in self.delivered:
-                    got[pair] = got.get(pair, 0) + 1
+        """Sent/delivered counts and ratio from each sender in `node_ids` to each other one."""
         out: Dict[str, Dict[str, float]] = {}
-        for pair in sorted(sent):
-            n_sent = sent[pair]
-            n_got = got.get(pair, 0)
-            out[f"{pair[0]}->{pair[1]}"] = {
-                "sent": n_sent,
-                "delivered": n_got,
-                "ratio": n_got / n_sent if n_sent else 0.0,
-            }
+        dests = sorted(node_ids)
+        for src in sorted(set(node_ids) & self.sent_by.keys()):
+            n_sent = self.sent_by[src]
+            for dst in dests:
+                if dst != src:
+                    n_got = len(self.pair_latencies.get((src, dst), ()))
+                    out[f"{src}->{dst}"] = {"sent": n_sent, "delivered": n_got, "ratio": n_got / n_sent}
         return out
 
     def latencies(self) -> List[float]:
-        out = []
-        for (uid, _node), t_rx in self.delivered.items():
-            t_tx = self.originated[uid][1]
-            out.append(t_rx - t_tx)
-        out.sort()
-        return out
+        return sorted(chain.from_iterable(self.pair_latencies.values()))
 
     def latencies_between(self, sources: Tuple[int, ...], dests: Tuple[int, ...]) -> List[float]:
         src_set, dst_set = set(sources), set(dests)
-        out = []
-        for (uid, node), t_rx in self.delivered.items():
-            src, t_tx = self.originated[uid]
-            if src in src_set and node in dst_set:
-                out.append(t_rx - t_tx)
-        out.sort()
-        return out
+        return sorted(chain.from_iterable(
+            latencies for (src, dst), latencies in self.pair_latencies.items()
+            if src in src_set and dst in dst_set
+        ))
 
 
 @dataclass

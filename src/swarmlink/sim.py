@@ -45,6 +45,7 @@ from .errors import (
     StaleEpoch,
     SwarmLinkError,
     UnknownEpoch,
+    UnknownMessage,
     ValidationError,
 )
 # render_json stays importable as sim.render_json.
@@ -146,7 +147,6 @@ class Simulation:
         self.per_link_tx: Dict[str, int] = {name: 0 for name in sc.links}
         self.per_link_data_tx: Dict[str, int] = {name: 0 for name in sc.links}
         self.wire_bytes = {"data": 0, "control": 0}
-        self.next_uid = 1
 
         # Identities: signature keys drawn in ascending node id order.
         specs = sorted(sc.nodes, key=lambda n: n.id)
@@ -431,14 +431,12 @@ class Simulation:
         if node.down:
             return
         sc = self.sc
-        uid = self.next_uid
-        self.next_uid += 1
+        uid = len(self.audit.originated) + 1
         payload = uid.to_bytes(8, "big") + bytes(sc.traffic.payload_bytes - 8)
         message = codec.TelemetryMessage(TELEMETRY_MSG_ID, sender_id, payload)
         # The denominator of every delivery ratio: counted even when the
         # stack cannot ship it yet, so a dead relay shows up as loss.
         self.audit.record_send(uid, sender_id, self.now)
-        self.counters.bump("messages_originated")
         if sc.mode == "mesh":
             if sc.security.encryption and node.keyring.current is None:
                 self.counters.bump("tx_skipped_no_key")
@@ -653,11 +651,13 @@ class Simulation:
 
     def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:
         for message in frame.messages:
-            if len(message.payload) < 8:
-                continue
-            uid = int.from_bytes(message.payload[:8], "big")
-            self.audit.record_delivery(uid, node.id, self.now)
-            self.counters.bump("messages_delivered")
+            try:
+                if len(message.payload) < 8:
+                    raise UnknownMessage("payload too short to carry a message uid")
+                uid = int.from_bytes(message.payload[:8], "big")
+                self.audit.record_delivery(uid, node.id, self.now)
+            except UnknownMessage as exc:
+                self._security_event(node, exc)
 
     # ---- run and report -------------------------------------------------------
 
@@ -681,13 +681,9 @@ class Simulation:
         pairs = self.audit.pair_stats(node_ids)
         sent_total = sum(p["sent"] for p in pairs.values())
         got_total = sum(p["delivered"] for p in pairs.values())
-        uav_sent = uav_got = 0
-        uav_set = set(uav_ids)
-        for name, stats in pairs.items():
-            src, dst = (int(x) for x in name.split("->"))
-            if src in uav_set and dst in uav_set:
-                uav_sent += stats["sent"]
-                uav_got += stats["delivered"]
+        uav_pairs = self.audit.pair_stats(uav_ids).values()
+        uav_sent = sum(p["sent"] for p in uav_pairs)
+        uav_got = sum(p["delivered"] for p in uav_pairs)
         queued = sum(len(n.txq) for n in self.nodes.values())
         dropped = sum(c.get(counter) for counter in _DROP_COUNTERS.values())
         conservation = {
@@ -744,9 +740,9 @@ class Simulation:
                 "acks_received": c.get("acks_received"),
             },
             "traffic": {
-                "messages_originated": c.get("messages_originated"),
+                "messages_originated": len(self.audit.originated),
                 "frames_sealed": c.get("frames_sealed"),
-                "messages_delivered": c.get("messages_delivered"),
+                "messages_delivered": len(latencies) + self.audit.duplicate_deliveries,
                 "skipped_no_key": c.get("tx_skipped_no_key"),
                 "skipped_no_session": c.get("tx_skipped_no_session"),
             },

@@ -458,7 +458,8 @@ def _run_flood_trial(trial: int, jitter_s: float):
 
     depths = _bfs_depths(adj, sender)
     oracle = {nid for nid, d in depths.items() if 0 < d <= hop_limit + 1}
-    reached = {node for (u, node) in sim.audit.delivered if u == uid}
+    reach = sim.audit.reach.get(uid, 0)
+    reached = {node for node, bit in sim.audit.node_bits.items() if reach & bit}
     assert sim.audit.duplicate_deliveries == 0
 
     data_tx = report["links"]["per_link_data_tx"]

@@ -2,6 +2,11 @@
 
 import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swarmlink.errors import UnknownMessage
 from swarmlink.metrics import DeliveryAudit, latency_summary, percentile, render_csv
 
 
@@ -72,3 +77,76 @@ def test_render_csv_rows():
     lines = out.strip().splitlines()
     assert lines[0].startswith("scenario,")
     assert lines[1] == "unit,1,mesh,2,3,4,3,0.750000"
+
+
+class _ReferenceAudit:
+    """The brute-force audit the ledger replaced: one (uid, node) -> time
+    entry per first delivery, and every statistic rebuilt from those
+    entries. pair_stats keeps only sources in `node_ids`, as the ledger's
+    does; the ledger refuses uids never sent, so the reference never sees them."""
+
+    def __init__(self):
+        self.originated = {}
+        self.delivered = {}
+        self.duplicate_deliveries = 0
+
+    def record_delivery(self, uid, node, t):
+        if (uid, node) in self.delivered:
+            self.duplicate_deliveries += 1
+        else:
+            self.delivered[(uid, node)] = t
+
+    def pair_stats(self, node_ids):
+        sent, got = {}, {}
+        for uid, (src, _) in self.originated.items():
+            if src not in node_ids:
+                continue
+            for dst in node_ids:
+                if dst != src:
+                    sent[(src, dst)] = sent.get((src, dst), 0) + 1
+                    if (uid, dst) in self.delivered:
+                        got[(src, dst)] = got.get((src, dst), 0) + 1
+        return {
+            f"{src}->{dst}": {"sent": n, "delivered": got.get((src, dst), 0), "ratio": got.get((src, dst), 0) / n}
+            for (src, dst), n in sorted(sent.items())
+        }
+
+    def latencies_between(self, sources, dests):
+        return sorted(
+            t - self.originated[uid][1]
+            for (uid, node), t in self.delivered.items()
+            if self.originated[uid][0] in sources and node in dests
+        )
+
+
+# Node ids span the 16-bit range, so the ledger's bitmask cannot use them as bit indexes.
+_NODES = (1, 2, 7, 300, 65535)
+_times = st.floats(0.0, 100.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sources=st.lists(st.tuples(st.sampled_from(_NODES), _times), max_size=12),
+    # uids 1..15, so some were never sent; repeats and self-deliveries both occur.
+    deliveries=st.lists(st.tuples(st.integers(1, 15), st.sampled_from(_NODES), _times), max_size=60),
+    subset=st.sets(st.sampled_from(_NODES)),
+)
+def test_ledger_matches_the_per_delivery_reference(sources, deliveries, subset):
+    ledger, ref = DeliveryAudit(), _ReferenceAudit()
+    for uid, (source, t) in enumerate(sources, start=1):
+        ledger.record_send(uid, source, t)
+        ref.originated[uid] = (source, t)
+    for uid, node, t in deliveries:
+        if uid in ref.originated:
+            ledger.record_delivery(uid, node, t)
+            ref.record_delivery(uid, node, t)
+        else:
+            with pytest.raises(UnknownMessage):
+                ledger.record_delivery(uid, node, t)
+    assert ledger.duplicate_deliveries == ref.duplicate_deliveries
+    assert ledger.latencies() == ref.latencies_between(_NODES, _NODES)
+    for node_ids in (_NODES, tuple(sorted(subset))):
+        assert ledger.pair_stats(node_ids) == ref.pair_stats(node_ids)
+        assert list(ledger.pair_stats(node_ids)) == list(ref.pair_stats(node_ids))
+        assert ledger.latencies_between(node_ids, _NODES) == ref.latencies_between(node_ids, _NODES)
+        assert ledger.latencies_between(_NODES, node_ids) == ref.latencies_between(_NODES, node_ids)

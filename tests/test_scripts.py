@@ -22,6 +22,7 @@ def _script(name: str):
         ("compare_topologies", ["--seeds", "1", "--kill-hub"], "mesh faster in"),
         ("loss_sweep", ["--losses", "0.1", "--seeds", "1"], "0.10"),
         ("run_all_scenarios", ["basic_pair"], "basic_pair"),
+        ("retained_memory", ["--durations", "4", "6"], "retained_mb"),
     ],
 )
 def test_script_runs(name, argv, expected, capsys):

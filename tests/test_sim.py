@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from swarmlink import crypto, sim as sim_module, wire
+from swarmlink import codec, crypto, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
 from swarmlink.metrics import Counters, render_json
@@ -251,3 +251,25 @@ def test_inject_queues_one_event_for_all_its_receivers():
     assert c["adv_rx_events"] == c["adv_rx_processed"] == 2 and c["balanced"]
     assert sim.counters.get("rx_unparseable") == 2
     assert outcomes.values == {}  # unparseable bytes reach no handler
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [(99_999).to_bytes(8, "big") + bytes(8), b"\x01\x02"],
+    ids=["uid_nobody_originated", "too_short_for_a_uid"],
+)
+def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payload):
+    # A plaintext frame a tap injects is accepted by the mesh, but its
+    # message cannot be matched to an originated uid: counted, not recorded.
+    plain = resolve_scenario("mesh_5_lossless")
+    sim = Simulation(replace(plain, security=replace(plain.security, encryption=False)))
+    message = codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, payload)
+    packet = codec.seal_packet_plain(4000, 0, 0, codec.Frame(messages=(message,)), codec.PacketCounters())
+    outcomes = Counters()
+    sim._schedule(5.0, "timer", lambda: sim.inject((3,), packet.to_bytes(), outcomes))
+    report = sim.run()
+    assert outcomes.values == {"delivered_new": 1}
+    assert report["security_events"] == {"UnknownMessage": 1}
+    assert report["delivery"]["overall_ratio"] == 1.0
+    assert report["latency"]["count"] == report["delivery"]["delivered"]
+    assert 99_999 not in sim.audit.reach
