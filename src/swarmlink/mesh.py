@@ -4,8 +4,9 @@ Mesh mode floods: every node rebroadcasts each packet it has not seen
 before, with a hop budget that decrements per forward. Duplicate
 suppression keys on (origin, seq), and the dedup cache is updated before
 the forward copy is queued so a node never retransmits the same packet
-twice even if copies arrive back-to-back. Relays never need the payload
-key: the header they touch rides outside the ciphertext.
+twice even if copies arrive back-to-back. A node never handles a packet of
+its own origin, even a replay whose cache entry is gone. Relays never need
+the payload key: the header they touch rides outside the ciphertext.
 
 Star mode centralizes: UAVs unicast to the ground station under their
 pairwise session keys (epoch 0 on the wire) and the ground station
@@ -75,9 +76,7 @@ def originate(
 ) -> codec.WirePacket:
     """Seal one of this node's own frames for flooding."""
     seq = state.take_seq()
-    packet = codec.seal_packet(keyring, state.node_id, seq, hop_limit, frame, counters)
-    state.dedup.add(state.node_id, seq)  # never forward our own packet back out
-    return packet
+    return codec.seal_packet(keyring, state.node_id, seq, hop_limit, frame, counters)
 
 
 def originate_plain(
@@ -85,9 +84,7 @@ def originate_plain(
 ) -> codec.WirePacket:
     """Baseline-mode counterpart of originate: no encryption, zero tag."""
     seq = state.take_seq()
-    packet = codec.seal_packet_plain(state.node_id, seq, hop_limit, frame, counters)
-    state.dedup.add(state.node_id, seq)
-    return packet
+    return codec.seal_packet_plain(state.node_id, seq, hop_limit, frame, counters)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ def handle_rx(
     enter the dedup cache, so a later honest copy of the same (origin, seq)
     still gets through.
     """
-    if state.dedup.seen(packet.origin, packet.seq):
+    if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
         return _DUPLICATE
     try:
         if plaintext_mode:

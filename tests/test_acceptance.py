@@ -367,6 +367,7 @@ def test_replayed_packets_never_deliver_twice():
     replay = report["adversary"]["replay"]
     assert replay["injections"] >= 1000
     assert replay["duplicate_deliveries"] == 0
+    assert replay["delivered_new"] == 0  # every injected copy was seen before, its origin's too
     assert report["delivery"]["duplicate_deliveries"] == 0
     assert replay["rejected"].get("ReplayError", 0) > 0
     assert replay["rejected"].get("UnknownEpoch", 0) > 0  # post-rotation injections

@@ -53,6 +53,17 @@ def test_originate_assigns_sequences_and_self_dedups():
     assert result.duplicate
 
 
+def test_own_packet_stays_a_duplicate_after_its_dedup_entry_is_evicted():
+    ring = make_ring()
+    state = mesh.MeshState(node_id=4, dedup=mesh.DedupCache(capacity=1))
+    own = mesh.originate(state, ring, codec.PacketCounters(), frame_of(), hop_limit=3)
+    other = mesh.originate(mesh.MeshState(node_id=5), ring, codec.PacketCounters(), frame_of(), hop_limit=3)
+    window = codec.ReplayWindow()
+    assert mesh.handle_rx(state, ring, window, other, now=0.1).deliver is not None  # takes the one slot
+    replayed = mesh.handle_rx(state, ring, window, own, now=0.2)
+    assert replayed.duplicate and replayed.deliver is None and replayed.forward is None
+
+
 def test_handle_rx_delivers_then_suppresses():
     ring = make_ring()
     sender = mesh.MeshState(node_id=2, dedup=mesh.DedupCache())

@@ -15,6 +15,7 @@ import pytest
 from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
 from swarmlink.golden import generated_scenarios, run_digest
 from swarmlink.scenario import scenario_from_dict
+from swarmlink.sim import run_scenario
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "golden" / "run_digests.json"
 GENERATED = generated_scenarios()
@@ -33,3 +34,12 @@ def test_shipped_scenario_matches_stored_digest(name):
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_generated_scenario_matches_stored_digest(name):
     assert run_digest(scenario_from_dict(GENERATED[name])) == STORED[name]
+
+
+@pytest.mark.parametrize("name", [*SHIPPED_SCENARIOS, *sorted(GENERATED)])
+def test_every_first_delivery_has_one_latency_and_every_delivery_one_count(name):
+    sc = scenario_from_dict(GENERATED[name]) if name in GENERATED else resolve_scenario(name)
+    report, _ = run_scenario(sc)
+    delivery = report["delivery"]
+    assert report["latency"]["count"] == delivery["delivered"]
+    assert report["traffic"]["messages_delivered"] == delivery["delivered"] + delivery["duplicate_deliveries"]
