@@ -16,13 +16,21 @@ Wire layout, all big-endian:
 
 The nonce never repeats under one key: origin disambiguates sealers and the
 per-epoch counter is strictly increasing per origin.
+
+Every receiver of a flood opens the same ciphertext under the same epoch
+key, so `open_packet` can take a run's table of opened frames. It keys on
+every input of AES-GCM verification (key bytes, nonce, aad, ciphertext,
+tag), so a hit returns exactly what verification and parsing would; only
+frames that verified and parsed are stored, never a failure. The replay
+window is still checked and advanced per receiver. Star-mode session keys
+differ per receiver, so `open_with_key` keeps no table.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import crypto, wire
 from .errors import (
@@ -43,6 +51,8 @@ MAX_SEQ = 2**32 - 1
 REPLAY_WINDOW = 64
 
 PLAIN_TAG = b"\x00" * crypto.TAG_LEN
+# Bound on a run's table of opened broadcast frames, evicted oldest first.
+OPENED_FRAMES_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -169,15 +179,10 @@ class WirePacket:
             raise ValidationError("tag", f"must be {crypto.TAG_LEN} bytes")
 
     def nonce(self) -> bytes:
-        return struct.pack(">IH", self.epoch, self.origin) + self.counter.to_bytes(6, "big")
+        return _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)[0]
 
     def aad(self) -> bytes:
-        # hop_limit is deliberately absent: relays decrement it in flight.
-        return (
-            bytes([self.version])
-            + struct.pack(">IHI", self.epoch, self.origin, self.seq)
-            + self.counter.to_bytes(6, "big")
-        )
+        return _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)[1]
 
     def header_bytes(self) -> bytes:
         return (
@@ -224,6 +229,14 @@ class WirePacket:
             ciphertext=data[HEADER_LEN:-crypto.TAG_LEN],
             tag=data[-crypto.TAG_LEN:],
         )
+
+
+def _nonce_and_aad(version: int, epoch: int, origin: int, seq: int, counter: int) -> Tuple[bytes, bytes]:
+    """The AES-GCM nonce and associated data of a packet with these header fields."""
+    # hop_limit is deliberately absent: relays decrement it in flight.
+    head = struct.pack(">BIHI", version, epoch, origin, seq)
+    tail = counter.to_bytes(6, "big")
+    return head[1:7] + tail, head + tail
 
 
 class PacketCounters:
@@ -307,38 +320,55 @@ def seal_with_key(
 ) -> WirePacket:
     """Seal a frame under an explicit key; epoch 0 marks session-key traffic."""
     counter = counters.next_for(epoch)
-    draft = WirePacket(
-        epoch=epoch,
-        origin=origin,
-        seq=seq,
-        hop_limit=hop_limit,
-        counter=counter,
-        ciphertext=b"",
-        tag=PLAIN_TAG,
-    )
-    box = crypto.aead_seal(key, draft.nonce(), frame.to_bytes(), draft.aad())
-    return replace(draft, ciphertext=box.ciphertext, tag=box.tag)
+    nonce, aad = _nonce_and_aad(wire.PACKET_VERSION, epoch, origin, seq, counter)
+    box = crypto.aead_seal(key, nonce, frame.to_bytes(), aad)
+    return WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
 
 
-def open_packet(keyring: KeyRing, window: ReplayWindow, packet: WirePacket, now: float) -> Frame:
+def open_packet(
+    keyring: KeyRing,
+    window: ReplayWindow,
+    packet: WirePacket,
+    now: float,
+    opened: Optional[Dict[tuple, Frame]] = None,
+) -> Frame:
     """Authenticate and decode a broadcast-keyed packet.
 
     Raises UnknownEpoch when no usable key exists for the packet's epoch,
     ReplayError for counters already seen or fallen behind the window, and
     AuthError when the seal does not verify. The window advances only after
-    authentication succeeds.
+    authentication succeeds. `opened` is the caller's table of frames that
+    already verified (see the module docstring); it holds at most
+    OPENED_FRAMES_CAPACITY entries.
     """
-    key = keyring.key_for_epoch(packet.epoch, now)
-    return open_with_key(key, window, packet)
+    return _open(keyring.key_for_epoch(packet.epoch, now), window, packet, opened)
 
 
 def open_with_key(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) -> Frame:
-    """Authenticate and decode under an explicit key, same replay discipline."""
+    """Authenticate and decode under an explicit key, same replay discipline.
+
+    No table of opened frames: star-mode session keys differ per receiver,
+    so it would never hit."""
+    return _open(key, window, packet, None)
+
+
+def _open(
+    key: crypto.SymmetricKey,
+    window: ReplayWindow,
+    packet: WirePacket,
+    opened: Optional[Dict[tuple, Frame]],
+) -> Frame:
     window.check(packet.origin, packet.epoch, packet.counter)
-    plaintext = crypto.aead_open(
-        key, packet.nonce(), crypto.AeadBox(packet.ciphertext, packet.tag), packet.aad()
-    )
-    frame = Frame.from_bytes(plaintext)
+    nonce, aad = _nonce_and_aad(packet.version, packet.epoch, packet.origin, packet.seq, packet.counter)
+    entry = (key.bytes_, nonce, aad, packet.ciphertext, packet.tag)
+    frame = opened.get(entry) if opened is not None else None
+    if frame is None:
+        plaintext = crypto.aead_open(key, nonce, crypto.AeadBox(packet.ciphertext, packet.tag), aad)
+        frame = Frame.from_bytes(plaintext)
+        if opened is not None:  # stored only once it verified and parsed
+            if len(opened) >= OPENED_FRAMES_CAPACITY:
+                del opened[next(iter(opened))]  # oldest first
+            opened[entry] = frame
     window.accept(packet.origin, packet.epoch, packet.counter)
     return frame
 

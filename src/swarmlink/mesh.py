@@ -8,6 +8,16 @@ twice even if copies arrive back-to-back. A node never handles a packet of
 its own origin, even a replay whose cache entry is gone. Relays never need
 the payload key: the header they touch rides outside the ciphertext.
 
+Most copies of a flood are duplicates, so a caller holding one packet's
+batch of receivers can drop, with one lookup each, those `handle_rx`
+would answer with its duplicate result (`_fresh_receivers`). Every
+receiver of one flood opens the same ciphertext, so `handle_rx` takes the
+run's table of opened frames and hands it to `codec.open_packet`. The
+table keys on the key bytes, nonce, aad, ciphertext and tag, i.e. every
+input of AES-GCM verification, and stores only frames that verified and
+parsed, never a failure; each receiver still checks and advances its own
+replay window.
+
 Star mode centralizes: UAVs unicast to the ground station under their
 pairwise session keys (epoch 0 on the wire) and the ground station
 re-seals for every other sessioned UAV. One dead ground station therefore
@@ -16,9 +26,9 @@ silences all UAV-to-UAV traffic, which is the trade the mesh avoids.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import codec, crypto
 from .errors import SwarmLinkError
@@ -28,27 +38,34 @@ DEDUP_CAPACITY = 1024
 
 
 class DedupCache:
-    """Fixed-capacity FIFO set of (origin, seq) pairs already handled."""
+    """Fixed-capacity FIFO set of (origin, seq) pairs already handled.
+
+    Each pair is kept as one int, origin << 32 | seq (seq is a u32), as a
+    dict key for lookup and in a deque for eviction order. A dict, not a
+    set: under steady eviction a set's table settles at eight slots per
+    live entry, while a dict compacts whenever it resizes."""
 
     def __init__(self, capacity: int = DEDUP_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("dedup capacity must be at least 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._keys: Dict[int, None] = {}
+        self._order: Deque[int] = deque()
 
     def seen(self, origin: int, seq: int) -> bool:
-        return (origin, seq) in self._entries
+        return (origin << 32 | seq) in self._keys
 
     def add(self, origin: int, seq: int) -> None:
-        key = (origin, seq)
-        if key in self._entries:
+        key = origin << 32 | seq
+        if key in self._keys:
             return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)  # evict oldest first
-        self._entries[key] = None
+        if len(self._order) >= self.capacity:
+            del self._keys[self._order.popleft()]  # evict oldest first
+        self._keys[key] = None
+        self._order.append(key)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._order)
 
 
 @dataclass
@@ -107,13 +124,15 @@ def handle_rx(
     packet: codec.WirePacket,
     now: float,
     plaintext_mode: bool = False,
+    opened: Optional[Dict[tuple, codec.Frame]] = None,
 ) -> RxResult:
     """Flooding receive path: dedup, authenticate, deliver once, forward.
 
     Packets that fail authentication or replay checks are surfaced as the
     result's error and neither delivered nor forwarded; they also do not
     enter the dedup cache, so a later honest copy of the same (origin, seq)
-    still gets through.
+    still gets through. `opened` is the run's table of opened broadcast
+    frames (see the module docstring).
     """
     if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
         return _DUPLICATE
@@ -121,12 +140,30 @@ def handle_rx(
         if plaintext_mode:
             frame = codec.open_packet_plain(window, packet)
         else:
-            frame = codec.open_packet(keyring, window, packet, now)
+            frame = codec.open_packet(keyring, window, packet, now, opened)
     except SwarmLinkError as exc:
         return RxResult(error=exc)
     state.dedup.add(packet.origin, packet.seq)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
     return RxResult(deliver=frame, forward=forward)
+
+
+def _fresh_receivers(
+    receivers: Sequence[Tuple[int, float]],
+    caches: Dict[int, DedupCache],
+    down: Set[int],
+    packet: codec.WirePacket,
+) -> List[Tuple[int, float]]:
+    """The (node id, arrival) pairs of one packet's receivers that handle_rx
+    would not answer with its duplicate result: every node that is down,
+    which the caller handles, and every live node that is not the packet's
+    origin and does not hold its (origin, seq). One dict lookup per receiver."""
+    origin = packet.origin
+    key = origin << 32 | packet.seq
+    return [
+        entry for entry in receivers
+        if entry[0] in down or (entry[0] != origin and key not in caches[entry[0]]._keys)
+    ]
 
 
 def star_uplink(

@@ -16,6 +16,17 @@ metrics and a trace. Determinism rules:
   delivered by one event, in node_order: the order in which separate
   per-receiver events with consecutive sequence numbers would pop. Bytes
   a tap injects follow the same rule, one event for all their receivers;
+- within one such event no receiver's outcome depends on another's: it
+  depends only on the receiver's own dedup cache, replay window and
+  keyring (the table of opened frames changes cost, never outcome),
+  forwards are queued as new events, and a node goes down only in its
+  own timer event. So in mesh mode, when the event carries the honest
+  packet (no tap altered the bytes), every live receiver that is the
+  packet's origin or already holds its (origin, seq) is counted as a
+  duplicate in one step and never reaches the receive path; down
+  receivers and injected bytes take the normal path;
+- the flood's frames are opened once per ciphertext, through a table the
+  run owns (see codec.py), so two runs share no opened frame;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values.
@@ -163,6 +174,8 @@ class Simulation:
             spec.id: _Node(spec, sc, sig_keys[spec.id]) for spec in specs
         }
         self.node_order: List[int] = [spec.id for spec in specs]
+        # node id -> its dedup cache, for the duplicate filter in _deliver.
+        self._dedup = {node_id: node.mesh.dedup for node_id, node in self.nodes.items()}
         self.gcs = self.nodes[sc.gcs().id]
         if sc.mode == "mesh" and sc.security.encryption:
             self.gcs.source = rekey.BroadcastKeySource(sc.protocol.key_lifetime_s)
@@ -172,6 +185,8 @@ class Simulation:
         # not grow with N^2.
         self._neighbour_index: Dict[Tuple[int, str], List[Tuple[int, float]]] = {}
         self._down: Set[int] = set()
+        # Frames of the broadcast-keyed flood already opened, for codec.open_packet.
+        self._opened: Dict[tuple, codec.Frame] = {}
         # First wire byte -> (message class, handler). from_bytes is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
         rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
@@ -579,6 +594,15 @@ class Simulation:
     ) -> None:
         """Hand one transmission to its (receiver, arrival) pairs; tally outcomes if given."""
         self.counters.bump(counter, len(receivers))
+        if packet is not None and self.sc.mode == "mesh":
+            # Counted as _rx_data_mesh counts them, without the receive path.
+            fresh = mesh._fresh_receivers(receivers, self._dedup, self._down, packet)
+            duplicates = len(receivers) - len(fresh)
+            if duplicates:
+                self.counters.bump("rx_duplicates", duplicates)
+                if outcomes is not None:
+                    outcomes.bump("rejected_dedup", duplicates)
+            receivers = fresh
         for receiver_id, _arrival in receivers:
             outcome = self._receive(receiver_id, data, packet)
             if outcomes is not None and outcome is not None:
@@ -613,7 +637,7 @@ class Simulation:
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
         result = mesh.handle_rx(
             node.mesh, node.keyring, node.window, packet, self.now,
-            plaintext_mode=not self.sc.security.encryption,
+            plaintext_mode=not self.sc.security.encryption, opened=self._opened,
         )
         if result.duplicate:
             self.counters.bump("rx_duplicates")

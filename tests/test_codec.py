@@ -207,6 +207,57 @@ def test_plaintext_mode_roundtrip():
     assert out == frame
 
 
+# ---- table of opened frames ---------------------------------------------------
+
+
+def test_failed_open_is_never_stored_and_a_stored_frame_needs_its_key():
+    right, wrong = ring(byte=0x20), ring(byte=0x21)  # same epoch, other key bytes
+    frame = codec.Frame(messages=(msg(1, b"kept out"),))
+    pkt = codec.seal_packet(right, 2, 0, 3, frame, codec.PacketCounters())
+    opened = {}
+    for _ in range(2):
+        with pytest.raises(AuthError):
+            codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0, opened=opened)
+        assert opened == {}
+    assert codec.open_packet(right, codec.ReplayWindow(), pkt, now=1.0, opened=opened) == frame
+    assert len(opened) == 1
+    with pytest.raises(AuthError):  # the stored frame is keyed on the key bytes too
+        codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0, opened=opened)
+
+
+def test_stored_frame_still_runs_each_receivers_replay_window():
+    r = ring()
+    frame = codec.Frame(messages=(msg(1, b"once per window"),))
+    pkt = codec.seal_packet(r, 2, 0, 3, frame, codec.PacketCounters())
+    opened = {}
+    window = codec.ReplayWindow()
+    assert codec.open_packet(r, window, pkt, now=1.0, opened=opened) == frame
+    with pytest.raises(ReplayError):
+        codec.open_packet(r, window, pkt.forwarded(), now=1.0, opened=opened)
+    # A forwarded copy differs only in the unauthenticated hop limit: same entry.
+    other = codec.ReplayWindow()
+    assert codec.open_packet(r, other, pkt.forwarded(), now=1.0, opened=opened) == frame
+    assert len(opened) == 1
+    with pytest.raises(ReplayError):  # the hit advanced this receiver's window too
+        codec.open_packet(r, other, pkt, now=1.0, opened=opened)
+
+
+def test_opened_table_stays_within_its_bound_oldest_first():
+    r = ring()
+    counters = codec.PacketCounters()
+    packets = [
+        codec.seal_packet(r, 2, seq, 3, codec.Frame(messages=(msg(1, seq.to_bytes(2, "big")),)), counters)
+        for seq in range(codec.OPENED_FRAMES_CAPACITY + 3)
+    ]
+    opened = {}
+    for pkt in packets:
+        codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0, opened=opened)
+        assert len(opened) <= codec.OPENED_FRAMES_CAPACITY
+    assert len(opened) == codec.OPENED_FRAMES_CAPACITY
+    kept = {entry[1] for entry in opened}  # nonces
+    assert {p.nonce() for p in packets[3:]} == kept
+
+
 # ---- counters ---------------------------------------------------------------
 
 

@@ -3,11 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlink import codec, crypto, mesh
 from swarmlink.errors import AuthError, ReplayError
 from swarmlink.handshake import SessionTable
 from swarmlink.rekey import BroadcastKey, KeyRing
+from swarmlink.scenario import scenario_from_dict
+from swarmlink.sim import TELEMETRY_MSG_ID, Simulation
+
+from conftest import base_scenario_dict
 
 
 def make_ring(epoch=1, byte=0x55):
@@ -33,6 +39,16 @@ def test_dedup_cache_fifo_eviction():
     assert not cache.seen(1, 1)
     assert cache.seen(1, 2) and cache.seen(1, 3)
     assert len(cache) == 2
+    cache.add(1, 3)  # already held: no eviction
+    assert cache.seen(1, 2) and len(cache) == 2
+
+
+def test_dedup_cache_keeps_origin_and_seq_apart():
+    cache = mesh.DedupCache()
+    cache.add(1, 0)
+    cache.add(0, codec.MAX_SEQ)
+    assert not cache.seen(0, 1) and not cache.seen(1, 1) and not cache.seen(2, 0)
+    assert cache.seen(1, 0) and cache.seen(0, codec.MAX_SEQ)
 
 
 def test_dedup_cache_capacity_validated():
@@ -155,3 +171,53 @@ def test_star_uplink_and_fanout_roundtrip():
         assert codec.open_with_key(key, codec.ReplayWindow(), pkt) == frame
         with pytest.raises(AuthError):
             codec.open_with_key(k2, codec.ReplayWindow(), pkt)
+
+
+HOP_BYTE = 11  # version(1)+epoch(4)+origin(2)+seq(4) precede the hop limit
+
+
+def _keyed_sim():
+    """A three-node mesh run with one broadcast key in every ring and a
+    packet originated by node 2 whose honest copy node 3 has opened, so
+    the run's table of opened frames holds its frame."""
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x66" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    for node in sim.nodes.values():
+        node.keyring.install(bkey, now=0.0, grace_window_s=5.0)
+    sim.audit.record_send(1, 2, 0.0)
+    payload = (1).to_bytes(8, "big") + bytes(16)
+    frame = codec.Frame(messages=(codec.TelemetryMessage(TELEMETRY_MSG_ID, 2, payload),))
+    origin = sim.nodes[2]
+    packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
+    assert sim._receive(3, packet.to_bytes(), packet) == "delivered_new"
+    assert len(sim._opened) == 1
+    return sim, packet.to_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_the_opened_table(data):
+    # Byte 0 picks the message class and byte 11 is the hop limit, which the
+    # seal leaves out on purpose; every other byte is authenticated. Node 1
+    # receives the copy: no single flip turns origin 2 into 1 (a duplicate).
+    sim, raw = _keyed_sim()
+    table = dict(sim._opened)
+    pos = data.draw(st.integers(1, len(raw) - 1).filter(lambda i: i != HOP_BYTE), label="byte")
+    bit = data.draw(st.integers(0, 7), label="bit")
+    mutated = bytearray(raw)
+    mutated[pos] ^= 1 << bit
+    outcome = sim._receive(1, bytes(mutated), None)
+    assert outcome.startswith("rejected_") and outcome != "rejected_dedup"
+    assert sum(sim.security_events.values.values()) == 1
+    assert sim._opened == table  # a hit would have decoded; nothing was stored
+    assert 1 not in sim.audit.node_bits  # node 1 got no delivery
+    # The honest copy still opens at node 1 afterwards.
+    assert sim._receive(1, raw, None) == "delivered_new"
+
+
+def test_two_runs_share_no_opened_frames():
+    first = Simulation(scenario_from_dict(base_scenario_dict()))
+    second = Simulation(scenario_from_dict(base_scenario_dict()))
+    first.run()
+    assert first._opened
+    assert second._opened == {} and second._opened is not first._opened

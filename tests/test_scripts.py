@@ -35,3 +35,13 @@ def test_run_all_scenarios_writes_canonical_reports(tmp_path):
     text = (tmp_path / "basic_pair.json").read_text()
     assert json.loads(text)["scenario"] == "basic_pair"
     assert text.endswith("\n")
+
+
+def test_bench_pairs_compares_a_tree_with_itself(capsys):
+    root = str(SCRIPTS.parent)
+    argv = ["--base", root, "--change", root, "--workloads", "grid_flood", "--pairs", "1", "--seconds", "0.05"]
+    assert _script("bench_pairs").main(argv) == 0
+    out = capsys.readouterr().out
+    assert "grid_flood       radio_ops_per_ref" in out
+    assert "grid_flood       digests match; failed passes base 0/" in out
+    assert "differs" not in out

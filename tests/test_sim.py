@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import pytest
 
-from swarmlink import codec, crypto, sim as sim_module, wire
+from swarmlink import codec, crypto, mesh, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
+from swarmlink.golden import generated_scenarios
 from swarmlink.metrics import Counters, render_json
+from swarmlink.rekey import BroadcastKey
 from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation, run_scenario
 
@@ -273,3 +275,48 @@ def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payloa
     assert report["delivery"]["overall_ratio"] == 1.0
     assert report["latency"]["count"] == report["delivery"]["delivered"]
     assert 99_999 not in sim.audit.reach
+
+
+def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the_rest(monkeypatch):
+    nodes = [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}] + [
+        {"id": i, "role": "uav", "position": [10.0 * i, 0.0]} for i in range(2, 6)
+    ]
+    sim = Simulation(scenario_from_dict(base_scenario_dict(nodes=nodes)))
+    bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x77" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    for node in sim.nodes.values():
+        node.keyring.install(bkey, now=0.0, grace_window_s=5.0)
+    sim.audit.record_send(1, 2, 0.0)
+    frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, (1).to_bytes(8, "big")),))
+    origin = sim.nodes[2]
+    packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
+    for holder in (3, 4):
+        sim.nodes[holder].mesh.dedup.add(packet.origin, packet.seq)
+    sim._node_down(sim.nodes[4])  # a down node is ignored, whatever it holds
+    handled = []
+    real = mesh.handle_rx
+    monkeypatch.setattr(mesh, "handle_rx", lambda state, *a, **kw: handled.append(state.node_id) or real(state, *a, **kw))
+    before = dict(sim.counters.values)
+    outcomes = Counters()
+    batch = [(3, 0.0), (2, 0.0), (4, 0.0), (5, 0.0)]  # holder, origin, down, fresh
+    sim._deliver("rx_processed", batch, packet.to_bytes(), packet, outcomes)
+    delta = {k: sim.counters.get(k) - before.get(k, 0) for k in ("rx_duplicates", "rx_ignored_down", "rx_processed")}
+    assert delta == {"rx_duplicates": 2, "rx_ignored_down": 1, "rx_processed": 4}
+    assert outcomes.values == {"rejected_dedup": 2, "delivered_new": 1}
+    assert handled == [5]
+    assert sim.nodes[5].mesh.dedup.seen(packet.origin, packet.seq)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # Read with every receiver of a batch taking the full receive path.
+        ("grid25_churn", {"rx_duplicates": 96857, "rx_ignored_down": 106, "rx_processed": 103704}),
+        ("contested13_replay", {"rx_duplicates": 40686, "rx_ignored_down": 0, "rx_processed": 41892}),
+    ],
+)
+def test_receive_counters_match_the_per_receiver_path(name, expected):
+    # rx_duplicates and rx_ignored_down are not in the report, so the run
+    # digests do not pin them.
+    sim = Simulation(scenario_from_dict(generated_scenarios()[name]))
+    sim.run()
+    assert {key: sim.counters.get(key) for key in expected} == expected
