@@ -5,7 +5,9 @@ The file maps every shipped scenario, and every scenario from
 `swarmlink.golden.generated_scenarios`, to the SHA-256 of its canonical
 report followed by its trace. tests/test_run_digests.py checks each run
 against it. Regenerate only when a change is meant to alter run output,
-and say in CHANGES.md which digests moved and why:
+and say in CHANGES.md which digests moved and why. Before it overwrites
+the file, the script prints each name whose digest differs from the file
+(one added or dropped counts too), or "no digest moved":
 
     PYTHONPATH=src python scripts/regen_run_digests.py
 """
@@ -24,6 +26,12 @@ def main() -> int:
     digests = {name: run_digest(resolve_scenario(name)) for name in SHIPPED_SCENARIOS}
     for name, data in generated_scenarios().items():
         digests[name] = run_digest(scenario_from_dict(data))
+    before = json.loads(OUT.read_text()) if OUT.exists() else {}
+    moved = sorted(n for n in digests.keys() | before.keys() if digests.get(n) != before.get(n))
+    for name in moved:
+        print(f"digest moved: {name}")
+    if not moved:
+        print("no digest moved")
     OUT.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"run digests: {OUT}")
     return 0

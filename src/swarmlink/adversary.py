@@ -11,7 +11,8 @@ run when unset) and sees the run through four hooks:
 - on_seal(packet, frame): a data packet was sealed from this frame;
 - on_air(item, result, data) -> bytes: a transmission is on the air while
   the tap is active; returns the bytes its receivers get, `data` unless
-  the tap rewrites them;
+  the tap rewrites them. `item.message` is the message the honest bytes
+  `item.data` were serialised from, so a tap never parses them;
 - report(): what the tap obtained, under `name` in the run report.
 
 A tap sends bytes of its own with `sim.inject(receiver_ids, data, outcomes)`
@@ -83,7 +84,7 @@ class Eavesdrop(Tap):
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind != "data":
             return data
-        packet = item.packet  # the bytes on the air, already parsed
+        packet = item.message  # the bytes on the air, already parsed
         ekey = str(packet.epoch)
         self.observed[ekey] = self.observed.get(ekey, 0) + 1
         if self.plaintext:
@@ -129,8 +130,7 @@ class KeySubstitution(Tap):
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind not in ("offer", "response"):
             return data
-        cls = handshake.KeyOffer if item.kind == "offer" else handshake.KeyResponse
-        msg = cls.from_bytes(item.data)
+        msg = item.message  # the honest offer or response, as sent
         record = self.handshakes.setdefault(msg.nonce, {})
         if item.kind == "offer":
             self.substituted_offers += 1
@@ -142,7 +142,7 @@ class KeySubstitution(Tap):
             record.setdefault("gcs", msg.recipient_id)
             record.setdefault("uav", msg.sender_id)
             record["uav_eph"] = msg.ephemeral_pub
-        forged = cls(
+        forged = type(msg)(
             sender_id=msg.sender_id,
             recipient_id=msg.recipient_id,
             ephemeral_pub=self.keypair.public_point,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from . import codec, crypto
 from .errors import SwarmLinkError
@@ -151,18 +151,17 @@ def handle_rx(
 def _fresh_receivers(
     receivers: Sequence[Tuple[int, float]],
     caches: Dict[int, DedupCache],
-    down: Set[int],
     packet: codec.WirePacket,
 ) -> List[Tuple[int, float]]:
-    """The (node id, arrival) pairs of one packet's receivers that handle_rx
-    would not answer with its duplicate result: every node that is down,
-    which the caller handles, and every live node that is not the packet's
-    origin and does not hold its (origin, seq). One dict lookup per receiver."""
+    """The (node id, arrival) pairs of one packet's live receivers that
+    handle_rx would not answer with its duplicate result: every node that is
+    not the packet's origin and does not hold its (origin, seq). One dict
+    lookup per receiver."""
     origin = packet.origin
     key = origin << 32 | packet.seq
     return [
         entry for entry in receivers
-        if entry[0] in down or (entry[0] != origin and key not in caches[entry[0]]._keys)
+        if entry[0] != origin and key not in caches[entry[0]]._keys
     ]
 
 

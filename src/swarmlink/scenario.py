@@ -177,10 +177,13 @@ class Scenario:
     def _validate_traffic(self) -> None:
         t = self.traffic
         if not isinstance(t.senders, str):
-            ids = set(self.node_ids())
+            ids, seen = set(self.node_ids()), set()
             for sender in t.senders:
                 if sender not in ids:
                     raise ValidationError("traffic.senders", f"unknown node id {sender}")
+                if sender in seen:  # it would send at twice the rate
+                    raise ValidationError("traffic.senders", f"duplicate node id {sender}")
+                seen.add(sender)
         # One message must fit a frame on the tightest configured link.
         tightest = min(frame_capacity(p.mtu_bytes) for p in self.links.values())
         max_payload = tightest - 1 - PER_MESSAGE_OVERHEAD
@@ -288,9 +291,32 @@ def _mapping(read_key: Callable, read_value: Callable, value, path: str) -> dict
     return {read_key(k, f"{path}.{k}"): read_value(v, f"{path}.{k}") for k, v in items}
 
 
+class _JsonObject(dict):
+    """A JSON object as read from a file, with the first key it repeats, if
+    any; json keeps only the last value of a repeated key."""
+
+    repeated: Optional[str] = None
+
+
+def _json_object(pairs: list) -> _JsonObject:
+    obj = _JsonObject(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                obj.repeated = key
+                break
+            seen.add(key)
+    return obj
+
+
 def _object(value, path: str) -> dict:
+    """Every JSON object is read here: it must be one, and repeat no key."""
     if not isinstance(value, dict):
         raise ValidationError(path or "json", "must be an object")
+    repeated = getattr(value, "repeated", None)
+    if repeated is not None:
+        raise ValidationError(f"{path}.{repeated}" if path else repeated, "duplicate key")
     return value
 
 
@@ -355,7 +381,7 @@ def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_json_object)
         except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
             raise ValidationError("json", f"{path}: {exc}") from None
     return scenario_from_dict(data)

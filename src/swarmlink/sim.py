@@ -20,11 +20,13 @@ metrics and a trace. Determinism rules:
   depends only on the receiver's own dedup cache, replay window and
   keyring (the table of opened frames changes cost, never outcome),
   forwards are queued as new events, and a node goes down only in its
-  own timer event. So in mesh mode, when the event carries the honest
-  packet (no tap altered the bytes), every live receiver that is the
-  packet's origin or already holds its (origin, seq) is counted as a
-  duplicate in one step and never reaches the receive path; down
-  receivers and injected bytes take the normal path;
+  own timer event. So every event takes one receive path, whether its
+  bytes are honest, changed by a tap or made by one: down receivers are
+  set aside, the bytes are parsed at most once (never when no tap changed
+  them, as the event then carries the message they were serialised from),
+  and in mesh mode every live receiver that is the packet's origin or
+  already holds its (origin, seq) is counted as a duplicate in one step.
+  The handler runs only for the receivers left, in order;
 - the flood's frames are opened once per ciphertext, through a table the
   run owns (see codec.py), so two runs share no opened frame;
 - every iteration that feeds events or reports runs over sorted ids or
@@ -80,9 +82,9 @@ class _TxItem:
     kind: str  # "offer" | "response" | "rekey" | "ack" | "data"
     data: bytes
     dest: Optional[int]  # None broadcasts to every in-range node
-    # Data items: the packet `data` was serialised from, handed as is to
-    # every honest receiver, so none of them parses the bytes again.
-    packet: Optional[codec.WirePacket] = None
+    # The message `data` was serialised from, handed as is to every
+    # receiver when no tap changed the bytes, so none of them parses them.
+    message: object = None
 
 
 def _every_link(_profile: links.LinkProfile) -> bool:
@@ -97,7 +99,6 @@ class _Node:
         self.role = spec.role
         self.position = tuple(spec.position)
         self.sig_key = sig_key
-        self.down = False
         self.busy = False
         self.defer_until: Optional[float] = None
         self.txq: deque = deque()
@@ -125,7 +126,7 @@ class _Node:
         self.table = handshake.SessionTable()
         self.source: Optional[rekey.BroadcastKeySource] = None
         # UAV id -> the rekey for the current epoch it has not acked yet.
-        self.unacked: Dict[int, bytes] = {}
+        self.unacked: Dict[int, _TxItem] = {}
         self.hs_attempts: Dict[int, int] = {}
         self.unreachable: List[int] = []
 
@@ -143,6 +144,8 @@ class Simulation:
         self.rng_adv = random.Random(master.getrandbits(64))
 
         self.profiles: Dict[str, links.LinkProfile] = dict(sc.links)
+        # mtu_bytes is not a mutable link field, so this holds for the whole run.
+        self._min_mtu = min(p.mtu_bytes for p in sc.links.values())
         self.now = 0.0
         self._heap: List[Tuple[float, int, str, Callable[[], None]]] = []
         self._eseq = 0
@@ -187,7 +190,7 @@ class Simulation:
         self._down: Set[int] = set()
         # Frames of the broadcast-keyed flood already opened, for codec.open_packet.
         self._opened: Dict[tuple, codec.Frame] = {}
-        # First wire byte -> (message class, handler). from_bytes is looked up
+        # First wire byte -> (message class, handler). The parser is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
         rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
         self._rx_table = {
@@ -260,7 +263,6 @@ class Simulation:
     # ---- node and link lifecycle ------------------------------------------
 
     def _node_down(self, node: _Node) -> None:
-        node.down = True
         self._down.add(node.id)
         self._trace("node_down", node=node.id)
 
@@ -304,7 +306,7 @@ class Simulation:
 
     def _start_handshake(self, uav_id: int) -> None:
         g = self.gcs
-        if g.down or g.table.has_session(uav_id):
+        if g.id in self._down or g.table.has_session(uav_id):
             return
         timeout = self.sc.protocol.handshake_timeout_s
         offer = handshake.gcs_start_handshake(
@@ -312,12 +314,12 @@ class Simulation:
         )
         self.counters.bump("handshake_attempts")
         self._trace("handshake_offer", uav=uav_id, attempt=g.hs_attempts[uav_id])
-        self._enqueue(g, _TxItem("offer", offer.to_bytes(), uav_id))
+        self._enqueue(g, _TxItem("offer", offer.to_bytes(), uav_id, offer))
         self._schedule(self.now + timeout + _EPS, "timer", partial(self._handshake_timeout, uav_id))
 
     def _handshake_timeout(self, uav_id: int) -> None:
         g = self.gcs
-        if g.down or g.table.has_session(uav_id):
+        if g.id in self._down or g.table.has_session(uav_id):
             return
         g.table.expire_pending(self.now)
         if g.hs_attempts[uav_id] <= self.sc.protocol.handshake_retries:
@@ -341,7 +343,7 @@ class Simulation:
         node.session_key = session_key
         self.installed_keys.append((node.id, session_key.bytes_))
         self._trace("session_uav", node=node.id)
-        self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id))
+        self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id, response))
         return None
 
     def _rx_response(self, node: _Node, response: handshake.KeyResponse) -> Optional[str]:
@@ -378,7 +380,7 @@ class Simulation:
     def _rotation_due(self) -> None:
         # The one pending rotation, queued by the epoch it ends.
         g = self.gcs
-        if g.down:
+        if g.id in self._down:
             return
         self._generate_epoch()
         g.unacked = {}
@@ -389,9 +391,9 @@ class Simulation:
         g = self.gcs
         bkey = g.source.current
         message = rekey.wrap_for(g.table.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys)
-        g.unacked[uav_id] = message.to_bytes()
+        g.unacked[uav_id] = _TxItem("rekey", message.to_bytes(), uav_id, message)
         self.counters.bump("rekeys_sent")
-        self._enqueue(g, _TxItem("rekey", g.unacked[uav_id], uav_id))
+        self._enqueue(g, g.unacked[uav_id])
         self._ensure_resend_timer()
 
     def _ensure_resend_timer(self) -> None:
@@ -403,11 +405,11 @@ class Simulation:
     def _resend_due(self) -> None:
         self._resend_active = False
         g = self.gcs
-        if g.down or not g.unacked:
+        if g.id in self._down or not g.unacked:
             return
         for uav_id in sorted(g.unacked):
             self.counters.bump("rekey_resends")
-            self._enqueue(g, _TxItem("rekey", g.unacked[uav_id], uav_id))
+            self._enqueue(g, g.unacked[uav_id])
         self._ensure_resend_timer()
 
     def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage) -> Optional[str]:
@@ -429,7 +431,7 @@ class Simulation:
             self.counters.bump("rekeys_installed")
             self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
-        self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id))
+        self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id, ack))
         return None
 
     def _rx_ack(self, node: _Node, ack: rekey.RekeyAck) -> None:
@@ -442,9 +444,9 @@ class Simulation:
     # ---- traffic -----------------------------------------------------------
 
     def _traffic_event(self, sender_id: int) -> None:
-        node = self.nodes[sender_id]
-        if node.down:
+        if sender_id in self._down:
             return
+        node = self.nodes[sender_id]
         sc = self.sc
         uid = len(self.audit.originated) + 1
         payload = uid.to_bytes(8, "big") + bytes(sc.traffic.payload_bytes - 8)
@@ -461,8 +463,7 @@ class Simulation:
             if not ready:
                 self.counters.bump("tx_skipped_no_session")
                 return
-        min_mtu = min(p.mtu_bytes for p in self.profiles.values())
-        for frame in codec.compose_frames([message], min_mtu):
+        for frame in codec.compose_frames([message], self._min_mtu):
             self._enqueue_data(node, self._seal(node, frame), frame, "frames_sealed")
 
     def _seal(self, node: _Node, frame: codec.Frame) -> _Sends:
@@ -490,7 +491,7 @@ class Simulation:
     # ---- transmission ------------------------------------------------------
 
     def _enqueue(self, node: _Node, item: _TxItem) -> None:
-        if node.down:
+        if node.id in self._down:
             return
         self.counters.bump("tx_enqueued")
         node.txq.append(item)
@@ -498,7 +499,7 @@ class Simulation:
 
     def _pump(self, node: _Node) -> None:
         while True:
-            if node.down or node.busy or not node.txq:
+            if node.id in self._down or node.busy or not node.txq:
                 return
             if node.defer_until is not None:
                 if self.now + _EPS < node.defer_until:
@@ -510,7 +511,7 @@ class Simulation:
             else:
                 dest = self.nodes[item.dest]
                 dist = links.distance(node.position, dest.position)
-                covers = _every_link if dest.down else (lambda p, d=dist: p.covers(d))
+                covers = _every_link if dest.id in self._down else (lambda p, d=dist: p.covers(d))
             prev_active = node.selector.active
             try:
                 profile = node.selector.select(self.profiles, covers, self.now)
@@ -524,7 +525,7 @@ class Simulation:
                 continue
             if item.dest is None:
                 receivers = self._live_neighbours(node.id, profile.name)
-            elif dest.down or not profile.covers(dist):
+            elif dest.id in self._down or not profile.covers(dist):
                 receivers = ()
             else:
                 receivers = ((dest.id, dist),)
@@ -574,8 +575,8 @@ class Simulation:
         delivered = result.delivered
         if delivered:
             self.counters.bump("rx_events", len(delivered))
-            packet = item.packet if data is item.data else None
-            deliver = partial(self._deliver, "rx_processed", delivered, data, packet)
+            message = item.message if data is item.data else None
+            deliver = partial(self._deliver, "rx_processed", delivered, data, message)
             self._schedule(delivered[0][1], "rx", deliver)
         if result.lost:
             self.counters.bump("rx_lost", len(result.lost))
@@ -590,21 +591,42 @@ class Simulation:
 
     def _deliver(
         self, counter: str, receivers: Sequence[Tuple[int, float]], data: bytes,
-        packet: Optional[codec.WirePacket], outcomes: Optional[Counters] = None,
+        message, outcomes: Optional[Counters] = None,
     ) -> None:
-        """Hand one transmission to its (receiver, arrival) pairs; tally outcomes if given."""
+        """The one receive path: hand one event's bytes to their (receiver,
+        arrival) pairs. Down receivers are set aside, bytes that come without
+        their message are parsed once (the first byte picks the message class
+        and its handler), in mesh mode duplicate receivers are dropped in one
+        step, and the handler runs for each receiver left, in order. Tallies
+        each outcome in `outcomes` if given."""
         self.counters.bump(counter, len(receivers))
-        if packet is not None and self.sc.mode == "mesh":
-            # Counted as _rx_data_mesh counts them, without the receive path.
-            fresh = mesh._fresh_receivers(receivers, self._dedup, self._down, packet)
+        if self._down:
+            live = [entry for entry in receivers if entry[0] not in self._down]
+            if len(live) < len(receivers):
+                self.counters.bump("rx_ignored_down", len(receivers) - len(live))
+                receivers = live
+        if not receivers:
+            return
+        entry = self._rx_table.get(data[0]) if data else None
+        if entry is not None and message is None:
+            try:
+                message = entry[0].from_bytes(data)
+            except ValidationError:
+                entry = None
+        if entry is None:
+            self.counters.bump("rx_unparseable", len(receivers))
+            return
+        if self.sc.mode == "mesh" and isinstance(message, codec.WirePacket):
+            fresh = mesh._fresh_receivers(receivers, self._dedup, message)
             duplicates = len(receivers) - len(fresh)
             if duplicates:
                 self.counters.bump("rx_duplicates", duplicates)
                 if outcomes is not None:
                     outcomes.bump("rejected_dedup", duplicates)
             receivers = fresh
+        handler = entry[1]
         for receiver_id, _arrival in receivers:
-            outcome = self._receive(receiver_id, data, packet)
+            outcome = handler(self.nodes[receiver_id], message)
             if outcomes is not None and outcome is not None:
                 outcomes.bump(outcome)
 
@@ -615,33 +637,11 @@ class Simulation:
         deliver = partial(self._deliver, "adv_rx_processed", receivers, data, None, outcomes)
         self._schedule(self.now, "advrx", deliver)
 
-    def _receive(self, node_id: int, data: bytes, message) -> Optional[str]:
-        """The one receive dispatch: the first byte picks the message class
-        and its handler, and bytes that come without their message are
-        parsed here. Returns the handler's outcome."""
-        node = self.nodes[node_id]
-        if node.down:
-            self.counters.bump("rx_ignored_down")
-            return None
-        entry = self._rx_table.get(data[0]) if data else None
-        if entry is not None and message is None:
-            try:
-                message = entry[0].from_bytes(data)
-            except ValidationError:
-                entry = None
-        if entry is None:
-            self.counters.bump("rx_unparseable")
-            return None
-        return entry[1](node, message)
-
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
         result = mesh.handle_rx(
             node.mesh, node.keyring, node.window, packet, self.now,
             plaintext_mode=not self.sc.security.encryption, opened=self._opened,
         )
-        if result.duplicate:
-            self.counters.bump("rx_duplicates")
-            return "rejected_dedup"
         if result.error is not None:
             return self._security_event(node, result.error)
         self._deliver_frame(node, result.deliver)

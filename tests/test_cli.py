@@ -86,6 +86,13 @@ def test_validate_rejects_bad_scenario(tmp_path):
     assert main(["validate", "--scenario", str(p)]) == 1
 
 
+def test_validate_rejects_a_repeated_key(tmp_path, capsys):
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(base_scenario_dict()).replace('"seed": 1', '"seed": 1, "seed": 2'))
+    assert main(["validate", "--scenario", str(p)]) == 1
+    assert "seed: duplicate key" in capsys.readouterr().err
+
+
 def test_plaintext_star_fails_validate_and_run_alike(tmp_path):
     p = tmp_path / "star_plain.json"
     p.write_text(json.dumps(base_scenario_dict(mode="star", security={"encryption": False})))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from swarmlink import codec, crypto, mesh
 from swarmlink.errors import AuthError, ReplayError
 from swarmlink.handshake import SessionTable
+from swarmlink.metrics import Counters
 from swarmlink.rekey import BroadcastKey, KeyRing
 from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import TELEMETRY_MSG_ID, Simulation
@@ -176,6 +177,13 @@ def test_star_uplink_and_fanout_roundtrip():
 HOP_BYTE = 11  # version(1)+epoch(4)+origin(2)+seq(4) precede the hop limit
 
 
+def _deliver_to(sim, node_id, raw, packet=None):
+    """One-receiver batch down the run's receive path; returns its outcomes."""
+    outcomes = Counters()
+    sim._deliver("rx_processed", [(node_id, sim.now)], raw, packet, outcomes)
+    return outcomes.values
+
+
 def _keyed_sim():
     """A three-node mesh run with one broadcast key in every ring and a
     packet originated by node 2 whose honest copy node 3 has opened, so
@@ -189,7 +197,7 @@ def _keyed_sim():
     frame = codec.Frame(messages=(codec.TelemetryMessage(TELEMETRY_MSG_ID, 2, payload),))
     origin = sim.nodes[2]
     packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
-    assert sim._receive(3, packet.to_bytes(), packet) == "delivered_new"
+    assert _deliver_to(sim, 3, packet.to_bytes(), packet) == {"delivered_new": 1}
     assert len(sim._opened) == 1
     return sim, packet.to_bytes()
 
@@ -206,13 +214,13 @@ def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_the_open
     bit = data.draw(st.integers(0, 7), label="bit")
     mutated = bytearray(raw)
     mutated[pos] ^= 1 << bit
-    outcome = sim._receive(1, bytes(mutated), None)
-    assert outcome.startswith("rejected_") and outcome != "rejected_dedup"
+    (outcome, count), = _deliver_to(sim, 1, bytes(mutated)).items()
+    assert outcome.startswith("rejected_") and outcome != "rejected_dedup" and count == 1
     assert sum(sim.security_events.values.values()) == 1
     assert sim._opened == table  # a hit would have decoded; nothing was stored
     assert 1 not in sim.audit.node_bits  # node 1 got no delivery
     # The honest copy still opens at node 1 afterwards.
-    assert sim._receive(1, raw, None) == "delivered_new"
+    assert _deliver_to(sim, 1, raw) == {"delivered_new": 1}
 
 
 def test_two_runs_share_no_opened_frames():

@@ -158,6 +158,12 @@ def test_traffic_errors():
     expect_invalid(d, "senders")
 
     d = base_scenario_dict()
+    d["traffic"]["senders"] = [2, 2]  # once doubled node 2's rate
+    with pytest.raises(ValidationError, match="duplicate node id 2") as exc_info:
+        scenario_from_dict(d)
+    assert exc_info.value.field == "traffic.senders"
+
+    d = base_scenario_dict()
     d["traffic"]["stop_s"] = 0.5
     d["traffic"]["start_s"] = 1.0
     expect_invalid(d, "stop_s")
@@ -345,3 +351,24 @@ def test_load_scenario_bad_json(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(ValidationError):
         load_scenario(p)
+
+
+@pytest.mark.parametrize(
+    "honest, repeated, field",
+    [
+        ('"seed": 1', '"seed": 1, "seed": 2', "seed"),
+        ('"rate_hz": 2.0', '"rate_hz": 2.0, "rate_hz": 3.0', "traffic.rate_hz"),
+        ('"loss_prob": 0.0', '"loss_prob": 0.0, "loss_prob": 0.5', "links.wifi24.loss_prob"),
+        ('"role": "uav"', '"role": "uav", "role": "gcs"', "nodes[1].role"),
+    ],
+)
+def test_load_scenario_rejects_a_repeated_key(tmp_path, honest, repeated, field):
+    # json keeps the last value of a repeated key, so the file once loaded
+    # as if the first were not there.
+    p = tmp_path / "sc.json"
+    text = json.dumps(base_scenario_dict())
+    assert honest in text
+    p.write_text(text.replace(honest, repeated, 1))
+    with pytest.raises(ValidationError, match="duplicate key") as exc_info:
+        load_scenario(p)
+    assert exc_info.value.field == field

@@ -45,3 +45,21 @@ def test_bench_pairs_compares_a_tree_with_itself(capsys):
     assert "grid_flood       radio_ops_per_ref" in out
     assert "grid_flood       digests match; failed passes base 0/" in out
     assert "differs" not in out
+
+
+def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys):
+    # One shipped scenario only, written to a copy: the committed file is never touched.
+    committed = json.loads((SCRIPTS.parent / "tests" / "golden" / "run_digests.json").read_text())
+    regen = _script("regen_run_digests")
+    monkeypatch.setattr(regen, "SHIPPED_SCENARIOS", ("basic_pair",))
+    monkeypatch.setattr(regen, "generated_scenarios", dict)
+    monkeypatch.setattr(regen, "OUT", tmp_path / "run_digests.json")
+    regen.OUT.write_text(json.dumps({"basic_pair": committed["basic_pair"]}))
+    assert regen.main() == 0
+    assert "no digest moved" in capsys.readouterr().out
+    regen.OUT.write_text(json.dumps({"basic_pair": "0" * 64, "gone": "0" * 64}))
+    assert regen.main() == 0
+    out = capsys.readouterr().out
+    assert "digest moved: basic_pair" in out and "digest moved: gone" in out
+    assert "no digest moved" not in out
+    assert json.loads(regen.OUT.read_text()) == {"basic_pair": committed["basic_pair"]}

@@ -277,7 +277,9 @@ def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payloa
     assert 99_999 not in sim.audit.reach
 
 
-def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the_rest(monkeypatch):
+def _keyed_five_node_sim():
+    """A five-node mesh run with one broadcast key in every ring, and a
+    packet originated by node 2 that the audit can attribute."""
     nodes = [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}] + [
         {"id": i, "role": "uav", "position": [10.0 * i, 0.0]} for i in range(2, 6)
     ]
@@ -288,35 +290,64 @@ def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the
     sim.audit.record_send(1, 2, 0.0)
     frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, (1).to_bytes(8, "big")),))
     origin = sim.nodes[2]
-    packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
+    return sim, mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
+
+
+def _count_parses(monkeypatch):
+    parses = []
+    real = codec.WirePacket.from_bytes
+    monkeypatch.setattr(codec.WirePacket, "from_bytes", lambda data: parses.append(data) or real(data))
+    return parses
+
+
+@pytest.mark.parametrize("honest", [True, False], ids=["honest", "tap_made"])
+def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the_rest(monkeypatch, honest):
+    # Bytes a tap made take the honest path: the same counts and outcomes,
+    # after one parse of the bytes for the whole batch.
+    sim, packet = _keyed_five_node_sim()
     for holder in (3, 4):
         sim.nodes[holder].mesh.dedup.add(packet.origin, packet.seq)
     sim._node_down(sim.nodes[4])  # a down node is ignored, whatever it holds
     handled = []
     real = mesh.handle_rx
     monkeypatch.setattr(mesh, "handle_rx", lambda state, *a, **kw: handled.append(state.node_id) or real(state, *a, **kw))
+    parses = _count_parses(monkeypatch)
     before = dict(sim.counters.values)
     outcomes = Counters()
     batch = [(3, 0.0), (2, 0.0), (4, 0.0), (5, 0.0)]  # holder, origin, down, fresh
-    sim._deliver("rx_processed", batch, packet.to_bytes(), packet, outcomes)
+    sim._deliver("rx_processed", batch, packet.to_bytes(), packet if honest else None, outcomes)
     delta = {k: sim.counters.get(k) - before.get(k, 0) for k in ("rx_duplicates", "rx_ignored_down", "rx_processed")}
     assert delta == {"rx_duplicates": 2, "rx_ignored_down": 1, "rx_processed": 4}
     assert outcomes.values == {"rejected_dedup": 2, "delivered_new": 1}
     assert handled == [5]
+    assert len(parses) == (0 if honest else 1)
     assert sim.nodes[5].mesh.dedup.seen(packet.origin, packet.seq)
+
+
+def test_injected_bytes_are_parsed_once_for_all_their_receivers(monkeypatch):
+    sim, packet = _keyed_five_node_sim()
+    parses = _count_parses(monkeypatch)
+    outcomes = Counters()
+    sim.inject((3, 4, 5), packet.to_bytes(), outcomes)
+    (advrx,) = [e for e in sim._heap if e[2] == "advrx"]
+    advrx[3]()
+    assert len(parses) == 1
+    assert outcomes.values == {"delivered_new": 3}
 
 
 @pytest.mark.parametrize(
     "name, expected",
     [
         # Read with every receiver of a batch taking the full receive path.
-        ("grid25_churn", {"rx_duplicates": 96857, "rx_ignored_down": 106, "rx_processed": 103704}),
-        ("contested13_replay", {"rx_duplicates": 40686, "rx_ignored_down": 0, "rx_processed": 41892}),
+        ("grid25_churn", {"rx_duplicates": 96857, "rx_ignored_down": 106, "rx_unparseable": 0, "rx_processed": 103704, "adv_rx_processed": 0}),
+        ("contested13_replay", {"rx_duplicates": 40686, "rx_ignored_down": 0, "rx_unparseable": 0, "rx_processed": 41892, "adv_rx_processed": 5773}),
+        ("replay_attack", {"rx_duplicates": 5224, "rx_ignored_down": 0, "rx_unparseable": 0, "rx_processed": 3720, "adv_rx_processed": 4772}),
     ],
 )
 def test_receive_counters_match_the_per_receiver_path(name, expected):
     # rx_duplicates and rx_ignored_down are not in the report, so the run
     # digests do not pin them.
-    sim = Simulation(scenario_from_dict(generated_scenarios()[name]))
+    generated = generated_scenarios()
+    sim = Simulation(scenario_from_dict(generated[name]) if name in generated else resolve_scenario(name))
     sim.run()
     assert {key: sim.counters.get(key) for key in expected} == expected
