@@ -6,10 +6,14 @@ pairs: pair i runs the base tree first when i is even and the change tree
 first when i is odd, so drift on the host does not favour one side. For
 each workload and end-to-end metric declared in BENCHMARK.json it prints
 each side's median and q1-q3, the fraction of pairs the change won (ties
-count for neither side) and whether the claim rule holds: the change wins
-at least nine tenths of the pairs and the medians differ by more than the
-base's q3 - q1. It also prints failed passes and whether every run of both
-trees printed the same report and trace digest.
+count for neither side), whether the claim rule holds (the change wins at
+least nine tenths of the pairs and the medians differ by more than the
+base's q3 - q1), and the no-regression verdict. The verdict takes the
+metric's `bound` as a fraction of the base's median: `worse` when the
+change's median is worse than the base's by more than that, `unresolved`
+when the base's own q3 - q1 is wider than that and not every change run
+beats every base run, `ok` otherwise. It also prints failed passes and
+whether every run of both trees printed the same report and trace digest.
 
     git worktree add ../swarmlink-parent HEAD~1
     python3 scripts/bench_pairs.py --base ../swarmlink-parent --seed 7 --pairs 10 --seconds 20
@@ -46,18 +50,28 @@ def quartiles(values):
 
 
 def summarise(metric: dict, base, change) -> dict:
-    """Both sides of one metric over paired runs, and the change's wins."""
+    """Both sides of one metric over paired runs, the change's wins, the
+    claim rule and the no-regression verdict (see the module docstring)."""
     higher = metric["better"] == "higher"
     wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
     b1, bm, b3 = quartiles(base)
     c1, cm, c3 = quartiles(change)
     gain = (cm - bm) if higher else (bm - cm)
+    allowed = metric["bound"] * abs(bm)
+    every_run_better = min(change) > max(base) if higher else max(change) < min(base)
+    if -gain > allowed:
+        verdict = "worse"
+    elif b3 - b1 > allowed and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     return {
         "metric": metric["name"],
         "base": (bm, b1, b3),
         "change": (cm, c1, c3),
         "win": wins / len(base),
         "claim": wins >= 0.9 * len(base) and gain > b3 - b1,
+        "verdict": verdict,
     }
 
 
@@ -79,7 +93,7 @@ def main(argv=None) -> int:
 
     print(f"seed={args.seed} pairs={args.pairs} seconds={args.seconds}")
     print(f"{'workload':<16} {'metric':<20} {'base median [q1-q3]':>32} "
-          f"{'change median [q1-q3]':>32} {'win':>5} claim")
+          f"{'change median [q1-q3]':>32} {'win':>5} claim verdict")
     for workload in workloads:
         runs = {"base": [], "change": []}
         for i in range(args.pairs):
@@ -93,7 +107,7 @@ def main(argv=None) -> int:
             row = summarise(metric, base, change)
             sides = ["{:.6g} [{:.6g}-{:.6g}]".format(*row[side]) for side in ("base", "change")]
             print(f"{workload:<16} {row['metric']:<20} {sides[0]:>32} {sides[1]:>32} "
-                  f"{row['win']:>5.2f} {'yes' if row['claim'] else 'no'}")
+                  f"{row['win']:>5.2f} {'yes' if row['claim'] else 'no':<5} {row['verdict']}")
         digests = {r["digest"] for side in runs.values() for r in side}
         failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
         attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}

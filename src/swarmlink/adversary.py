@@ -67,14 +67,15 @@ class Eavesdrop(Tap):
     def __init__(self, spec, sim) -> None:
         super().__init__(spec, sim)
         self.plaintext = not sim.sc.security.encryption
-        self.leaked: Dict[int, bytes] = {}
+        # epoch -> the key built once from its leaked bytes
+        self.leaked: Dict[int, crypto.SymmetricKey] = {}
         self.truth: Dict[Tuple[int, int, int], codec.Frame] = {}
         self.observed: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
 
     def on_epoch(self, bkey) -> None:
         if bkey.epoch in self.sim.sc.security.leak_epochs:
-            self.leaked[bkey.epoch] = bkey.key.bytes_
+            self.leaked[bkey.epoch] = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
             self.sim._trace("key_leaked", epoch=bkey.epoch)
 
     def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
@@ -90,11 +91,9 @@ class Eavesdrop(Tap):
         if self.plaintext:
             plaintext = packet.ciphertext  # rides in the clear
         elif packet.epoch in self.leaked:
-            key = crypto.SymmetricKey(self.leaked[packet.epoch], crypto.KeyPurpose.BROADCAST)
+            box = crypto.AeadBox(packet.ciphertext, packet.tag)
             try:
-                plaintext = crypto.aead_open(
-                    key, packet.nonce(), crypto.AeadBox(packet.ciphertext, packet.tag), packet.aad()
-                )
+                plaintext = crypto.aead_open(self.leaked[packet.epoch], packet.nonce(), box, packet.aad())
             except SwarmLinkError:
                 return data
         else:

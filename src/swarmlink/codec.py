@@ -22,14 +22,20 @@ key, so `open_packet` can take a run's table of opened frames. It keys on
 every input of AES-GCM verification (key bytes, nonce, aad, ciphertext,
 tag), so a hit returns exactly what verification and parsing would; only
 frames that verified and parsed are stored, never a failure. The replay
-window is still checked and advanced per receiver. Star-mode session keys
-differ per receiver, so `open_with_key` keeps no table.
+window is still checked and advanced per receiver.
+
+Star-mode session keys differ per receiver, so every copy the ground
+station re-seals is a different ciphertext and each receiver verifies its
+own under its own key. The plaintext is the same for all of them, so
+`open_with_key` can take a run's table of parsed plaintexts, keyed on the
+verified plaintext bytes: a hit skips only the parse, never the tag check
+or the replay window, and a plaintext that fails to parse is never stored.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import crypto, wire
@@ -51,7 +57,8 @@ MAX_SEQ = 2**32 - 1
 REPLAY_WINDOW = 64
 
 PLAIN_TAG = b"\x00" * crypto.TAG_LEN
-# Bound on a run's table of opened broadcast frames, evicted oldest first.
+# Bound on each of a run's tables of opened broadcast frames and of parsed
+# star plaintexts, evicted oldest first.
 OPENED_FRAMES_CAPACITY = 256
 
 
@@ -77,9 +84,14 @@ class TelemetryMessage:
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered batch of telemetry messages, the unit of encryption."""
+    """An ordered batch of telemetry messages, the unit of encryption.
+
+    Its encoding is kept once built, or once parsed, so a frame re-sealed
+    for every UAV of a star is encoded at most once; equality, hash and
+    repr ignore it."""
 
     messages: Tuple[TelemetryMessage, ...]
+    _encoded: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.messages) > 0xFF:
@@ -89,11 +101,15 @@ class Frame:
         return 1 + sum(m.serialized_len() for m in self.messages)
 
     def to_bytes(self) -> bytes:
-        parts = [bytes([len(self.messages)])]
-        for m in self.messages:
-            parts.append(struct.pack(">BHB", m.msg_id, m.source_node, len(m.payload)))
-            parts.append(m.payload)
-        return b"".join(parts)
+        encoded = self._encoded
+        if encoded is None:
+            parts = [bytes([len(self.messages)])]
+            for m in self.messages:
+                parts.append(struct.pack(">BHB", m.msg_id, m.source_node, len(m.payload)))
+                parts.append(m.payload)
+            encoded = b"".join(parts)
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Frame":
@@ -113,7 +129,10 @@ class Frame:
             off += length
         if off != len(data):
             raise ValidationError("frame", f"{len(data) - off} trailing bytes")
-        return cls(messages=tuple(messages))
+        frame = cls(messages=tuple(messages))
+        # The parse is strict, so these bytes are exactly the frame's encoding.
+        object.__setattr__(frame, "_encoded", bytes(data))
+        return frame
 
 
 def frame_capacity(mtu_bytes: int) -> int:
@@ -321,7 +340,8 @@ def seal_with_key(
     """Seal a frame under an explicit key; epoch 0 marks session-key traffic."""
     counter = counters.next_for(epoch)
     nonce, aad = _nonce_and_aad(wire.PACKET_VERSION, epoch, origin, seq, counter)
-    box = crypto.aead_seal(key, nonce, frame.to_bytes(), aad)
+    plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
+    box = crypto.aead_seal(key, nonce, plaintext, aad)
     return WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
 
 
@@ -344,12 +364,19 @@ def open_packet(
     return _open(keyring.key_for_epoch(packet.epoch, now), window, packet, opened)
 
 
-def open_with_key(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) -> Frame:
+def open_with_key(
+    key: crypto.SymmetricKey,
+    window: ReplayWindow,
+    packet: WirePacket,
+    parsed: Optional[Dict[bytes, Frame]] = None,
+) -> Frame:
     """Authenticate and decode under an explicit key, same replay discipline.
 
-    No table of opened frames: star-mode session keys differ per receiver,
-    so it would never hit."""
-    return _open(key, window, packet, None)
+    `parsed` is the caller's table of parsed plaintexts (see the module
+    docstring): every copy still verifies under its own key, but the
+    plaintext the copies share is parsed once. It holds at most
+    OPENED_FRAMES_CAPACITY entries."""
+    return _open(key, window, packet, None, parsed)
 
 
 def _open(
@@ -357,20 +384,33 @@ def _open(
     window: ReplayWindow,
     packet: WirePacket,
     opened: Optional[Dict[tuple, Frame]],
+    parsed: Optional[Dict[bytes, Frame]] = None,
 ) -> Frame:
     window.check(packet.origin, packet.epoch, packet.counter)
     nonce, aad = _nonce_and_aad(packet.version, packet.epoch, packet.origin, packet.seq, packet.counter)
-    entry = (key.bytes_, nonce, aad, packet.ciphertext, packet.tag)
-    frame = opened.get(entry) if opened is not None else None
+    frame = None
+    if opened is not None:
+        entry = (key.bytes_, nonce, aad, packet.ciphertext, packet.tag)
+        frame = opened.get(entry)
     if frame is None:
         plaintext = crypto.aead_open(key, nonce, crypto.AeadBox(packet.ciphertext, packet.tag), aad)
-        frame = Frame.from_bytes(plaintext)
+        if parsed is not None:
+            frame = parsed.get(plaintext)
+        if frame is None:
+            frame = Frame.from_bytes(plaintext)
+            if parsed is not None:  # stored only once it parsed
+                _remember(parsed, plaintext, frame)
         if opened is not None:  # stored only once it verified and parsed
-            if len(opened) >= OPENED_FRAMES_CAPACITY:
-                del opened[next(iter(opened))]  # oldest first
-            opened[entry] = frame
+            _remember(opened, entry, frame)
     window.accept(packet.origin, packet.epoch, packet.counter)
     return frame
+
+
+def _remember(table: Dict, key, frame: Frame) -> None:
+    """Store a frame in a bounded table, evicting the oldest entry first."""
+    if len(table) >= OPENED_FRAMES_CAPACITY:
+        del table[next(iter(table))]
+    table[key] = frame
 
 
 def seal_packet_plain(

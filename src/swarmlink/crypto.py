@@ -66,17 +66,25 @@ class SignatureKeyPair:
 
 @dataclass(frozen=True)
 class SymmetricKey:
-    """32-byte symmetric key tagged with its purpose."""
+    """32-byte symmetric key tagged with its purpose.
+
+    Its AES-256-GCM context is built once, with the key, and reused by every
+    seal and open under it; equality, hash and repr ignore it."""
 
     bytes_: bytes = field(repr=False)
     purpose: KeyPurpose = KeyPurpose.SESSION
+    _aead: AESGCM = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bytes_) != KEY_LEN:
             raise ValueError(f"symmetric key must be {KEY_LEN} bytes")
+        object.__setattr__(self, "_aead", AESGCM(self.bytes_))
 
     def __repr__(self) -> str:  # never emit key bytes
         return f"SymmetricKey(purpose={self.purpose.value})"
+
+    def __reduce__(self):  # the context cannot be pickled; a copy builds its own
+        return (SymmetricKey, (self.bytes_, self.purpose))
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ def aead_seal(key: SymmetricKey, nonce: bytes, plaintext: bytes, aad: bytes) -> 
     """AES-256-GCM encrypt; the 16-byte tag is split out of the sealed blob."""
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = AESGCM(key.bytes_).encrypt(nonce, plaintext, aad or None)
+    sealed = key._aead.encrypt(nonce, plaintext, aad or None)
     return AeadBox(ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
@@ -190,6 +198,6 @@ def aead_open(key: SymmetricKey, nonce: bytes, box: AeadBox, aad: bytes) -> byte
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     try:
-        return AESGCM(key.bytes_).decrypt(nonce, box.to_bytes(), aad or None)
+        return key._aead.decrypt(nonce, box.to_bytes(), aad or None)
     except InvalidTag as exc:
         raise AuthError("AEAD authentication failed") from exc

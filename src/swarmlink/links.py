@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import MtuExceeded, NoViableLink, ValidationError
 
@@ -172,8 +172,7 @@ class Deferred:
     until: float
 
 
-@dataclass(frozen=True)
-class TransmitResult:
+class TransmitResult(NamedTuple):
     """One transmission's fate per receiver."""
 
     airtime_s: float
@@ -211,11 +210,7 @@ def transmit(
             lost.append(receiver_id)
         else:
             delivered.append((receiver_id, arrival))
-    return TransmitResult(
-        airtime_s=airtime,
-        delivered=tuple(delivered),
-        lost=tuple(lost),
-    )
+    return TransmitResult(airtime, tuple(delivered), tuple(lost))
 
 
 @dataclass
@@ -268,19 +263,32 @@ class LinkSelector:
         """
         if self.pinned is not None:
             return profiles[self.pinned]
-        covering = [profiles[name] for name in self.link_names if covers(profiles[name])]
-        if not covering:
+        # One pass in link order; `>` keeps the first of equal bitrates, as
+        # max() does. `best` is over covering links, `healthy` over those at
+        # or above the threshold.
+        health, threshold, active = self.health, self.health_threshold, self.active
+        best = healthy = None
+        active_covers = False
+        for name in self.link_names:
+            profile = profiles[name]
+            if not covers(profile):
+                continue
+            if name == active:
+                active_covers = True
+            rate = profile.bitrate_bps
+            if best is None or rate > best.bitrate_bps:
+                best = profile
+            if health[name] >= threshold and (healthy is None or rate > healthy.bitrate_bps):
+                healthy = profile
+        if best is None:
             raise NoViableLink("no configured link covers any receiver")
-        healthy = [p for p in covering if self.health[p.name] >= self.health_threshold]
-        pool = healthy if healthy else covering
-        choice = max(pool, key=lambda p: p.bitrate_bps)
-        if self.active is not None and choice.name != self.active:
-            active_profile = profiles.get(self.active)
+        choice = best if healthy is None else healthy
+        if active is not None and choice.name != active:
             held = now - self.last_switch < self.hysteresis_s
-            if held and active_profile is not None and active_profile in covering:
-                return active_profile
+            if held and active_covers:
+                return profiles[active]
             self.switches += 1
-        if choice.name != self.active:
+        if choice.name != active:
             self.active = choice.name
             self.last_switch = now
         return choice

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import codec, crypto
 from .errors import SwarmLinkError
@@ -104,8 +104,7 @@ def originate_plain(
     return codec.seal_packet_plain(state.node_id, seq, hop_limit, frame, counters)
 
 
-@dataclass(frozen=True)
-class RxResult:
+class RxResult(NamedTuple):
     """Outcome of handling one received packet."""
 
     deliver: Optional[codec.Frame] = None
@@ -145,7 +144,7 @@ def handle_rx(
         return RxResult(error=exc)
     state.dedup.add(packet.origin, packet.seq)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
-    return RxResult(deliver=frame, forward=forward)
+    return RxResult(frame, forward)
 
 
 def _fresh_receivers(

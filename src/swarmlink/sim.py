@@ -28,7 +28,14 @@ metrics and a trace. Determinism rules:
   already holds its (origin, seq) is counted as a duplicate in one step.
   The handler runs only for the receivers left, in order;
 - the flood's frames are opened once per ciphertext, through a table the
-  run owns (see codec.py), so two runs share no opened frame;
+  run owns (see codec.py), so two runs share no opened frame; a star
+  relay's copies each verify under their receiver's own key, but their
+  shared plaintext is parsed once, through a second run-owned table;
+- what a send reaches (which links cover it, and a unicast's receiver
+  with its distance) is cached per (sender, destination) pair. That is
+  exact: positions are static, range_m is not a mutable link field, and
+  _down only grows, so a node going down is the one change, and it
+  clears the cache;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values.
@@ -75,6 +82,9 @@ _DROP_COUNTERS = {
 }
 # (destination, packet) pairs to queue; destination None broadcasts.
 _Sends = Sequence[Tuple[Optional[int], codec.WirePacket]]
+# Which links cover a send, and the (receiver, distance) pair a covering
+# link delivers a unicast to: none for a broadcast or a down destination.
+_Reach = Tuple[Callable[[links.LinkProfile], bool], Tuple[Tuple[int, float], ...]]
 
 
 @dataclass
@@ -188,8 +198,13 @@ class Simulation:
         # not grow with N^2.
         self._neighbour_index: Dict[Tuple[int, str], List[Tuple[int, float]]] = {}
         self._down: Set[int] = set()
+        # (sender, destination or None for a broadcast) -> what a send reaches
+        # (see _reach). Exact until _down grows, which clears it.
+        self._reach_cache: Dict[Tuple[int, Optional[int]], _Reach] = {}
         # Frames of the broadcast-keyed flood already opened, for codec.open_packet.
         self._opened: Dict[tuple, codec.Frame] = {}
+        # Star plaintexts already parsed, for codec.open_with_key.
+        self._parsed: Dict[bytes, codec.Frame] = {}
         # First wire byte -> (message class, handler). The parser is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
         rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
@@ -264,6 +279,7 @@ class Simulation:
 
     def _node_down(self, node: _Node) -> None:
         self._down.add(node.id)
+        self._reach_cache.clear()
         self._trace("node_down", node=node.id)
 
     def _apply_link_event(self, ev) -> None:
@@ -298,9 +314,29 @@ class Simulation:
         if len(self._down) + 1 == len(self.node_order):
             return _every_link
         down = self._down
-        return lambda p: p.range_m is None or any(
-            n[0] not in down for n in self._neighbours(node.id, p.name)
+        covering = frozenset(
+            name for name, p in self.profiles.items()
+            if p.range_m is None or any(n[0] not in down for n in self._neighbours(node.id, name))
         )
+        return lambda p: p.name in covering
+
+    def _reach(self, node: _Node, dest: Optional[int]) -> _Reach:
+        """What a send from `node` to `dest` (None broadcasts) reaches,
+        cached per pair until _down grows: positions are static and range_m
+        is not a mutable link field, so nothing else changes it."""
+        key = (node.id, dest)
+        found = self._reach_cache.get(key)
+        if found is None:
+            if dest is None:
+                found = (self._broadcast_coverage(node), ())
+            elif dest in self._down:
+                found = (_every_link, ())
+            else:
+                dist = links.distance(node.position, self.nodes[dest].position)
+                covering = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
+                found = (lambda p: p.name in covering, ((dest, dist),))
+            self._reach_cache[key] = found
+        return found
 
     # ---- handshake orchestration -------------------------------------------
 
@@ -506,12 +542,7 @@ class Simulation:
                     return
                 node.defer_until = None
             item = node.txq[0]
-            if item.dest is None:
-                covers = self._broadcast_coverage(node)
-            else:
-                dest = self.nodes[item.dest]
-                dist = links.distance(node.position, dest.position)
-                covers = _every_link if dest.id in self._down else (lambda p, d=dist: p.covers(d))
+            covers, unicast = self._reach(node, item.dest)
             prev_active = node.selector.active
             try:
                 profile = node.selector.select(self.profiles, covers, self.now)
@@ -525,10 +556,8 @@ class Simulation:
                 continue
             if item.dest is None:
                 receivers = self._live_neighbours(node.id, profile.name)
-            elif dest.id in self._down or not profile.covers(dist):
-                receivers = ()
             else:
-                receivers = ((dest.id, dist),)
+                receivers = unicast if covers(profile) else ()
             meter = node.meters.get(profile.name)
             result = links.transmit(
                 profile, len(item.data), self.now, receivers, self.rng_loss, meter
@@ -554,7 +583,8 @@ class Simulation:
     def _complete_tx(
         self, node: _Node, item: _TxItem, profile: links.LinkProfile, result: links.TransmitResult
     ) -> None:
-        self.counters.bump("tx_sent")
+        counts = self.counters.values
+        counts["tx_sent"] = counts.get("tx_sent", 0) + 1
         self.per_link_tx[profile.name] += 1
         if item.kind == "data":
             self.per_link_data_tx[profile.name] += 1
@@ -574,14 +604,14 @@ class Simulation:
                 data = tap.on_air(item, result, data)
         delivered = result.delivered
         if delivered:
-            self.counters.bump("rx_events", len(delivered))
+            counts["rx_events"] = counts.get("rx_events", 0) + len(delivered)
             message = item.message if data is item.data else None
             deliver = partial(self._deliver, "rx_processed", delivered, data, message)
             self._schedule(delivered[0][1], "rx", deliver)
         if result.lost:
-            self.counters.bump("rx_lost", len(result.lost))
+            counts["rx_lost"] = counts.get("rx_lost", 0) + len(result.lost)
         node.busy = True
-        self._schedule(self.now + result.airtime_s, "timer", lambda n=node: self._tx_done(n))
+        self._schedule(self.now + result.airtime_s, "timer", partial(self._tx_done, node))
 
     def _tx_done(self, node: _Node) -> None:
         node.busy = False
@@ -662,7 +692,7 @@ class Simulation:
                 raise NoSession(f"node {node.id} has no session")
             else:
                 key = node.session_key
-            frame = codec.open_with_key(key, node.window, packet)
+            frame = codec.open_with_key(key, node.window, packet, self._parsed)
         except SwarmLinkError as exc:
             return self._security_event(node, exc)
         self._deliver_frame(node, frame)

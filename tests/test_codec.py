@@ -71,6 +71,33 @@ def test_frame_parse_rejects_truncation():
             codec.Frame.from_bytes(raw[:cut])
 
 
+frames = st.lists(
+    st.builds(msg, st.integers(0, 255), st.binary(max_size=40)), max_size=6
+).map(lambda ms: codec.Frame(messages=tuple(ms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame=frames)
+def test_a_parsed_frame_keeps_exactly_the_encoding_a_fresh_one_builds(frame):
+    raw = frame.to_bytes()
+    back = codec.Frame.from_bytes(raw)
+    assert back == frame and hash(back) == hash(frame)
+    assert back.to_bytes() == codec.Frame(messages=back.messages).to_bytes() == raw
+
+
+def test_a_frame_is_encoded_once_and_its_encoding_is_not_part_of_its_value():
+    frame = codec.Frame(messages=(msg(1, b"relayed"),))
+    assert repr(frame) == repr(codec.Frame(messages=frame.messages))  # before encoding
+    first = frame.to_bytes()
+    assert frame.to_bytes() is first
+    assert repr(frame) == repr(codec.Frame(messages=frame.messages))  # and after
+    assert "_encoded" not in repr(frame)
+    k2, k3 = (crypto.SymmetricKey(bytes([b]) * 32) for b in (2, 3))
+    counters = codec.PacketCounters()
+    copies = [codec.seal_with_key(k, 0, 1, 0, 0, frame, counters) for k in (k2, k3)]
+    assert [codec.open_with_key(k, codec.ReplayWindow(), p) for k, p in zip((k2, k3), copies)] == [frame] * 2
+
+
 # ---- packing ----------------------------------------------------------------
 
 
@@ -256,6 +283,73 @@ def test_opened_table_stays_within_its_bound_oldest_first():
     assert len(opened) == codec.OPENED_FRAMES_CAPACITY
     kept = {entry[1] for entry in opened}  # nonces
     assert {p.nonce() for p in packets[3:]} == kept
+
+
+# ---- table of parsed star plaintexts ------------------------------------------
+
+
+def star_copies(frame, *key_bytes):
+    """One frame sealed by the ground station (node 1) under each key, as
+    star fan-out does: one seq, one counter per copy."""
+    keys = [crypto.SymmetricKey(bytes([b]) * 32) for b in key_bytes]
+    counters = codec.PacketCounters()
+    return keys, [codec.seal_with_key(k, 0, 1, 0, 0, frame, counters) for k in keys]
+
+
+def test_parsed_table_parses_a_shared_plaintext_once(monkeypatch):
+    frame = codec.Frame(messages=(msg(1, b"fan-out"),))
+    keys, copies = star_copies(frame, 3, 4, 5)
+    parses = []
+    parse = codec.Frame.from_bytes
+    monkeypatch.setattr(codec.Frame, "from_bytes", lambda data: parses.append(data) or parse(data))
+    parsed = {}
+    for key, pkt in zip(keys, copies):
+        assert codec.open_with_key(key, codec.ReplayWindow(), pkt, parsed) == frame
+    assert parses == [frame.to_bytes()] and list(parsed) == parses
+
+
+def test_parsed_table_hit_still_needs_the_receivers_own_key_and_window():
+    frame = codec.Frame(messages=(msg(1, b"for uavs 3 and 4"),))
+    (k3, k4), (to_3, to_4) = star_copies(frame, 3, 4)
+    parsed = {}
+    assert codec.open_with_key(k3, codec.ReplayWindow(), to_3, parsed) == frame
+    assert list(parsed) == [frame.to_bytes()]
+    # The plaintext is in the table, yet a UAV holding the wrong key still
+    # fails the tag check: UAV 4 on UAV 3's copy, UAV 3 on UAV 4's.
+    with pytest.raises(AuthError):
+        codec.open_with_key(k4, codec.ReplayWindow(), to_3, parsed)
+    with pytest.raises(AuthError):
+        codec.open_with_key(k3, codec.ReplayWindow(), to_4, parsed)
+    window = codec.ReplayWindow()
+    assert codec.open_with_key(k4, window, to_4, parsed) == frame  # a hit ...
+    with pytest.raises(ReplayError):  # ... that advanced UAV 4's own window
+        codec.open_with_key(k4, window, to_4, parsed)
+    assert len(parsed) == 1
+
+
+def test_a_plaintext_that_fails_to_parse_is_never_stored():
+    key = crypto.SymmetricKey(b"\x33" * 32)
+    nonce, aad = codec._nonce_and_aad(1, 0, 1, 0, 0)
+    box = crypto.aead_seal(key, nonce, b"\x01\x00", aad)  # claims one message, holds none
+    pkt = codec.WirePacket(0, 1, 0, 0, 0, box.ciphertext, box.tag)
+    parsed = {}
+    window = codec.ReplayWindow()
+    for _ in range(2):  # not stored, and the window did not advance either
+        with pytest.raises(ValidationError):
+            codec.open_with_key(key, window, pkt, parsed)
+        assert parsed == {}
+
+
+def test_parsed_table_stays_within_its_bound_oldest_first():
+    key = crypto.SymmetricKey(b"\x34" * 32)
+    counters = codec.PacketCounters()
+    frames = [codec.Frame(messages=(msg(1, i.to_bytes(2, "big")),)) for i in range(codec.OPENED_FRAMES_CAPACITY + 3)]
+    parsed = {}
+    for seq, frame in enumerate(frames):
+        pkt = codec.seal_with_key(key, 0, 1, seq, 0, frame, counters)
+        codec.open_with_key(key, codec.ReplayWindow(), pkt, parsed)
+        assert len(parsed) <= codec.OPENED_FRAMES_CAPACITY
+    assert list(parsed) == [f.to_bytes() for f in frames[3:]]
 
 
 # ---- counters ---------------------------------------------------------------

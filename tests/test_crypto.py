@@ -6,6 +6,8 @@ against an independent from-scratch GCM implementation before being frozen
 here. Everything else is behavioral.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -165,3 +167,39 @@ def test_aead_box_serialization():
     assert crypto.AeadBox.from_bytes(box.to_bytes()) == box
     with pytest.raises(ValueError):
         crypto.AeadBox.from_bytes(b"\x00" * 15)  # shorter than a tag
+
+
+def test_symmetric_key_equality_hash_and_repr_ignore_its_cipher_context():
+    a = crypto.SymmetricKey(b"\x11" * 32, crypto.KeyPurpose.SESSION)
+    b = crypto.SymmetricKey(b"\x11" * 32, crypto.KeyPurpose.SESSION)
+    assert a._aead is not b._aead  # each key builds its own context
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "SymmetricKey(purpose=session)"
+    assert a != crypto.SymmetricKey(b"\x12" * 32, crypto.KeyPurpose.SESSION)
+    assert a != crypto.SymmetricKey(b"\x11" * 32, crypto.KeyPurpose.BROADCAST)
+    assert len({a, b}) == 1
+
+
+def test_symmetric_key_checks_its_length_before_building_a_context():
+    for size in (0, 16, 24, 31, 33):  # 16 and 24 would make valid AES keys
+        with pytest.raises(ValueError, match="32 bytes"):
+            crypto.SymmetricKey(b"\x11" * size)
+
+
+def test_seal_and_open_reuse_the_keys_context(monkeypatch):
+    k = crypto.SymmetricKey(b"\x11" * 32, crypto.KeyPurpose.SESSION)
+    built = []
+    monkeypatch.setattr(crypto, "AESGCM", built.append)  # any new context shows here
+    for i in range(3):
+        nonce = bytes([i]) * 12
+        box = crypto.aead_seal(k, nonce, b"frame %d" % i, b"aad")
+        assert crypto.aead_open(k, nonce, box, b"aad") == b"frame %d" % i
+    assert built == []
+
+
+def test_symmetric_key_copies_and_pickles_with_a_fresh_context():
+    k = crypto.SymmetricKey(b"\x11" * 32, crypto.KeyPurpose.BROADCAST)
+    box = crypto.aead_seal(k, b"\x05" * 12, b"payload", b"aad")
+    for twin in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert twin == k and twin.purpose is crypto.KeyPurpose.BROADCAST
+        assert crypto.aead_open(twin, b"\x05" * 12, box, b"aad") == b"payload"

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmlink import links
 from swarmlink.errors import MtuExceeded, NoViableLink, ValidationError
@@ -240,3 +242,94 @@ def test_selector_pinned_mode():
     assert sel.switches == 0
     with pytest.raises(ValidationError):
         LinkSelector(link_names=("fast",), pinned="slow")
+
+
+def reference_select(sel, profiles, covers, now):
+    """The list-and-max selection that LinkSelector.select replaced, kept
+    as the reference its one pass must match, state changes included."""
+    if sel.pinned is not None:
+        return profiles[sel.pinned]
+    covering = [profiles[name] for name in sel.link_names if covers(profiles[name])]
+    if not covering:
+        raise NoViableLink("no configured link covers any receiver")
+    healthy = [p for p in covering if sel.health[p.name] >= sel.health_threshold]
+    pool = healthy if healthy else covering
+    choice = max(pool, key=lambda p: p.bitrate_bps)
+    if sel.active is not None and choice.name != sel.active:
+        active_profile = profiles.get(sel.active)
+        held = now - sel.last_switch < sel.hysteresis_s
+        if held and active_profile is not None and active_profile in covering:
+            return active_profile
+        sel.switches += 1
+    if choice.name != sel.active:
+        sel.active = choice.name
+        sel.last_switch = now
+    return choice
+
+
+LINK_NAMES = ("a", "b", "c", "d")
+THRESHOLD = 0.5
+# Two bitrates, so ties are common; health on, just below and above the threshold.
+selection_steps = st.lists(
+    st.tuples(
+        st.frozensets(st.sampled_from(LINK_NAMES)),  # the links that cover this send
+        st.sampled_from([0.0, 0.5, 1.0, 1.999, 2.0, 3.0]),  # time since the last step
+        st.tuples(*[st.sampled_from([0.0, 0.49, THRESHOLD, 0.51, 1.0])] * len(LINK_NAMES)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # tied bitrates, none healthy: the first covering link wins
+    count=2, bitrates=(1e6,) * 4, pinned=None, steps=[(frozenset("ab"), 0.0, (0.0,) * 4)]
+)
+@example(  # tied bitrates, all healthy, then one drops below the threshold
+    count=3, bitrates=(1e6,) * 4, pinned=None,
+    steps=[(frozenset("abc"), 0.0, (THRESHOLD,) * 4), (frozenset("abc"), 3.0, (0.49, 1.0, 1.0, 1.0))],
+)
+@example(  # hysteresis: held while the active link covers, released when it does not
+    count=2, bitrates=(1e7, 1e6, 1e6, 1e6), pinned=None,
+    steps=[
+        (frozenset("ab"), 0.0, (1.0,) * 4),
+        (frozenset("ab"), 1.0, (0.0, 1.0, 1.0, 1.0)),
+        (frozenset("b"), 0.5, (0.0, 1.0, 1.0, 1.0)),
+        (frozenset("ab"), 0.5, (1.0,) * 4),
+    ],
+)
+@given(
+    count=st.integers(1, len(LINK_NAMES)),
+    bitrates=st.tuples(*[st.sampled_from([1e6, 1e7])] * len(LINK_NAMES)),
+    pinned=st.one_of(st.none(), st.sampled_from(LINK_NAMES)),
+    steps=selection_steps,
+)
+def test_one_pass_select_matches_the_list_and_max_reference(count, bitrates, pinned, steps):
+    names = LINK_NAMES[:count]
+    profiles = {n: profile(name=n, bitrate=rate) for n, rate in zip(names, bitrates)}
+    pinned = pinned if pinned in names else None
+    made = [
+        LinkSelector(link_names=names, health_threshold=THRESHOLD, hysteresis_s=2.0, pinned=pinned)
+        for _ in range(2)
+    ]
+    now = 0.0
+    for covered, dt, health in steps:
+        now += dt
+        outcomes = []
+        for sel, pick in zip(made, (LinkSelector.select, reference_select)):
+            sel.health.update(zip(names, health))
+            try:
+                outcome = pick(sel, profiles, lambda p: p.name in covered, now)
+            except NoViableLink:
+                outcome = NoViableLink
+            outcomes.append((outcome, sel.active, sel.last_switch, sel.switches))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is NoViableLink or outcomes[0][0] is outcomes[1][0]
+
+
+def test_transmit_result_keeps_its_fields():
+    assert links.TransmitResult._fields == ("airtime_s", "delivered", "lost")
+    result = links.transmit(profile(bitrate=1e6, latency=0.001), 100, 0.0, [(2, 1.0)], random.Random(0))
+    assert isinstance(result, links.TransmitResult)
+    assert result.airtime_s == pytest.approx(800 / 1e6)
+    assert result.delivered == ((2, 0.001 + result.airtime_s),) and result.lost == ()

@@ -96,6 +96,20 @@ def test_handle_rx_delivers_then_suppresses():
     assert again.duplicate and again.deliver is None and again.forward is None
 
 
+def test_rx_results_keep_their_fields_and_every_duplicate_shares_one():
+    assert mesh.RxResult._fields == ("deliver", "forward", "duplicate", "error")
+    empty = mesh.RxResult()
+    assert (empty.deliver, empty.forward, empty.duplicate, empty.error) == (None, None, False, None)
+    ring = make_ring()
+    receiver = mesh.MeshState(node_id=3)
+    pkt = mesh.originate(mesh.MeshState(node_id=2), ring, codec.PacketCounters(), frame_of(), hop_limit=0)
+    window = codec.ReplayWindow()
+    fresh = mesh.handle_rx(receiver, ring, window, pkt, now=0.1)
+    assert fresh == (frame_of(), None, False, None)
+    assert mesh.handle_rx(receiver, ring, window, pkt, now=0.2) is mesh._DUPLICATE
+    assert mesh.handle_rx(receiver, ring, window, pkt, now=0.3) is mesh._DUPLICATE
+
+
 def test_handle_rx_stops_forwarding_at_hop_zero():
     ring = make_ring()
     sender = mesh.MeshState(node_id=2, dedup=mesh.DedupCache())
@@ -229,3 +243,11 @@ def test_two_runs_share_no_opened_frames():
     first.run()
     assert first._opened
     assert second._opened == {} and second._opened is not first._opened
+
+
+def test_two_star_runs_share_no_parsed_plaintexts():
+    first = Simulation(scenario_from_dict(base_scenario_dict(mode="star")))
+    second = Simulation(scenario_from_dict(base_scenario_dict(mode="star")))
+    first.run()
+    assert first._parsed
+    assert second._parsed == {} and second._parsed is not first._parsed

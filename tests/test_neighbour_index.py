@@ -7,7 +7,7 @@ range covers) and check how broadcast coverage feeds the link selector.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmlink import links
@@ -113,3 +113,49 @@ def test_hold_is_released_when_the_active_link_loses_its_last_live_neighbour():
     assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 0.0).name == "wifi24"
     sim._node_down(sim.nodes[2])
     assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 0.5).name == "subghz"
+
+
+@settings(max_examples=40, deadline=None)
+@example(  # node 2 is node 1's only WiFi neighbour, then goes down
+    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=None, victims=[2]
+)
+@given(
+    positions=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=8),
+    wifi_range=link_range,
+    subghz_range=link_range,
+    victims=st.lists(st.integers(1, 8), max_size=4),
+)
+def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_range, subghz_range, victims):
+    # The first round fills the per-pair cache; each later round follows a
+    # node going down, which must clear it.
+    sim = simulation(
+        positions,
+        {
+            "wifi24": {"band": "wifi24", "range_m": wifi_range},
+            "subghz": {"band": "subghz", "range_m": subghz_range},
+        },
+    )
+    ids = sim.node_order
+    for victim in (None, *victims):
+        if victim in sim.nodes:
+            sim._node_down(sim.nodes[victim])
+        down = sim._down
+        for src in ids:
+            if src in down:
+                continue  # a down node sends nothing
+            here = sim.nodes[src].position
+            for dest in (None, *ids):
+                if dest == src:
+                    continue
+                covers, unicast = sim._reach(sim.nodes[src], dest)
+                for name, profile in sim.profiles.items():
+                    if dest is None:
+                        live = [n for n in sim._neighbours(src, name) if n[0] not in down]
+                        alone = len(down) + 1 == len(ids)
+                        assert covers(profile) == (alone or profile.range_m is None or bool(live))
+                    elif dest in down:
+                        assert covers(profile) and unicast == ()
+                    else:
+                        dist = links.distance(here, sim.nodes[dest].position)
+                        assert covers(profile) == profile.covers(dist)
+                        assert unicast == ((dest, dist),)

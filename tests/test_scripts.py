@@ -47,6 +47,40 @@ def test_bench_pairs_compares_a_tree_with_itself(capsys):
     assert "differs" not in out
 
 
+RATE = {"name": "radio_ops_per_ref", "better": "higher", "bound": 0.25}
+TIME = {"name": "wall_ref", "better": "lower", "bound": 0.25}
+
+
+@pytest.mark.parametrize(
+    "metric, base, change, verdict",
+    [
+        # medians 100 -> 80: 20 % worse, inside the 25 % bound
+        (RATE, [99, 100, 101], [79, 80, 81], "ok"),
+        # medians 100 -> 70: 30 % worse
+        (RATE, [99, 100, 101], [69, 70, 71], "worse"),
+        (TIME, [99, 100, 101], [129, 130, 131], "worse"),
+        # the base's q1-q3 (60-130) is wider than 25 of its median 100 ...
+        (RATE, [40, 80, 100, 120, 140], [90, 95, 100, 105, 110], "unresolved"),
+        # ... unless every change run beats every base run
+        (RATE, [40, 80, 100, 120, 140], [150, 151, 152, 153, 154], "ok"),
+        (TIME, [40, 80, 100, 120, 140], [30, 31, 32, 33, 34], "ok"),
+        # worse outranks unresolved
+        (RATE, [40, 80, 100, 120, 140], [10, 11, 12, 13, 14], "worse"),
+    ],
+)
+def test_bench_pairs_verdict_mirrors_the_no_regression_rule(metric, base, change, verdict):
+    assert _script("bench_pairs").summarise(metric, base, change)["verdict"] == verdict
+
+
+def test_bench_pairs_summarise_reports_both_sides_wins_and_the_claim():
+    row = _script("bench_pairs").summarise(RATE, [100, 101, 102, 103], [130, 131, 132, 100])
+    assert row["base"] == (101.5, 100.75, 102.25)  # median, q1, q3
+    assert row["change"] == (130.5, 122.5, 131.25)
+    assert row["win"] == 0.75 and not row["claim"]  # 3 wins in 4 pairs
+    row = _script("bench_pairs").summarise(RATE, [100, 101, 102, 103], [130, 131, 132, 133])
+    assert row["win"] == 1.0 and row["claim"] and row["verdict"] == "ok"
+
+
 def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys):
     # One shipped scenario only, written to a copy: the committed file is never touched.
     committed = json.loads((SCRIPTS.parent / "tests" / "golden" / "run_digests.json").read_text())
