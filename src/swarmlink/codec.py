@@ -24,6 +24,16 @@ tag), so a hit returns exactly what verification and parsing would; only
 frames that verified and parsed are stored, never a failure. The replay
 window is still checked and advanced per receiver.
 
+A packet keeps what its seal needs, once known, under private names that
+equality, hash and repr ignore: its nonce and AAD (from `seal_with_key`,
+or derived once from its header), the AeadBox it was sealed into, and its
+encoding (built once by `to_bytes`, or the bytes `from_bytes` parsed,
+since the parse is strict). `forwarded()` checks only the hop_limit it
+changes and shares the rest with its parent: the checked fields, the
+nonce, AAD and box, none of which binds hop_limit. Only its encoding
+differs, the parent's with the hop byte replaced. `dataclasses.replace`
+builds a new packet through every check and keeps none of that state.
+
 Star-mode session keys differ per receiver, so every copy the ground
 station re-seals is a different ciphertext and each receiver verifies its
 own under its own key. The plaintext is the same for all of them, so
@@ -49,6 +59,7 @@ from .errors import (
 from .rekey import KeyRing
 
 HEADER_LEN = 1 + 4 + 2 + 4 + 1 + 6
+_HOP_OFFSET = 1 + 4 + 2 + 4  # of hop_limit in the header
 PACKET_OVERHEAD = HEADER_LEN + crypto.TAG_LEN
 PER_MESSAGE_OVERHEAD = 1 + 2 + 1
 MAX_PAYLOAD_LEN = 255
@@ -172,7 +183,11 @@ def compose_frames(messages: Iterable[TelemetryMessage], mtu_bytes: int) -> List
 
 @dataclass(frozen=True)
 class WirePacket:
-    """Sealed frame plus the cleartext header relays need for forwarding."""
+    """Sealed frame plus the cleartext header relays need for forwarding.
+
+    A packet keeps what its seal needs once it is known: its nonce and
+    AAD, the AeadBox it was sealed into, and its encoding (see the module
+    docstring). Equality, hash and repr ignore them."""
 
     epoch: int
     origin: int
@@ -183,25 +198,65 @@ class WirePacket:
     tag: bytes
     version: int = wire.PACKET_VERSION
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.epoch <= 0xFFFFFFFF:
+    # Kept state, not fields: (nonce, aad), the AeadBox, the encoding.
+    _kept_nonce_aad = None
+    _kept_box = None
+    _encoded = None
+
+    def __init__(
+        self,
+        epoch: int,
+        origin: int,
+        seq: int,
+        hop_limit: int,
+        counter: int,
+        ciphertext: bytes,
+        tag: bytes,
+        version: int = wire.PACKET_VERSION,
+    ) -> None:
+        if not 0 <= epoch <= 0xFFFFFFFF:
             raise ValidationError("epoch", "outside u32")
-        if not 0 <= self.origin <= wire.NODE_ID_MAX:
+        if not 0 <= origin <= wire.NODE_ID_MAX:
             raise ValidationError("origin", "outside u16")
-        if not 0 <= self.seq <= MAX_SEQ:
+        if not 0 <= seq <= MAX_SEQ:
             raise ValidationError("seq", "outside u32")
-        if not 0 <= self.hop_limit <= 0xFF:
+        if not 0 <= hop_limit <= 0xFF:
             raise ValidationError("hop_limit", "outside u8")
-        if not 0 <= self.counter <= MAX_COUNTER:
+        if not 0 <= counter <= MAX_COUNTER:
             raise ValidationError("counter", "outside u48")
-        if len(self.tag) != crypto.TAG_LEN:
+        if len(tag) != crypto.TAG_LEN:
             raise ValidationError("tag", f"must be {crypto.TAG_LEN} bytes")
+        # The class is frozen, so the checked fields go straight into the
+        # instance dict rather than through one object.__setattr__ each.
+        fields = self.__dict__
+        fields["epoch"] = epoch
+        fields["origin"] = origin
+        fields["seq"] = seq
+        fields["hop_limit"] = hop_limit
+        fields["counter"] = counter
+        fields["ciphertext"] = ciphertext
+        fields["tag"] = tag
+        fields["version"] = version
 
     def nonce(self) -> bytes:
-        return _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)[0]
+        return self._nonce_aad()[0]
 
     def aad(self) -> bytes:
-        return _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)[1]
+        return self._nonce_aad()[1]
+
+    def _nonce_aad(self) -> Tuple[bytes, bytes]:
+        kept = self._kept_nonce_aad
+        if kept is None:
+            kept = _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)
+            self.__dict__["_kept_nonce_aad"] = kept
+        return kept
+
+    def _aead_box(self) -> crypto.AeadBox:
+        box = self._kept_box
+        if box is None:
+            box = crypto.AeadBox(self.ciphertext, self.tag)
+            self.__dict__["_kept_box"] = box
+        return box
 
     def header_bytes(self) -> bytes:
         return (
@@ -211,25 +266,33 @@ class WirePacket:
         )
 
     def to_bytes(self) -> bytes:
-        return self.header_bytes() + self.ciphertext + self.tag
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self.header_bytes() + self.ciphertext + self.tag
+            self.__dict__["_encoded"] = encoded
+        return encoded
 
     def wire_len(self) -> int:
         return HEADER_LEN + len(self.ciphertext) + crypto.TAG_LEN
 
     def forwarded(self) -> "WirePacket":
-        """Copy with hop_limit decremented; header changes, seal stays valid."""
+        """Copy with hop_limit decremented; header changes, seal stays valid.
+
+        Every other field was checked when this packet was built, so the
+        copy shares them and the kept seal state (hop_limit is in neither
+        the nonce nor the AAD); its encoding is this one's with the hop
+        byte replaced."""
         if self.hop_limit == 0:
             raise ValidationError("hop_limit", "cannot forward at hop_limit 0")
-        return WirePacket(
-            self.epoch,
-            self.origin,
-            self.seq,
-            self.hop_limit - 1,
-            self.counter,
-            self.ciphertext,
-            self.tag,
-            self.version,
-        )
+        hop_limit = self.hop_limit - 1
+        copy = object.__new__(WirePacket)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state["hop_limit"] = hop_limit
+        encoded = self._encoded
+        if encoded is not None:
+            state["_encoded"] = encoded[:_HOP_OFFSET] + bytes((hop_limit,)) + encoded[_HOP_OFFSET + 1 :]
+        return copy
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WirePacket":
@@ -239,7 +302,7 @@ class WirePacket:
             raise ValidationError("version", f"unknown packet version {data[0]:#04x}")
         epoch, origin, seq, hop_limit = struct.unpack(">IHIB", data[1:12])
         counter = int.from_bytes(data[12:18], "big")
-        return cls(
+        packet = cls(
             epoch=epoch,
             origin=origin,
             seq=seq,
@@ -248,6 +311,9 @@ class WirePacket:
             ciphertext=data[HEADER_LEN:-crypto.TAG_LEN],
             tag=data[-crypto.TAG_LEN:],
         )
+        # The parse is strict, so these bytes are exactly the packet's encoding.
+        packet.__dict__["_encoded"] = bytes(data)
+        return packet
 
 
 def _nonce_and_aad(version: int, epoch: int, origin: int, seq: int, counter: int) -> Tuple[bytes, bytes]:
@@ -342,7 +408,11 @@ def seal_with_key(
     nonce, aad = _nonce_and_aad(wire.PACKET_VERSION, epoch, origin, seq, counter)
     plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
     box = crypto.aead_seal(key, nonce, plaintext, aad)
-    return WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
+    packet = WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
+    kept = packet.__dict__
+    kept["_kept_nonce_aad"] = (nonce, aad)
+    kept["_kept_box"] = box
+    return packet
 
 
 def open_packet(
@@ -387,13 +457,13 @@ def _open(
     parsed: Optional[Dict[bytes, Frame]] = None,
 ) -> Frame:
     window.check(packet.origin, packet.epoch, packet.counter)
-    nonce, aad = _nonce_and_aad(packet.version, packet.epoch, packet.origin, packet.seq, packet.counter)
+    nonce, aad = packet._nonce_aad()
     frame = None
     if opened is not None:
         entry = (key.bytes_, nonce, aad, packet.ciphertext, packet.tag)
         frame = opened.get(entry)
     if frame is None:
-        plaintext = crypto.aead_open(key, nonce, crypto.AeadBox(packet.ciphertext, packet.tag), aad)
+        plaintext = crypto.aead_open(key, nonce, packet._aead_box(), aad)
         if parsed is not None:
             frame = parsed.get(plaintext)
         if frame is None:
@@ -406,11 +476,11 @@ def _open(
     return frame
 
 
-def _remember(table: Dict, key, frame: Frame) -> None:
-    """Store a frame in a bounded table, evicting the oldest entry first."""
+def _remember(table: Dict, key, value) -> None:
+    """Store a value in a bounded table, evicting the oldest entry first."""
     if len(table) >= OPENED_FRAMES_CAPACITY:
         del table[next(iter(table))]
-    table[key] = frame
+    table[key] = value
 
 
 def seal_packet_plain(

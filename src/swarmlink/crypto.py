@@ -89,23 +89,39 @@ class SymmetricKey:
 
 @dataclass(frozen=True)
 class AeadBox:
-    """AES-GCM output: ciphertext plus the 16-byte tag appended after it."""
+    """AES-GCM output: ciphertext plus the 16-byte tag appended after it.
+
+    It keeps that joined blob once known, as AES-GCM returned it or as the
+    first to_bytes built it, so a box is joined at most once; equality,
+    hash and repr ignore it."""
 
     ciphertext: bytes
     tag: bytes
+
+    _blob = None  # kept state, not a field
 
     def __post_init__(self):
         if len(self.tag) != TAG_LEN:
             raise ValueError(f"tag must be {TAG_LEN} bytes")
 
+    @classmethod
+    def _of_sealed(cls, sealed: bytes) -> "AeadBox":
+        box = cls(ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
+        box.__dict__["_blob"] = sealed
+        return box
+
     def to_bytes(self) -> bytes:
-        return self.ciphertext + self.tag
+        blob = self._blob
+        if blob is None:
+            blob = self.ciphertext + self.tag
+            self.__dict__["_blob"] = blob
+        return blob
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AeadBox":
         if len(data) < TAG_LEN:
             raise ValueError("AEAD box shorter than its tag")
-        return cls(ciphertext=data[:-TAG_LEN], tag=data[-TAG_LEN:])
+        return cls._of_sealed(bytes(data))
 
 
 def keypair_from_seed(seed: bytes, kind: str) -> AgreementKeyPair | SignatureKeyPair:
@@ -185,8 +201,7 @@ def aead_seal(key: SymmetricKey, nonce: bytes, plaintext: bytes, aad: bytes) -> 
     """AES-256-GCM encrypt; the 16-byte tag is split out of the sealed blob."""
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = key._aead.encrypt(nonce, plaintext, aad or None)
-    return AeadBox(ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
+    return AeadBox._of_sealed(key._aead.encrypt(nonce, plaintext, aad or None))
 
 
 def aead_open(key: SymmetricKey, nonce: bytes, box: AeadBox, aad: bytes) -> bytes:

@@ -112,6 +112,11 @@ class DutyCycleMeter:
     allowed iff the window's recorded airtime plus the new burst stays
     within budget; otherwise the earliest compliant start time is computed
     exactly, so callers can defer instead of busy-polling.
+
+    The window's airtime is a running total: `record` adds each burst to
+    it, and a prune that drops bursts refolds the rest. Both are the
+    left-to-right float sum that `sum()` gives on Python 3.11, on every
+    Python (3.12 compensates `sum()` over floats).
     """
 
     def __init__(self, limit: float, window_s: float) -> None:
@@ -122,6 +127,7 @@ class DutyCycleMeter:
         self.limit = limit
         self.window_s = window_s
         self._bursts: List[Tuple[float, float]] = []  # (tx_start, airtime)
+        self._used = 0.0  # airtime of the bursts in _bursts, folded in order
 
     def _prune(self, now: float) -> None:
         # Expiry is `start + window_s`, exactly as earliest_allowed computes
@@ -132,10 +138,14 @@ class DutyCycleMeter:
             keep += 1
         if keep:
             del self._bursts[:keep]
+            used = 0.0
+            for _, airtime in self._bursts:
+                used = used + airtime
+            self._used = used
 
     def used_airtime(self, now: float) -> float:
         self._prune(now)
-        return sum(a for _, a in self._bursts)
+        return self._used
 
     def budget(self) -> float:
         return self.limit * self.window_s
@@ -150,7 +160,7 @@ class DutyCycleMeter:
         budget = self.budget()
         if need > budget + 1e-12:
             return math.inf  # burst alone exceeds the budget; never sendable
-        used = sum(a for _, a in self._bursts)
+        used = self._used
         if used + need <= budget + 1e-12:
             return now
         # Bursts age out oldest-first; walk until enough budget is free.
@@ -163,6 +173,7 @@ class DutyCycleMeter:
 
     def record(self, now: float, airtime: float) -> None:
         self._bursts.append((now, airtime))
+        self._used = self._used + airtime
 
 
 @dataclass(frozen=True)

@@ -130,8 +130,9 @@ def handle_rx(
     Packets that fail authentication or replay checks are surfaced as the
     result's error and neither delivered nor forwarded; they also do not
     enter the dedup cache, so a later honest copy of the same (origin, seq)
-    still gets through. `opened` is the run's table of opened broadcast
-    frames (see the module docstring).
+    still gets through. The error comes without its traceback. `opened`
+    is the run's table of opened broadcast frames (see the module
+    docstring).
     """
     if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
         return _DUPLICATE
@@ -141,7 +142,10 @@ def handle_rx(
         else:
             frame = codec.open_packet(keyring, window, packet, now, opened)
     except SwarmLinkError as exc:
-        return RxResult(error=exc)
+        # The result outlives this frame: with its traceback, the error would
+        # hold this frame and, through f_back, the caller's, which holds the
+        # result; every rejection would then be a cycle for the collector.
+        return RxResult(error=exc.with_traceback(None))
     state.dedup.add(packet.origin, packet.seq)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
     return RxResult(frame, forward)

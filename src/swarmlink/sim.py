@@ -9,6 +9,15 @@ metrics and a trace. Determinism rules:
   adversary choices) so draws in one domain never shift another;
 - the event heap orders by (time, insertion sequence), so simultaneous
   events fire in scheduling order;
+- a send reserves the heap key of its tx_done, (end time, next sequence
+  number), as it starts, but the event goes on the heap only once a send
+  waits behind it: at once if the queue is not empty, else when a later
+  send is queued and the running event's key (the entry run() popped, not
+  the clock, which cannot order ties) comes before the reserved one. If
+  the reserved key comes first, the send has ended, and a tx_done popped
+  there would have found the queue empty and done nothing. Sequence
+  numbers are taken exactly as if every tx_done were queued, so every
+  other event keeps its key and pops in the same order;
 - one event per pending step: a chain (a sender's traffic, a tap's
   injections, key rotation, rekey resends) queues its next step before
   the current step's own work, so the heap does not grow with run length;
@@ -38,7 +47,9 @@ metrics and a trace. Determinism rules:
   clears the cache;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
-- reports and traces contain no wall-clock values.
+- reports and traces contain no wall-clock values; each trace line is
+  exactly `json.dumps(entry, sort_keys=True)`, written by one encoder built
+  at import rather than one per line.
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
 their hooks and never names one. Every receive handler returns what
@@ -56,6 +67,7 @@ from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
@@ -97,6 +109,24 @@ class _TxItem:
     message: object = None
 
 
+def _line_encoder(make_encoder=c_make_encoder) -> Callable[[dict], str]:
+    """One trace line's text: exactly `json.dumps(entry, sort_keys=True)`,
+    from an encoder built once instead of once per line. Without json's C
+    accelerator, one JSONEncoder built once does the same."""
+    if make_encoder is None:
+        return json.JSONEncoder(sort_keys=True).encode
+    # dumps' settings, except the circular-reference check: a trace entry
+    # is a fresh dict of scalars, lists and dicts, so it is never circular,
+    # and the check's table would be state every run in the process shares.
+    encode = make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+    )
+    return lambda entry: "".join(encode(entry, 0))
+
+
+_encode_line = _line_encoder()
+
+
 def _every_link(_profile: links.LinkProfile) -> bool:
     return True
 
@@ -109,7 +139,11 @@ class _Node:
         self.role = spec.role
         self.position = tuple(spec.position)
         self.sig_key = sig_key
-        self.busy = False
+        # The heap key (end time, sequence number) reserved for the tx_done
+        # of the send on the air, None when idle; tx_done_queued tells
+        # whether that event is on the heap (see Simulation._on_air).
+        self.tx_end: Optional[Tuple[float, int]] = None
+        self.tx_done_queued = False
         self.defer_until: Optional[float] = None
         self.txq: deque = deque()
         policy = scenario.link_policy
@@ -159,6 +193,8 @@ class Simulation:
         self.now = 0.0
         self._heap: List[Tuple[float, int, str, Callable[[], None]]] = []
         self._eseq = 0
+        # The heap entry run() popped last; it starts before every key.
+        self._event: tuple = (-math.inf, -1)
 
         self.counters = Counters()
         self.security_events = Counters()
@@ -266,7 +302,7 @@ class Simulation:
     def _trace(self, kind: str, **fields) -> None:
         entry = {"t": round(self.now, 9), "event": kind}
         entry.update(fields)
-        self.trace.append(json.dumps(entry, sort_keys=True))
+        self.trace.append(_encode_line(entry))
 
     def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
         """Count and trace a rejection; returns it as a receive outcome."""
@@ -534,9 +570,9 @@ class Simulation:
         self._pump(node)
 
     def _pump(self, node: _Node) -> None:
-        while True:
-            if node.id in self._down or node.busy or not node.txq:
-                return
+        if node.id in self._down or not node.txq or self._on_air(node):
+            return
+        while node.txq:
             if node.defer_until is not None:
                 if self.now + _EPS < node.defer_until:
                     return
@@ -575,6 +611,24 @@ class Simulation:
             self._complete_tx(node, item, profile, result)
             return
 
+    def _on_air(self, node: _Node) -> bool:
+        """Whether the node's last send is still on the air, asked when a
+        send waits behind it. A tx_done that was reserved but not queued is
+        queued now, under its reserved key, if the running event comes
+        before that key; if the running event comes after it, the send has
+        ended, and the tx_done would have found an empty queue."""
+        end = node.tx_end
+        if end is None:
+            return False
+        if not node.tx_done_queued:
+            # Heap order, (t, seq): the running event's seq is never the reserved one.
+            if end < self._event:
+                node.tx_end = None
+                return False
+            heapq.heappush(self._heap, (end[0], end[1], "tx_done", partial(self._tx_done, node)))
+            node.tx_done_queued = True
+        return True
+
     def _drop(self, node: _Node, reason: str) -> None:
         item = node.txq.popleft()
         self.counters.bump(_DROP_COUNTERS[reason])
@@ -610,11 +664,19 @@ class Simulation:
             self._schedule(delivered[0][1], "rx", deliver)
         if result.lost:
             counts["rx_lost"] = counts.get("rx_lost", 0) + len(result.lost)
-        node.busy = True
-        self._schedule(self.now + result.airtime_s, "timer", partial(self._tx_done, node))
+        self._reserve_tx_done(node, self.now + result.airtime_s)
+
+    def _reserve_tx_done(self, node: _Node, end: float) -> None:
+        """Reserve the heap key of the send's tx_done, as _schedule would
+        number it, and queue the event only if a send waits behind it."""
+        node.tx_end = (end, self._eseq)
+        self._eseq += 1
+        node.tx_done_queued = False
+        if node.txq:
+            self._on_air(node)  # the running event comes first, so this queues it
 
     def _tx_done(self, node: _Node) -> None:
-        node.busy = False
+        node.tx_end = None
         self._pump(node)
 
     # ---- receive dispatch ----------------------------------------------------
@@ -716,11 +778,11 @@ class Simulation:
     # ---- run and report -------------------------------------------------------
 
     def run(self) -> dict:
-        duration = self.sc.duration_s
-        while self._heap and self._heap[0][0] <= duration + _EPS:
-            t, _seq, _kind, fn = heapq.heappop(self._heap)
-            self.now = max(self.now, t)
-            fn()
+        heap, duration = self._heap, self.sc.duration_s
+        while heap and heap[0][0] <= duration + _EPS:
+            self._event = event = heapq.heappop(heap)
+            self.now = max(self.now, event[0])
+            event[3]()
         self.now = duration
         # rx and advrx events are partials of _deliver over all their receivers.
         rx_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "rx")

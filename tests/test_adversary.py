@@ -3,9 +3,12 @@
 import inspect
 import types
 
-from swarmlink import adversary, crypto, sim
+import pytest
+
+from swarmlink import adversary, codec, crypto, sim
 from swarmlink.cli import resolve_scenario
-from swarmlink.scenario import ADVERSARY_KINDS
+from swarmlink.golden import generated_scenarios
+from swarmlink.scenario import ADVERSARY_KINDS, scenario_from_dict
 from swarmlink.sim import run_scenario
 
 
@@ -39,3 +42,27 @@ def test_eavesdropper_builds_one_key_per_leaked_epoch_not_per_packet(monkeypatch
     spied = report["adversary"]["eavesdrop"]
     assert spied["leaked_epochs"] == [1] and spied["recovered_packets"] > 1
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "name, recovered",  # recovered counts as read before the tap kept its table of opened frames
+    [("eavesdrop_keyleak", {"1": 96}), ("contested13_replay", {"2": 1261})],
+)
+def test_eavesdropper_opens_each_leaked_ciphertext_once_and_still_counts_every_copy(monkeypatch, name, recovered):
+    scenarios = generated_scenarios()
+    sc = scenario_from_dict(scenarios[name]) if name in scenarios else resolve_scenario(name)
+    opens = []
+    real_open = crypto.aead_open
+
+    def counted_open(key, nonce, box, aad):
+        opens.append((key, nonce, aad, box.ciphertext, box.tag))
+        return real_open(key, nonce, box, aad)
+
+    monkeypatch.setattr(crypto, "aead_open", counted_open)
+    simulation = sim.Simulation(sc)
+    report = simulation.run()
+    tap = next(t for t in simulation.taps if t.name == "eavesdrop")
+    tap_opens = [entry[1:] for entry in opens if any(entry[0] is key for key in tap.leaked.values())]
+    assert report["adversary"]["eavesdrop"]["recovered_by_epoch"] == recovered
+    assert 0 < len(tap_opens) == len(set(tap_opens)) < sum(recovered.values())
+    assert len(tap.opened) <= codec.OPENED_FRAMES_CAPACITY

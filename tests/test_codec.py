@@ -1,12 +1,13 @@
 """Framing, packet sealing, counters, and replay-window tests."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlink import codec, crypto
+from swarmlink import codec, crypto, wire
 from swarmlink.errors import (
     AuthError,
     CounterExhausted,
@@ -207,6 +208,97 @@ def test_open_rejects_tampering_everywhere():
         bad = codec.WirePacket.from_bytes(mutated)
         with pytest.raises((AuthError, UnknownEpoch)):
             codec.open_packet(r, window, bad, now=1.0)
+
+
+headers = st.fixed_dictionaries(
+    {
+        "epoch": st.integers(0, 0xFFFFFFFF),
+        "origin": st.integers(0, wire.NODE_ID_MAX),
+        "seq": st.integers(0, codec.MAX_SEQ),
+        "hop_limit": st.integers(0, 0xFF),
+        "counter": st.integers(0, codec.MAX_COUNTER),
+    }
+)
+
+
+def forward_chain(packet, hops=4):
+    """The packet and up to `hops` forwards of it, each from the one before."""
+    chain = [packet]
+    while len(chain) <= hops and chain[-1].hop_limit > 0:
+        chain.append(chain[-1].forwarded())
+    return chain
+
+
+def assert_state_matches_fields(packet):
+    fields = (packet.version, packet.epoch, packet.origin, packet.seq, packet.counter)
+    assert packet.to_bytes() == packet.header_bytes() + packet.ciphertext + packet.tag
+    assert (packet.nonce(), packet.aad()) == codec._nonce_and_aad(*fields)
+    assert packet._aead_box() == crypto.AeadBox(packet.ciphertext, packet.tag)
+    assert packet._aead_box().to_bytes() == packet.ciphertext + packet.tag
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=headers, ciphertext=st.binary(max_size=64), tag=st.binary(min_size=16, max_size=16))
+def test_a_packet_keeps_only_state_its_fields_determine(header, ciphertext, tag):
+    built = codec.WirePacket(**header, ciphertext=ciphertext, tag=tag)
+    parsed = codec.WirePacket.from_bytes(built.to_bytes())
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    for packet in forward_chain(parsed) + forward_chain(built):
+        assert_state_matches_fields(packet)
+        assert codec.WirePacket.from_bytes(packet.to_bytes()) == packet
+        fresh = codec.WirePacket(**{f.name: getattr(packet, f.name) for f in dataclasses.fields(packet)})
+        assert fresh == packet and repr(fresh) == repr(packet) and fresh.to_bytes() == packet.to_bytes()
+    changed = dataclasses.replace(
+        parsed, seq=(parsed.seq + 1) % (codec.MAX_SEQ + 1), ciphertext=ciphertext + b"x", tag=tag[::-1]
+    )
+    assert_state_matches_fields(changed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    header=headers,
+    payload=st.binary(max_size=40),
+    flip=st.integers(0, 10**6),
+)
+def test_every_forward_of_a_sealed_packet_opens_under_its_key_and_no_other(header, payload, flip):
+    key, wrong = crypto.SymmetricKey(b"\x20" * 32), crypto.SymmetricKey(b"\x21" * 32)
+    frame = codec.Frame(messages=(msg(1, payload),))
+    counters = codec.PacketCounters()
+    counters._next[header["epoch"]] = header["counter"]
+    sealed = codec.seal_with_key(
+        key, header["epoch"], header["origin"], header["seq"], header["hop_limit"], frame, counters
+    )
+    for packet in forward_chain(sealed):
+        assert_state_matches_fields(packet)
+        assert codec.open_with_key(key, codec.ReplayWindow(), packet) == frame
+        with pytest.raises(AuthError):
+            codec.open_with_key(wrong, codec.ReplayWindow(), packet)
+        raw = packet.to_bytes()
+        i = 1 + flip % (len(raw) - 2)  # any byte but the version byte and the hop byte
+        i += i >= 11
+        flipped = codec.WirePacket.from_bytes(raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1 :])
+        with pytest.raises(AuthError):
+            codec.open_with_key(key, codec.ReplayWindow(), flipped)
+        with pytest.raises(AuthError):  # a replaced field leaves no seal state behind
+            codec.open_with_key(key, codec.ReplayWindow(), dataclasses.replace(packet, tag=packet.tag[::-1]))
+
+
+def test_a_packet_keeps_its_seal_state_outside_its_value():
+    frame = codec.Frame(messages=(msg(1, b"kept"),))
+    sealed = codec.seal_packet(ring(), 2, 0, 3, frame, codec.PacketCounters())
+    bare = codec.WirePacket(**{f.name: getattr(sealed, f.name) for f in dataclasses.fields(sealed)})
+    assert sealed._kept_box is not None and bare._kept_box is None
+    assert sealed == bare and hash(sealed) == hash(bare) and repr(sealed) == repr(bare)
+    assert "_kept" not in repr(sealed) and "_encoded" not in repr(sealed)
+    first = sealed.to_bytes()
+    assert sealed.to_bytes() is first  # encoded once
+    copy = sealed.forwarded()
+    assert copy._kept_box is sealed._kept_box and copy._nonce_aad() is sealed._nonce_aad()
+    assert copy.ciphertext is sealed.ciphertext
+    with pytest.raises(ValidationError):
+        codec.WirePacket(**{**dataclasses.asdict(bare), "counter": codec.MAX_COUNTER + 1})
+    with pytest.raises(ValidationError):  # the one field forwarded() changes is checked there
+        forward_chain(sealed, hops=10)[-1].forwarded()
 
 
 def test_open_unknown_epoch():

@@ -164,6 +164,94 @@ def test_meter_parameters_validated():
         DutyCycleMeter(limit=0.1, window_s=0.0)
 
 
+class ReferenceMeter:
+    """The meter before it kept a running total: every query re-adds the
+    bursts in the window. `_sum` is `sum()` over floats as Python 3.11
+    computes it, one addition at a time from the left."""
+
+    def __init__(self, limit, window_s):
+        self.limit, self.window_s, self._bursts = limit, window_s, []
+
+    @staticmethod
+    def _sum(values):
+        total = 0
+        for value in values:
+            total = total + value
+        return total
+
+    def _prune(self, now):
+        keep = 0
+        while keep < len(self._bursts) and self._bursts[keep][0] + self.window_s <= now:
+            keep += 1
+        if keep:
+            del self._bursts[:keep]
+
+    def used_airtime(self, now):
+        self._prune(now)
+        return self._sum(a for _, a in self._bursts)
+
+    def budget(self):
+        return self.limit * self.window_s
+
+    def allows(self, now, airtime):
+        return self.used_airtime(now) + airtime <= self.budget() + 1e-12
+
+    def earliest_allowed(self, now, airtime):
+        self._prune(now)
+        budget = self.budget()
+        if airtime > budget + 1e-12:
+            return math.inf
+        used = self._sum(a for _, a in self._bursts)
+        if used + airtime <= budget + 1e-12:
+            return now
+        freed = 0.0
+        for start, burst in self._bursts:
+            freed += burst
+            if used - freed + airtime <= budget + 1e-12:
+                return start + self.window_s
+        return self._bursts[-1][0] + self.window_s
+
+    def record(self, now, airtime):
+        self._bursts.append((now, airtime))
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # a prune leaves 0.1, 0.2, 0.3: folded from the left they make 0.6000000000000001
+    limit=1.0,
+    window=3.0,
+    steps=[(0.0, "record", 0.5), (1.0, "record", 0.1), (0.0, "record", 0.2), (0.0, "record", 0.3),
+           (2.0, "used_airtime", 0.1), (0.0, "send", 2.4)],
+)
+@given(
+    limit=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
+    window=st.sampled_from([0.5, 3.0, 60.0, 3600.0]),
+    steps=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 0.001, 0.1, 1.0]), st.floats(0.0, 5.0)),  # time step
+            st.sampled_from(["record", "allows", "used_airtime", "earliest_allowed", "send"]),
+            st.one_of(st.sampled_from([1e-4, 0.0123, 0.1, 0.3]), st.floats(1e-6, 2.0)),  # airtime
+        ),
+        max_size=60,
+    ),
+)
+def test_running_total_meter_answers_exactly_as_the_summing_reference(limit, window, steps):
+    meter, reference = DutyCycleMeter(limit, window), ReferenceMeter(limit, window)
+    now = 0.0
+    for step, op, airtime in steps:
+        now += step
+        if op == "send":  # as links.transmit does: record only a burst that fits
+            fits = reference.allows(now, airtime)
+            assert meter.allows(now, airtime) == fits
+            op = "record" if fits else "earliest_allowed"
+        if op == "record":
+            meter.record(now, airtime)
+            reference.record(now, airtime)
+        elif op == "used_airtime":
+            assert meter.used_airtime(now) == reference.used_airtime(now)
+        else:
+            assert getattr(meter, op)(now, airtime) == getattr(reference, op)(now, airtime)
+
+
 # ---- selector ---------------------------------------------------------------
 
 

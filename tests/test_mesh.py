@@ -1,5 +1,6 @@
 """Flooding mechanics and star relay tests at the module level."""
 
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from swarmlink import codec, crypto, mesh
 from swarmlink.errors import AuthError, ReplayError
+from swarmlink.golden import generated_scenarios
 from swarmlink.handshake import SessionTable
 from swarmlink.metrics import Counters
 from swarmlink.rekey import BroadcastKey, KeyRing
@@ -130,6 +132,7 @@ def test_handle_rx_failures_do_not_poison_dedup():
     window = codec.ReplayWindow()
     bad = mesh.handle_rx(receiver, ring, window, forged, now=0.1)
     assert isinstance(bad.error, AuthError)
+    assert bad.error.__traceback__ is None  # holds no frame, so makes no reference cycle
     assert bad.deliver is None and bad.forward is None
     # the honest copy of the same (origin, seq) still goes through afterward
     good = mesh.handle_rx(receiver, ring, window, pkt, now=0.2)
@@ -251,3 +254,16 @@ def test_two_star_runs_share_no_parsed_plaintexts():
     first.run()
     assert first._parsed
     assert second._parsed == {} and second._parsed is not first._parsed
+
+
+def test_a_run_full_of_rejected_receptions_leaves_no_cyclic_garbage():
+    simulation = Simulation(scenario_from_dict(generated_scenarios()["contested13_replay"]))
+    gc.collect()
+    gc.disable()
+    try:
+        simulation.run()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert sum(simulation.security_events.values.values()) > 1000
+    assert unreachable == 0

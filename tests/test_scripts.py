@@ -97,3 +97,11 @@ def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys
     assert "digest moved: basic_pair" in out and "digest moved: gone" in out
     assert "no digest moved" not in out
     assert json.loads(regen.OUT.read_text()) == {"basic_pair": committed["basic_pair"]}
+
+
+def test_sample_profile_names_the_event_loop(capsys):
+    argv = ["--workload", "contested_churn", "--seed", "1", "--seconds", "0.2", "--top", "60"]
+    assert _script("sample_profile").main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("contested_churn seed 1: ")
+    assert "sim.py:run\n" in out

@@ -5,6 +5,8 @@ import signal
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlink import codec, crypto, mesh, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
@@ -122,6 +124,40 @@ def test_trace_lines_are_json_with_timestamps():
         assert "t" in ev and "event" in ev
         assert ev["t"] >= last_t
         last_t = ev["t"]
+
+
+trace_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.floats(-1e6, 1e6).map(lambda t: round(t, 9)),
+    st.sampled_from([1e-7, 1e16, -0.0, 0.1 + 0.2]),
+    st.text(),  # non-ASCII and control characters included
+)
+trace_values = st.recursive(
+    trace_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.dictionaries(st.text(max_size=10), trace_values, max_size=6), t=trace_scalars)
+def test_trace_lines_are_exactly_what_json_dumps_writes(fields, t):
+    entry = {"t": t, **fields}
+    expected = json.dumps(entry, sort_keys=True)
+    assert sim_module._encode_line(entry) == expected
+    assert sim_module._line_encoder(None)(entry) == expected  # json without its C accelerator
+
+
+def test_trace_method_writes_its_entry_through_the_prebuilt_encoder():
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    sim.now = 1 / 3
+    sim._trace("probe", node=7, detail="caf\u00e9\n", items=[1, None], nested={"b": 1.5, "a": True})
+    entry = {"t": round(1 / 3, 9), "event": "probe", "node": 7, "detail": "caf\u00e9\n",
+             "items": [1, None], "nested": {"b": 1.5, "a": True}}
+    assert sim.trace == [json.dumps(entry, sort_keys=True)]
 
 
 def test_conservation_identity_over_modes():
