@@ -7,11 +7,11 @@ Builds the workload's scenario as `bench/run.py` does and runs whole
 passes of it (scenario load, `Simulation`, `run()`, report and trace
 text) until `--seconds` of CPU time have gone. Meanwhile
 `signal.setitimer(ITIMER_PROF)` interrupts the process every
-`--interval-ms` of CPU time (1 ms by default), and each interrupt records
-the Python stack it lands in. For each function (`file:function`) it
-prints its inclusive share, the samples with the function anywhere on the
-stack, and its leaf share, the samples in which it was the one running
-(a lambda or comprehension is named with its first line);
+millisecond of CPU time, and each interrupt records the Python stack it
+lands in. For the 40 functions most often on the stack (`file:function`)
+it prints the inclusive share, the samples with the function anywhere on
+the stack, and the leaf share, the samples in which it was the one
+running (a lambda or comprehension is named with its first line);
 time in C code (AES-GCM, the JSON encoder) counts for the Python function
 that called it.
 
@@ -45,6 +45,10 @@ def _workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.WORKLOADS
+
+
+INTERVAL_S = 0.001  # CPU time between samples
+TOP = 40  # functions printed
 
 
 class Sampler:
@@ -98,22 +102,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(workloads), default="contested_churn")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0, help="CPU time to sample, at least one pass")
-    parser.add_argument("--interval-ms", type=float, default=1.0, help="CPU time between samples")
-    parser.add_argument("--top", type=int, default=40, help="functions to print")
     args = parser.parse_args(argv)
 
     data = workloads[args.workload](args.seed)
     passes = 0
-    with Sampler(args.interval_ms / 1000.0) as sampler:
+    with Sampler(INTERVAL_S) as sampler:
         start = time.process_time()
         while passes == 0 or time.process_time() - start < args.seconds:
             run_pass(data)
             passes += 1
     total = max(sampler.samples, 1)
     print(f"{args.workload} seed {args.seed}: {passes} passes, {sampler.samples} samples "
-          f"every {args.interval_ms:g} ms of CPU time")
+          f"every {INTERVAL_S * 1000:g} ms of CPU time")
     print(f"{'incl%':>7} {'leaf%':>7}  function")
-    for name, count in sampler.inclusive.most_common(args.top):
+    for name, count in sampler.inclusive.most_common(TOP):
         print(f"{100 * count / total:7.1f} {100 * sampler.leaf[name] / total:7.1f}  {name}")
     return 0
 

@@ -48,8 +48,8 @@ metrics and a trace. Determinism rules:
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values; each trace line is
-  exactly `json.dumps(entry, sort_keys=True)`, written by one encoder built
-  at import rather than one per line.
+  exactly `json.dumps(entry, sort_keys=True)`, written by one JSONEncoder
+  built at import rather than one per line.
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
 their hooks and never names one. Every receive handler returns what
@@ -67,7 +67,6 @@ from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
@@ -109,22 +108,10 @@ class _TxItem:
     message: object = None
 
 
-def _line_encoder(make_encoder=c_make_encoder) -> Callable[[dict], str]:
-    """One trace line's text: exactly `json.dumps(entry, sort_keys=True)`,
-    from an encoder built once instead of once per line. Without json's C
-    accelerator, one JSONEncoder built once does the same."""
-    if make_encoder is None:
-        return json.JSONEncoder(sort_keys=True).encode
-    # dumps' settings, except the circular-reference check: a trace entry
-    # is a fresh dict of scalars, lists and dicts, so it is never circular,
-    # and the check's table would be state every run in the process shares.
-    encode = make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
-    )
-    return lambda entry: "".join(encode(entry, 0))
-
-
-_encode_line = _line_encoder()
+# One trace line's text, exactly `json.dumps(entry, sort_keys=True)`, from
+# an encoder built once instead of once per line. No circular check: a
+# trace entry is a fresh dict of scalars, lists and dicts.
+_encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _every_link(_profile: links.LinkProfile) -> bool:

@@ -100,7 +100,7 @@ def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys
 
 
 def test_sample_profile_names_the_event_loop(capsys):
-    argv = ["--workload", "contested_churn", "--seed", "1", "--seconds", "0.2", "--top", "60"]
+    argv = ["--workload", "contested_churn", "--seed", "1", "--seconds", "0.2"]
     assert _script("sample_profile").main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("contested_churn seed 1: ")

@@ -148,7 +148,6 @@ def test_trace_lines_are_exactly_what_json_dumps_writes(fields, t):
     entry = {"t": t, **fields}
     expected = json.dumps(entry, sort_keys=True)
     assert sim_module._encode_line(entry) == expected
-    assert sim_module._line_encoder(None)(entry) == expected  # json without its C accelerator
 
 
 def test_trace_method_writes_its_entry_through_the_prebuilt_encoder():
