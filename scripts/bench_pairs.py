@@ -14,6 +14,8 @@ change's median is worse than the base's by more than that, `unresolved`
 when the base's own q3 - q1 is wider than that and not every change run
 beats every base run, `ok` otherwise. It also prints failed passes and
 whether every run of both trees printed the same report and trace digest.
+It exits 1 when, on any workload, the digests differ or the change failed
+more passes than the base, and 0 otherwise.
 
     git worktree add ../swarmlink-parent HEAD~1
     python3 scripts/bench_pairs.py --base ../swarmlink-parent --seed 7 --pairs 10 --seconds 20
@@ -94,6 +96,7 @@ def main(argv=None) -> int:
     print(f"seed={args.seed} pairs={args.pairs} seconds={args.seconds}")
     print(f"{'workload':<16} {'metric':<20} {'base median [q1-q3]':>32} "
           f"{'change median [q1-q3]':>32} {'win':>5} claim verdict")
+    status = 0
     for workload in workloads:
         runs = {"base": [], "change": []}
         for i in range(args.pairs):
@@ -113,7 +116,9 @@ def main(argv=None) -> int:
         attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
         print(f"{workload:<16} digests {'match' if len(digests) == 1 else 'DIFFER'}; failed passes "
               f"base {failed['base']}/{attempted['base']}, change {failed['change']}/{attempted['change']}")
-    return 0
+        if len(digests) != 1 or failed["change"] > failed["base"]:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

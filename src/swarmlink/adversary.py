@@ -59,7 +59,9 @@ class Eavesdrop(Tap):
     they pass: every packet when encryption is off, else those of leaked epochs.
 
     Ground truth, the frame each readable packet was sealed from, lives
-    here alone, so a run without an eavesdropper keeps none.
+    here alone, so a run without an eavesdropper keeps none. A leaked
+    ciphertext is opened through the memo on its box (see codec.py), so
+    the tap and the honest receivers of its copies verify it once.
     """
 
     name = "eavesdrop"
@@ -70,10 +72,6 @@ class Eavesdrop(Tap):
         # epoch -> the key built once from its leaked bytes
         self.leaked: Dict[int, crypto.SymmetricKey] = {}
         self.truth: Dict[Tuple[int, int, int], codec.Frame] = {}
-        # Every input of one verification under a leaked key (the epoch fixes
-        # the key) -> whether it opened to ground truth; at most
-        # codec.OPENED_FRAMES_CAPACITY entries, oldest out first.
-        self.opened: Dict[tuple, bool] = {}
         self.observed: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
 
@@ -93,34 +91,18 @@ class Eavesdrop(Tap):
         ekey = str(packet.epoch)
         self.observed[ekey] = self.observed.get(ekey, 0) + 1
         if self.plaintext:
-            recovered = self._is_truth(packet, packet.ciphertext)  # rides in the clear
+            plaintext = packet.ciphertext  # rides in the clear
         elif packet.epoch in self.leaked:
-            # Every forward of a flood carries the same ciphertext: open it once.
-            entry = (
-                packet.epoch, packet.version, packet.origin, packet.seq, packet.counter,
-                packet.ciphertext, packet.tag,
-            )
-            recovered = self.opened.get(entry)
-            if recovered is None:
-                recovered = self._opens_to_truth(packet)
-                codec._remember(self.opened, entry, recovered)
+            try:
+                plaintext = codec._open_frame(self.leaked[packet.epoch], packet).to_bytes()
+            except SwarmLinkError:
+                return data
         else:
             return data
-        if recovered:
+        truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
+        if truth is not None and plaintext == truth.to_bytes():
             self.recovered[ekey] = self.recovered.get(ekey, 0) + 1
         return data
-
-    def _opens_to_truth(self, packet: codec.WirePacket) -> bool:
-        nonce, aad = packet._nonce_aad()
-        try:
-            plaintext = crypto.aead_open(self.leaked[packet.epoch], nonce, packet._aead_box(), aad)
-        except SwarmLinkError:
-            return False
-        return self._is_truth(packet, plaintext)
-
-    def _is_truth(self, packet: codec.WirePacket, plaintext: bytes) -> bool:
-        truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
-        return truth is not None and plaintext == truth.to_bytes()
 
     def report(self) -> Dict[str, object]:
         return {
@@ -214,7 +196,7 @@ class ReplayInjector(Tap):
 
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind == "data" and result.delivered:
-            self.recorded.append((item.data, tuple(rid for rid, _ in result.delivered)))
+            self.recorded.append((item.data, result.delivered))
         return data
 
     def inject(self) -> None:

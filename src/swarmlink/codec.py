@@ -17,29 +17,24 @@ Wire layout, all big-endian:
 The nonce never repeats under one key: origin disambiguates sealers and the
 per-epoch counter is strictly increasing per origin.
 
-Every receiver of a flood opens the same ciphertext under the same epoch
-key, so `open_packet` can take a run's table of opened frames. It keys on
-every input of AES-GCM verification (key bytes, nonce, aad, ciphertext,
-tag), so a hit returns exactly what verification and parsing would; only
-frames that verified and parsed are stored, never a failure. The replay
-window is still checked and advanced per receiver.
-
 A packet keeps what its seal needs, once known, under private names that
-equality, hash and repr ignore: its nonce and AAD (from `seal_with_key`,
-or derived once from its header), the AeadBox it was sealed into, and its
-encoding (built once by `to_bytes`, or the bytes `from_bytes` parsed,
-since the parse is strict). `forwarded()` checks only the hop_limit it
-changes and shares the rest with its parent: the checked fields, the
-nonce, AAD and box, none of which binds hop_limit. Only its encoding
-differs, the parent's with the hop byte replaced. `dataclasses.replace`
-builds a new packet through every check and keeps none of that state.
+equality, hash and repr ignore: its nonce and AAD, the AeadBox and Frame
+it was sealed into and from, and its encoding (built once by `to_bytes`,
+or the bytes `from_bytes` parsed, since the parse is strict). `forwarded()`
+checks only the hop_limit it changes and shares the rest, none of which
+binds hop_limit; only its encoding differs, by the hop byte.
+`dataclasses.replace` builds a new packet that keeps no state. So only
+packets with the same nonce and AAD ever share a box.
 
-Star-mode session keys differ per receiver, so every copy the ground
-station re-seals is a different ciphertext and each receiver verifies its
-own under its own key. The plaintext is the same for all of them, so
-`open_with_key` can take a run's table of parsed plaintexts, keyed on the
-verified plaintext bytes: a hit skips only the parse, never the tag check
-or the replay window, and a plaintext that fails to parse is never stored.
+Every receiver of a flood opens the same ciphertext, so the box its
+honest copies share keeps the key bytes it last verified under and the
+frame that came out, written only once an open verified and decoded. An
+open under those key bytes returns that frame; under others it verifies
+anew. A verified packet whose plaintext encodes the frame it was sealed
+from returns that frame unparsed, so the copies a star's ground station
+re-seals from one frame each verify under their receiver's own key, but
+none is parsed. Either way each receiver checks and advances its own
+replay window.
 """
 
 from __future__ import annotations
@@ -68,9 +63,6 @@ MAX_SEQ = 2**32 - 1
 REPLAY_WINDOW = 64
 
 PLAIN_TAG = b"\x00" * crypto.TAG_LEN
-# Bound on each of a run's tables of opened broadcast frames and of parsed
-# star plaintexts, evicted oldest first.
-OPENED_FRAMES_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -186,8 +178,9 @@ class WirePacket:
     """Sealed frame plus the cleartext header relays need for forwarding.
 
     A packet keeps what its seal needs once it is known: its nonce and
-    AAD, the AeadBox it was sealed into, and its encoding (see the module
-    docstring). Equality, hash and repr ignore them."""
+    AAD, the AeadBox and Frame it was sealed into and from, and its
+    encoding (see the module docstring). Equality, hash and repr ignore
+    them."""
 
     epoch: int
     origin: int
@@ -198,9 +191,10 @@ class WirePacket:
     tag: bytes
     version: int = wire.PACKET_VERSION
 
-    # Kept state, not fields: (nonce, aad), the AeadBox, the encoding.
+    # Kept state, not fields: (nonce, aad), the AeadBox, the Frame, the encoding.
     _kept_nonce_aad = None
     _kept_box = None
+    _kept_frame = None
     _encoded = None
 
     def __init__(
@@ -412,75 +406,49 @@ def seal_with_key(
     kept = packet.__dict__
     kept["_kept_nonce_aad"] = (nonce, aad)
     kept["_kept_box"] = box
+    kept["_kept_frame"] = frame
     return packet
 
 
-def open_packet(
-    keyring: KeyRing,
-    window: ReplayWindow,
-    packet: WirePacket,
-    now: float,
-    opened: Optional[Dict[tuple, Frame]] = None,
-) -> Frame:
+def open_packet(keyring: KeyRing, window: ReplayWindow, packet: WirePacket, now: float) -> Frame:
     """Authenticate and decode a broadcast-keyed packet.
 
     Raises UnknownEpoch when no usable key exists for the packet's epoch,
     ReplayError for counters already seen or fallen behind the window, and
     AuthError when the seal does not verify. The window advances only after
-    authentication succeeds. `opened` is the caller's table of frames that
-    already verified (see the module docstring); it holds at most
-    OPENED_FRAMES_CAPACITY entries.
+    authentication succeeds.
     """
-    return _open(keyring.key_for_epoch(packet.epoch, now), window, packet, opened)
+    return _open(keyring.key_for_epoch(packet.epoch, now), window, packet)
 
 
-def open_with_key(
-    key: crypto.SymmetricKey,
-    window: ReplayWindow,
-    packet: WirePacket,
-    parsed: Optional[Dict[bytes, Frame]] = None,
-) -> Frame:
-    """Authenticate and decode under an explicit key, same replay discipline.
-
-    `parsed` is the caller's table of parsed plaintexts (see the module
-    docstring): every copy still verifies under its own key, but the
-    plaintext the copies share is parsed once. It holds at most
-    OPENED_FRAMES_CAPACITY entries."""
-    return _open(key, window, packet, None, parsed)
+def open_with_key(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) -> Frame:
+    """Authenticate and decode under an explicit key, same replay discipline."""
+    return _open(key, window, packet)
 
 
-def _open(
-    key: crypto.SymmetricKey,
-    window: ReplayWindow,
-    packet: WirePacket,
-    opened: Optional[Dict[tuple, Frame]],
-    parsed: Optional[Dict[bytes, Frame]] = None,
-) -> Frame:
+def _open(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) -> Frame:
     window.check(packet.origin, packet.epoch, packet.counter)
-    nonce, aad = packet._nonce_aad()
-    frame = None
-    if opened is not None:
-        entry = (key.bytes_, nonce, aad, packet.ciphertext, packet.tag)
-        frame = opened.get(entry)
-    if frame is None:
-        plaintext = crypto.aead_open(key, nonce, packet._aead_box(), aad)
-        if parsed is not None:
-            frame = parsed.get(plaintext)
-        if frame is None:
-            frame = Frame.from_bytes(plaintext)
-            if parsed is not None:  # stored only once it parsed
-                _remember(parsed, plaintext, frame)
-        if opened is not None:  # stored only once it verified and parsed
-            _remember(opened, entry, frame)
+    frame = _open_frame(key, packet)
     window.accept(packet.origin, packet.epoch, packet.counter)
     return frame
 
 
-def _remember(table: Dict, key, value) -> None:
-    """Store a value in a bounded table, evicting the oldest entry first."""
-    if len(table) >= OPENED_FRAMES_CAPACITY:
-        del table[next(iter(table))]
-    table[key] = value
+def _open_frame(key: crypto.SymmetricKey, packet: WirePacket) -> Frame:
+    """The frame a packet's seal verifies to under `key`, without a replay
+    window: the box's memo when it verified under these key bytes before,
+    else one AES-GCM open, memoised only once it verified and decoded (see
+    the module docstring). Raises AuthError or ValidationError."""
+    box = packet._aead_box()
+    memo = box._verified
+    if memo is not None and memo[0] == key.bytes_:
+        return memo[1]
+    nonce, aad = packet._nonce_aad()
+    plaintext = crypto.aead_open(key, nonce, box, aad)
+    frame = packet._kept_frame
+    if frame is None or frame.to_bytes() != plaintext:
+        frame = Frame.from_bytes(plaintext)
+    box.__dict__["_verified"] = (key.bytes_, frame)
+    return frame
 
 
 def seal_packet_plain(

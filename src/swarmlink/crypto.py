@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .errors import AuthError, EmptyContext, InvalidPoint
+from .errors import AuthError, EmptyContext, InvalidPoint, ValidationError
 
 SEED_LEN = 32
 KEY_LEN = 32
@@ -92,17 +92,20 @@ class AeadBox:
     """AES-GCM output: ciphertext plus the 16-byte tag appended after it.
 
     It keeps that joined blob once known, as AES-GCM returned it or as the
-    first to_bytes built it, so a box is joined at most once; equality,
-    hash and repr ignore it."""
+    first to_bytes built it, so a box is joined at most once, and the key
+    bytes an open last verified it under with what came out (see codec.py).
+    Equality, hash and repr ignore both."""
 
     ciphertext: bytes
     tag: bytes
 
-    _blob = None  # kept state, not a field
+    # Kept state, not fields: the joined blob, and (key bytes, verified value).
+    _blob = None
+    _verified = None
 
     def __post_init__(self):
         if len(self.tag) != TAG_LEN:
-            raise ValueError(f"tag must be {TAG_LEN} bytes")
+            raise ValidationError("box", f"tag must be {TAG_LEN} bytes")
 
     @classmethod
     def _of_sealed(cls, sealed: bytes) -> "AeadBox":
@@ -120,7 +123,7 @@ class AeadBox:
     @classmethod
     def from_bytes(cls, data: bytes) -> "AeadBox":
         if len(data) < TAG_LEN:
-            raise ValueError("AEAD box shorter than its tag")
+            raise ValidationError("box", f"{len(data)} bytes cannot hold the {TAG_LEN}-byte tag")
         return cls._of_sealed(bytes(data))
 
 

@@ -184,27 +184,30 @@ class Deferred:
 
 
 class TransmitResult(NamedTuple):
-    """One transmission's fate per receiver."""
+    """One transmission's fate per receiver id; every delivered receiver
+    hears it at `arrival`."""
 
     airtime_s: float
-    delivered: Tuple[Tuple[int, float], ...]  # (receiver id, arrival time)
+    delivered: Tuple[int, ...]
     lost: Tuple[int, ...]
+    arrival: float
 
 
 def transmit(
     profile: LinkProfile,
     nbytes: int,
     now: float,
-    receivers: Sequence[Tuple[int, float]],  # (receiver id, distance in meters)
+    receivers: Sequence[int],
     rng,
     meter: Optional[DutyCycleMeter] = None,
 ):
-    """Send nbytes to every receiver, or defer on duty-cycle breach.
+    """Send nbytes to every receiver id, or defer on duty-cycle breach.
 
     Returns a TransmitResult, or a Deferred when the link's duty budget
     cannot absorb the burst yet (in which case nothing is sent or charged).
-    Callers pass only receivers in range of the link, sorted for
-    determinism; each suffers an independent loss roll in that order.
+    Callers pass the ids of the receivers in range, in a fixed order; each
+    suffers an independent loss roll in that order. Every delivered
+    receiver hears the burst at base latency plus airtime after `now`.
     """
     if nbytes > profile.mtu_bytes:
         raise MtuExceeded(f"{nbytes} bytes exceeds {profile.name} MTU {profile.mtu_bytes}")
@@ -213,15 +216,11 @@ def transmit(
         if not meter.allows(now, airtime):
             return Deferred(until=meter.earliest_allowed(now, airtime))
         meter.record(now, airtime)
-    delivered: List[Tuple[int, float]] = []
+    delivered: List[int] = []
     lost: List[int] = []
-    arrival = now + profile.base_latency_s + airtime
-    for receiver_id, _dist in receivers:
-        if rng.random() < profile.loss_prob:
-            lost.append(receiver_id)
-        else:
-            delivered.append((receiver_id, arrival))
-    return TransmitResult(airtime, tuple(delivered), tuple(lost))
+    for receiver_id in receivers:
+        (lost if rng.random() < profile.loss_prob else delivered).append(receiver_id)
+    return TransmitResult(airtime, tuple(delivered), tuple(lost), now + profile.base_latency_s + airtime)
 
 
 @dataclass

@@ -9,14 +9,11 @@ its own origin, even a replay whose cache entry is gone. Relays never need
 the payload key: the header they touch rides outside the ciphertext.
 
 Most copies of a flood are duplicates, so a caller holding one packet's
-batch of receivers can drop, with one lookup each, those `handle_rx`
-would answer with its duplicate result (`_fresh_receivers`). Every
-receiver of one flood opens the same ciphertext, so `handle_rx` takes the
-run's table of opened frames and hands it to `codec.open_packet`. The
-table keys on the key bytes, nonce, aad, ciphertext and tag, i.e. every
-input of AES-GCM verification, and stores only frames that verified and
-parsed, never a failure; each receiver still checks and advances its own
-replay window.
+receiver ids can drop, with one lookup each, those `handle_rx` would
+answer with its duplicate result (`_fresh_receivers`). Every honest copy
+of one flood shares one AeadBox, which keeps the frame it verified to
+(see codec.py): later receivers skip AES-GCM, but each still runs its
+own replay window.
 
 Star mode centralizes: UAVs unicast to the ground station under their
 pairwise session keys (epoch 0 on the wire) and the ground station
@@ -117,22 +114,15 @@ _DUPLICATE = RxResult(duplicate=True)  # immutable, so every dedup hit shares it
 
 
 def handle_rx(
-    state: MeshState,
-    keyring,
-    window: codec.ReplayWindow,
-    packet: codec.WirePacket,
-    now: float,
+    state: MeshState, keyring, window: codec.ReplayWindow, packet: codec.WirePacket, now: float,
     plaintext_mode: bool = False,
-    opened: Optional[Dict[tuple, codec.Frame]] = None,
 ) -> RxResult:
     """Flooding receive path: dedup, authenticate, deliver once, forward.
 
     Packets that fail authentication or replay checks are surfaced as the
     result's error and neither delivered nor forwarded; they also do not
     enter the dedup cache, so a later honest copy of the same (origin, seq)
-    still gets through. The error comes without its traceback. `opened`
-    is the run's table of opened broadcast frames (see the module
-    docstring).
+    still gets through. The error comes without its traceback.
     """
     if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
         return _DUPLICATE
@@ -140,7 +130,7 @@ def handle_rx(
         if plaintext_mode:
             frame = codec.open_packet_plain(window, packet)
         else:
-            frame = codec.open_packet(keyring, window, packet, now, opened)
+            frame = codec.open_packet(keyring, window, packet, now)
     except SwarmLinkError as exc:
         # The result outlives this frame: with its traceback, the error would
         # hold this frame and, through f_back, the caller's, which holds the
@@ -152,20 +142,15 @@ def handle_rx(
 
 
 def _fresh_receivers(
-    receivers: Sequence[Tuple[int, float]],
-    caches: Dict[int, DedupCache],
-    packet: codec.WirePacket,
-) -> List[Tuple[int, float]]:
-    """The (node id, arrival) pairs of one packet's live receivers that
-    handle_rx would not answer with its duplicate result: every node that is
-    not the packet's origin and does not hold its (origin, seq). One dict
-    lookup per receiver."""
+    receivers: Sequence[int], caches: Dict[int, DedupCache], packet: codec.WirePacket
+) -> List[int]:
+    """The ids of one packet's live receivers that handle_rx would not
+    answer with its duplicate result: every node that is not the packet's
+    origin and does not hold its (origin, seq). One dict lookup per
+    receiver."""
     origin = packet.origin
     key = origin << 32 | packet.seq
-    return [
-        entry for entry in receivers
-        if entry[0] != origin and key not in caches[entry[0]]._keys
-    ]
+    return [rid for rid in receivers if rid != origin and key not in caches[rid]._keys]
 
 
 def star_uplink(

@@ -60,7 +60,10 @@ class DeliveryAudit:
             return
         self.reach[uid] = reach | bit
         source, t_tx = self.originated[uid]
-        self.pair_latencies.setdefault((source, node), array("d")).append(t - t_tx)
+        latencies = self.pair_latencies.get((source, node))
+        if latencies is None:
+            latencies = self.pair_latencies[(source, node)] = array("d")
+        latencies.append(t - t_tx)
 
     def pair_stats(self, node_ids: Tuple[int, ...]) -> Dict[str, Dict[str, float]]:
         """Sent/delivered counts and ratio from each sender in `node_ids` to each other one."""

@@ -21,13 +21,13 @@ metrics and a trace. Determinism rules:
 - one event per pending step: a chain (a sender's traffic, a tap's
   injections, key rotation, rekey resends) queues its next step before
   the current step's own work, so the heap does not grow with run length;
-- the receivers of one transmission share its arrival time and are
-  delivered by one event, in node_order: the order in which separate
-  per-receiver events with consecutive sequence numbers would pop. Bytes
-  a tap injects follow the same rule, one event for all their receivers;
+- the receivers of one transmission share its arrival time, so they
+  travel as node ids in one event, in node_order: the order in which
+  separate per-receiver events with consecutive sequence numbers would
+  pop. Bytes a tap injects follow the same rule;
 - within one such event no receiver's outcome depends on another's: it
   depends only on the receiver's own dedup cache, replay window and
-  keyring (the table of opened frames changes cost, never outcome),
+  keyring (the memo on a packet's box changes cost, never outcome),
   forwards are queued as new events, and a node goes down only in its
   own timer event. So every event takes one receive path, whether its
   bytes are honest, changed by a tap or made by one: down receivers are
@@ -36,15 +36,14 @@ metrics and a trace. Determinism rules:
   and in mesh mode every live receiver that is the packet's origin or
   already holds its (origin, seq) is counted as a duplicate in one step.
   The handler runs only for the receivers left, in order;
-- the flood's frames are opened once per ciphertext, through a table the
-  run owns (see codec.py), so two runs share no opened frame; a star
-  relay's copies each verify under their receiver's own key, but their
-  shared plaintext is parsed once, through a second run-owned table;
-- what a send reaches (which links cover it, and a unicast's receiver
-  with its distance) is cached per (sender, destination) pair. That is
-  exact: positions are static, range_m is not a mutable link field, and
-  _down only grows, so a node going down is the one change, and it
-  clears the cache;
+- a flood's ciphertext is verified once per key, through the memo on the
+  AeadBox its copies share, and a star copy returns the frame it was
+  sealed from (see codec.py). That state lives on the packets, so two
+  runs share none of it;
+- what a send reaches (which links cover it, and a unicast's receiver) is
+  cached per (sender, destination) pair. That is exact: positions are
+  static, range_m is not a mutable link field, and _down only grows, so a
+  node going down is the one change, and it clears the cache;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values; each trace line is
@@ -93,9 +92,9 @@ _DROP_COUNTERS = {
 }
 # (destination, packet) pairs to queue; destination None broadcasts.
 _Sends = Sequence[Tuple[Optional[int], codec.WirePacket]]
-# Which links cover a send, and the (receiver, distance) pair a covering
-# link delivers a unicast to: none for a broadcast or a down destination.
-_Reach = Tuple[Callable[[links.LinkProfile], bool], Tuple[Tuple[int, float], ...]]
+# Which links cover a send, and the receiver a covering link delivers a
+# unicast to: none for a broadcast or a down destination.
+_Reach = Tuple[Callable[[links.LinkProfile], bool], Tuple[int, ...]]
 
 
 @dataclass
@@ -215,19 +214,15 @@ class Simulation:
         self.gcs = self.nodes[sc.gcs().id]
         if sc.mode == "mesh" and sc.security.encryption:
             self.gcs.source = rekey.BroadcastKeySource(sc.protocol.key_lifetime_s)
-        # (node, link) -> [(peer, distance)] in range, in node_order, down or
-        # not. Exact for the whole run: positions are static and range_m is
-        # not a mutable link field. Built on first use, so set-up time does
-        # not grow with N^2.
-        self._neighbour_index: Dict[Tuple[int, str], List[Tuple[int, float]]] = {}
+        # (node, link) -> the peers in range, in node_order, down or not.
+        # Exact for the whole run: positions are static and range_m is not
+        # a mutable link field. Built on first use, so set-up time does not
+        # grow with N^2.
+        self._neighbour_index: Dict[Tuple[int, str], List[int]] = {}
         self._down: Set[int] = set()
         # (sender, destination or None for a broadcast) -> what a send reaches
         # (see _reach). Exact until _down grows, which clears it.
         self._reach_cache: Dict[Tuple[int, Optional[int]], _Reach] = {}
-        # Frames of the broadcast-keyed flood already opened, for codec.open_packet.
-        self._opened: Dict[tuple, codec.Frame] = {}
-        # Star plaintexts already parsed, for codec.open_with_key.
-        self._parsed: Dict[bytes, codec.Frame] = {}
         # First wire byte -> (message class, handler). The parser is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
         rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
@@ -309,25 +304,23 @@ class Simulation:
         self.profiles[ev.link] = dc_replace(self.profiles[ev.link], **ev.set)
         self._trace("link_event", link=ev.link, set=dict(sorted(ev.set.items())))
 
-    def _neighbours(self, node_id: int, link: str) -> List[Tuple[int, float]]:
+    def _neighbours(self, node_id: int, link: str) -> List[int]:
         key = (node_id, link)
         found = self._neighbour_index.get(key)
         if found is None:
             covers = self.profiles[link].covers
             here = self.nodes[node_id].position
-            found = []
-            for other in self.node_order:
-                if other != node_id:
-                    dist = links.distance(here, self.nodes[other].position)
-                    if covers(dist):
-                        found.append((other, dist))
+            found = [
+                other for other in self.node_order
+                if other != node_id and covers(links.distance(here, self.nodes[other].position))
+            ]
             self._neighbour_index[key] = found
         return found
 
-    def _live_neighbours(self, node_id: int, link: str) -> List[Tuple[int, float]]:
+    def _live_neighbours(self, node_id: int, link: str) -> List[int]:
         found = self._neighbours(node_id, link)
         down = self._down
-        return [n for n in found if n[0] not in down] if down else found
+        return [n for n in found if n not in down] if down else found
 
     def _broadcast_coverage(self, node: _Node) -> Callable[[links.LinkProfile], bool]:
         """A link covers a broadcast iff it has a live neighbour; with no
@@ -339,7 +332,7 @@ class Simulation:
         down = self._down
         covering = frozenset(
             name for name, p in self.profiles.items()
-            if p.range_m is None or any(n[0] not in down for n in self._neighbours(node.id, name))
+            if p.range_m is None or any(n not in down for n in self._neighbours(node.id, name))
         )
         return lambda p: p.name in covering
 
@@ -357,7 +350,7 @@ class Simulation:
             else:
                 dist = links.distance(node.position, self.nodes[dest].position)
                 covering = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
-                found = (lambda p: p.name in covering, ((dest, dist),))
+                found = (lambda p: p.name in covering, (dest,))
             self._reach_cache[key] = found
         return found
 
@@ -648,7 +641,7 @@ class Simulation:
             counts["rx_events"] = counts.get("rx_events", 0) + len(delivered)
             message = item.message if data is item.data else None
             deliver = partial(self._deliver, "rx_processed", delivered, data, message)
-            self._schedule(delivered[0][1], "rx", deliver)
+            self._schedule(result.arrival, "rx", deliver)
         if result.lost:
             counts["rx_lost"] = counts.get("rx_lost", 0) + len(result.lost)
         self._reserve_tx_done(node, self.now + result.airtime_s)
@@ -669,18 +662,18 @@ class Simulation:
     # ---- receive dispatch ----------------------------------------------------
 
     def _deliver(
-        self, counter: str, receivers: Sequence[Tuple[int, float]], data: bytes,
+        self, counter: str, receivers: Sequence[int], data: bytes,
         message, outcomes: Optional[Counters] = None,
     ) -> None:
-        """The one receive path: hand one event's bytes to their (receiver,
-        arrival) pairs. Down receivers are set aside, bytes that come without
-        their message are parsed once (the first byte picks the message class
-        and its handler), in mesh mode duplicate receivers are dropped in one
-        step, and the handler runs for each receiver left, in order. Tallies
-        each outcome in `outcomes` if given."""
+        """The one receive path: hand one event's bytes to its receiver ids.
+        Down receivers are set aside, bytes that come without their message
+        are parsed once (the first byte picks the message class and its
+        handler), in mesh mode duplicate receivers are dropped in one step,
+        and the handler runs for each receiver left, in order. Tallies each
+        outcome in `outcomes` if given."""
         self.counters.bump(counter, len(receivers))
         if self._down:
-            live = [entry for entry in receivers if entry[0] not in self._down]
+            live = [rid for rid in receivers if rid not in self._down]
             if len(live) < len(receivers):
                 self.counters.bump("rx_ignored_down", len(receivers) - len(live))
                 receivers = live
@@ -704,7 +697,7 @@ class Simulation:
                     outcomes.bump("rejected_dedup", duplicates)
             receivers = fresh
         handler = entry[1]
-        for receiver_id, _arrival in receivers:
+        for receiver_id in receivers:
             outcome = handler(self.nodes[receiver_id], message)
             if outcomes is not None and outcome is not None:
                 outcomes.bump(outcome)
@@ -712,14 +705,13 @@ class Simulation:
     def inject(self, receiver_ids: Sequence[int], data: bytes, outcomes: Counters) -> None:
         """Hand a tap's bytes to its receivers now, in one event, tallying each outcome."""
         self.counters.bump("adv_rx_events", len(receiver_ids))
-        receivers = [(receiver_id, self.now) for receiver_id in receiver_ids]
-        deliver = partial(self._deliver, "adv_rx_processed", receivers, data, None, outcomes)
+        deliver = partial(self._deliver, "adv_rx_processed", receiver_ids, data, None, outcomes)
         self._schedule(self.now, "advrx", deliver)
 
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
         result = mesh.handle_rx(
             node.mesh, node.keyring, node.window, packet, self.now,
-            plaintext_mode=not self.sc.security.encryption, opened=self._opened,
+            plaintext_mode=not self.sc.security.encryption,
         )
         if result.error is not None:
             return self._security_event(node, result.error)
@@ -741,7 +733,7 @@ class Simulation:
                 raise NoSession(f"node {node.id} has no session")
             else:
                 key = node.session_key
-            frame = codec.open_with_key(key, node.window, packet, self._parsed)
+            frame = codec.open_with_key(key, node.window, packet)
         except SwarmLinkError as exc:
             return self._security_event(node, exc)
         self._deliver_frame(node, frame)

@@ -326,58 +326,73 @@ def test_plaintext_mode_roundtrip():
     assert out == frame
 
 
-# ---- table of opened frames ---------------------------------------------------
+# ---- memo on the shared box ----------------------------------------------------
 
 
-def test_failed_open_is_never_stored_and_a_stored_frame_needs_its_key():
+def count_opens(monkeypatch):
+    """Record the key bytes of every AES-GCM open from here on."""
+    opens = []
+    real = crypto.aead_open
+    monkeypatch.setattr(crypto, "aead_open", lambda key, *a: opens.append(key.bytes_) or real(key, *a))
+    return opens
+
+
+def count_parses(monkeypatch):
+    """Record every plaintext Frame.from_bytes parses from here on."""
+    parses = []
+    real = codec.Frame.from_bytes
+    monkeypatch.setattr(codec.Frame, "from_bytes", lambda data: parses.append(data) or real(data))
+    return parses
+
+
+def test_failed_open_is_never_stored_and_a_stored_frame_needs_its_key(monkeypatch):
     right, wrong = ring(byte=0x20), ring(byte=0x21)  # same epoch, other key bytes
     frame = codec.Frame(messages=(msg(1, b"kept out"),))
     pkt = codec.seal_packet(right, 2, 0, 3, frame, codec.PacketCounters())
-    opened = {}
+    box = pkt._aead_box()
+    opens = count_opens(monkeypatch)
     for _ in range(2):
         with pytest.raises(AuthError):
-            codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0, opened=opened)
-        assert opened == {}
-    assert codec.open_packet(right, codec.ReplayWindow(), pkt, now=1.0, opened=opened) == frame
-    assert len(opened) == 1
-    with pytest.raises(AuthError):  # the stored frame is keyed on the key bytes too
-        codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0, opened=opened)
+            codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0)
+        assert box._verified is None
+    assert codec.open_packet(right, codec.ReplayWindow(), pkt, now=1.0) is frame
+    assert box._verified == (right.current.key.bytes_, frame)
+    assert codec.open_packet(right, codec.ReplayWindow(), pkt.forwarded(), now=1.0) is frame
+    assert len(opens) == 3  # two failures, one success; the forward hit the memo
+    with pytest.raises(AuthError):  # the memo is keyed on the key bytes too
+        codec.open_packet(wrong, codec.ReplayWindow(), pkt.forwarded(), now=1.0)
+    assert box._verified == (right.current.key.bytes_, frame) and len(opens) == 4
 
 
-def test_stored_frame_still_runs_each_receivers_replay_window():
+def test_stored_frame_still_runs_each_receivers_replay_window(monkeypatch):
     r = ring()
     frame = codec.Frame(messages=(msg(1, b"once per window"),))
     pkt = codec.seal_packet(r, 2, 0, 3, frame, codec.PacketCounters())
-    opened = {}
+    opens = count_opens(monkeypatch)
     window = codec.ReplayWindow()
-    assert codec.open_packet(r, window, pkt, now=1.0, opened=opened) == frame
+    assert codec.open_packet(r, window, pkt, now=1.0) == frame
     with pytest.raises(ReplayError):
-        codec.open_packet(r, window, pkt.forwarded(), now=1.0, opened=opened)
-    # A forwarded copy differs only in the unauthenticated hop limit: same entry.
+        codec.open_packet(r, window, pkt.forwarded(), now=1.0)
+    # A forwarded copy differs only in the unauthenticated hop limit: same box.
     other = codec.ReplayWindow()
-    assert codec.open_packet(r, other, pkt.forwarded(), now=1.0, opened=opened) == frame
-    assert len(opened) == 1
+    assert codec.open_packet(r, other, pkt.forwarded(), now=1.0) == frame
+    assert len(opens) == 1
     with pytest.raises(ReplayError):  # the hit advanced this receiver's window too
-        codec.open_packet(r, other, pkt, now=1.0, opened=opened)
+        codec.open_packet(r, other, pkt, now=1.0)
 
 
-def test_opened_table_stays_within_its_bound_oldest_first():
-    r = ring()
-    counters = codec.PacketCounters()
-    packets = [
-        codec.seal_packet(r, 2, seq, 3, codec.Frame(messages=(msg(1, seq.to_bytes(2, "big")),)), counters)
-        for seq in range(codec.OPENED_FRAMES_CAPACITY + 3)
-    ]
-    opened = {}
-    for pkt in packets:
-        codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0, opened=opened)
-        assert len(opened) <= codec.OPENED_FRAMES_CAPACITY
-    assert len(opened) == codec.OPENED_FRAMES_CAPACITY
-    kept = {entry[1] for entry in opened}  # nonces
-    assert {p.nonce() for p in packets[3:]} == kept
-
-
-# ---- table of parsed star plaintexts ------------------------------------------
+def test_a_box_keeps_one_memo_the_last_open_that_verified():
+    # Two keys that both verify one box cannot be built, so the second
+    # entry is planted: an open under other key bytes verifies anew and
+    # replaces the memo rather than adding to it.
+    r = ring(byte=0x20)
+    frame = codec.Frame(messages=(msg(1, b"one slot"),))
+    pkt = codec.seal_packet(r, 2, 0, 3, frame, codec.PacketCounters())
+    box = pkt._aead_box()
+    box.__dict__["_verified"] = (b"\x21" * 32, codec.Frame(messages=()))
+    assert codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0) is frame
+    assert box._verified == (r.current.key.bytes_, frame)
+    assert [k for k in vars(box) if k not in ("ciphertext", "tag")] == ["_blob", "_verified"]
 
 
 def star_copies(frame, *key_bytes):
@@ -388,35 +403,52 @@ def star_copies(frame, *key_bytes):
     return keys, [codec.seal_with_key(k, 0, 1, 0, 0, frame, counters) for k in keys]
 
 
-def test_parsed_table_parses_a_shared_plaintext_once(monkeypatch):
+def test_a_star_plaintext_shared_by_several_copies_is_parsed_at_most_once(monkeypatch):
     frame = codec.Frame(messages=(msg(1, b"fan-out"),))
     keys, copies = star_copies(frame, 3, 4, 5)
-    parses = []
-    parse = codec.Frame.from_bytes
-    monkeypatch.setattr(codec.Frame, "from_bytes", lambda data: parses.append(data) or parse(data))
-    parsed = {}
-    for key, pkt in zip(keys, copies):
-        assert codec.open_with_key(key, codec.ReplayWindow(), pkt, parsed) == frame
-    assert parses == [frame.to_bytes()] and list(parsed) == parses
+    parses = count_parses(monkeypatch)
+    for key, pkt in zip(keys, copies):  # each copy returns the frame it was sealed from
+        assert codec.open_with_key(key, codec.ReplayWindow(), pkt) is frame
+    assert parses == []
+    # A copy rebuilt from its bytes keeps no frame: parsed once, then every
+    # receiver of that one parsed packet takes the memo on its box.
+    rebuilt = codec.WirePacket.from_bytes(copies[0].to_bytes())
+    for _ in range(3):
+        assert codec.open_with_key(keys[0], codec.ReplayWindow(), rebuilt) == frame
+    assert parses == [frame.to_bytes()]
 
 
-def test_parsed_table_hit_still_needs_the_receivers_own_key_and_window():
+def test_a_kept_frame_still_needs_the_receivers_own_key_and_window():
     frame = codec.Frame(messages=(msg(1, b"for uavs 3 and 4"),))
     (k3, k4), (to_3, to_4) = star_copies(frame, 3, 4)
-    parsed = {}
-    assert codec.open_with_key(k3, codec.ReplayWindow(), to_3, parsed) == frame
-    assert list(parsed) == [frame.to_bytes()]
-    # The plaintext is in the table, yet a UAV holding the wrong key still
-    # fails the tag check: UAV 4 on UAV 3's copy, UAV 3 on UAV 4's.
+    assert codec.open_with_key(k3, codec.ReplayWindow(), to_3) is frame
+    # Both copies keep the frame, and UAV 3's box has verified, yet a UAV
+    # holding the wrong key still fails the tag check: UAV 4 on UAV 3's
+    # copy, UAV 3 on UAV 4's.
     with pytest.raises(AuthError):
-        codec.open_with_key(k4, codec.ReplayWindow(), to_3, parsed)
+        codec.open_with_key(k4, codec.ReplayWindow(), to_3)
     with pytest.raises(AuthError):
-        codec.open_with_key(k3, codec.ReplayWindow(), to_4, parsed)
+        codec.open_with_key(k3, codec.ReplayWindow(), to_4)
     window = codec.ReplayWindow()
-    assert codec.open_with_key(k4, window, to_4, parsed) == frame  # a hit ...
-    with pytest.raises(ReplayError):  # ... that advanced UAV 4's own window
-        codec.open_with_key(k4, window, to_4, parsed)
-    assert len(parsed) == 1
+    assert codec.open_with_key(k4, window, to_4) is frame  # the kept frame ...
+    with pytest.raises(ReplayError):  # ... after UAV 4's own window advanced
+        codec.open_with_key(k4, window, to_4)
+
+
+def test_a_kept_frame_is_returned_only_when_the_verified_plaintext_equals_its_encoding(monkeypatch):
+    frame = codec.Frame(messages=(msg(1, b"sealed"),))
+    (key,), (pkt,) = star_copies(frame, 0x35)
+    assert pkt._kept_frame is frame
+    parses = count_parses(monkeypatch)
+    # A packet that keeps some other frame than its plaintext encodes.
+    other = codec.Frame(messages=(msg(1, b"not what was sealed"),))
+    stale = codec.WirePacket.from_bytes(pkt.to_bytes())
+    stale.__dict__["_kept_frame"] = other
+    opened = codec.open_with_key(key, codec.ReplayWindow(), stale)
+    assert opened == frame and opened is not other and parses == [frame.to_bytes()]
+    # Equal encodings return the kept frame itself.
+    assert codec.open_with_key(key, codec.ReplayWindow(), pkt) is frame
+    assert len(parses) == 1
 
 
 def test_a_plaintext_that_fails_to_parse_is_never_stored():
@@ -424,24 +456,41 @@ def test_a_plaintext_that_fails_to_parse_is_never_stored():
     nonce, aad = codec._nonce_and_aad(1, 0, 1, 0, 0)
     box = crypto.aead_seal(key, nonce, b"\x01\x00", aad)  # claims one message, holds none
     pkt = codec.WirePacket(0, 1, 0, 0, 0, box.ciphertext, box.tag)
-    parsed = {}
     window = codec.ReplayWindow()
     for _ in range(2):  # not stored, and the window did not advance either
         with pytest.raises(ValidationError):
-            codec.open_with_key(key, window, pkt, parsed)
-        assert parsed == {}
+            codec.open_with_key(key, window, pkt)
+        assert pkt._aead_box()._verified is None
 
 
-def test_parsed_table_stays_within_its_bound_oldest_first():
-    key = crypto.SymmetricKey(b"\x34" * 32)
-    counters = codec.PacketCounters()
-    frames = [codec.Frame(messages=(msg(1, i.to_bytes(2, "big")),)) for i in range(codec.OPENED_FRAMES_CAPACITY + 3)]
-    parsed = {}
-    for seq, frame in enumerate(frames):
-        pkt = codec.seal_with_key(key, 0, 1, seq, 0, frame, counters)
-        codec.open_with_key(key, codec.ReplayWindow(), pkt, parsed)
-        assert len(parsed) <= codec.OPENED_FRAMES_CAPACITY
-    assert list(parsed) == [f.to_bytes() for f in frames[3:]]
+@settings(max_examples=60, deadline=None)
+@given(
+    headers=st.lists(headers, min_size=1, max_size=4),
+    payload=st.binary(max_size=24),
+    hops=st.integers(0, 3),
+)
+def test_only_packets_with_the_same_nonce_and_aad_share_a_box(headers, payload, hops):
+    # Every way a packet comes to be: sealed, forwarded, parsed from bytes
+    # and rebuilt by dataclasses.replace (which changes one bound field).
+    key = crypto.SymmetricKey(b"\x20" * 32)
+    frame = codec.Frame(messages=(msg(1, payload),))
+    packets = []
+    for header in headers:
+        counters = codec.PacketCounters()
+        counters._next[header["epoch"]] = header["counter"]
+        sealed = codec.seal_with_key(
+            key, header["epoch"], header["origin"], header["seq"], header["hop_limit"], frame, counters
+        )
+        chain = forward_chain(sealed, hops)
+        assert all(packet._aead_box() is sealed._aead_box() for packet in chain)
+        for packet in chain:
+            packets.append(packet)
+            packets.append(codec.WirePacket.from_bytes(packet.to_bytes()))
+            packets.append(dataclasses.replace(packet, seq=(packet.seq + 1) % (codec.MAX_SEQ + 1)))
+    for a in packets:
+        for b in packets:
+            if a._aead_box() is b._aead_box():
+                assert a._nonce_aad() == b._nonce_aad()
 
 
 # ---- counters ---------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from swarmlink import crypto
-from swarmlink.errors import AuthError, EmptyContext, InvalidPoint
+from swarmlink.errors import AuthError, EmptyContext, InvalidPoint, ValidationError
 
 # AES-256-GCM known-answer vectors (key, iv, plaintext, aad, ciphertext, tag), hex.
 GCM_KATS = [
@@ -165,8 +165,11 @@ def test_aead_empty_aad_equals_none():
 def test_aead_box_serialization():
     box = crypto.AeadBox(b"abc", b"\x01" * 16)
     assert crypto.AeadBox.from_bytes(box.to_bytes()) == box
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError) as short:
         crypto.AeadBox.from_bytes(b"\x00" * 15)  # shorter than a tag
+    assert short.value.field == "box"
+    with pytest.raises(ValidationError):
+        crypto.AeadBox(b"abc", b"\x01" * 15)
 
 
 def test_symmetric_key_equality_hash_and_repr_ignore_its_cipher_context():

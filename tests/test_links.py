@@ -69,11 +69,10 @@ def test_transmit_partitions_receivers():
     p = profile(range_m=100.0, loss=0.0)
     rng = random.Random(0)
     # The caller passes only receivers in range; 100 m sits on the disc's edge.
-    result = links.transmit(p, 100, 0.0, [(2, 50.0), (3, 100.0)], rng)
-    assert [r for r, _ in result.delivered] == [2, 3]
+    result = links.transmit(p, 100, 0.0, [2, 3], rng)
+    assert result.delivered == (2, 3)
     assert result.lost == ()
-    arrival = 0.0 + p.base_latency_s + p.airtime_s(100)
-    assert all(t == pytest.approx(arrival) for _, t in result.delivered)
+    assert result.arrival == pytest.approx(0.0 + p.base_latency_s + p.airtime_s(100))
 
 
 def test_transmit_loss_rolls_are_per_receiver():
@@ -81,7 +80,7 @@ def test_transmit_loss_rolls_are_per_receiver():
     rng = random.Random(7)
     delivered, lost = 0, 0
     for _ in range(400):
-        result = links.transmit(p, 50, 0.0, [(2, 10.0), (3, 10.0)], rng)
+        result = links.transmit(p, 50, 0.0, [2, 3], rng)
         delivered += len(result.delivered)
         lost += len(result.lost)
     assert delivered + lost == 800
@@ -91,16 +90,16 @@ def test_transmit_loss_rolls_are_per_receiver():
 def test_transmit_rejects_oversize():
     p = profile(mtu=100)
     with pytest.raises(MtuExceeded):
-        links.transmit(p, 101, 0.0, [(2, 10.0)], random.Random(0))
+        links.transmit(p, 101, 0.0, [2], random.Random(0))
 
 
 def test_transmit_defers_on_duty_breach():
     p = profile(bitrate=1000.0)  # 1 byte = 8 ms airtime
     meter = DutyCycleMeter(limit=0.01, window_s=10.0)  # 100 ms budget
     rng = random.Random(0)
-    r1 = links.transmit(p, 10, 0.0, [(2, 10.0)], rng, meter)  # 80 ms, fits
+    r1 = links.transmit(p, 10, 0.0, [2], rng, meter)  # 80 ms, fits
     assert not isinstance(r1, Deferred)
-    r2 = links.transmit(p, 10, 0.001, [(2, 10.0)], rng, meter)  # would exceed
+    r2 = links.transmit(p, 10, 0.001, [2], rng, meter)  # would exceed
     assert isinstance(r2, Deferred)
     assert r2.until == pytest.approx(10.0)  # when the first burst ages out
     assert meter.used_airtime(0.002) == pytest.approx(0.08)  # deferred tx charged nothing
@@ -416,8 +415,9 @@ def test_one_pass_select_matches_the_list_and_max_reference(count, bitrates, pin
 
 
 def test_transmit_result_keeps_its_fields():
-    assert links.TransmitResult._fields == ("airtime_s", "delivered", "lost")
-    result = links.transmit(profile(bitrate=1e6, latency=0.001), 100, 0.0, [(2, 1.0)], random.Random(0))
+    assert links.TransmitResult._fields == ("airtime_s", "delivered", "lost", "arrival")
+    result = links.transmit(profile(bitrate=1e6, latency=0.001), 100, 0.0, [2], random.Random(0))
     assert isinstance(result, links.TransmitResult)
     assert result.airtime_s == pytest.approx(800 / 1e6)
-    assert result.delivered == ((2, 0.001 + result.airtime_s),) and result.lost == ()
+    assert result.delivered == (2,) and result.lost == ()
+    assert result.arrival == 0.0 + 0.001 + result.airtime_s

@@ -197,14 +197,14 @@ HOP_BYTE = 11  # version(1)+epoch(4)+origin(2)+seq(4) precede the hop limit
 def _deliver_to(sim, node_id, raw, packet=None):
     """One-receiver batch down the run's receive path; returns its outcomes."""
     outcomes = Counters()
-    sim._deliver("rx_processed", [(node_id, sim.now)], raw, packet, outcomes)
+    sim._deliver("rx_processed", [node_id], raw, packet, outcomes)
     return outcomes.values
 
 
 def _keyed_sim():
     """A three-node mesh run with one broadcast key in every ring and a
     packet originated by node 2 whose honest copy node 3 has opened, so
-    the run's table of opened frames holds its frame."""
+    the box that copy shares keeps the frame it verified to."""
     sim = Simulation(scenario_from_dict(base_scenario_dict()))
     bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x66" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     for node in sim.nodes.values():
@@ -215,45 +215,59 @@ def _keyed_sim():
     origin = sim.nodes[2]
     packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
     assert _deliver_to(sim, 3, packet.to_bytes(), packet) == {"delivered_new": 1}
-    assert len(sim._opened) == 1
-    return sim, packet.to_bytes()
+    assert packet._aead_box()._verified == (bkey.key.bytes_, frame)
+    return sim, packet
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_the_opened_table(data):
+def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_its_box_memo(data):
     # Byte 0 picks the message class and byte 11 is the hop limit, which the
     # seal leaves out on purpose; every other byte is authenticated. Node 1
     # receives the copy: no single flip turns origin 2 into 1 (a duplicate).
-    sim, raw = _keyed_sim()
-    table = dict(sim._opened)
+    sim, packet = _keyed_sim()
+    raw = packet.to_bytes()
+    memo = packet._aead_box()._verified
     pos = data.draw(st.integers(1, len(raw) - 1).filter(lambda i: i != HOP_BYTE), label="byte")
     bit = data.draw(st.integers(0, 7), label="bit")
     mutated = bytearray(raw)
     mutated[pos] ^= 1 << bit
-    (outcome, count), = _deliver_to(sim, 1, bytes(mutated)).items()
-    assert outcome.startswith("rejected_") and outcome != "rejected_dedup" and count == 1
-    assert sum(sim.security_events.values.values()) == 1
-    assert sim._opened == table  # a hit would have decoded; nothing was stored
+    flipped = codec.WirePacket.from_bytes(bytes(mutated))
+    for message in (None, flipped):  # parsed on arrival, or handed over parsed
+        (outcome, count), = _deliver_to(sim, 1, bytes(mutated), message).items()
+        assert outcome.startswith("rejected_") and outcome != "rejected_dedup" and count == 1
+    assert sum(sim.security_events.values.values()) == 2
+    assert flipped._aead_box()._verified is None  # nothing was stored on the flipped copy's box ...
+    assert packet._aead_box()._verified is memo  # ... nor on the honest one's
     assert 1 not in sim.audit.node_bits  # node 1 got no delivery
     # The honest copy still opens at node 1 afterwards.
     assert _deliver_to(sim, 1, raw) == {"delivered_new": 1}
 
 
-def test_two_runs_share_no_opened_frames():
-    first = Simulation(scenario_from_dict(base_scenario_dict()))
-    second = Simulation(scenario_from_dict(base_scenario_dict()))
-    first.run()
-    assert first._opened
-    assert second._opened == {} and second._opened is not first._opened
+def _frames_opened_in_one_run(monkeypatch, scenario):
+    """(AES-GCM opens, frames the receive path returned) over one run."""
+    opens, frames = [], []
+    real_open, real_frame = crypto.aead_open, codec._open_frame
+    monkeypatch.setattr(crypto, "aead_open", lambda *a: opens.append(a) or real_open(*a))
+    monkeypatch.setattr(codec, "_open_frame", lambda *a: frames.append(real_frame(*a)) or frames[-1])
+    Simulation(scenario_from_dict(scenario)).run()
+    monkeypatch.undo()
+    return len(opens), frames
 
 
-def test_two_star_runs_share_no_parsed_plaintexts():
-    first = Simulation(scenario_from_dict(base_scenario_dict(mode="star")))
-    second = Simulation(scenario_from_dict(base_scenario_dict(mode="star")))
-    first.run()
-    assert first._parsed
-    assert second._parsed == {} and second._parsed is not first._parsed
+def test_two_runs_share_no_opened_frames(monkeypatch):
+    first_opens, first = _frames_opened_in_one_run(monkeypatch, base_scenario_dict())
+    second_opens, second = _frames_opened_in_one_run(monkeypatch, base_scenario_dict())
+    # The second run verifies as often as the first and returns none of its frames.
+    assert second_opens == first_opens > 0 and len(second) == len(first) > first_opens
+    assert not {id(f) for f in first} & {id(f) for f in second}
+
+
+def test_two_star_runs_share_no_parsed_plaintexts(monkeypatch):
+    first_opens, first = _frames_opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
+    second_opens, second = _frames_opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
+    assert second_opens == first_opens == len(first) == len(second) > 0  # every star copy verifies
+    assert not {id(f) for f in first} & {id(f) for f in second}
 
 
 def test_a_run_full_of_rejected_receptions_leaves_no_cyclic_garbage():

@@ -49,7 +49,7 @@ def test_neighbour_lists_equal_brute_force_coverage(positions, wifi_range, subgh
         here = sim.nodes[node_id].position
         for name, profile in sim.profiles.items():
             expected = [
-                (other, links.distance(here, sim.nodes[other].position))
+                other
                 for other in sim.node_order
                 if other != node_id
                 and profile.covers(links.distance(here, sim.nodes[other].position))
@@ -85,13 +85,13 @@ def test_live_peers_out_of_range_raise_no_viable_link():
 def test_down_peer_drops_out_of_coverage_and_receivers():
     # Node 2 is the GCS's only WiFi neighbour; node 3 hears sub-GHz only.
     sim = simulation([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
-    assert sim._live_neighbours(1, "wifi24") == [(2, 100.0)]
+    assert sim._live_neighbours(1, "wifi24") == [2]
     sim._node_down(sim.nodes[2])
     covers = sim._broadcast_coverage(sim.nodes[1])
     assert not covers(sim.profiles["wifi24"])
     assert covers(sim.profiles["subghz"])
-    assert sim._live_neighbours(1, "subghz") == [(3, 1000.0)]
-    assert sim._neighbours(1, "wifi24") == [(2, 100.0)]  # the index itself keeps it
+    assert sim._live_neighbours(1, "subghz") == [3]
+    assert sim._neighbours(1, "wifi24") == [2]  # the index itself keeps it
 
 
 def test_hysteresis_holds_a_link_that_still_has_a_live_neighbour():
@@ -150,7 +150,7 @@ def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_ran
                 covers, unicast = sim._reach(sim.nodes[src], dest)
                 for name, profile in sim.profiles.items():
                     if dest is None:
-                        live = [n for n in sim._neighbours(src, name) if n[0] not in down]
+                        live = [n for n in sim._neighbours(src, name) if n not in down]
                         alone = len(down) + 1 == len(ids)
                         assert covers(profile) == (alone or profile.range_m is None or bool(live))
                     elif dest in down:
@@ -158,4 +158,4 @@ def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_ran
                     else:
                         dist = links.distance(here, sim.nodes[dest].position)
                         assert covers(profile) == profile.covers(dist)
-                        assert unicast == ((dest, dist),)
+                        assert unicast == (dest,)

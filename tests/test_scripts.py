@@ -47,6 +47,38 @@ def test_bench_pairs_compares_a_tree_with_itself(capsys):
     assert "differs" not in out
 
 
+@pytest.mark.parametrize(
+    "change_digest, change_failed, status",
+    [
+        ("same", 0, 0),
+        ("moved", 0, 1),  # digests DIFFER
+        ("same", 1, 1),  # the change failed more passes than the base
+    ],
+)
+def test_bench_pairs_exits_1_when_digests_differ_or_the_change_fails_more(
+    monkeypatch, capsys, tmp_path, change_digest, change_failed, status
+):
+    bench_pairs = _script("bench_pairs")
+    root = SCRIPTS.parent
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+
+    def stub_run_bench(tree, workload, seed, seconds):
+        change = tree == tmp_path
+        return {
+            "metrics": {m["name"]: {"value": 1.0} for m in declared["end_to_end"]},
+            "digest": change_digest if change else "same",
+            "failed": change_failed if change else 0,
+            "attempted": 2,
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_bench", stub_run_bench)
+    (tmp_path / "bench").symlink_to(root / "bench")
+    (tmp_path / "BENCHMARK.json").symlink_to(root / "BENCHMARK.json")
+    argv = ["--base", str(root), "--change", str(tmp_path), "--workloads", "grid_flood", "star_fanout", "--pairs", "2"]
+    assert bench_pairs.main(argv) == status
+    assert ("DIFFER" in capsys.readouterr().out) == (change_digest == "moved")
+
+
 RATE = {"name": "radio_ops_per_ref", "better": "higher", "bound": 0.25}
 TIME = {"name": "wall_ref", "better": "lower", "bound": 0.25}
 
