@@ -21,23 +21,15 @@ from .metrics import render_csv, render_json
 from .scenario import Scenario, load_scenario
 from .sim import run_scenario
 
-SHIPPED_SCENARIOS = (
-    "basic_pair",
-    "mesh_5_lossless",
-    "mesh_10_lossy",
-    "star_vs_mesh",
-    "mitm_attack",
-    "replay_attack",
-    "eavesdrop_keyleak",
-    "rekey_under_loss",
-    "link_failover",
-    "duty_cycle_stress",
+_SCENARIO_DIR = resources.files("swarmlink").joinpath("scenarios")
+# Every scenario file the package ships, by name: the stems, sorted.
+SHIPPED_SCENARIOS = tuple(
+    sorted(f.name.removesuffix(".json") for f in _SCENARIO_DIR.iterdir() if f.name.endswith(".json"))
 )
 
 
 def shipped_scenario_path(name: str) -> str:
-    ref = resources.files("swarmlink").joinpath("scenarios", f"{name}.json")
-    return str(ref)
+    return str(_SCENARIO_DIR.joinpath(f"{name}.json"))
 
 
 def resolve_scenario(arg: str) -> Scenario:

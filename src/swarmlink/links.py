@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import MtuExceeded, NoViableLink, ValidationError
 
@@ -262,14 +262,15 @@ class LinkSelector:
     def select(
         self,
         profiles: Dict[str, LinkProfile],
-        covers: Callable[[LinkProfile], bool],
+        covering: AbstractSet[str],
         now: float,
     ) -> LinkProfile:
         """Pick the link for one transmission.
 
-        `covers(profile)` tells whether that link reaches a receiver: for
-        unicast, whether the destination lies in range; for broadcast,
-        whether the link has any live neighbour.
+        `covering` holds the names of the links that reach a receiver: for
+        unicast, those with the destination in range; for broadcast, those
+        with any live neighbour. A pinned link is returned whether it
+        covers or not.
         """
         if self.pinned is not None:
             return profiles[self.pinned]
@@ -280,9 +281,9 @@ class LinkSelector:
         best = healthy = None
         active_covers = False
         for name in self.link_names:
-            profile = profiles[name]
-            if not covers(profile):
+            if name not in covering:
                 continue
+            profile = profiles[name]
             if name == active:
                 active_covers = True
             rate = profile.bitrate_bps

@@ -168,11 +168,10 @@ class Scenario:
                 raise ValidationError(f"adversaries[{i}].end_s", "must be >= start_s")
         self._validate_link_events()
         lp = self.link_policy
-        if lp.mode == "pinned":
-            if lp.pinned_link is None:
-                raise ValidationError("link_policy.pinned_link", "required when mode is 'pinned'")
-            if lp.pinned_link not in self.links:
-                raise ValidationError("link_policy.pinned_link", f"unknown link {lp.pinned_link!r}")
+        if (lp.pinned_link is None) == (lp.mode == "pinned"):
+            raise ValidationError("link_policy.pinned_link", "required when mode is 'pinned', and only then")
+        if lp.pinned_link is not None and lp.pinned_link not in self.links:
+            raise ValidationError("link_policy.pinned_link", f"unknown link {lp.pinned_link!r}")
 
     def _validate_traffic(self) -> None:
         t = self.traffic

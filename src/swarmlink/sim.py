@@ -40,10 +40,12 @@ metrics and a trace. Determinism rules:
   AeadBox its copies share, and a star copy returns the frame it was
   sealed from (see codec.py). That state lives on the packets, so two
   runs share none of it;
-- what a send reaches (which links cover it, and a unicast's receiver) is
-  cached per (sender, destination) pair. That is exact: positions are
-  static, range_m is not a mutable link field, and _down only grows, so a
-  node going down is the one change, and it clears the cache;
+- what a send reaches is the set of names of the links that cover it
+  (see _covering), cached per (sender, destination) pair. That is exact:
+  positions are static, range_m is not a mutable link field, and _down
+  only grows, so a node going down is the one change, and it clears the
+  cache. A unicast reaches its destination iff that is live and the
+  chosen link is in the set;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values; each trace line is
@@ -66,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
 from .errors import (
@@ -92,9 +94,6 @@ _DROP_COUNTERS = {
 }
 # (destination, packet) pairs to queue; destination None broadcasts.
 _Sends = Sequence[Tuple[Optional[int], codec.WirePacket]]
-# Which links cover a send, and the receiver a covering link delivers a
-# unicast to: none for a broadcast or a down destination.
-_Reach = Tuple[Callable[[links.LinkProfile], bool], Tuple[int, ...]]
 
 
 @dataclass
@@ -111,10 +110,6 @@ class _TxItem:
 # an encoder built once instead of once per line. No circular check: a
 # trace entry is a fresh dict of scalars, lists and dicts.
 _encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
-
-def _every_link(_profile: links.LinkProfile) -> bool:
-    return True
 
 
 class _Node:
@@ -138,7 +133,7 @@ class _Node:
             health_threshold=policy.health_threshold,
             hysteresis_s=policy.hysteresis_s,
             ewma_alpha=policy.ewma_alpha,
-            pinned=policy.pinned_link if policy.mode == "pinned" else None,
+            pinned=policy.pinned_link,
         )
         self.meters = {
             name: links.DutyCycleMeter(p.duty_cycle_limit, p.duty_window_s)
@@ -220,9 +215,9 @@ class Simulation:
         # grow with N^2.
         self._neighbour_index: Dict[Tuple[int, str], List[int]] = {}
         self._down: Set[int] = set()
-        # (sender, destination or None for a broadcast) -> what a send reaches
-        # (see _reach). Exact until _down grows, which clears it.
-        self._reach_cache: Dict[Tuple[int, Optional[int]], _Reach] = {}
+        # (sender, destination or None for a broadcast) -> the names of the
+        # links that cover a send. Exact until _down grows, which clears it.
+        self._covering_cache: Dict[Tuple[int, Optional[int]], FrozenSet[str]] = {}
         # First wire byte -> (message class, handler). The parser is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
         rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
@@ -297,7 +292,7 @@ class Simulation:
 
     def _node_down(self, node: _Node) -> None:
         self._down.add(node.id)
-        self._reach_cache.clear()
+        self._covering_cache.clear()
         self._trace("node_down", node=node.id)
 
     def _apply_link_event(self, ev) -> None:
@@ -322,36 +317,27 @@ class Simulation:
         down = self._down
         return [n for n in found if n not in down] if down else found
 
-    def _broadcast_coverage(self, node: _Node) -> Callable[[links.LinkProfile], bool]:
-        """A link covers a broadcast iff it has a live neighbour; with no
-        live peer at all every link covers, and the send reaches nobody.
-        An unbounded link reaches every live peer, so its list is not built
-        unless it carries the broadcast."""
-        if len(self._down) + 1 == len(self.node_order):
-            return _every_link
-        down = self._down
-        covering = frozenset(
-            name for name, p in self.profiles.items()
-            if p.range_m is None or any(n not in down for n in self._neighbours(node.id, name))
-        )
-        return lambda p: p.name in covering
-
-    def _reach(self, node: _Node, dest: Optional[int]) -> _Reach:
-        """What a send from `node` to `dest` (None broadcasts) reaches,
-        cached per pair until _down grows: positions are static and range_m
-        is not a mutable link field, so nothing else changes it."""
-        key = (node.id, dest)
-        found = self._reach_cache.get(key)
+    def _covering(self, node_id: int, dest: Optional[int]) -> FrozenSet[str]:
+        """The names of the links that cover a send from `node_id` to `dest`
+        (None broadcasts): for a broadcast, unbounded links (whose neighbour
+        lists are not built) and links with a live neighbour; for a unicast,
+        the links whose range holds `dest`. With no live peer at all, or a
+        down `dest`, every link covers, and the send reaches nobody."""
+        key = (node_id, dest)
+        found = self._covering_cache.get(key)
         if found is None:
-            if dest is None:
-                found = (self._broadcast_coverage(node), ())
-            elif dest in self._down:
-                found = (_every_link, ())
+            down = self._down
+            if dest in down or len(down) + 1 == len(self.node_order):
+                found = frozenset(self.profiles)
+            elif dest is None:
+                found = frozenset(
+                    name for name, p in self.profiles.items()
+                    if p.range_m is None or any(n not in down for n in self._neighbours(node_id, name))
+                )
             else:
-                dist = links.distance(node.position, self.nodes[dest].position)
-                covering = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
-                found = (lambda p: p.name in covering, (dest,))
-            self._reach_cache[key] = found
+                dist = links.distance(self.nodes[node_id].position, self.nodes[dest].position)
+                found = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
+            self._covering_cache[key] = found
         return found
 
     # ---- handshake orchestration -------------------------------------------
@@ -516,7 +502,9 @@ class Simulation:
                 self.counters.bump("tx_skipped_no_session")
                 return
         for frame in codec.compose_frames([message], self._min_mtu):
-            self._enqueue_data(node, self._seal(node, frame), frame, "frames_sealed")
+            sends = self._seal(node, frame)
+            self.counters.bump("frames_sealed", len(sends))
+            self._enqueue_data(node, sends, frame)
 
     def _seal(self, node: _Node, frame: codec.Frame) -> _Sends:
         """Seal one of the node's own frames for each of its destinations."""
@@ -530,14 +518,13 @@ class Simulation:
             return ((None, mesh.originate(state, node.keyring, counters, frame, hops)),)
         return ((None, mesh.originate_plain(state, counters, frame, hops)),)
 
-    def _enqueue_data(self, node: _Node, sends: _Sends, frame=None, counter: str = "") -> None:
+    def _enqueue_data(self, node: _Node, sends: _Sends, frame=None) -> None:
         """The one place data packets are queued. Packets just sealed from
-        `frame` are shown to the taps and counted; forwards come without."""
+        `frame` are shown to the taps; forwards come without."""
         for dest, packet in sends:
             if frame is not None:
                 for tap in self.taps:
                     tap.on_seal(packet, frame)
-                self.counters.bump(counter)
             self._enqueue(node, _TxItem("data", packet.to_bytes(), dest, packet))
 
     # ---- transmission ------------------------------------------------------
@@ -558,10 +545,10 @@ class Simulation:
                     return
                 node.defer_until = None
             item = node.txq[0]
-            covers, unicast = self._reach(node, item.dest)
+            covering = self._covering(node.id, item.dest)
             prev_active = node.selector.active
             try:
-                profile = node.selector.select(self.profiles, covers, self.now)
+                profile = node.selector.select(self.profiles, covering, self.now)
             except NoViableLink:
                 self._drop(node, "no_viable_link")
                 continue
@@ -572,8 +559,10 @@ class Simulation:
                 continue
             if item.dest is None:
                 receivers = self._live_neighbours(node.id, profile.name)
+            elif profile.name in covering and item.dest not in self._down:
+                receivers = (item.dest,)
             else:
-                receivers = unicast if covers(profile) else ()
+                receivers = ()
             meter = node.meters.get(profile.name)
             result = links.transmit(
                 profile, len(item.data), self.now, receivers, self.rng_loss, meter
@@ -741,7 +730,7 @@ class Simulation:
             fanout = mesh.star_fanout(
                 node.mesh, node.table, node.counters, frame, exclude_id=packet.origin
             )
-            self._enqueue_data(node, fanout, frame, "star_relayed")
+            self._enqueue_data(node, fanout, frame)
         return "delivered_new"
 
     def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:

@@ -254,33 +254,33 @@ def test_running_total_meter_answers_exactly_as_the_summing_reference(limit, win
 # ---- selector ---------------------------------------------------------------
 
 
-def in_range(distance):
-    """Coverage test for a unicast to a receiver at this distance."""
-    return lambda p: p.covers(distance)
-
-
 def two_profiles():
     fast = profile(name="fast", bitrate=1e7, range_m=100.0)
     slow = profile(name="slow", bitrate=1e5, range_m=1000.0)
     return {"fast": fast, "slow": slow}
 
 
+def in_range(profiles, distance):
+    """The names of the links that cover a unicast to a receiver at this distance."""
+    return frozenset(name for name, p in profiles.items() if p.covers(distance))
+
+
 def test_selector_prefers_fastest_covering():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast", "slow"))
-    assert sel.select(profiles, in_range(50.0), now=0.0).name == "fast"
-    assert sel.select(profiles, in_range(500.0), now=10.0).name == "slow"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=0.0).name == "fast"
+    assert sel.select(profiles, in_range(profiles, 500.0), now=10.0).name == "slow"
 
 
 def test_selector_avoids_unhealthy_link():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast", "slow"))
-    sel.select(profiles, in_range(50.0), now=0.0)
+    sel.select(profiles, in_range(profiles, 50.0), now=0.0)
     for _ in range(20):
         sel.update_health("fast", 0.0)
     assert sel.health["fast"] < sel.health_threshold
     # past the hysteresis hold, the healthy slow link wins despite lower bitrate
-    assert sel.select(profiles, in_range(50.0), now=10.0).name == "slow"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=10.0).name == "slow"
     assert sel.switches >= 1
 
 
@@ -295,12 +295,12 @@ def test_selector_health_ewma_tracks_fractions():
 def test_selector_hysteresis_holds_choice():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast", "slow"), hysteresis_s=2.0)
-    assert sel.select(profiles, in_range(50.0), now=0.0).name == "fast"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=0.0).name == "fast"
     for _ in range(20):
         sel.update_health("fast", 0.0)
     # inside the hold the active link is kept even though slow scores better
-    assert sel.select(profiles, in_range(50.0), now=1.0).name == "fast"
-    assert sel.select(profiles, in_range(50.0), now=2.5).name == "slow"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=1.0).name == "fast"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=2.5).name == "slow"
 
 
 def test_selector_falls_back_when_nothing_healthy():
@@ -310,14 +310,14 @@ def test_selector_falls_back_when_nothing_healthy():
         sel.update_health("fast", 0.0)
         sel.update_health("slow", 0.0)
     # both unhealthy: still transmit on the best covering link
-    assert sel.select(profiles, in_range(50.0), now=10.0).name == "fast"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=10.0).name == "fast"
 
 
 def test_selector_no_viable_link():
     profiles = two_profiles()
     sel = LinkSelector(link_names=("fast",))
     with pytest.raises(NoViableLink):
-        sel.select({"fast": profiles["fast"]}, in_range(500.0), now=0.0)
+        sel.select({"fast": profiles["fast"]}, in_range(profiles, 500.0), now=0.0)
 
 
 def test_selector_pinned_mode():
@@ -325,27 +325,27 @@ def test_selector_pinned_mode():
     sel = LinkSelector(link_names=("fast", "slow"), pinned="slow")
     for _ in range(20):
         sel.update_health("slow", 0.0)
-    assert sel.select(profiles, in_range(50.0), now=0.0).name == "slow"
+    assert sel.select(profiles, in_range(profiles, 50.0), now=0.0).name == "slow"
     assert sel.switches == 0
     with pytest.raises(ValidationError):
         LinkSelector(link_names=("fast",), pinned="slow")
 
 
-def reference_select(sel, profiles, covers, now):
+def reference_select(sel, profiles, covering, now):
     """The list-and-max selection that LinkSelector.select replaced, kept
     as the reference its one pass must match, state changes included."""
     if sel.pinned is not None:
         return profiles[sel.pinned]
-    covering = [profiles[name] for name in sel.link_names if covers(profiles[name])]
-    if not covering:
+    covered = [profiles[name] for name in sel.link_names if name in covering]
+    if not covered:
         raise NoViableLink("no configured link covers any receiver")
-    healthy = [p for p in covering if sel.health[p.name] >= sel.health_threshold]
-    pool = healthy if healthy else covering
+    healthy = [p for p in covered if sel.health[p.name] >= sel.health_threshold]
+    pool = healthy if healthy else covered
     choice = max(pool, key=lambda p: p.bitrate_bps)
     if sel.active is not None and choice.name != sel.active:
         active_profile = profiles.get(sel.active)
         held = now - sel.last_switch < sel.hysteresis_s
-        if held and active_profile is not None and active_profile in covering:
+        if held and active_profile is not None and active_profile in covered:
             return active_profile
         sel.switches += 1
     if choice.name != sel.active:
@@ -406,7 +406,7 @@ def test_one_pass_select_matches_the_list_and_max_reference(count, bitrates, pin
         for sel, pick in zip(made, (LinkSelector.select, reference_select)):
             sel.health.update(zip(names, health))
             try:
-                outcome = pick(sel, profiles, lambda p: p.name in covered, now)
+                outcome = pick(sel, profiles, covered, now)
             except NoViableLink:
                 outcome = NoViableLink
             outcomes.append((outcome, sel.active, sel.last_switch, sel.switches))

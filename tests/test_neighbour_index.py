@@ -3,8 +3,11 @@
 A broadcast costs work in proportion to its in-range receivers because
 each (node, link) keeps its in-range peers in node order. These tests pin
 that index to the brute-force definition (every other node the link's
-range covers) and check how broadcast coverage feeds the link selector.
+range covers), check how the links that cover a send feed the link
+selector, and check which receivers a unicast is handed.
 """
+
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from swarmlink import links
 from swarmlink.errors import NoViableLink
 from swarmlink.scenario import scenario_from_dict
-from swarmlink.sim import Simulation
+from swarmlink.sim import Simulation, _TxItem
 
 from conftest import base_scenario_dict
 
@@ -70,16 +73,18 @@ def test_no_live_peer_means_every_link_covers():
     sim = simulation([(0.0, 0.0), (1000.0, 0.0)], WIFI_ONLY)
     gcs = sim.nodes[1]
     sim._node_down(sim.nodes[2])
-    covers = sim._broadcast_coverage(gcs)
-    assert gcs.selector.select(sim.profiles, covers, 0.0).name == "wifi24"
+    covering = sim._covering(1, None)
+    assert covering == {"wifi24"}
+    assert gcs.selector.select(sim.profiles, covering, 0.0).name == "wifi24"
     assert sim._live_neighbours(1, "wifi24") == []
 
 
 def test_live_peers_out_of_range_raise_no_viable_link():
     sim = simulation([(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0)], WIFI_ONLY)
-    covers = sim._broadcast_coverage(sim.nodes[1])
+    covering = sim._covering(1, None)
+    assert covering == frozenset()
     with pytest.raises(NoViableLink):
-        sim.nodes[1].selector.select(sim.profiles, covers, 0.0)
+        sim.nodes[1].selector.select(sim.profiles, covering, 0.0)
 
 
 def test_down_peer_drops_out_of_coverage_and_receivers():
@@ -87,53 +92,80 @@ def test_down_peer_drops_out_of_coverage_and_receivers():
     sim = simulation([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
     assert sim._live_neighbours(1, "wifi24") == [2]
     sim._node_down(sim.nodes[2])
-    covers = sim._broadcast_coverage(sim.nodes[1])
-    assert not covers(sim.profiles["wifi24"])
-    assert covers(sim.profiles["subghz"])
+    covering = sim._covering(1, None)
+    assert "wifi24" not in covering
+    assert "subghz" in covering
     assert sim._live_neighbours(1, "subghz") == [3]
     assert sim._neighbours(1, "wifi24") == [2]  # the index itself keeps it
 
 
 def test_hysteresis_holds_a_link_that_still_has_a_live_neighbour():
     sim = simulation([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
-    gcs = sim.nodes[1]
-    sel = gcs.selector
-    assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 0.0).name == "wifi24"
+    sel = sim.nodes[1].selector
+    assert sel.select(sim.profiles, sim._covering(1, None), 0.0).name == "wifi24"
     for _ in range(20):
         sel.update_health("wifi24", 0.0)
     # inside the hold the active link is kept although sub-GHz scores better
-    assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 1.0).name == "wifi24"
-    assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 2.5).name == "subghz"
+    assert sel.select(sim.profiles, sim._covering(1, None), 1.0).name == "wifi24"
+    assert sel.select(sim.profiles, sim._covering(1, None), 2.5).name == "subghz"
 
 
 def test_hold_is_released_when_the_active_link_loses_its_last_live_neighbour():
     sim = simulation([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
-    gcs = sim.nodes[1]
-    sel = gcs.selector
-    assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 0.0).name == "wifi24"
+    sel = sim.nodes[1].selector
+    assert sel.select(sim.profiles, sim._covering(1, None), 0.0).name == "wifi24"
     sim._node_down(sim.nodes[2])
-    assert sel.select(sim.profiles, sim._broadcast_coverage(gcs), 0.5).name == "subghz"
+    assert sel.select(sim.profiles, sim._covering(1, None), 0.5).name == "subghz"
+
+
+def unicast_receivers(sim, src, dest):
+    """The receiver lists `links.transmit` is handed for one unicast from
+    `src` to `dest`: none when no link is viable. The stand-in transmit
+    answers that the duty budget can never allow the send, so the item is
+    dropped and nothing else changes."""
+    handed = []
+
+    def transmit(profile, nbytes, now, receivers, rng, meter=None):
+        handed.append(tuple(receivers))
+        return links.Deferred(until=math.inf)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(links, "transmit", transmit)
+        sim._enqueue(sim.nodes[src], _TxItem("data", bytes(10), dest))
+    return handed
 
 
 @settings(max_examples=40, deadline=None)
 @example(  # node 2 is node 1's only WiFi neighbour, then goes down
-    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=None, victims=[2]
+    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=None,
+    pinned=None, victims=[2],
+)
+@example(  # the pinned WiFi link does not reach node 3, and node 3 goes down
+    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=None,
+    pinned="wifi24", victims=[3],
 )
 @given(
     positions=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=8),
     wifi_range=link_range,
     subghz_range=link_range,
+    pinned=st.sampled_from([None, "wifi24", "subghz"]),
     victims=st.lists(st.integers(1, 8), max_size=4),
 )
-def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_range, subghz_range, victims):
+def test_cached_reach_equals_its_definition_as_nodes_go_down(
+    positions, wifi_range, subghz_range, pinned, victims
+):
     # The first round fills the per-pair cache; each later round follows a
-    # node going down, which must clear it.
+    # node going down, which must clear it. A unicast reaches its live
+    # destination on a covering link and nobody otherwise: not a down
+    # destination, and not one the pinned link does not cover.
+    policy = {"mode": "pinned", "pinned_link": pinned} if pinned else {}
     sim = simulation(
         positions,
         {
             "wifi24": {"band": "wifi24", "range_m": wifi_range},
             "subghz": {"band": "subghz", "range_m": subghz_range},
         },
+        link_policy=policy,
     )
     ids = sim.node_order
     for victim in (None, *victims):
@@ -147,15 +179,23 @@ def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_ran
             for dest in (None, *ids):
                 if dest == src:
                     continue
-                covers, unicast = sim._reach(sim.nodes[src], dest)
+                covering = sim._covering(src, dest)
                 for name, profile in sim.profiles.items():
                     if dest is None:
                         live = [n for n in sim._neighbours(src, name) if n not in down]
                         alone = len(down) + 1 == len(ids)
-                        assert covers(profile) == (alone or profile.range_m is None or bool(live))
+                        assert (name in covering) == (alone or profile.range_m is None or bool(live))
                     elif dest in down:
-                        assert covers(profile) and unicast == ()
+                        assert name in covering
                     else:
                         dist = links.distance(here, sim.nodes[dest].position)
-                        assert covers(profile) == profile.covers(dist)
-                        assert unicast == (dest,)
+                        assert (name in covering) == profile.covers(dist)
+                if dest is None:
+                    continue
+                if pinned is None and not covering:
+                    expected = []  # no viable link: dropped before it is sent
+                elif dest in down or (pinned is not None and pinned not in covering):
+                    expected = [()]
+                else:
+                    expected = [(dest,)]
+                assert unicast_receivers(sim, src, dest) == expected

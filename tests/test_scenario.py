@@ -295,6 +295,13 @@ def test_link_policy_validation():
     d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": 5})
     expect_invalid(d, "link_policy.pinned_link")
 
+    # pinned_link is read only in pinned mode, so anywhere else it is an error
+    d = base_scenario_dict(link_policy={"pinned_link": "nonexistent"})
+    expect_invalid(d, "link_policy.pinned_link")
+
+    d = base_scenario_dict(link_policy={"mode": "adaptive", "pinned_link": "wifi24"})
+    expect_invalid(d, "link_policy.pinned_link")
+
 
 def test_mode_validation():
     d = base_scenario_dict(mode="ring")
