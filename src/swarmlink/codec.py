@@ -17,14 +17,14 @@ Wire layout, all big-endian:
 The nonce never repeats under one key: origin disambiguates sealers and the
 per-epoch counter is strictly increasing per origin.
 
-A packet keeps what its seal needs, once known, under private names that
-equality, hash and repr ignore: its nonce and AAD, the AeadBox and Frame
-it was sealed into and from, and its encoding (built once by `to_bytes`,
-or the bytes `from_bytes` parsed, since the parse is strict). `forwarded()`
-checks only the hop_limit it changes and shares the rest, none of which
-binds hop_limit; only its encoding differs, by the hop byte.
-`dataclasses.replace` builds a new packet that keeps no state. So only
-packets with the same nonce and AAD ever share a box.
+A packet keeps, under private names that equality, hash and repr ignore,
+the AeadBox and Frame it was sealed into and from, and its encoding (built
+once by `to_bytes`, or the bytes `from_bytes` parsed, since the parse is
+strict). Its nonce and AAD are computed from the header when an open
+needs them. `forwarded()` checks only the hop_limit it changes and shares
+the rest, none of which binds hop_limit; only its encoding differs, by the
+hop byte. `dataclasses.replace` builds a new packet that keeps no state.
+So only packets with the same nonce and AAD ever share a box.
 
 Every receiver of a flood opens the same ciphertext, so the box its
 honest copies share keeps the key bytes it last verified under and the
@@ -89,9 +89,8 @@ class TelemetryMessage:
 class Frame:
     """An ordered batch of telemetry messages, the unit of encryption.
 
-    Its encoding is kept once built, or once parsed, so a frame re-sealed
-    for every UAV of a star is encoded at most once; equality, hash and
-    repr ignore it."""
+    Its encoding is kept once built, so a frame re-sealed for every UAV of
+    a star is encoded at most once; equality, hash and repr ignore it."""
 
     messages: Tuple[TelemetryMessage, ...]
     _encoded: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
@@ -132,10 +131,7 @@ class Frame:
             off += length
         if off != len(data):
             raise ValidationError("frame", f"{len(data) - off} trailing bytes")
-        frame = cls(messages=tuple(messages))
-        # The parse is strict, so these bytes are exactly the frame's encoding.
-        object.__setattr__(frame, "_encoded", bytes(data))
-        return frame
+        return cls(messages=tuple(messages))
 
 
 def frame_capacity(mtu_bytes: int) -> int:
@@ -177,10 +173,9 @@ def compose_frames(messages: Iterable[TelemetryMessage], mtu_bytes: int) -> List
 class WirePacket:
     """Sealed frame plus the cleartext header relays need for forwarding.
 
-    A packet keeps what its seal needs once it is known: its nonce and
-    AAD, the AeadBox and Frame it was sealed into and from, and its
-    encoding (see the module docstring). Equality, hash and repr ignore
-    them."""
+    A packet keeps the AeadBox and Frame it was sealed into and from, and
+    its encoding (see the module docstring). Equality, hash and repr
+    ignore them."""
 
     epoch: int
     origin: int
@@ -191,8 +186,7 @@ class WirePacket:
     tag: bytes
     version: int = wire.PACKET_VERSION
 
-    # Kept state, not fields: (nonce, aad), the AeadBox, the Frame, the encoding.
-    _kept_nonce_aad = None
+    # Kept state, not fields: the AeadBox, the Frame, the encoding.
     _kept_box = None
     _kept_frame = None
     _encoded = None
@@ -239,11 +233,7 @@ class WirePacket:
         return self._nonce_aad()[1]
 
     def _nonce_aad(self) -> Tuple[bytes, bytes]:
-        kept = self._kept_nonce_aad
-        if kept is None:
-            kept = _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)
-            self.__dict__["_kept_nonce_aad"] = kept
-        return kept
+        return _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)
 
     def _aead_box(self) -> crypto.AeadBox:
         box = self._kept_box
@@ -273,7 +263,7 @@ class WirePacket:
         """Copy with hop_limit decremented; header changes, seal stays valid.
 
         Every other field was checked when this packet was built, so the
-        copy shares them and the kept seal state (hop_limit is in neither
+        copy shares them and the kept box and frame (hop_limit is in neither
         the nonce nor the AAD); its encoding is this one's with the hop
         byte replaced."""
         if self.hop_limit == 0:
@@ -403,10 +393,7 @@ def seal_with_key(
     plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
     box = crypto.aead_seal(key, nonce, plaintext, aad)
     packet = WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
-    kept = packet.__dict__
-    kept["_kept_nonce_aad"] = (nonce, aad)
-    kept["_kept_box"] = box
-    kept["_kept_frame"] = frame
+    packet.__dict__.update(_kept_box=box, _kept_frame=frame)
     return packet
 
 

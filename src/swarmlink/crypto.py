@@ -91,40 +91,27 @@ class SymmetricKey:
 class AeadBox:
     """AES-GCM output: ciphertext plus the 16-byte tag appended after it.
 
-    It keeps that joined blob once known, as AES-GCM returned it or as the
-    first to_bytes built it, so a box is joined at most once, and the key
-    bytes an open last verified it under with what came out (see codec.py).
-    Equality, hash and repr ignore both."""
+    It keeps the key bytes an open last verified it under with what came
+    out (see codec.py); equality, hash and repr ignore that."""
 
     ciphertext: bytes
     tag: bytes
 
-    # Kept state, not fields: the joined blob, and (key bytes, verified value).
-    _blob = None
+    # Kept state, not a field: (key bytes, verified value).
     _verified = None
 
     def __post_init__(self):
         if len(self.tag) != TAG_LEN:
             raise ValidationError("box", f"tag must be {TAG_LEN} bytes")
 
-    @classmethod
-    def _of_sealed(cls, sealed: bytes) -> "AeadBox":
-        box = cls(ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
-        box.__dict__["_blob"] = sealed
-        return box
-
     def to_bytes(self) -> bytes:
-        blob = self._blob
-        if blob is None:
-            blob = self.ciphertext + self.tag
-            self.__dict__["_blob"] = blob
-        return blob
+        return self.ciphertext + self.tag
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AeadBox":
         if len(data) < TAG_LEN:
             raise ValidationError("box", f"{len(data)} bytes cannot hold the {TAG_LEN}-byte tag")
-        return cls._of_sealed(bytes(data))
+        return cls(ciphertext=bytes(data[:-TAG_LEN]), tag=bytes(data[-TAG_LEN:]))
 
 
 def keypair_from_seed(seed: bytes, kind: str) -> AgreementKeyPair | SignatureKeyPair:
@@ -204,7 +191,8 @@ def aead_seal(key: SymmetricKey, nonce: bytes, plaintext: bytes, aad: bytes) -> 
     """AES-256-GCM encrypt; the 16-byte tag is split out of the sealed blob."""
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    return AeadBox._of_sealed(key._aead.encrypt(nonce, plaintext, aad or None))
+    sealed = key._aead.encrypt(nonce, plaintext, aad or None)
+    return AeadBox(ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
 def aead_open(key: SymmetricKey, nonce: bytes, box: AeadBox, aad: bytes) -> bytes:

@@ -21,7 +21,8 @@ from typing import get_args, get_origin, get_type_hints
 from . import wire
 from .codec import PER_MESSAGE_OVERHEAD, frame_capacity
 from .errors import ValidationError
-from .links import Band, LinkProfile, default_profiles
+from .links import Band, LinkProfile, LinkSelector, default_profiles
+from .mesh import DEDUP_CAPACITY
 
 # Bounds ride on field types as Annotated[type, (test, what the value must be)].
 Positive = Annotated[float, (lambda v: v > 0, "positive")]
@@ -80,7 +81,7 @@ class ProtocolSpec:
     handshake_timeout_s: Positive = 5.0
     handshake_retries: Count = 3  # further attempts after the first
     rekey_resend_interval_s: Optional[Positive] = 1.0  # None disables resends
-    dedup_capacity: Annotated[int, (lambda v: v >= 1, "at least 1")] = 1024
+    dedup_capacity: Annotated[int, (lambda v: v >= 1, "at least 1")] = DEDUP_CAPACITY
     forward_jitter_max_s: NonNeg = 0.010  # uniform rebroadcast delay in mesh
 
 
@@ -88,9 +89,9 @@ class ProtocolSpec:
 class LinkPolicySpec:
     mode: Literal["adaptive", "pinned"] = "adaptive"
     pinned_link: Optional[str] = None
-    health_threshold: Annotated[float, (lambda v: 0 <= v <= 1, "in [0, 1]")] = 0.5
-    hysteresis_s: NonNeg = 2.0
-    ewma_alpha: Annotated[float, (lambda v: 0 < v <= 1, "in (0, 1]")] = 0.2
+    health_threshold: Annotated[float, (lambda v: 0 <= v <= 1, "in [0, 1]")] = LinkSelector.health_threshold
+    hysteresis_s: NonNeg = LinkSelector.hysteresis_s
+    ewma_alpha: Annotated[float, (lambda v: 0 < v <= 1, "in (0, 1]")] = LinkSelector.ewma_alpha
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,15 @@ class Scenario:
             raise ValidationError("link_policy.pinned_link", "required when mode is 'pinned', and only then")
         if lp.pinned_link is not None and lp.pinned_link not in self.links:
             raise ValidationError("link_policy.pinned_link", f"unknown link {lp.pinned_link!r}")
+        # A repeating step too small to move the clock would rerun one instant forever.
+        steps = {
+            "traffic.rate_hz": 1.0 / self.traffic.rate_hz if self.traffic.rate_hz > 0 else None,
+            "protocol.key_lifetime_s": self.protocol.key_lifetime_s,
+            "protocol.rekey_resend_interval_s": self.protocol.rekey_resend_interval_s,
+        }
+        for path, step in steps.items():
+            if step is not None and self.duration_s + step == self.duration_s:
+                raise ValidationError(path, f"a step of {step} s cannot move a clock at {self.duration_s} s")
 
     def _validate_traffic(self) -> None:
         t = self.traffic

@@ -17,7 +17,9 @@ metrics and a trace. Determinism rules:
   the reserved key comes first, the send has ended, and a tx_done popped
   there would have found the queue empty and done nothing. Sequence
   numbers are taken exactly as if every tx_done were queued, so every
-  other event keeps its key and pops in the same order;
+  other event keeps its key and pops in the same order. A send the duty
+  meter defers reserves its tx_done at the time it may go, like a send on
+  the air, so the node waits the way a busy radio does;
 - one event per pending step: a chain (a sender's traffic, a tap's
   injections, key rotation, rekey resends) queues its next step before
   the current step's own work, so the heap does not grow with run length;
@@ -86,12 +88,6 @@ from .scenario import Scenario
 
 TELEMETRY_MSG_ID = 0x01
 _EPS = 1e-9
-# Drop reason in the trace -> its counter; the conservation identity sums them.
-_DROP_COUNTERS = {
-    "no_viable_link": "tx_dropped_no_link",
-    "mtu": "tx_dropped_mtu",
-    "duty_budget": "tx_dropped_duty_impossible",
-}
 # (destination, packet) pairs to queue; destination None broadcasts.
 _Sends = Sequence[Tuple[Optional[int], codec.WirePacket]]
 
@@ -121,11 +117,10 @@ class _Node:
         self.position = tuple(spec.position)
         self.sig_key = sig_key
         # The heap key (end time, sequence number) reserved for the tx_done
-        # of the send on the air, None when idle; tx_done_queued tells
-        # whether that event is on the heap (see Simulation._on_air).
+        # of the send on the air or deferred, None when idle; tx_done_queued
+        # tells whether that event is on the heap (see Simulation._on_air).
         self.tx_end: Optional[Tuple[float, int]] = None
         self.tx_done_queued = False
-        self.defer_until: Optional[float] = None
         self.txq: deque = deque()
         policy = scenario.link_policy
         self.selector = links.LinkSelector(
@@ -540,10 +535,6 @@ class Simulation:
         if node.id in self._down or not node.txq or self._on_air(node):
             return
         while node.txq:
-            if node.defer_until is not None:
-                if self.now + _EPS < node.defer_until:
-                    return
-                node.defer_until = None
             item = node.txq[0]
             covering = self._covering(node.id, item.dest)
             prev_active = node.selector.active
@@ -572,20 +563,19 @@ class Simulation:
                     self._drop(node, "duty_budget")
                     continue
                 self.counters.bump("tx_deferrals")
-                node.defer_until = result.until
                 self._trace("defer", node=node.id, link=profile.name, until=round(result.until, 9))
-                self._schedule(result.until, "timer", lambda n=node: self._pump(n))
+                self._reserve_tx_done(node, result.until)
                 return
             node.txq.popleft()
             self._complete_tx(node, item, profile, result)
             return
 
     def _on_air(self, node: _Node) -> bool:
-        """Whether the node's last send is still on the air, asked when a
-        send waits behind it. A tx_done that was reserved but not queued is
-        queued now, under its reserved key, if the running event comes
-        before that key; if the running event comes after it, the send has
-        ended, and the tx_done would have found an empty queue."""
+        """Whether the node's last send is still on the air, or deferred,
+        asked when a send waits behind it. A tx_done that was reserved but
+        not queued is queued now, under its reserved key, if the running
+        event comes before that key; if the running event comes after it,
+        the send has ended, and the tx_done would have found an empty queue."""
         end = node.tx_end
         if end is None:
             return False
@@ -600,7 +590,7 @@ class Simulation:
 
     def _drop(self, node: _Node, reason: str) -> None:
         item = node.txq.popleft()
-        self.counters.bump(_DROP_COUNTERS[reason])
+        self.counters.bump("tx_dropped")
         self._trace("drop", node=node.id, reason=reason, item=item.kind)
 
     def _complete_tx(
@@ -636,8 +626,9 @@ class Simulation:
         self._reserve_tx_done(node, self.now + result.airtime_s)
 
     def _reserve_tx_done(self, node: _Node, end: float) -> None:
-        """Reserve the heap key of the send's tx_done, as _schedule would
-        number it, and queue the event only if a send waits behind it."""
+        """Reserve the heap key of the tx_done at `end`, as _schedule would
+        number it, and queue the event only if a send waits behind it: the
+        end of a send, or the time a deferred send may go."""
         node.tx_end = (end, self._eseq)
         self._eseq += 1
         node.tx_done_queued = False
@@ -765,11 +756,15 @@ class Simulation:
         pairs = self.audit.pair_stats(node_ids)
         sent_total = sum(p["sent"] for p in pairs.values())
         got_total = sum(p["delivered"] for p in pairs.values())
-        uav_pairs = self.audit.pair_stats(uav_ids).values()
-        uav_sent = sum(p["sent"] for p in uav_pairs)
-        uav_got = sum(p["delivered"] for p in uav_pairs)
+        # The UAV-to-UAV subset of `pairs`: every UAV's sends count once per other UAV.
+        uav_set = set(uav_ids)
+        uav_sent = sum(self.audit.sent_by.get(u, 0) for u in uav_ids) * (len(uav_ids) - 1)
+        uav_got = sum(
+            len(lat) for (src, dst), lat in self.audit.pair_latencies.items()
+            if src in uav_set and dst in uav_set and src != dst
+        )
         queued = sum(len(n.txq) for n in self.nodes.values())
-        dropped = sum(c.get(counter) for counter in _DROP_COUNTERS.values())
+        dropped = c.get("tx_dropped")
         conservation = {
             "tx_enqueued": c.get("tx_enqueued"),
             "tx_sent": c.get("tx_sent"),

@@ -293,7 +293,8 @@ def test_a_packet_keeps_its_seal_state_outside_its_value():
     first = sealed.to_bytes()
     assert sealed.to_bytes() is first  # encoded once
     copy = sealed.forwarded()
-    assert copy._kept_box is sealed._kept_box and copy._nonce_aad() is sealed._nonce_aad()
+    assert copy._kept_box is sealed._kept_box and copy._kept_frame is sealed._kept_frame
+    assert copy._nonce_aad() == sealed._nonce_aad()  # hop_limit binds neither
     assert copy.ciphertext is sealed.ciphertext
     with pytest.raises(ValidationError):
         codec.WirePacket(**{**dataclasses.asdict(bare), "counter": codec.MAX_COUNTER + 1})
@@ -392,7 +393,7 @@ def test_a_box_keeps_one_memo_the_last_open_that_verified():
     box.__dict__["_verified"] = (b"\x21" * 32, codec.Frame(messages=()))
     assert codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0) is frame
     assert box._verified == (r.current.key.bytes_, frame)
-    assert [k for k in vars(box) if k not in ("ciphertext", "tag")] == ["_blob", "_verified"]
+    assert [k for k in vars(box) if k not in ("ciphertext", "tag")] == ["_verified"]
 
 
 def star_copies(frame, *key_bytes):

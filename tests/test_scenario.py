@@ -228,6 +228,23 @@ def test_protocol_field_ranges():
     expect_invalid(d, "protocol.dedup_capacity")
 
 
+@pytest.mark.parametrize("block, field, value", [
+    ("traffic", "rate_hz", 1e17),
+    ("protocol", "key_lifetime_s", 1e-17),
+    ("protocol", "rekey_resend_interval_s", 1e-17),
+])
+def test_a_step_the_clock_cannot_advance_by_is_rejected(block, field, value):
+    # Each once loaded, and its run repeated one simulated instant forever.
+    d = base_scenario_dict()
+    d.setdefault(block, {})[field] = value
+    with pytest.raises(ValidationError) as exc_info:
+        scenario_from_dict(d)
+    assert exc_info.value.field == f"{block}.{field}"
+    # A step that does advance the clock is allowed, however many events it takes.
+    d[block][field] = 1e9 if field == "rate_hz" else 1e-9
+    scenario_from_dict(d)
+
+
 def test_adversary_validation():
     d = base_scenario_dict(adversaries=[{"kind": "eavesdrop", "start_s": 0.0, "end_s": 2.0}])
     sc = scenario_from_dict(d)

@@ -386,3 +386,49 @@ def test_receive_counters_match_the_per_receiver_path(name, expected):
     sim = Simulation(scenario_from_dict(generated[name]) if name in generated else resolve_scenario(name))
     sim.run()
     assert {key: sim.counters.get(key) for key in expected} == expected
+
+
+
+# ---- metamorphic determinism: draws in one domain never shift another ------
+
+
+def _contested(change=lambda d: None):
+    """contested13_replay after `change`: report without its adversary block, that block, trace."""
+    d = generated_scenarios()["contested13_replay"]
+    change(d)
+    report, trace = run(d)
+    return {k: v for k, v in report.items() if k != "adversary"}, report["adversary"], trace
+
+
+def _drop_adversary(kind):
+    return lambda d: d.update(adversaries=[a for a in d["adversaries"] if a["kind"] != kind])
+
+
+def test_removing_the_eavesdropper_changes_only_its_report_block_and_the_key_leaks():
+    report, adversary, trace = _contested()
+    bare_report, bare_adversary, bare_trace = _contested(_drop_adversary("eavesdrop"))
+    assert report == bare_report
+    assert sorted(adversary) == ["eavesdrop", "replay"] and sorted(bare_adversary) == ["replay"]
+    assert adversary["replay"] == bare_adversary["replay"]
+    kept = [line for line in trace if '"key_leaked"' not in line]
+    assert len(kept) < len(trace) and kept == bare_trace
+
+
+def test_reversing_the_nodes_array_leaves_the_bytes_unchanged():
+    d = generated_scenarios()["contested13_replay"]
+    report, trace = run(d)
+    reversed_report, reversed_trace = run({**d, "nodes": d["nodes"][::-1]})
+    assert render_json(reversed_report) == render_json(report) and reversed_trace == trace
+
+
+def test_an_injector_that_starts_after_the_run_gives_the_run_without_it():
+    def start_late(d):
+        for adv in d["adversaries"]:
+            if adv["kind"] == "replay_injector":
+                adv["start_s"] = d["duration_s"] + 1.0
+
+    report, adversary, trace = _contested(start_late)
+    assert adversary["replay"]["injections"] == 0
+    bare_report, bare_adversary, bare_trace = _contested(_drop_adversary("replay_injector"))
+    assert (report, trace) == (bare_report, bare_trace)
+    assert adversary["eavesdrop"] == bare_adversary["eavesdrop"]

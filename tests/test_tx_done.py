@@ -4,10 +4,13 @@
 marks its node busy and queues its tx_done at once, under the next
 sequence number. The simulator reserves that same heap key and queues the
 event only when a send waits, so both must pop every other event in the
-same (t, seq, kind) order and give the same report and trace bytes.
+same (t, seq, kind) order and give the same report and trace bytes. A
+send the duty meter defers reserves a tx_done at the time it may go, so a
+send queued meanwhile waits as it would behind a send on the air.
 """
 
 import heapq
+import json
 import types
 from functools import partial
 
@@ -168,3 +171,33 @@ def test_queueing_tx_done_only_when_a_send_waits_keeps_every_other_event_in_orde
     assert popped == ref_popped
     assert trace == ref_trace
     assert report == ref_report
+
+
+def test_a_deferred_send_waits_like_a_busy_radio_and_goes_at_its_time():
+    """Node 1's second send is deferred by its duty meter. A third send
+    queued before the deferral ends neither transmits nor defers again;
+    the deferred send goes at the time the meter gave."""
+    sc = scenario_from_dict({
+        "name": "deferred_send", "seed": 1, "duration_s": 3.0, "mode": "mesh",
+        "nodes": [{"id": 1, "role": "gcs", "position": [0.0, 0.0]},
+                  {"id": 2, "role": "uav", "position": [10.0, 0.0]}],
+        "links": {"subghz": {"band": "subghz", "base_latency_s": 0.0, "loss_prob": 0.0,
+                             "duty_cycle_limit": 0.05, "duty_window_s": 0.5}},
+        "security": {"encryption": False},
+        "traffic": {"rate_hz": 0.0},
+    })
+    sim = Simulation(sc)
+    node = sim.nodes[1]
+
+    def send():
+        sim._enqueue(node, sim_module._TxItem("ack", bytes(200), None))
+
+    sim._schedule(0.0, "timer", lambda: (send(), send()))
+    sim._schedule(0.2, "timer", send)  # queued behind the deferred send
+    sim.run()
+    defers = [entry for entry in map(json.loads, sim.trace) if entry["event"] == "defer"]
+    until = defers[0]["until"]
+    assert defers[0]["t"] < 0.2 < until
+    assert [entry for entry in defers if entry["t"] < until] == defers[:1]
+    assert [t for _node, _link, t, _airtime in sim.duty_log][:2] == [0.0, until]
+    assert sim.counters.get("tx_sent") == 3
