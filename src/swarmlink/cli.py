@@ -1,9 +1,11 @@
 """Command line entry point: run scenarios, validate files, refresh goldens.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure. Reports land in
---out, defaulting to <scenario>_report.<fmt> under $SWARMLINK_OUT_DIR (or
-the working directory). Scenario arguments accept either a file path or the
-name of a shipped scenario.
+Exit codes: 0 success, 1 validation failure, 2 I/O failure or usage error.
+Reports land in --out, defaulting to <scenario>_report.<fmt> under
+$SWARMLINK_OUT_DIR (or the working directory). Scenario arguments accept
+either a file path or the name of a shipped scenario. A run's stdout
+carries at most one document, the one written to '-'; its status lines go
+to stderr.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _cmd_run(args) -> int:
     if args.trace is not None:
         _write(args.trace, "\n".join(trace) + ("\n" if trace else ""))
     if out_path != "-":
-        print(f"report: {out_path}")
+        print(f"report: {out_path}", file=sys.stderr)
     if args.verbose:
         delivery = report["delivery"]
         print(
@@ -109,11 +111,12 @@ def _cmd_run(args) -> int:
             f"delivery {delivery['delivered']}/{delivery['sent']} "
             f"({delivery['overall_ratio']:.3f}), "
             f"epochs {report['broadcast']['epochs_reached']}, "
-            f"security events {sum(report['security_events'].values())}"
+            f"security events {sum(report['security_events'].values())}",
+            file=sys.stderr,
         )
         if args.verbose > 1:
             for pair, stats in report["delivery"]["pairs"].items():
-                print(f"  {pair}: {stats['delivered']}/{stats['sent']}")
+                print(f"  {pair}: {stats['delivered']}/{stats['sent']}", file=sys.stderr)
     return 0
 
 
@@ -131,7 +134,10 @@ def _cmd_golden(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.out == "-" and args.trace == "-":
+        parser.error("--out - and --trace - cannot share stdout; write one of them to a file")
     try:
         if args.command == "run":
             return _cmd_run(args)

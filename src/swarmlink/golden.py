@@ -146,6 +146,11 @@ def generated_scenarios() -> Dict[str, dict]:
     receivers and the selector sees a degraded link. `contested13_replay`
     runs 13 nodes under 4 s key churn with an eavesdropper and a replay
     injector, so injected bytes meet the mesh rejection paths.
+    `star9_mitm_replay` runs star mode with signature checks off while a
+    key-substitution tap is active over the first handshake attempts, then
+    replays recorded packets, so mismatched session keys and replays meet
+    the star data path. `plain9_replay_down` floods in the clear past an
+    eavesdropper and a replay injector and loses one node mid-run.
     """
     protocol = {
         "hop_limit": 6,
@@ -197,6 +202,45 @@ def generated_scenarios() -> Dict[str, dict]:
             "adversaries": [
                 {"kind": "eavesdrop", "start_s": 0.0},
                 {"kind": "replay_injector", "start_s": 4.0, "injections": 600},
+            ],
+        },
+        "star9_mitm_replay": {
+            "name": "star9_mitm_replay",
+            "seed": 909,
+            "duration_s": 8.0,
+            "mode": "star",
+            "nodes": [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}] + [
+                {"id": i + 2, "role": "uav", "position": [(i % 4 - 1.5) * 40, (i // 4 - 0.5) * 60]}
+                for i in range(8)
+            ],
+            "links": {"wifi24": {"band": "wifi24", "loss_prob": 0.1}},
+            "protocol": {"handshake_timeout_s": 0.5, "handshake_retries": 8},
+            "security": {"verify_signatures": False},
+            "traffic": {"senders": "uavs", "rate_hz": 2.0, "payload_bytes": 24, "start_s": 1.0},
+            "adversaries": [
+                {"kind": "mitm_key_substitution", "start_s": 0.0, "end_s": 0.3},
+                {"kind": "replay_injector", "start_s": 2.0, "injections": 200},
+            ],
+        },
+        "plain9_replay_down": {
+            "name": "plain9_replay_down",
+            "seed": 919,
+            "duration_s": 8.0,
+            "mode": "mesh",
+            "nodes": [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}] + [
+                {
+                    "id": i + 2, "role": "uav", "position": [(i % 4 - 1.5) * 80, (i // 4 - 0.5) * 80],
+                    "down_at_s": 5.0 if i == 5 else None,
+                }
+                for i in range(8)
+            ],
+            "links": {"wifi24": {"band": "wifi24", "loss_prob": 0.1}},
+            "protocol": {"hop_limit": 4, "dedup_capacity": 32},
+            "security": {"encryption": False},
+            "traffic": {"senders": "uavs", "rate_hz": 2.0, "payload_bytes": 24, "start_s": 1.0},
+            "adversaries": [
+                {"kind": "eavesdrop", "start_s": 0.0},
+                {"kind": "replay_injector", "start_s": 2.0, "injections": 200},
             ],
         },
     }

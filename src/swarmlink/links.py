@@ -151,7 +151,9 @@ class DutyCycleMeter:
         return self.limit * self.window_s
 
     def allows(self, now: float, airtime: float) -> bool:
-        return self.used_airtime(now) + airtime <= self.budget() + 1e-12
+        # After the prune every burst left expires after `now`, so the
+        # earliest start is `now` exactly when the burst fits now.
+        return self.earliest_allowed(now, airtime) <= now
 
     def earliest_allowed(self, now: float, airtime: float) -> float:
         """First instant at which this burst fits the budget."""
@@ -213,8 +215,9 @@ def transmit(
         raise MtuExceeded(f"{nbytes} bytes exceeds {profile.name} MTU {profile.mtu_bytes}")
     airtime = profile.airtime_s(nbytes)
     if meter is not None:
-        if not meter.allows(now, airtime):
-            return Deferred(until=meter.earliest_allowed(now, airtime))
+        until = meter.earliest_allowed(now, airtime)
+        if until > now:
+            return Deferred(until=until)
         meter.record(now, airtime)
     delivered: List[int] = []
     lost: List[int] = []

@@ -5,8 +5,9 @@ before, with a hop budget that decrements per forward. Duplicate
 suppression keys on (origin, seq), and the dedup cache is updated before
 the forward copy is queued so a node never retransmits the same packet
 twice even if copies arrive back-to-back. A node never handles a packet of
-its own origin, even a replay whose cache entry is gone. Relays never need
-the payload key: the header they touch rides outside the ciphertext.
+its own origin, even a replay whose cache entry is gone. A packet that
+fails its checks raises out of handle_rx and leaves the cache as it was.
+Relays never need the payload key: their header rides outside the ciphertext.
 
 Most copies of a flood are duplicates, so a caller holding one packet's
 receiver ids can drop, with one lookup each, those `handle_rx` would
@@ -102,12 +103,12 @@ def originate_plain(
 
 
 class RxResult(NamedTuple):
-    """Outcome of handling one received packet."""
+    """Outcome of handling one received packet that was not refused."""
 
     deliver: Optional[codec.Frame] = None
     forward: Optional[codec.WirePacket] = None
     duplicate: bool = False
-    error: Optional[SwarmLinkError] = None
+    error = None  # not a field, as refusals raise; bench/run.py's observer reads it
 
 
 _DUPLICATE = RxResult(duplicate=True)  # immutable, so every dedup hit shares it
@@ -119,23 +120,17 @@ def handle_rx(
 ) -> RxResult:
     """Flooding receive path: dedup, authenticate, deliver once, forward.
 
-    Packets that fail authentication or replay checks are surfaced as the
-    result's error and neither delivered nor forwarded; they also do not
-    enter the dedup cache, so a later honest copy of the same (origin, seq)
-    still gets through. The error comes without its traceback.
+    A packet that fails authentication or replay checks raises the
+    SwarmLinkError that refused it, for the caller to record. It is
+    neither delivered nor forwarded, and does not enter the dedup cache,
+    so a later honest copy of the same (origin, seq) still gets through.
     """
     if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
         return _DUPLICATE
-    try:
-        if plaintext_mode:
-            frame = codec.open_packet_plain(window, packet)
-        else:
-            frame = codec.open_packet(keyring, window, packet, now)
-    except SwarmLinkError as exc:
-        # The result outlives this frame: with its traceback, the error would
-        # hold this frame and, through f_back, the caller's, which holds the
-        # result; every rejection would then be a cycle for the collector.
-        return RxResult(error=exc.with_traceback(None))
+    if plaintext_mode:
+        frame = codec.open_packet_plain(window, packet)
+    else:
+        frame = codec.open_packet(keyring, window, packet, now)
     state.dedup.add(packet.origin, packet.seq)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
     return RxResult(frame, forward)

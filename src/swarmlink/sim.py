@@ -55,9 +55,10 @@ metrics and a trace. Determinism rules:
   built at import rather than one per line.
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
-their hooks and never names one. Every receive handler returns what
-became of the reception (None, "delivered_new", "rejected_dedup" or
-"rejected_<error>"), which is how a tap learns the fate of its bytes.
+their hooks and never names one. A receive handler raises the
+SwarmLinkError that refuses a reception, and _deliver alone records it as a
+security event. A reception ends as None, "delivered_new", "rejected_dedup"
+or "rejected_<error>", which is how a tap learns the fate of its bytes.
 """
 
 from __future__ import annotations
@@ -363,32 +364,25 @@ class Simulation:
             g.unreachable.append(uav_id)
             self._trace("unreachable", uav=uav_id)
 
-    def _rx_offer(self, node: _Node, offer: handshake.KeyOffer) -> Optional[str]:
+    def _rx_offer(self, node: _Node, offer: handshake.KeyOffer) -> None:
         if node.role != "uav":
-            return None
-        try:
-            response, session_key = handshake.uav_on_offer(
-                self.roster, node.id, node.sig_key, offer, self.rng_keys,
-                verify_signatures=self.sc.security.verify_signatures,
-            )
-        except SwarmLinkError as exc:
-            return self._security_event(node, exc)
+            return
+        response, session_key = handshake.uav_on_offer(
+            self.roster, node.id, node.sig_key, offer, self.rng_keys,
+            verify_signatures=self.sc.security.verify_signatures,
+        )
         node.session_key = session_key
         self.installed_keys.append((node.id, session_key.bytes_))
         self._trace("session_uav", node=node.id)
         self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id, response))
-        return None
 
-    def _rx_response(self, node: _Node, response: handshake.KeyResponse) -> Optional[str]:
+    def _rx_response(self, node: _Node, response: handshake.KeyResponse) -> None:
         if node.role != "gcs":
-            return None
-        try:
-            session_key = handshake.gcs_on_response(
-                self.roster, node.table, response, self.now,
-                verify_signatures=self.sc.security.verify_signatures,
-            )
-        except SwarmLinkError as exc:
-            return self._security_event(node, exc)
+            return
+        session_key = handshake.gcs_on_response(
+            self.roster, node.table, response, self.now,
+            verify_signatures=self.sc.security.verify_signatures,
+        )
         uav_id = response.sender_id
         self.installed_keys.append((node.id, session_key.bytes_))
         self.counters.bump("sessions_established")
@@ -397,7 +391,6 @@ class Simulation:
             if node.source.current is None:
                 self._generate_epoch()
             self._send_rekey(uav_id)
-        return None
 
     # ---- broadcast key lifecycle ------------------------------------------
 
@@ -445,18 +438,18 @@ class Simulation:
             self._enqueue(g, g.unacked[uav_id])
         self._ensure_resend_timer()
 
-    def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage) -> Optional[str]:
+    def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage) -> None:
         if node.role != "uav" or node.session_key is None:
             self.counters.bump("rekey_without_session")
-            return None
+            return
         try:
             bkey = rekey.unwrap(
                 node.session_key, message, node.keyring, self.now, self.sc.protocol.grace_window_s
             )
-        except SwarmLinkError as exc:
+        except StaleEpoch as exc:
             current = node.keyring.current
-            if not (isinstance(exc, StaleEpoch) and current is not None and exc.epoch == current.epoch):
-                return self._security_event(node, exc)
+            if current is None or exc.epoch != current.epoch:
+                raise
             # Benign duplicate of the rekey we already installed: re-ack.
             self.counters.bump("rekey_duplicates")
             bkey = current
@@ -465,7 +458,6 @@ class Simulation:
             self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
         self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id, ack))
-        return None
 
     def _rx_ack(self, node: _Node, ack: rekey.RekeyAck) -> None:
         if node.role != "gcs":
@@ -649,8 +641,9 @@ class Simulation:
         Down receivers are set aside, bytes that come without their message
         are parsed once (the first byte picks the message class and its
         handler), in mesh mode duplicate receivers are dropped in one step,
-        and the handler runs for each receiver left, in order. Tallies each
-        outcome in `outcomes` if given."""
+        and the handler runs for each receiver left, in order; a
+        SwarmLinkError it raises is recorded as a security event here and
+        nowhere else. Tallies each outcome in `outcomes` if given."""
         self.counters.bump(counter, len(receivers))
         if self._down:
             live = [rid for rid in receivers if rid not in self._down]
@@ -678,7 +671,11 @@ class Simulation:
             receivers = fresh
         handler = entry[1]
         for receiver_id in receivers:
-            outcome = handler(self.nodes[receiver_id], message)
+            node = self.nodes[receiver_id]
+            try:
+                outcome = handler(node, message)
+            except SwarmLinkError as exc:
+                outcome = self._security_event(node, exc)
             if outcomes is not None and outcome is not None:
                 outcomes.bump(outcome)
 
@@ -693,8 +690,6 @@ class Simulation:
             node.mesh, node.keyring, node.window, packet, self.now,
             plaintext_mode=not self.sc.security.encryption,
         )
-        if result.error is not None:
-            return self._security_event(node, result.error)
         self._deliver_frame(node, result.deliver)
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s
@@ -704,18 +699,12 @@ class Simulation:
         return "delivered_new"
 
     def _rx_data_star(self, node: _Node, packet: codec.WirePacket) -> str:
-        try:
-            if packet.epoch != 0:
-                raise UnknownEpoch(f"epoch {packet.epoch} in star mode")
-            if node.role == "gcs":
-                key = node.table.key_for(packet.origin)
-            elif node.session_key is None:
-                raise NoSession(f"node {node.id} has no session")
-            else:
-                key = node.session_key
-            frame = codec.open_with_key(key, node.window, packet)
-        except SwarmLinkError as exc:
-            return self._security_event(node, exc)
+        if packet.epoch != 0:
+            raise UnknownEpoch(f"epoch {packet.epoch} in star mode")
+        key = node.table.key_for(packet.origin) if node.role == "gcs" else node.session_key
+        if key is None:
+            raise NoSession(f"node {node.id} has no session")
+        frame = codec.open_with_key(key, node.window, packet)
         self._deliver_frame(node, frame)
         if node.role == "gcs":
             fanout = mesh.star_fanout(

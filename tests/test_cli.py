@@ -39,6 +39,30 @@ def test_run_to_stdout(capsys, scenario_file):
     assert report["scenario"] == "unit"
 
 
+@pytest.mark.parametrize("verbose", [["-v"], ["-vv"]])
+def test_verbose_summary_leaves_stdout_one_json_document(capsys, verbose):
+    assert main([*verbose, "run", "--scenario", "basic_pair", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["scenario"] == "basic_pair"
+    assert captured.err.startswith("basic_pair seed=")
+
+
+def test_report_and_trace_both_on_stdout_is_a_usage_error(capsys, scenario_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", scenario_file, "--out", "-", "--trace", "-"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trace -" in captured.err
+
+
+def test_trace_on_stdout_holds_only_trace_lines(tmp_path, capsys, scenario_file):
+    out = tmp_path / "r.json"
+    assert main(["-v", "run", "--scenario", scenario_file, "--out", str(out), "--trace", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(json.loads(line)["event"] for line in lines)
+    assert json.loads(out.read_text())["scenario"] == "unit"
+
+
 def test_run_csv_format(tmp_path, scenario_file):
     out = tmp_path / "report.csv"
     rc = main(["run", "--scenario", scenario_file, "--out", str(out), "--format", "csv"])

@@ -99,15 +99,15 @@ def test_handle_rx_delivers_then_suppresses():
 
 
 def test_rx_results_keep_their_fields_and_every_duplicate_shares_one():
-    assert mesh.RxResult._fields == ("deliver", "forward", "duplicate", "error")
+    assert mesh.RxResult._fields == ("deliver", "forward", "duplicate")
     empty = mesh.RxResult()
-    assert (empty.deliver, empty.forward, empty.duplicate, empty.error) == (None, None, False, None)
+    assert (empty.deliver, empty.forward, empty.duplicate) == (None, None, False)
     ring = make_ring()
     receiver = mesh.MeshState(node_id=3)
     pkt = mesh.originate(mesh.MeshState(node_id=2), ring, codec.PacketCounters(), frame_of(), hop_limit=0)
     window = codec.ReplayWindow()
     fresh = mesh.handle_rx(receiver, ring, window, pkt, now=0.1)
-    assert fresh == (frame_of(), None, False, None)
+    assert fresh == (frame_of(), None, False)
     assert mesh.handle_rx(receiver, ring, window, pkt, now=0.2) is mesh._DUPLICATE
     assert mesh.handle_rx(receiver, ring, window, pkt, now=0.3) is mesh._DUPLICATE
 
@@ -130,10 +130,9 @@ def test_handle_rx_failures_do_not_poison_dedup():
     raw = pkt.to_bytes()
     forged = codec.WirePacket.from_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
     window = codec.ReplayWindow()
-    bad = mesh.handle_rx(receiver, ring, window, forged, now=0.1)
-    assert isinstance(bad.error, AuthError)
-    assert bad.error.__traceback__ is None  # holds no frame, so makes no reference cycle
-    assert bad.deliver is None and bad.forward is None
+    with pytest.raises(AuthError):  # a refusal returns nothing to deliver or forward
+        mesh.handle_rx(receiver, ring, window, forged, now=0.1)
+    assert len(receiver.dedup) == 0
     # the honest copy of the same (origin, seq) still goes through afterward
     good = mesh.handle_rx(receiver, ring, window, pkt, now=0.2)
     assert good.deliver == frame_of(b"real")
@@ -149,8 +148,8 @@ def test_handle_rx_replayed_counter_rejected():
     p2 = mesh.originate(sender, ring, counters, frame_of(b"b"), hop_limit=1)
     assert mesh.handle_rx(receiver, ring, window, p1, now=0.1).deliver
     assert mesh.handle_rx(receiver, ring, window, p2, now=0.2).deliver  # evicts p1 from dedup
-    replayed = mesh.handle_rx(receiver, ring, window, p1, now=0.3)
-    assert isinstance(replayed.error, ReplayError)
+    with pytest.raises(ReplayError):
+        mesh.handle_rx(receiver, ring, window, p1, now=0.3)
 
 
 def test_plaintext_mode_floods_without_keys():

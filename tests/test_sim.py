@@ -1,6 +1,7 @@
 """End-to-end simulator behavior on small scripted scenarios."""
 
 import json
+import random
 import signal
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlink import codec, crypto, mesh, sim as sim_module, wire
+from swarmlink import codec, crypto, handshake, mesh, rekey, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
 from swarmlink.golden import generated_scenarios
@@ -387,6 +388,91 @@ def test_receive_counters_match_the_per_receiver_path(name, expected):
     sim.run()
     assert {key: sim.counters.get(key) for key in expected} == expected
 
+
+
+def _session(byte):
+    return crypto.SymmetricKey(bytes([byte]) * 32, crypto.KeyPurpose.SESSION)
+
+
+def _unsigned_offer(sim):
+    return 2, handshake.KeyOffer(1, 2, bytes(32), bytes(16), bytes(64)).to_bytes()
+
+
+def _response_to_no_offer(sim):
+    return 1, handshake.KeyResponse(2, 1, bytes(32), bytes(16), bytes(64)).to_bytes()
+
+
+def _rekey_under_another_session(sim):
+    sim.nodes[2].session_key = _session(2)
+    bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x31" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    return 2, rekey.wrap_for(_session(3), 1, 2, bkey, random.Random(0)).to_bytes()
+
+
+def _rekey_older_than_the_installed_epoch(sim):
+    node = sim.nodes[2]
+    node.session_key = _session(2)
+    keys = [BroadcastKey(epoch=e, key=crypto.SymmetricKey(bytes([e]) * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+            for e in (1, 2)]
+    node.keyring.install(keys[1], now=0.0, grace_window_s=5.0)
+    return 2, rekey.wrap_for(_session(2), 1, 2, keys[0], random.Random(0)).to_bytes()
+
+
+def _tampered_mesh_packet(sim):
+    bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x77" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    for node in sim.nodes.values():
+        node.keyring.install(bkey, now=0.0, grace_window_s=5.0)
+    origin = sim.nodes[2]
+    frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, bytes(8)),))
+    raw = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3).to_bytes()
+    return 3, raw[:-1] + bytes([raw[-1] ^ 1])
+
+
+def _star_packet_to_a_uav_without_session(sim):
+    frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 1, bytes(8)),))
+    return 2, codec.seal_with_key(_session(2), 0, 1, 0, 0, frame, codec.PacketCounters()).to_bytes()
+
+
+@pytest.mark.parametrize(
+    "mode, build, error",
+    [
+        ("mesh", _unsigned_offer, "SignatureError"),
+        ("mesh", _response_to_no_offer, "UnknownHandshake"),
+        ("mesh", _rekey_under_another_session, "AuthError"),
+        ("mesh", _rekey_older_than_the_installed_epoch, "StaleEpoch"),
+        ("mesh", _tampered_mesh_packet, "AuthError"),
+        ("star", _star_packet_to_a_uav_without_session, "NoSession"),
+    ],
+    ids=["offer", "response", "rekey", "stale_rekey", "mesh_data", "star_data"],
+)
+def test_a_refused_reception_is_one_security_event_and_one_rejected_outcome(mode, build, error):
+    sim = Simulation(scenario_from_dict(base_scenario_dict(mode=mode)))
+    receiver, data = build(sim)
+    outcomes = Counters()
+    sim.inject((receiver,), data, outcomes)
+    (advrx,) = [e for e in sim._heap if e[2] == "advrx"]
+    advrx[3]()
+    security = [entry for entry in map(json.loads, sim.trace) if entry["event"] == "security"]
+    assert [(entry["node"], entry["error"]) for entry in security] == [(receiver, error)]
+    assert sim.security_events.values == {error: 1}
+    assert outcomes.values == {f"rejected_{error}": 1}
+
+
+def test_every_processed_reception_is_set_aside_or_handled_once():
+    # The receive identity: each reception an rx or advrx event processes
+    # is ignored (receiver down), unparseable, a duplicate, or one handler call.
+    sim = Simulation(scenario_from_dict(generated_scenarios()["contested13_replay"]))
+    calls = Counters()
+
+    def counted(kind, handler):
+        return lambda node, message: calls.bump(kind) or handler(node, message)
+
+    sim._rx_table = {byte: (cls, counted(cls.__name__, handler)) for byte, (cls, handler) in sim._rx_table.items()}
+    sim.run()
+    c = sim.counters
+    processed = c.get("rx_processed") + c.get("adv_rx_processed")
+    set_aside = c.get("rx_ignored_down") + c.get("rx_unparseable") + c.get("rx_duplicates")
+    assert processed == set_aside + sum(calls.values.values())
+    assert calls.get("WirePacket") > 0 and calls.get("RekeyMessage") > 0
 
 
 # ---- metamorphic determinism: draws in one domain never shift another ------
