@@ -7,11 +7,15 @@ report followed by its trace. tests/test_run_digests.py checks each run
 against it. Regenerate only when a change is meant to alter run output,
 and say in CHANGES.md which digests moved and why. Before it overwrites
 the file, the script prints each name whose digest differs from the file
-(one added or dropped counts too), or "no digest moved":
+(one added or dropped counts too), or "no digest moved". With --check it
+writes nothing and exits 1 when a digest moved, so the lock can be checked
+on an interpreter without pytest:
 
     PYTHONPATH=src python scripts/regen_run_digests.py
+    PYTHONPATH=src python scripts/regen_run_digests.py --check
 """
 
+import argparse
 import json
 import pathlib
 
@@ -22,7 +26,10 @@ from swarmlink.scenario import scenario_from_dict
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "run_digests.json"
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 if a digest moved")
+    args = parser.parse_args(argv)
     digests = {name: run_digest(resolve_scenario(name)) for name in SHIPPED_SCENARIOS}
     for name, data in generated_scenarios().items():
         digests[name] = run_digest(scenario_from_dict(data))
@@ -32,6 +39,8 @@ def main() -> int:
         print(f"digest moved: {name}")
     if not moved:
         print("no digest moved")
+    if args.check:
+        return 1 if moved else 0
     OUT.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"run digests: {OUT}")
     return 0

@@ -18,10 +18,10 @@ The nonce never repeats under one key: origin disambiguates sealers and the
 per-epoch counter is strictly increasing per origin.
 
 A packet keeps, under private names that equality, hash and repr ignore,
-the AeadBox and Frame it was sealed into and from, and its encoding (built
-once by `to_bytes`, or the bytes `from_bytes` parsed, since the parse is
-strict). Its nonce and AAD are computed from the header when an open
-needs them. `forwarded()` checks only the hop_limit it changes and shares
+the AeadBox and Frame it was sealed into and from, and its encoding (the
+header the seal packed, followed by ciphertext and tag; else built once by
+`to_bytes`, or the bytes `from_bytes` parsed, since the parse is strict).
+Its nonce and AAD are sliced from that header when an open needs them. `forwarded()` checks only the hop_limit it changes and shares
 the rest, none of which binds hop_limit; only its encoding differs, by the
 hop byte. `dataclasses.replace` builds a new packet that keeps no state.
 So only packets with the same nonce and AAD ever share a box.
@@ -55,6 +55,9 @@ from .rekey import KeyRing
 
 HEADER_LEN = 1 + 4 + 2 + 4 + 1 + 6
 _HOP_OFFSET = 1 + 4 + 2 + 4  # of hop_limit in the header
+# The header in one pack: version, epoch, origin, seq, hop_limit, then the
+# 48-bit counter as its high 16 and low 32 bits.
+_HEADER = struct.Struct(">BIHIBHI")
 PACKET_OVERHEAD = HEADER_LEN + crypto.TAG_LEN
 PER_MESSAGE_OVERHEAD = 1 + 2 + 1
 MAX_PAYLOAD_LEN = 255
@@ -233,7 +236,11 @@ class WirePacket:
         return self._nonce_aad()[1]
 
     def _nonce_aad(self) -> Tuple[bytes, bytes]:
-        return _nonce_and_aad(self.version, self.epoch, self.origin, self.seq, self.counter)
+        # Slices of the header: the hop byte, at _HOP_OFFSET, is in neither,
+        # as relays decrement it in flight.
+        encoded = self._encoded or self.to_bytes()
+        tail = encoded[12:18]  # the counter
+        return encoded[1:7] + tail, encoded[:11] + tail
 
     def _aead_box(self) -> crypto.AeadBox:
         box = self._kept_box
@@ -243,10 +250,9 @@ class WirePacket:
         return box
 
     def header_bytes(self) -> bytes:
-        return (
-            bytes([self.version])
-            + struct.pack(">IHIB", self.epoch, self.origin, self.seq, self.hop_limit)
-            + self.counter.to_bytes(6, "big")
+        counter = self.counter
+        return _HEADER.pack(
+            self.version, self.epoch, self.origin, self.seq, self.hop_limit, counter >> 32, counter & 0xFFFFFFFF
         )
 
     def to_bytes(self) -> bytes:
@@ -298,14 +304,6 @@ class WirePacket:
         # The parse is strict, so these bytes are exactly the packet's encoding.
         packet.__dict__["_encoded"] = bytes(data)
         return packet
-
-
-def _nonce_and_aad(version: int, epoch: int, origin: int, seq: int, counter: int) -> Tuple[bytes, bytes]:
-    """The AES-GCM nonce and associated data of a packet with these header fields."""
-    # hop_limit is deliberately absent: relays decrement it in flight.
-    head = struct.pack(">BIHI", version, epoch, origin, seq)
-    tail = counter.to_bytes(6, "big")
-    return head[1:7] + tail, head + tail
 
 
 class PacketCounters:
@@ -387,13 +385,38 @@ def seal_with_key(
     frame: Frame,
     counters: PacketCounters,
 ) -> WirePacket:
-    """Seal a frame under an explicit key; epoch 0 marks session-key traffic."""
+    """Seal a frame under an explicit key; epoch 0 marks session-key traffic.
+
+    The header is packed once; the nonce and AAD are slices of it, and it
+    starts the packet's kept encoding."""
     counter = counters.next_for(epoch)
-    nonce, aad = _nonce_and_aad(wire.PACKET_VERSION, epoch, origin, seq, counter)
+    try:
+        header = _HEADER.pack(
+            wire.PACKET_VERSION, epoch, origin, seq, hop_limit, counter >> 32, counter & 0xFFFFFFFF
+        )
+    except struct.error:
+        # Raises the ValidationError that names the field out of range.
+        WirePacket(epoch, origin, seq, hop_limit, counter, b"", PLAIN_TAG)
+        raise
     plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
-    box = crypto.aead_seal(key, nonce, plaintext, aad)
-    packet = WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
-    packet.__dict__.update(_kept_box=box, _kept_frame=frame)
+    tail = header[12:18]  # the counter
+    box = crypto.aead_seal(key, header[1:7] + tail, plaintext, header[:11] + tail)
+    ciphertext, tag = box.ciphertext, box.tag
+    # The pack checked every field's range, and the tag is TAG_LEN bytes, so
+    # the fields go straight into the instance dict, as in WirePacket.__init__.
+    packet = object.__new__(WirePacket)
+    state = packet.__dict__
+    state["epoch"] = epoch
+    state["origin"] = origin
+    state["seq"] = seq
+    state["hop_limit"] = hop_limit
+    state["counter"] = counter
+    state["ciphertext"] = ciphertext
+    state["tag"] = tag
+    state["version"] = wire.PACKET_VERSION
+    state["_kept_box"] = box
+    state["_kept_frame"] = frame
+    state["_encoded"] = header + ciphertext + tag
     return packet
 
 

@@ -100,9 +100,13 @@ class AeadBox:
     # Kept state, not a field: (key bytes, verified value).
     _verified = None
 
-    def __post_init__(self):
-        if len(self.tag) != TAG_LEN:
+    def __init__(self, ciphertext: bytes, tag: bytes) -> None:
+        if len(tag) != TAG_LEN:
             raise ValidationError("box", f"tag must be {TAG_LEN} bytes")
+        # The class is frozen: the fields go straight into the instance dict.
+        fields = self.__dict__
+        fields["ciphertext"] = ciphertext
+        fields["tag"] = tag
 
     def to_bytes(self) -> bytes:
         return self.ciphertext + self.tag

@@ -51,8 +51,14 @@ metrics and a trace. Determinism rules:
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values; each trace line is
-  exactly `json.dumps(entry, sort_keys=True)`, written by one JSONEncoder
-  built at import rather than one per line.
+  exactly `json.dumps(entry, sort_keys=True)` of its time, its kind and
+  the fields TRACE_KINDS declares for that kind, no more and no fewer. It
+  is written from a `%`-style template compiled per kind at import, keys
+  in sorted order and the kind inlined: a string value is escaped as json
+  escapes it, a finite number goes in as its repr, and a list, dict or
+  non-finite float is encoded by one JSONEncoder built at import. The
+  time's text is encoded once per `now` object, so an int and a float
+  time never share one.
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
 their hooks and never names one. A receive handler raises the
@@ -71,6 +77,7 @@ from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
@@ -103,10 +110,60 @@ class _TxItem:
     message: object = None
 
 
-# One trace line's text, exactly `json.dumps(entry, sort_keys=True)`, from
-# an encoder built once instead of once per line. No circular check: a
-# trace entry is a fresh dict of scalars, lists and dicts.
+# A value's JSON text, exactly what `json.dumps(value, sort_keys=True)`
+# writes, from an encoder built once instead of once per line. No circular
+# check: a trace value is a fresh scalar, list or dict.
 _encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+def _number_text(x: float) -> str:
+    """An int's or float's JSON text, as json.dumps writes it: its repr
+    when finite, else the encoder's NaN or Infinity."""
+    return repr(x) if x - x == 0 else _encode_line(x)
+
+
+# Every trace event kind and the JSON type of each of its fields. Each line
+# also carries "t", the simulated time rounded to 9 places, and "event",
+# the kind.
+TRACE_KINDS: Dict[str, Dict[str, type]] = {
+    "security": {"node": int, "error": str, "detail": str},
+    "node_down": {"node": int},
+    "link_event": {"link": str, "set": dict},
+    "handshake_offer": {"uav": int, "attempt": int},
+    "unreachable": {"uav": int},
+    "session_uav": {"node": int},
+    "session_gcs": {"uav": int},
+    "rotate": {"epoch": int, "not_after": float},
+    "rekey_installed": {"node": int, "epoch": int},
+    "link_switch": {"node": int, "link": str},
+    "defer": {"node": int, "link": str, "until": float},
+    "drop": {"node": int, "reason": str, "item": str},
+    # Written by the taps in adversary.py.
+    "key_leaked": {"epoch": int},
+    "mitm_substitute": {"item": str, "nonce": str},
+    "replay_inject": {"receivers": list},
+}
+
+# JSON type -> the function that gives a value's text; an int's text is
+# its str(), which `%s` takes as is.
+_ENCODERS = {
+    str: encode_basestring_ascii,
+    float: _number_text,
+    list: _encode_line,
+    dict: _encode_line,
+}
+
+
+def _compile_line(kind: str, fields: Dict[str, type]) -> Tuple[str, FrozenSet[str], Tuple]:
+    """(template, field names, (name, encoder) per field that needs one)."""
+    texts = {name: f"%({name})s" for name in (*fields, "t")}
+    texts["event"] = encode_basestring_ascii(kind)
+    template = "{" + ", ".join(f"{encode_basestring_ascii(key)}: {texts[key]}" for key in sorted(texts)) + "}"
+    encoders = tuple((name, _ENCODERS[t]) for name, t in fields.items() if t is not int)
+    return template, frozenset(fields), encoders
+
+
+_TRACE_LINES = {kind: _compile_line(kind, fields) for kind, fields in TRACE_KINDS.items()}
 
 
 class _Node:
@@ -177,6 +234,9 @@ class Simulation:
         self.security_events = Counters()
         self.audit = DeliveryAudit()
         self.trace: List[str] = []
+        # The `now` whose "t" text _trace encoded last, and that text.
+        self._trace_now: Optional[float] = None
+        self._trace_t = ""
         self.installed_keys: List[Tuple[int, bytes]] = []
         self.duty_log: List[Tuple[int, str, float, float]] = []
         # (node, link) -> [peak window utilisation, total airtime], per metered send.
@@ -273,9 +333,20 @@ class Simulation:
     # ---- tracing / accounting --------------------------------------------
 
     def _trace(self, kind: str, **fields) -> None:
-        entry = {"t": round(self.now, 9), "event": kind}
-        entry.update(fields)
-        self.trace.append(_encode_line(entry))
+        """Append one line of a kind TRACE_KINDS declares, with exactly its fields."""
+        line = _TRACE_LINES.get(kind)
+        if line is None or fields.keys() != line[1]:
+            raise TypeError(
+                f"trace kind {kind!r} takes {sorted(TRACE_KINDS.get(kind, ()))}, got {sorted(fields)}"
+            )
+        for name, encode in line[2]:
+            fields[name] = encode(fields[name])
+        now = self.now
+        if now is not self._trace_now:
+            self._trace_now = now
+            self._trace_t = _number_text(round(now, 9))
+        fields["t"] = self._trace_t
+        self.trace.append(line[0] % fields)
 
     def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
         """Count and trace a rejection; returns it as a receive outcome."""

@@ -229,10 +229,17 @@ def forward_chain(packet, hops=4):
     return chain
 
 
+def nonce_and_aad(version, epoch, origin, seq, counter):
+    """The nonce and AAD the module docstring lays out, built field by field."""
+    counter_bytes = counter.to_bytes(6, "big")
+    nonce = epoch.to_bytes(4, "big") + origin.to_bytes(2, "big") + counter_bytes
+    return nonce, bytes([version]) + nonce[:6] + seq.to_bytes(4, "big") + counter_bytes
+
+
 def assert_state_matches_fields(packet):
     fields = (packet.version, packet.epoch, packet.origin, packet.seq, packet.counter)
     assert packet.to_bytes() == packet.header_bytes() + packet.ciphertext + packet.tag
-    assert (packet.nonce(), packet.aad()) == codec._nonce_and_aad(*fields)
+    assert (packet.nonce(), packet.aad()) == nonce_and_aad(*fields)
     assert packet._aead_box() == crypto.AeadBox(packet.ciphertext, packet.tag)
     assert packet._aead_box().to_bytes() == packet.ciphertext + packet.tag
 
@@ -281,6 +288,19 @@ def test_every_forward_of_a_sealed_packet_opens_under_its_key_and_no_other(heade
             codec.open_with_key(key, codec.ReplayWindow(), flipped)
         with pytest.raises(AuthError):  # a replaced field leaves no seal state behind
             codec.open_with_key(key, codec.ReplayWindow(), dataclasses.replace(packet, tag=packet.tag[::-1]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epoch", 2**32), ("epoch", -1), ("origin", wire.NODE_ID_MAX + 1), ("seq", codec.MAX_SEQ + 1),
+     ("hop_limit", 0x100), ("hop_limit", -1)],
+)
+def test_sealing_an_out_of_range_header_field_raises_the_error_naming_it(field, value):
+    header = {"epoch": 0, "origin": 1, "seq": 0, "hop_limit": 3, field: value}
+    frame = codec.Frame(messages=(msg(1, b"x"),))
+    with pytest.raises(ValidationError) as err:
+        codec.seal_with_key(crypto.SymmetricKey(b"\x20" * 32), *header.values(), frame, codec.PacketCounters())
+    assert err.value.field == field
 
 
 def test_a_packet_keeps_its_seal_state_outside_its_value():
@@ -454,7 +474,7 @@ def test_a_kept_frame_is_returned_only_when_the_verified_plaintext_equals_its_en
 
 def test_a_plaintext_that_fails_to_parse_is_never_stored():
     key = crypto.SymmetricKey(b"\x33" * 32)
-    nonce, aad = codec._nonce_and_aad(1, 0, 1, 0, 0)
+    nonce, aad = nonce_and_aad(1, 0, 1, 0, 0)
     box = crypto.aead_seal(key, nonce, b"\x01\x00", aad)  # claims one message, holds none
     pkt = codec.WirePacket(0, 1, 0, 0, 0, box.ciphertext, box.tag)
     window = codec.ReplayWindow()

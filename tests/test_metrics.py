@@ -62,6 +62,11 @@ def test_latency_summary_shape():
     assert empty["count"] == 0 and empty["mean_s"] is None
 
 
+def test_latency_mean_folds_left_to_right_on_every_python():
+    # Ten 0.1s fold to 0.9999999999999999; a compensated sum() gives 1.0.
+    assert latency_summary([0.1] * 10)["mean_s"] == 0.09999999999999999
+
+
 def test_render_csv_rows():
     report = {
         "scenario": "unit",

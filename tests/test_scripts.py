@@ -121,14 +121,49 @@ def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(regen, "generated_scenarios", dict)
     monkeypatch.setattr(regen, "OUT", tmp_path / "run_digests.json")
     regen.OUT.write_text(json.dumps({"basic_pair": committed["basic_pair"]}))
-    assert regen.main() == 0
+    assert regen.main([]) == 0
     assert "no digest moved" in capsys.readouterr().out
     regen.OUT.write_text(json.dumps({"basic_pair": "0" * 64, "gone": "0" * 64}))
-    assert regen.main() == 0
+    assert regen.main([]) == 0
     out = capsys.readouterr().out
     assert "digest moved: basic_pair" in out and "digest moved: gone" in out
     assert "no digest moved" not in out
     assert json.loads(regen.OUT.read_text()) == {"basic_pair": committed["basic_pair"]}
+
+
+def test_regen_run_digests_check_writes_nothing_and_exits_1_when_a_digest_moved(tmp_path, monkeypatch, capsys):
+    regen = _script("regen_run_digests")
+    monkeypatch.setattr(regen, "SHIPPED_SCENARIOS", ("basic_pair",))
+    monkeypatch.setattr(regen, "generated_scenarios", dict)
+    monkeypatch.setattr(regen, "OUT", tmp_path / "run_digests.json")
+    moved = json.dumps({"basic_pair": "0" * 64})
+    regen.OUT.write_text(moved)
+    assert regen.main(["--check"]) == 1
+    assert "digest moved: basic_pair" in capsys.readouterr().out
+    assert regen.OUT.read_text() == moved
+
+
+def test_regen_run_digests_check_passes_on_the_committed_lock(capsys):
+    committed = SCRIPTS.parent / "tests" / "golden" / "run_digests.json"
+    before = committed.read_bytes()
+    assert _script("regen_run_digests").main(["--check"]) == 0
+    assert "no digest moved" in capsys.readouterr().out
+    assert committed.read_bytes() == before
+
+
+def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path):
+    out = tmp_path / "BENCH_test.json"
+    argv = ["--out", str(out), "--workloads", "grid_flood", "--seconds", "0.05",
+            "--sides", "2", "3", "--duration", "4", "--repeats", "1"]
+    assert _script("bench_record").main(argv) == 0
+    record = json.loads(out.read_text())
+    assert sorted(record) == ["grid_ladder", "host", "python", "workloads"]
+    run = record["workloads"]["grid_flood"]
+    assert run["seed"] == 1 and run["result"]["correct"] and "wall_ref" in run["result"]["metrics"]
+    assert [rung["nodes"] for rung in record["grid_ladder"]] == [4, 9]
+    for rung in record["grid_ladder"]:
+        assert sorted(rung) == ["duration_s", "nodes", "receptions", "report_bytes", "transmissions", "wall_s"]
+        assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
 
 
 def test_sample_profile_names_the_event_loop(capsys):

@@ -1,6 +1,7 @@
 """End-to-end simulator behavior on small scripted scenarios."""
 
 import json
+import math
 import random
 import signal
 from dataclasses import replace
@@ -151,13 +152,55 @@ def test_trace_lines_are_exactly_what_json_dumps_writes(fields, t):
     assert sim_module._encode_line(entry) == expected
 
 
-def test_trace_method_writes_its_entry_through_the_prebuilt_encoder():
+# A value of each JSON type a trace field declares.
+trace_field_values = {
+    int: st.integers(-(2**70), 2**70),
+    float: st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 1e-7])),
+    # Non-ASCII, control characters, quotes, backslashes and a lone surrogate.
+    str: st.one_of(st.text(), st.text(st.sampled_from('\x00\x1f\x7f"\\/%\u00e9\u2028\ud800\U0001f600 a'))),
+    list: st.lists(trace_scalars, max_size=4),
+    dict: st.dictionaries(st.text(max_size=6), trace_values, max_size=4),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(sim_module.TRACE_KINDS)),
+            st.one_of(st.floats(), st.integers(0, 10**6), st.sampled_from([1 / 3, 5.0, 5])),
+            st.data(),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_every_declared_kind_writes_exactly_what_json_dumps_writes(lines):
     sim = Simulation(scenario_from_dict(base_scenario_dict()))
-    sim.now = 1 / 3
-    sim._trace("probe", node=7, detail="caf\u00e9\n", items=[1, None], nested={"b": 1.5, "a": True})
-    entry = {"t": round(1 / 3, 9), "event": "probe", "node": 7, "detail": "caf\u00e9\n",
-             "items": [1, None], "nested": {"b": 1.5, "a": True}}
-    assert sim.trace == [json.dumps(entry, sort_keys=True)]
+    expected = []
+    for kind, now, data in lines:
+        fields = {
+            name: data.draw(trace_field_values[json_type], label=name)
+            for name, json_type in sim_module.TRACE_KINDS[kind].items()
+        }
+        expected.append(json.dumps({"t": round(now, 9), "event": kind, **fields}, sort_keys=True))
+        sim.now = now
+        sim._trace(kind, **fields)
+    assert sim.trace == expected
+
+
+def test_an_undeclared_trace_kind_or_a_wrong_field_set_raises():
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    for kind, fields in [
+        ("probe", {"node": 7}),  # undeclared
+        ("node_down", {}),  # missing
+        ("node_down", {"node": 1, "extra": 2}),  # extra
+        ("node_down", {"uav": 1}),  # another name
+        ("security", {"node": 1, "error": "AuthError"}),
+    ]:
+        with pytest.raises(TypeError):
+            sim._trace(kind, **fields)
+    assert sim.trace == []
 
 
 def test_conservation_identity_over_modes():
@@ -183,12 +226,29 @@ def test_handshake_retry_exhaustion_marks_unreachable():
     # 100% loss makes every offer vanish; retries run out, node 3 too
     d["links"] = {"wifi24": {"band": "wifi24", "loss_prob": 1.0}}
     d["protocol"] = {"handshake_timeout_s": 1.0, "handshake_retries": 2}
-    report, _ = run(d)
+    report, trace = run(d)
     assert report["handshakes"]["established"] == 0
     assert report["handshakes"]["unreachable"] == [2, 3]
+    assert [line for line in trace if '"unreachable"' in line] == [
+        '{"event": "unreachable", "t": 3.000000003, "uav": 2}',
+        '{"event": "unreachable", "t": 3.000000003, "uav": 3}',
+    ]
     assert report["handshakes"]["attempts"] == 6  # 3 tries per uav
     assert report["delivery"]["overall_ratio"] == 0.0
     assert report["conservation"]["balanced"]
+
+
+def test_a_send_to_a_live_peer_out_of_range_is_one_drop_naming_its_cause():
+    d = base_scenario_dict()
+    d["nodes"][2]["position"] = [5000.0, 0.0]  # UAV 3: live, beyond wifi24 range of every node
+    report, trace = run(d)
+    # The offer to UAV 3 queues behind the one to UAV 2; its retry follows the 5 s handshake timeout.
+    assert [line for line in trace if '"drop"' in line] == [
+        '{"event": "drop", "item": "offer", "node": 1, "reason": "no_viable_link", "t": 9.36e-05}',
+        '{"event": "drop", "item": "offer", "node": 1, "reason": "no_viable_link", "t": 5.000000001}',
+    ]
+    assert report["conservation"]["tx_dropped"] == 2 and report["conservation"]["balanced"]
+    assert report["handshakes"]["established"] == 1
 
 
 def test_rekey_resend_until_acked():
