@@ -21,10 +21,11 @@ A packet keeps, under private names that equality, hash and repr ignore,
 the AeadBox and Frame it was sealed into and from, and its encoding (the
 header the seal packed, followed by ciphertext and tag; else built once by
 `to_bytes`, or the bytes `from_bytes` parsed, since the parse is strict).
-Its nonce and AAD are sliced from that header when an open needs them. `forwarded()` checks only the hop_limit it changes and shares
-the rest, none of which binds hop_limit; only its encoding differs, by the
-hop byte. `dataclasses.replace` builds a new packet that keeps no state.
-So only packets with the same nonce and AAD ever share a box.
+Its nonce and AAD are sliced from that header when an open needs them.
+`forwarded()` checks only the hop_limit it changes and shares the rest,
+none of which binds hop_limit; only its encoding differs, by the hop byte.
+`dataclasses.replace` builds a new packet that keeps no state. So only
+packets with the same nonce and AAD ever share a box.
 
 Every receiver of a flood opens the same ciphertext, so the box its
 honest copies share keeps the key bytes it last verified under and the
@@ -66,6 +67,20 @@ MAX_SEQ = 2**32 - 1
 REPLAY_WINDOW = 64
 
 PLAIN_TAG = b"\x00" * crypto.TAG_LEN
+
+
+def _pack_header(version: int, epoch: int, origin: int, seq: int, hop_limit: int, counter: int) -> bytes:
+    """The 18-byte header; raises struct.error on a field out of range."""
+    return _HEADER.pack(version, epoch, origin, seq, hop_limit, counter >> 32, counter & 0xFFFFFFFF)
+
+
+def _nonce_aad_of(header: bytes) -> Tuple[bytes, bytes]:
+    """Nonce and AAD as slices of a header (or of an encoding it starts).
+
+    The nonce is epoch, origin and counter; the AAD is every header byte
+    but the hop byte, at _HOP_OFFSET, which relays decrement in flight."""
+    counter = header[12:18]
+    return header[1:7] + counter, header[:11] + counter  # [1:7] is epoch and origin
 
 
 @dataclass(frozen=True)
@@ -236,11 +251,7 @@ class WirePacket:
         return self._nonce_aad()[1]
 
     def _nonce_aad(self) -> Tuple[bytes, bytes]:
-        # Slices of the header: the hop byte, at _HOP_OFFSET, is in neither,
-        # as relays decrement it in flight.
-        encoded = self._encoded or self.to_bytes()
-        tail = encoded[12:18]  # the counter
-        return encoded[1:7] + tail, encoded[:11] + tail
+        return _nonce_aad_of(self._encoded or self.header_bytes())
 
     def _aead_box(self) -> crypto.AeadBox:
         box = self._kept_box
@@ -250,10 +261,7 @@ class WirePacket:
         return box
 
     def header_bytes(self) -> bytes:
-        counter = self.counter
-        return _HEADER.pack(
-            self.version, self.epoch, self.origin, self.seq, self.hop_limit, counter >> 32, counter & 0xFFFFFFFF
-        )
+        return _pack_header(self.version, self.epoch, self.origin, self.seq, self.hop_limit, self.counter)
 
     def to_bytes(self) -> bytes:
         encoded = self._encoded
@@ -391,32 +399,16 @@ def seal_with_key(
     starts the packet's kept encoding."""
     counter = counters.next_for(epoch)
     try:
-        header = _HEADER.pack(
-            wire.PACKET_VERSION, epoch, origin, seq, hop_limit, counter >> 32, counter & 0xFFFFFFFF
-        )
+        header = _pack_header(wire.PACKET_VERSION, epoch, origin, seq, hop_limit, counter)
     except struct.error:
         # Raises the ValidationError that names the field out of range.
         WirePacket(epoch, origin, seq, hop_limit, counter, b"", PLAIN_TAG)
         raise
     plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
-    tail = header[12:18]  # the counter
-    box = crypto.aead_seal(key, header[1:7] + tail, plaintext, header[:11] + tail)
-    ciphertext, tag = box.ciphertext, box.tag
-    # The pack checked every field's range, and the tag is TAG_LEN bytes, so
-    # the fields go straight into the instance dict, as in WirePacket.__init__.
-    packet = object.__new__(WirePacket)
-    state = packet.__dict__
-    state["epoch"] = epoch
-    state["origin"] = origin
-    state["seq"] = seq
-    state["hop_limit"] = hop_limit
-    state["counter"] = counter
-    state["ciphertext"] = ciphertext
-    state["tag"] = tag
-    state["version"] = wire.PACKET_VERSION
-    state["_kept_box"] = box
-    state["_kept_frame"] = frame
-    state["_encoded"] = header + ciphertext + tag
+    nonce, aad = _nonce_aad_of(header)
+    box = crypto.aead_seal(key, nonce, plaintext, aad)
+    packet = WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
+    packet.__dict__.update(_kept_box=box, _kept_frame=frame, _encoded=header + box.ciphertext + box.tag)
     return packet
 
 

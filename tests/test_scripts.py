@@ -151,11 +151,15 @@ def test_regen_run_digests_check_passes_on_the_committed_lock(capsys):
     assert committed.read_bytes() == before
 
 
-def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path):
+def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, monkeypatch):
+    record_script = _script("bench_record")
+    monkeypatch.setattr(record_script, "WORKLOADS", ("grid_flood",))
+    monkeypatch.setattr(record_script, "WORKLOAD_SECONDS", 0.05)
+    monkeypatch.setattr(record_script, "LADDER_SIDES", (2, 3))
+    monkeypatch.setattr(record_script, "RUNG_DURATION_S", 4.0)
+    monkeypatch.setattr(record_script, "REPEATS", 1)
     out = tmp_path / "BENCH_test.json"
-    argv = ["--out", str(out), "--workloads", "grid_flood", "--seconds", "0.05",
-            "--sides", "2", "3", "--duration", "4", "--repeats", "1"]
-    assert _script("bench_record").main(argv) == 0
+    assert record_script.main(["--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert sorted(record) == ["grid_ladder", "host", "python", "workloads"]
     run = record["workloads"]["grid_flood"]
@@ -164,6 +168,15 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path):
     for rung in record["grid_ladder"]:
         assert sorted(rung) == ["duration_s", "nodes", "receptions", "report_bytes", "transmissions", "wall_s"]
         assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
+
+
+def test_bench_record_without_out_writes_nothing(capsys):
+    committed = SCRIPTS.parent / "BENCH_1.json"
+    before = committed.read_bytes()
+    with pytest.raises(SystemExit) as refused:
+        _script("bench_record").main([])
+    assert refused.value.code == 2 and "--out" in capsys.readouterr().err
+    assert committed.read_bytes() == before
 
 
 def test_sample_profile_names_the_event_loop(capsys):
