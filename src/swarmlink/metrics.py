@@ -5,6 +5,23 @@ scenario and seed produce byte-identical JSON. Latency percentiles use the
 nearest-rank method on the sorted sample; no field ever depends on wall
 clock or iteration order of unordered containers.
 
+`render_json` writes exactly the bytes of `json.dumps(report,
+sort_keys=True, indent=2)`, but not through it: `indent` makes Python
+3.11's json leave its C encoder for the pure-Python one, which first
+lists every token of the document as its own str. The per-pair block
+grows as N^2, so that list would be the memory peak of a 49-node run,
+and at 400 nodes it takes 122 MB to write a 14 MB report. Here a dict
+whose values are all scalars (every per-pair entry) is filled into one
+`%`-template per shape, its sorted keys and depth, compiled once; every
+other dict or list is joined one level at a time. Scalars get json's own
+text: `encode_basestring_ascii`, a finite number's repr, else NaN or
+Infinity (`_number_text`, which the trace lines in sim.py use too). Keys
+are sorted as they are, before json's conversion of int, float, bool and
+None keys to text; subclasses of str, int, float, list, tuple and dict
+are written as their base type, and anything else raises TypeError, as
+json does. A report is a fresh tree: a container that holds itself ends
+in RecursionError, where json raises ValueError.
+
 The delivery ledger keeps each fact once, in the shape the report reads:
 per message its source, origination time and a bitmask of the nodes it
 reached; per source its message count; per (source, destination) pair the
@@ -14,11 +31,11 @@ deliveries, never messages x nodes.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from .errors import UnknownMessage
@@ -118,8 +135,104 @@ def latency_summary(sorted_latencies: List[float]) -> Dict[str, object]:
 
 
 def render_json(report: dict) -> str:
-    """Canonical JSON: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: `json.dumps(report, sort_keys=True, indent=2)` plus a newline."""
+    return _text(report, 0) + "\n"
+
+
+def _number_text(x: float) -> str:
+    """An int's or float's JSON text, as json.dumps writes it: its repr
+    when finite, else NaN, Infinity or -Infinity."""
+    if x - x == 0:
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+_INDENT = "  "
+# Exact type -> its JSON text; a subclass takes the isinstance path in _text.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _number_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+# (sorted str keys, depth) -> the %-template of a dict of scalars. Reports
+# have a handful of shapes; past the cap a new shape is built every time.
+_TEMPLATES: Dict[Tuple[Tuple[str, ...], int], str] = {}
+_MAX_TEMPLATES = 256
+
+
+def _text(value, depth: int) -> str:
+    """`value`'s JSON text at nesting `depth`, as json.dumps(sort_keys=True, indent=2) writes it."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    # No class derives from two of these bases, so their order is free.
+    if isinstance(value, dict):
+        return _dict_text(value, depth)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return _joined("[", [_text(item, depth + 1) for item in value], "]", depth)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _number_text(float.__float__(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dict_text(d: dict, depth: int) -> str:
+    if not d:
+        return "{}"
+    keys = sorted(d)  # the keys as they are: int keys sort as numbers
+    values = [d[key] for key in keys]
+    try:
+        texts = tuple([_SCALAR_TEXT[type(value)](value) for value in values])
+    except KeyError:  # a container or a subclass among the values: join this level
+        items = zip(keys, values)
+        return _joined("{", [f"{_key_text(key)}: {_text(value, depth + 1)}" for key, value in items], "}", depth)
+    keys = tuple(keys)
+    return (_TEMPLATES.get((keys, depth)) or _leaf_template(keys, depth)) % texts
+
+
+def _leaf_template(keys: tuple, depth: int) -> str:
+    template = _joined("{", [_key_text(key).replace("%", "%%") + ": %s" for key in keys], "}", depth)
+    # Only all-str keys are cached: (1,), (1.0,) and (True,) are equal tuples
+    # with different texts.
+    if len(_TEMPLATES) < _MAX_TEMPLATES and all(type(key) is str for key in keys):
+        _TEMPLATES[keys, depth] = template
+    return template
+
+
+def _joined(opening: str, texts: List[str], closing: str, depth: int) -> str:
+    """The container at `depth` whose item texts are `texts`, which it
+    takes over: the brackets go onto the first and last item, so the
+    container's text is built by one join, not copied again."""
+    inner = "\n" + _INDENT * (depth + 1)
+    texts[0] = opening + inner + texts[0]
+    texts[-1] += "\n" + _INDENT * depth + closing
+    return ("," + inner).join(texts)
+
+
+def _key_text(key) -> str:
+    """A dict key's JSON text: json's text for an int, float, bool or None key, escaped."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _number_text(float.__float__(key))
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 def render_csv(report: dict) -> str:

@@ -55,10 +55,10 @@ metrics and a trace. Determinism rules:
   the fields TRACE_KINDS declares for that kind, no more and no fewer. It
   is written from a `%`-style template compiled per kind at import, keys
   in sorted order and the kind inlined: a string value is escaped as json
-  escapes it, a finite number goes in as its repr, and a list, dict or
-  non-finite float is encoded by one JSONEncoder built at import. The
-  time's text is encoded once per `now` object, so an int and a float
-  time never share one.
+  escapes it, a number goes in as metrics._number_text writes it (the
+  report's scalar text too), and a list or dict is encoded by one
+  JSONEncoder built at import. The time's text is encoded once per `now`
+  object, so an int and a float time never share one.
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
 their hooks and never names one. A receive handler raises the
@@ -91,7 +91,7 @@ from .errors import (
     ValidationError,
 )
 # render_json stays importable as sim.render_json.
-from .metrics import Counters, DeliveryAudit, latency_summary, render_json  # noqa: F401
+from .metrics import Counters, DeliveryAudit, _number_text, latency_summary, render_json  # noqa: F401
 from .scenario import Scenario
 
 TELEMETRY_MSG_ID = 0x01
@@ -114,12 +114,6 @@ class _TxItem:
 # writes, from an encoder built once instead of once per line. No circular
 # check: a trace value is a fresh scalar, list or dict.
 _encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
-
-def _number_text(x: float) -> str:
-    """An int's or float's JSON text, as json.dumps writes it: its repr
-    when finite, else the encoder's NaN or Infinity."""
-    return repr(x) if x - x == 0 else _encode_line(x)
 
 
 # Every trace event kind and the JSON type of each of its fields. Each line

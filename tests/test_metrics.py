@@ -1,13 +1,14 @@
 """Delivery accounting and summary statistics tests."""
 
+import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmlink.errors import UnknownMessage
-from swarmlink.metrics import DeliveryAudit, latency_summary, percentile, render_csv
+from swarmlink.metrics import DeliveryAudit, latency_summary, percentile, render_csv, render_json
 
 
 def test_percentile_nearest_rank():
@@ -82,6 +83,93 @@ def test_render_csv_rows():
     lines = out.strip().splitlines()
     assert lines[0].startswith("scenario,")
     assert lines[1] == "unit,1,mesh,2,3,4,3,0.750000"
+
+
+class _Str(str):
+    def __str__(self):
+        return "not this"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not this"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not this"
+
+
+_texts = st.one_of(
+    st.text(max_size=8),
+    # Non-ASCII, control characters, quotes, a lone surrogate and template syntax.
+    st.lists(
+        st.sampled_from(['\x00', '\x1f', '"', '\\', '%', '%(', ')s', '\u00e9', '\u2028', '\ud800', '\U0001f600', 'a']),
+        max_size=5,
+    ).map("".join),
+)
+_floats = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-7]))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    _floats,
+    _texts,
+    st.builds(_Str, _texts),
+    st.builds(_Int, st.integers(-(2**70), 2**70)),
+    st.builds(_Float, _floats),
+)
+
+
+def _dicts(values):
+    """Dicts with one type of key each, as json can sort them."""
+    return st.one_of(
+        st.dictionaries(_texts, values, max_size=4),
+        st.dictionaries(st.integers(-1000, 1000), values, max_size=4),
+        st.dictionaries(_floats, values, max_size=3),
+        st.dictionaries(st.booleans(), values, max_size=2),
+        st.dictionaries(st.none(), values, max_size=1),
+    )
+
+
+_json_trees = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        _dicts(inner),
+        # One leaf dict at three depths, so its shape is filled at each.
+        _dicts(_scalars).map(lambda leaf: {"leaf": leaf, "deeper": {"leaf": leaf, "list": [leaf]}}),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_json_trees)
+@example(tree={
+    "pairs": {"1->2": {"sent": 1, "ratio": 1.0, "delivered": 1}},
+    "latency": {"by_int": {2: math.nan, 10: -math.inf, -1: math.inf}, "sent": 1, "ratio": 0.5, "delivered": 0},
+    "text": ["\u00e9\x00\ud800", {"%(x)s": "100%"}],
+})
+def test_render_json_writes_exactly_what_json_dumps_writes(tree):
+    assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [
+    {"a": object()},  # an unserialisable value
+    {"a": [1, {2, 3}]},
+    {"a": {"b": b"bytes"}},
+    {(1, 2): 1},  # an unsupported key type
+    {"a": {frozenset(): [1]}},
+    {"a": 1, 2: 3},  # str and int keys: no order between them
+    {"nested": {"a": {}, 1: []}},
+])
+def test_render_json_raises_type_error_where_json_dumps_does(tree):
+    with pytest.raises(TypeError):
+        json.dumps(tree, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        render_json(tree)
 
 
 class _ReferenceAudit:

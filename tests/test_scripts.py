@@ -166,8 +166,12 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     assert run["seed"] == 1 and run["result"]["correct"] and "wall_ref" in run["result"]["metrics"]
     assert [rung["nodes"] for rung in record["grid_ladder"]] == [4, 9]
     for rung in record["grid_ladder"]:
-        assert sorted(rung) == ["duration_s", "nodes", "receptions", "report_bytes", "transmissions", "wall_s"]
+        assert sorted(rung) == [
+            "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes", "run_s",
+            "transmissions", "wall_s",
+        ]
         assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
+        assert rung["duration_s"] == 4.0 and 0 < rung["render_s"] < rung["wall_s"] and rung["max_rss_mb"] > 0
 
 
 def test_bench_record_without_out_writes_nothing(capsys):
