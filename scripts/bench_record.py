@@ -17,6 +17,11 @@ script sits in:
   `RUSAGE_CHILDREN` in this process would give the largest child reaped
   so far, not this rung's); its transmissions (`tx_sent`), receptions
   (`rx_events`) and report bytes;
+- `retained_memory`: `scripts/retained_memory.py`'s table for
+  RETAINED_SCENARIO at each of RETAINED_DURATIONS simulated seconds, in a
+  child process of its own: the MB still live after `run()` returns
+  (`retained_mb`) and the tracemalloc peak (`peak_mb`), each row after an
+  untraced warm-up run;
 - `python`: the interpreter version, and `host`: machine and CPU count.
 
 Wall times are raw host seconds, so compare them only with runs taken on
@@ -49,6 +54,8 @@ WORKLOAD_SECONDS = 20.0  # measured time per workload
 LADDER_SIDES = (5, 7, 10, 14)  # grid ladder rungs, side x side nodes
 RUNG_DURATION_S = 10.0  # simulated seconds per rung
 REPEATS = 3
+RETAINED_SCENARIO = "mesh_10_lossy"
+RETAINED_DURATIONS = (25.0, 100.0, 400.0)  # simulated seconds, traffic without stop_s
 
 
 def bench_line(workload: str) -> dict:
@@ -98,22 +105,38 @@ def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
     }
 
 
-# Runs this file's ladder_rung in a fresh interpreter: argv is the source
-# tree's src/, this file and the JSON list of ladder_rung's arguments.
-RUNG_CHILD = (
+# Runs one function of a script in a fresh interpreter and prints its
+# result as JSON: argv is the source tree's src/, the script, the
+# function's name and the JSON list of its arguments.
+CHILD = (
     "import json, runpy, sys; sys.path.insert(0, sys.argv[1]); "
-    "rung = runpy.run_path(sys.argv[2])['ladder_rung']; "
-    "print(json.dumps(rung(*json.loads(sys.argv[3]))))"
+    "function = runpy.run_path(sys.argv[2])[sys.argv[3]]; "
+    "print(json.dumps(function(*json.loads(sys.argv[4]))))"
 )
+
+
+def in_child(script: Path, function: str, args: list):
+    """`function(*args)` from `script`, run in a child process of its own."""
+    argv = [str(ROOT / "src"), str(script), function, json.dumps(args)]
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
 
 
 def grid_rung(side: int) -> dict:
     """One rung in a child process of its own, so its max RSS is its own."""
-    argv = [str(ROOT / "src"), str(Path(__file__).resolve()), json.dumps([side, RUNG_DURATION_S, REPEATS])]
-    out = subprocess.run(
-        [sys.executable, "-c", RUNG_CHILD, *argv], capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
+    return in_child(Path(__file__).resolve(), "ladder_rung", [side, RUNG_DURATION_S, REPEATS])
+
+
+def retained_memory() -> list:
+    """retained_memory.py's table in a child process of its own, so no
+    earlier work in this process shares its one-time costs."""
+    rows = in_child(ROOT / "scripts" / "retained_memory.py", "table", [RETAINED_SCENARIO, RETAINED_DURATIONS])
+    return [
+        {"scenario": RETAINED_SCENARIO, "duration_s": duration, "retained_mb": retained, "peak_mb": peak}
+        for duration, retained, peak in rows
+    ]
 
 
 def main(argv=None) -> int:
@@ -129,6 +152,7 @@ def main(argv=None) -> int:
             for name in WORKLOADS
         },
         "grid_ladder": [grid_rung(side) for side in LADDER_SIDES],
+        "retained_memory": retained_memory(),
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"bench record: {args.out}")

@@ -186,7 +186,10 @@ class ReplayInjector(Tap):
 
     def __init__(self, spec, sim) -> None:
         super().__init__(spec, sim)
-        self.recorded: List[Tuple[bytes, Tuple[int, ...]]] = []
+        # Each recorded transmission's bytes and its receivers (the
+        # TransmitResult's own tuple), as two parallel lists.
+        self.recorded: List[bytes] = []
+        self.recorded_rx: List[Tuple[int, ...]] = []
         self.injections = 0
         self.noops = 0
         self.outcomes = metrics.Counters()
@@ -196,7 +199,8 @@ class ReplayInjector(Tap):
 
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind == "data" and result.delivered:
-            self.recorded.append((item.data, result.delivered))
+            self.recorded.append(item.data)
+            self.recorded_rx.append(result.delivered)
         return data
 
     def inject(self) -> None:
@@ -204,10 +208,11 @@ class ReplayInjector(Tap):
         if not self.recorded:
             self.noops += 1
             return
-        data, rx_ids = self.recorded[sim.rng_adv.randrange(len(self.recorded))]
+        pick = sim.rng_adv.randrange(len(self.recorded))
+        rx_ids = self.recorded_rx[pick]
         self.injections += 1
         sim._trace("replay_inject", receivers=list(rx_ids))
-        sim.inject(rx_ids, data, self.outcomes)
+        sim.inject(rx_ids, self.recorded[pick], self.outcomes)
 
     def report(self) -> Dict[str, object]:
         outcomes = self.outcomes.values

@@ -369,6 +369,15 @@ class ReplayWindow:
         else:
             self._state[key] = (highest, bitmap | (1 << (highest - counter)))
 
+    def _drop_past_epochs(self, keyring: KeyRing) -> None:
+        """Forget every epoch but `keyring`'s current and previous one; call
+        it after each install. `open_packet` asks the ring for a key before
+        it consults the window, and an epoch that has left the ring never
+        comes back (installs only go up), so such an entry decides nothing.
+        Epoch 0 (star and plaintext traffic) never meets a keyring install."""
+        keep = {bkey.epoch for bkey in (keyring.current, keyring.previous) if bkey is not None}
+        self._state = {key: state for key, state in self._state.items() if key[1] in keep}
+
 
 def seal_packet(
     keyring: KeyRing,

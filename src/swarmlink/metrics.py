@@ -24,17 +24,21 @@ in RecursionError, where json raises ValueError.
 
 The delivery ledger keeps each fact once, in the shape the report reads:
 per message its source, origination time and a bitmask of the nodes it
-reached; per source its message count; per (source, destination) pair the
-latency of each first delivery. Report cost grows with pairs plus
-deliveries, never messages x nodes.
+reached; per source its message count and, in delivery order, two flat
+rows: the latency of each first delivery (`array('d')`) and the node it
+reached (`array('H')`, node ids are u16). No object exists per node pair:
+`pair_stats` counts a source's destinations when it is asked. Report cost
+grows with pairs plus deliveries, never messages x nodes, and the report
+builder holds one sorted latency list at a time.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
@@ -58,8 +62,9 @@ class DeliveryAudit:
     # node -> its bit in `reach`, by first delivery: ids up to 65535 are too sparse for bits.
     node_bits: Dict[int, int] = field(default_factory=dict)
     reach: Dict[int, int] = field(default_factory=dict)  # uid -> bits of nodes reached
-    # (source, destination) -> latency of each first delivery
-    pair_latencies: Dict[Tuple[int, int], array] = field(default_factory=dict)
+    # source -> (latency, destination) of each first delivery of its
+    # messages, as two parallel rows in delivery order.
+    rows: Dict[int, Tuple[array, array]] = field(default_factory=dict)
     duplicate_deliveries: int = 0
 
     def record_send(self, uid: int, source: int, t: float) -> None:
@@ -77,10 +82,11 @@ class DeliveryAudit:
             return
         self.reach[uid] = reach | bit
         source, t_tx = self.originated[uid]
-        latencies = self.pair_latencies.get((source, node))
-        if latencies is None:
-            latencies = self.pair_latencies[(source, node)] = array("d")
-        latencies.append(t - t_tx)
+        row = self.rows.get(source)
+        if row is None:
+            row = self.rows[source] = (array("d"), array("H"))
+        row[0].append(t - t_tx)
+        row[1].append(node)
 
     def pair_stats(self, node_ids: Tuple[int, ...]) -> Dict[str, Dict[str, float]]:
         """Sent/delivered counts and ratio from each sender in `node_ids` to each other one."""
@@ -88,21 +94,25 @@ class DeliveryAudit:
         dests = sorted(node_ids)
         for src in sorted(set(node_ids) & self.sent_by.keys()):
             n_sent = self.sent_by[src]
+            row = self.rows.get(src)
+            got = Counter(row[1]) if row is not None else {}
             for dst in dests:
                 if dst != src:
-                    n_got = len(self.pair_latencies.get((src, dst), ()))
+                    n_got = got.get(dst, 0)
                     out[f"{src}->{dst}"] = {"sent": n_sent, "delivered": n_got, "ratio": n_got / n_sent}
         return out
 
     def latencies(self) -> List[float]:
-        return sorted(chain.from_iterable(self.pair_latencies.values()))
+        return sorted(chain.from_iterable(latencies for latencies, _dests in self.rows.values()))
 
     def latencies_between(self, sources: Tuple[int, ...], dests: Tuple[int, ...]) -> List[float]:
-        src_set, dst_set = set(sources), set(dests)
-        return sorted(chain.from_iterable(
-            latencies for (src, dst), latencies in self.pair_latencies.items()
-            if src in src_set and dst in dst_set
-        ))
+        dst_set = set(dests)
+        out: List[float] = []
+        for src in set(sources) & self.rows.keys():
+            latencies, row_dests = self.rows[src]
+            out.extend(compress(latencies, map(dst_set.__contains__, row_dests)))
+        out.sort()
+        return out
 
 
 @dataclass

@@ -463,6 +463,7 @@ class Simulation:
         g = self.gcs
         bkey = g.source.new_epoch(self.rng_keys, self.now)
         g.keyring.install(bkey, self.now, self.sc.protocol.grace_window_s)
+        g.window._drop_past_epochs(g.keyring)
         for tap in self.taps:
             tap.on_epoch(bkey)
         self._trace("rotate", epoch=bkey.epoch, not_after=round(bkey.not_after, 9))
@@ -520,6 +521,7 @@ class Simulation:
             bkey = current
         else:
             self.counters.bump("rekeys_installed")
+            node.window._drop_past_epochs(node.keyring)
             self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
         self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id, ack))
@@ -811,11 +813,12 @@ class Simulation:
         sent_total = sum(p["sent"] for p in pairs.values())
         got_total = sum(p["delivered"] for p in pairs.values())
         # The UAV-to-UAV subset of `pairs`: every UAV's sends count once per other UAV.
-        uav_set = set(uav_ids)
-        uav_sent = sum(self.audit.sent_by.get(u, 0) for u in uav_ids) * (len(uav_ids) - 1)
+        sent_by = self.audit.sent_by
+        uav_sent = sum(sent_by.get(u, 0) for u in uav_ids) * (len(uav_ids) - 1)
         uav_got = sum(
-            len(lat) for (src, dst), lat in self.audit.pair_latencies.items()
-            if src in uav_set and dst in uav_set and src != dst
+            pairs[f"{src}->{dst}"]["delivered"]
+            for src in uav_ids if src in sent_by
+            for dst in uav_ids if dst != src
         )
         queued = sum(len(n.txq) for n in self.nodes.values())
         dropped = c.get("tx_dropped")
@@ -846,8 +849,9 @@ class Simulation:
             }
             for (node_id, link_name), (peak, airtime) in sorted(self.duty_use.items())
         }
-        latencies = self.audit.latencies()
-        uav_latencies = self.audit.latencies_between(uav_ids, uav_ids)
+        # One sorted latency list at a time: each is summarised, then dropped.
+        uav_latency = latency_summary(self.audit.latencies_between(uav_ids, uav_ids))
+        latency = latency_summary(self.audit.latencies())
         session_times = sorted(t for _key, t in self.gcs.table.established.values())
         source = self.gcs.source
         return {
@@ -875,7 +879,7 @@ class Simulation:
             "traffic": {
                 "messages_originated": len(self.audit.originated),
                 "frames_sealed": c.get("frames_sealed"),
-                "messages_delivered": len(latencies) + self.audit.duplicate_deliveries,
+                "messages_delivered": latency["count"] + self.audit.duplicate_deliveries,
                 "skipped_no_key": c.get("tx_skipped_no_key"),
                 "skipped_no_session": c.get("tx_skipped_no_session"),
             },
@@ -891,8 +895,8 @@ class Simulation:
                 },
                 "duplicate_deliveries": self.audit.duplicate_deliveries,
             },
-            "latency": latency_summary(latencies),
-            "latency_uav_to_uav": latency_summary(uav_latencies),
+            "latency": latency,
+            "latency_uav_to_uav": uav_latency,
             "security_events": dict(sorted(self.security_events.values.items())),
             "links": {
                 "per_link_tx": dict(sorted(self.per_link_tx.items())),

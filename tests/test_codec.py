@@ -331,6 +331,23 @@ def test_open_unknown_epoch():
         codec.open_packet(other, codec.ReplayWindow(), pkt, now=1.0)
 
 
+def test_a_window_drops_an_epoch_only_once_it_has_left_the_ring():
+    r = ring(epoch=1)
+    window = codec.ReplayWindow()
+    pkt = codec.seal_packet(r, 2, 0, 3, codec.Frame(messages=(msg(1, b"old"),)), codec.PacketCounters())
+    codec.open_packet(r, window, pkt, now=1.0)
+    r.install(bkey(2, 0x21), now=2.0, grace_window_s=5.0)
+    window._drop_past_epochs(r)
+    assert {epoch for _origin, epoch in window._state} == {1}
+    with pytest.raises(ReplayError):  # epoch 1 is in grace: its entry still decides
+        codec.open_packet(r, window, pkt, now=3.0)
+    r.install(bkey(3, 0x22), now=4.0, grace_window_s=5.0)
+    window._drop_past_epochs(r)
+    assert {epoch for _origin, epoch in window._state} == set()
+    with pytest.raises(UnknownEpoch):  # the ring refuses it before the window is asked
+        codec.open_packet(r, window, pkt, now=4.5)
+
+
 def test_seal_without_key():
     counters = codec.PacketCounters()
     with pytest.raises(NoBroadcastKey):

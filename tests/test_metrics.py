@@ -53,6 +53,19 @@ def test_latencies_between_filters_pairs():
     assert a.latencies_between((1, 2), (2, 3)) == [0.3, 0.7]
 
 
+def test_ledger_keeps_two_flat_rows_per_source_not_an_object_per_pair():
+    a = DeliveryAudit()
+    for uid, src in enumerate((1, 1, 2), start=1):
+        a.record_send(uid=uid, source=src, t=0.0)
+    for uid, node, t in ((1, 2, 0.3), (1, 65535, 0.4), (2, 2, 0.5), (3, 1, 0.6), (1, 2, 0.9)):
+        a.record_delivery(uid=uid, node=node, t=t)
+    assert sorted(a.rows) == [1, 2]
+    latencies, dests = a.rows[1]
+    assert (latencies.typecode, dests.typecode) == ("d", "H")
+    assert (list(latencies), list(dests)) == ([0.3, 0.4, 0.5], [2, 65535, 2])  # delivery order
+    assert a.pair_stats((1, 2, 65535))["1->2"] == {"sent": 2, "delivered": 2, "ratio": 1.0}
+
+
 def test_latency_summary_shape():
     s = latency_summary([0.1, 0.2, 0.3])
     assert s["count"] == 3

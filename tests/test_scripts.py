@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,17 @@ def _script(name: str):
 def test_script_runs(name, argv, expected, capsys):
     assert _script(name).main(argv) == 0
     assert expected in capsys.readouterr().out
+
+
+def test_retained_memory_gives_two_runs_of_one_duration_the_same_row():
+    # A fresh interpreter, so the first row would pay cryptography's lazy
+    # imports (about 0.5 MB) if the untraced warm-up did not.
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "retained_memory.py"), "--durations", "4", "4"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
+    ).stdout.splitlines()
+    (_, first, _), (_, second, _) = [map(float, line.split()) for line in out[1:]]
+    assert abs(first - second) <= 0.05
 
 
 def test_run_all_scenarios_writes_canonical_reports(tmp_path):
@@ -158,10 +172,15 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     monkeypatch.setattr(record_script, "LADDER_SIDES", (2, 3))
     monkeypatch.setattr(record_script, "RUNG_DURATION_S", 4.0)
     monkeypatch.setattr(record_script, "REPEATS", 1)
+    monkeypatch.setattr(record_script, "RETAINED_DURATIONS", (4.0, 6.0))
     out = tmp_path / "BENCH_test.json"
     assert record_script.main(["--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert sorted(record) == ["grid_ladder", "host", "python", "workloads"]
+    assert sorted(record) == ["grid_ladder", "host", "python", "retained_memory", "workloads"]
+    assert [row["duration_s"] for row in record["retained_memory"]] == [4.0, 6.0]
+    for row in record["retained_memory"]:
+        assert sorted(row) == ["duration_s", "peak_mb", "retained_mb", "scenario"]
+        assert 0 < row["retained_mb"] <= row["peak_mb"]
     run = record["workloads"]["grid_flood"]
     assert run["seed"] == 1 and run["result"]["correct"] and "wall_ref" in run["result"]["metrics"]
     assert [rung["nodes"] for rung in record["grid_ladder"]] == [4, 9]

@@ -1,9 +1,11 @@
 """End-to-end simulator behavior on small scripted scenarios."""
 
+import gc
 import json
 import math
 import random
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -578,3 +580,45 @@ def test_an_injector_that_starts_after_the_run_gives_the_run_without_it():
     bare_report, bare_adversary, bare_trace = _contested(_drop_adversary("replay_injector"))
     assert (report, trace) == (bare_report, bare_trace)
     assert adversary["eavesdrop"] == bare_adversary["eavesdrop"]
+
+
+def test_every_window_keeps_only_the_epochs_its_keyring_still_holds():
+    sim = Simulation(scenario_from_dict(generated_scenarios()["contested13_replay"]))
+    report = sim.run()
+    assert report["broadcast"]["epochs_reached"] >= 4  # so older epochs did pass through
+    for node in sim.nodes.values():
+        ring = {bkey.epoch for bkey in (node.keyring.current, node.keyring.previous) if bkey is not None}
+        epochs = {}
+        for origin, epoch in node.window._state:
+            epochs.setdefault(origin, set()).add(epoch)
+        assert all(len(seen) <= 2 and seen <= ring for seen in epochs.values())
+
+
+def _star(uavs: int, duration_s: float) -> dict:
+    """`uavs` UAVs on a 100 m circle round the ground station, all in its WiFi range."""
+    nodes = [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}]
+    for i in range(uavs):
+        angle = 2 * math.pi * i / uavs
+        nodes.append({"id": i + 2, "role": "uav", "position": [100 * math.cos(angle), 100 * math.sin(angle)]})
+    return {
+        "name": "star_ring", "seed": 3, "duration_s": duration_s, "mode": "star", "nodes": nodes,
+        "links": {"wifi24": {"band": "wifi24"}},
+        "traffic": {"senders": "uavs", "rate_hz": 4.0, "payload_bytes": 48, "start_s": 2.0},
+    }
+
+
+def test_the_report_holds_one_sorted_latency_list_at_a_time():
+    sim = Simulation(scenario_from_dict(_star(16, 6.0)))
+    sim.run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = sim._build_report(0, 0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = report["latency"]["count"]
+    assert count > 2000 and report["latency_uav_to_uav"]["count"] > 0.9 * count
+    # A float and its list slot take 32 B: one list of all latencies costs
+    # about 36 B per latency, two at once about 67 B.
+    assert (peak - retained) / count < 50, (peak - retained) / count
