@@ -14,8 +14,8 @@ change's median is worse than the base's by more than that, `unresolved`
 when the base's own q3 - q1 is wider than that and not every change run
 beats every base run, `ok` otherwise. It also prints failed passes and
 whether every run of both trees printed the same report and trace digest.
-It exits 1 when, on any workload, the digests differ or the change failed
-more passes than the base, and 0 otherwise.
+It exits 1 when, on any workload, a verdict is `worse`, the digests
+differ or the change failed more passes than the base, and 0 otherwise.
 
     git worktree add ../swarmlink-parent HEAD~1
     python3 scripts/bench_pairs.py --base ../swarmlink-parent --seed 7 --pairs 10 --seconds 20
@@ -111,6 +111,8 @@ def main(argv=None) -> int:
             sides = ["{:.6g} [{:.6g}-{:.6g}]".format(*row[side]) for side in ("base", "change")]
             print(f"{workload:<16} {row['metric']:<20} {sides[0]:>32} {sides[1]:>32} "
                   f"{row['win']:>5.2f} {'yes' if row['claim'] else 'no':<5} {row['verdict']}")
+            if row["verdict"] == "worse":
+                status = 1
         digests = {r["digest"] for side in runs.values() for r in side}
         failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
         attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}

@@ -55,33 +55,37 @@ class Tap:
 
 
 class Eavesdrop(Tap):
-    """Counts the data packets on the air and opens those it can read as
-    they pass: every packet when encryption is off, else those of leaked epochs.
+    """Counts the data packets on the air and opens those it holds a key
+    for as they pass: epoch 0 of a plaintext run under crypto.NULL_KEY,
+    and each leaked epoch under the key built from its leaked bytes.
 
     Ground truth, the frame each readable packet was sealed from, lives
-    here alone, so a run without an eavesdropper keeps none. A leaked
-    ciphertext is opened through the memo on its box (see codec.py), so
-    the tap and the honest receivers of its copies verify it once.
+    here alone, so a run without an eavesdropper keeps none. A packet is
+    opened through the memo on its box (see codec.py), so the tap and the
+    honest receivers of its copies open it once.
     """
 
     name = "eavesdrop"
 
     def __init__(self, spec, sim) -> None:
         super().__init__(spec, sim)
-        self.plaintext = not sim.sc.security.encryption
         # epoch -> the key built once from its leaked bytes
         self.leaked: Dict[int, crypto.SymmetricKey] = {}
+        # epoch -> the key the tap reads it under: the leaked ones, or the
+        # null key of a plaintext run (Scenario.validate keeps leaks out of it).
+        self.keys = {} if sim.sc.security.encryption else {0: crypto.NULL_KEY}
         self.truth: Dict[Tuple[int, int, int], codec.Frame] = {}
         self.observed: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
 
     def on_epoch(self, bkey) -> None:
         if bkey.epoch in self.sim.sc.security.leak_epochs:
-            self.leaked[bkey.epoch] = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
+            key = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
+            self.leaked[bkey.epoch] = self.keys[bkey.epoch] = key
             self.sim._trace("key_leaked", epoch=bkey.epoch)
 
     def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
-        if self.plaintext or packet.epoch in self.leaked:
+        if packet.epoch in self.keys:
             self.truth[(packet.origin, packet.epoch, packet.counter)] = frame
 
     def on_air(self, item, result, data: bytes) -> bytes:
@@ -90,14 +94,12 @@ class Eavesdrop(Tap):
         packet = item.message  # the bytes on the air, already parsed
         ekey = str(packet.epoch)
         self.observed[ekey] = self.observed.get(ekey, 0) + 1
-        if self.plaintext:
-            plaintext = packet.ciphertext  # rides in the clear
-        elif packet.epoch in self.leaked:
-            try:
-                plaintext = codec._open_frame(self.leaked[packet.epoch], packet).to_bytes()
-            except SwarmLinkError:
-                return data
-        else:
+        key = self.keys.get(packet.epoch)
+        if key is None:
+            return data
+        try:
+            plaintext = codec._open_frame(key, packet).to_bytes()
+        except SwarmLinkError:
             return data
         truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
         if truth is not None and plaintext == truth.to_bytes():

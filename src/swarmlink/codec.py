@@ -4,7 +4,10 @@ Small telemetry messages are packed in order into frames that fit the
 radio's MTU once packet overhead is added. A frame is sealed with
 AES-256-GCM under the broadcast key for its epoch; the packet header rides
 in clear so relays can forward without keys, and everything in it except
-the mutable hop_limit is bound into the AEAD as associated data.
+the mutable hop_limit is bound into the AEAD as associated data. The
+plaintext baseline seals and opens on the same path under crypto.NULL_KEY
+(from rekey.NULL_RING), whose null cipher writes the frame bytes in the
+clear followed by PLAIN_TAG, sixteen zero bytes, and accepts any tag.
 
 Wire layout, all big-endian:
 
@@ -66,7 +69,7 @@ MAX_COUNTER = 2**48 - 1
 MAX_SEQ = 2**32 - 1
 REPLAY_WINDOW = 64
 
-PLAIN_TAG = b"\x00" * crypto.TAG_LEN
+PLAIN_TAG = b"\x00" * crypto.TAG_LEN  # the null cipher's tag
 
 
 def _pack_header(version: int, epoch: int, origin: int, seq: int, hop_limit: int, counter: int) -> bytes:
@@ -465,23 +468,10 @@ def _open_frame(key: crypto.SymmetricKey, packet: WirePacket) -> Frame:
 def seal_packet_plain(
     origin: int, seq: int, hop_limit: int, frame: Frame, counters: PacketCounters
 ) -> WirePacket:
-    """Unencrypted packet for baseline comparisons: frame bytes in the clear,
-    all-zero tag. Only the no-encryption control scenarios produce these."""
-    counter = counters.next_for(0)
-    return WirePacket(
-        epoch=0,
-        origin=origin,
-        seq=seq,
-        hop_limit=hop_limit,
-        counter=counter,
-        ciphertext=frame.to_bytes(),
-        tag=PLAIN_TAG,
-    )
+    """`seal_with_key` under crypto.NULL_KEY at epoch 0."""
+    return seal_with_key(crypto.NULL_KEY, 0, origin, seq, hop_limit, frame, counters)
 
 
 def open_packet_plain(window: ReplayWindow, packet: WirePacket) -> Frame:
-    """Decode an unencrypted baseline packet, keeping the replay discipline."""
-    window.check(packet.origin, packet.epoch, packet.counter)
-    frame = Frame.from_bytes(packet.ciphertext)
-    window.accept(packet.origin, packet.epoch, packet.counter)
-    return frame
+    """`open_with_key` under crypto.NULL_KEY."""
+    return open_with_key(crypto.NULL_KEY, window, packet)

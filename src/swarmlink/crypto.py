@@ -1,6 +1,9 @@
 """Cryptographic primitives: X25519 agreement, Ed25519 signatures, HKDF-SHA-256
 key derivation, and AES-256-GCM authenticated encryption.
 
+The plaintext baseline is a key, not a mode: `NULL_KEY`, of purpose NULL,
+seals and opens on the same path through the null cipher.
+
 All operations are pure functions of their inputs; randomness enters only
 through explicit 32-byte seeds drawn by the caller, so every simulation run is
 replayable. Backed by PyCA cryptography; NIST P-256 ECDH/ECDSA would be a
@@ -12,6 +15,7 @@ Serialized sizes: public points and verification keys 32 bytes, signatures
 from __future__ import annotations
 
 import enum
+import types
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -40,6 +44,15 @@ TAG_LEN = 16
 class KeyPurpose(enum.Enum):
     SESSION = "session"
     BROADCAST = "broadcast"
+    NULL = "null"  # the null cipher: no secrecy, no integrity
+
+
+# The null cipher, with the two calls of an AESGCM context that seal and
+# open make: the plaintext goes out with an all-zero tag, and any tag opens.
+_NULL_CIPHER = types.SimpleNamespace(
+    encrypt=lambda nonce, plaintext, aad: plaintext + bytes(TAG_LEN),
+    decrypt=lambda nonce, sealed, aad: sealed[:-TAG_LEN],
+)
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,9 @@ class SignatureKeyPair:
 class SymmetricKey:
     """32-byte symmetric key tagged with its purpose.
 
-    Its AES-256-GCM context is built once, with the key, and reused by every
-    seal and open under it; equality, hash and repr ignore it."""
+    Its AES-256-GCM context, or the null cipher for purpose NULL, is built
+    once, with the key, and reused by every seal and open under it;
+    equality, hash and repr ignore it."""
 
     bytes_: bytes = field(repr=False)
     purpose: KeyPurpose = KeyPurpose.SESSION
@@ -78,13 +92,17 @@ class SymmetricKey:
     def __post_init__(self):
         if len(self.bytes_) != KEY_LEN:
             raise ValueError(f"symmetric key must be {KEY_LEN} bytes")
-        object.__setattr__(self, "_aead", AESGCM(self.bytes_))
+        aead = _NULL_CIPHER if self.purpose is KeyPurpose.NULL else AESGCM(self.bytes_)
+        object.__setattr__(self, "_aead", aead)
 
     def __repr__(self) -> str:  # never emit key bytes
         return f"SymmetricKey(purpose={self.purpose.value})"
 
     def __reduce__(self):  # the context cannot be pickled; a copy builds its own
         return (SymmetricKey, (self.bytes_, self.purpose))
+
+
+NULL_KEY = SymmetricKey(bytes(KEY_LEN), KeyPurpose.NULL)
 
 
 @dataclass(frozen=True)
@@ -203,7 +221,8 @@ def aead_open(key: SymmetricKey, nonce: bytes, box: AeadBox, aad: bytes) -> byte
     """AES-256-GCM decrypt-and-verify.
 
     Raises AuthError on any modification of ciphertext, tag, nonce, or aad;
-    callers treat that as a security event, not an I/O failure.
+    callers treat that as a security event, not an I/O failure. Under
+    NULL_KEY nothing is verified: the ciphertext is the plaintext.
     """
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")

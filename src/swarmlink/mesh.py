@@ -8,6 +8,8 @@ twice even if copies arrive back-to-back. A node never handles a packet of
 its own origin, even a replay whose cache entry is gone. A packet that
 fails its checks raises out of handle_rx and leaves the cache as it was.
 Relays never need the payload key: their header rides outside the ciphertext.
+A plaintext mesh floods on the same path, its nodes holding
+rekey.NULL_RING (see codec.py).
 
 Most copies of a flood are duplicates, so a caller holding one packet's
 receiver ids can drop, with one lookup each, those `handle_rx` would
@@ -31,6 +33,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import codec, crypto
 from .errors import SwarmLinkError
 from .handshake import SessionTable
+from .rekey import NULL_RING
 
 DEDUP_CAPACITY = 1024
 
@@ -97,9 +100,8 @@ def originate(
 def originate_plain(
     state: MeshState, counters: codec.PacketCounters, frame: codec.Frame, hop_limit: int
 ) -> codec.WirePacket:
-    """Baseline-mode counterpart of originate: no encryption, zero tag."""
-    seq = state.take_seq()
-    return codec.seal_packet_plain(state.node_id, seq, hop_limit, frame, counters)
+    """`originate` with the plaintext baseline's rekey.NULL_RING."""
+    return originate(state, NULL_RING, counters, frame, hop_limit)
 
 
 class RxResult(NamedTuple):
@@ -115,22 +117,19 @@ _DUPLICATE = RxResult(duplicate=True)  # immutable, so every dedup hit shares it
 
 
 def handle_rx(
-    state: MeshState, keyring, window: codec.ReplayWindow, packet: codec.WirePacket, now: float,
-    plaintext_mode: bool = False,
+    state: MeshState, keyring, window: codec.ReplayWindow, packet: codec.WirePacket, now: float
 ) -> RxResult:
     """Flooding receive path: dedup, authenticate, deliver once, forward.
 
-    A packet that fails authentication or replay checks raises the
-    SwarmLinkError that refused it, for the caller to record. It is
-    neither delivered nor forwarded, and does not enter the dedup cache,
-    so a later honest copy of the same (origin, seq) still gets through.
+    `keyring` is rekey.NULL_RING in the plaintext baseline. A packet that
+    fails authentication or replay checks raises the SwarmLinkError that
+    refused it, for the caller to record. It is neither delivered nor
+    forwarded, and does not enter the dedup cache, so a later honest copy
+    of the same (origin, seq) still gets through.
     """
     if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
         return _DUPLICATE
-    if plaintext_mode:
-        frame = codec.open_packet_plain(window, packet)
-    else:
-        frame = codec.open_packet(keyring, window, packet, now)
+    frame = codec.open_packet(keyring, window, packet, now)
     state.dedup.add(packet.origin, packet.seq)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
     return RxResult(frame, forward)

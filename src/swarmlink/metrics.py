@@ -15,12 +15,13 @@ whose values are all scalars (every per-pair entry) is filled into one
 `%`-template per shape, its sorted keys and depth, compiled once; every
 other dict or list is joined one level at a time. Scalars get json's own
 text: `encode_basestring_ascii`, a finite number's repr, else NaN or
-Infinity (`_number_text`, which the trace lines in sim.py use too). Keys
-are sorted as they are, before json's conversion of int, float, bool and
-None keys to text; subclasses of str, int, float, list, tuple and dict
-are written as their base type, and anything else raises TypeError, as
-json does. A report is a fresh tree: a container that holds itself ends
-in RecursionError, where json raises ValueError.
+Infinity (`_number_text`, which the trace lines in sim.py use too). It
+takes only what reports hold: dicts with str keys, lists, and values of
+exactly str, int, float, bool or None. Any other key or value, a tuple or
+a subclass among them, raises TypeError; the one exception is a str
+subclass key in a dict whose shape was cached, which gets a str's text,
+as json writes it. A report is a fresh tree: a container that holds
+itself ends in RecursionError, where json raises ValueError.
 
 The delivery ledger keeps each fact once, in the shape the report reads:
 per message its source, origination time and a bitmask of the nodes it
@@ -158,7 +159,7 @@ def _number_text(x: float) -> str:
 
 
 _INDENT = "  "
-# Exact type -> its JSON text; a subclass takes the isinstance path in _text.
+# Exact type -> its JSON text.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -174,33 +175,27 @@ _MAX_TEMPLATES = 256
 
 def _text(value, depth: int) -> str:
     """`value`'s JSON text at nesting `depth`, as json.dumps(sort_keys=True, indent=2) writes it."""
-    scalar = _SCALAR_TEXT.get(type(value))
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
     if scalar is not None:
         return scalar(value)
-    # No class derives from two of these bases, so their order is free.
-    if isinstance(value, dict):
+    if kind is dict:
         return _dict_text(value, depth)
-    if isinstance(value, (list, tuple)):
+    if kind is list:
         if not value:
             return "[]"
         return _joined("[", [_text(item, depth + 1) for item in value], "]", depth)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _number_text(float.__float__(value))
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def _dict_text(d: dict, depth: int) -> str:
     if not d:
         return "{}"
-    keys = sorted(d)  # the keys as they are: int keys sort as numbers
+    keys = sorted(d)
     values = [d[key] for key in keys]
     try:
         texts = tuple([_SCALAR_TEXT[type(value)](value) for value in values])
-    except KeyError:  # a container or a subclass among the values: join this level
+    except KeyError:  # a container among the values: join this level
         items = zip(keys, values)
         return _joined("{", [f"{_key_text(key)}: {_text(value, depth + 1)}" for key, value in items], "}", depth)
     keys = tuple(keys)
@@ -209,9 +204,7 @@ def _dict_text(d: dict, depth: int) -> str:
 
 def _leaf_template(keys: tuple, depth: int) -> str:
     template = _joined("{", [_key_text(key).replace("%", "%%") + ": %s" for key in keys], "}", depth)
-    # Only all-str keys are cached: (1,), (1.0,) and (True,) are equal tuples
-    # with different texts.
-    if len(_TEMPLATES) < _MAX_TEMPLATES and all(type(key) is str for key in keys):
+    if len(_TEMPLATES) < _MAX_TEMPLATES:
         _TEMPLATES[keys, depth] = template
     return template
 
@@ -227,21 +220,8 @@ def _joined(opening: str, texts: List[str], closing: str, depth: int) -> str:
 
 
 def _key_text(key) -> str:
-    """A dict key's JSON text: json's text for an int, float, bool or None key, escaped."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _number_text(float.__float__(key))
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    if type(key) is not str:
+        raise TypeError(f"report keys are str, not {type(key).__name__}")
     return encode_basestring_ascii(key)
 
 

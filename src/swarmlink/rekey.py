@@ -7,6 +7,9 @@ one epoch's key says nothing about later epochs. Keys rotate on a timeout;
 each rotation is delivered to every sessioned UAV as an AEAD box sealed
 under that UAV's pairwise session key. Receivers keep the previous key for
 a short grace window so frames sealed just before a rotation still open.
+
+The plaintext baseline's nodes hold `NULL_RING` instead: epoch 0 under
+crypto.NULL_KEY, the key it gives for every epoch, as nothing is secret.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import types
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -170,6 +174,14 @@ class KeyRing:
         ):
             return self.previous.key
         raise UnknownEpoch(f"no usable key for epoch {epoch}")
+
+
+# A plaintext node's keyring: it seals at epoch 0 under the null key and
+# opens every epoch with it. It has no state, so all nodes share it.
+NULL_RING = types.SimpleNamespace(
+    current=types.SimpleNamespace(epoch=0, key=crypto.NULL_KEY),
+    key_for_epoch=lambda epoch, now: crypto.NULL_KEY,
+)
 
 
 def unwrap(

@@ -161,6 +161,8 @@ class Scenario:
                 raise ValidationError(f"links.{name}", "profile name must match its key")
         if not self.security.encryption and self.mode != "mesh":
             raise ValidationError("security.encryption", "plaintext baseline requires mesh mode")
+        if self.security.leak_epochs and not (self.mode == "mesh" and self.security.encryption):
+            raise ValidationError("security.leak_epochs", "only an encrypted mesh has broadcast epochs to leak")
         self._validate_traffic()
         for i, adv in enumerate(self.adversaries):
             if any(earlier.kind == adv.kind for earlier in self.adversaries[:i]):

@@ -192,7 +192,8 @@ class _Node:
         )
         self.counters = codec.PacketCounters()
         self.window = codec.ReplayWindow()
-        self.keyring = rekey.KeyRing()
+        # The plaintext baseline is the null key, not a mode (see crypto.py).
+        self.keyring = rekey.KeyRing() if scenario.security.encryption else rekey.NULL_RING
         self.session_key: Optional[crypto.SymmetricKey] = None  # UAV side
         # GCS side only:
         self.table = handshake.SessionTable()
@@ -547,7 +548,7 @@ class Simulation:
         # stack cannot ship it yet, so a dead relay shows up as loss.
         self.audit.record_send(uid, sender_id, self.now)
         if sc.mode == "mesh":
-            if sc.security.encryption and node.keyring.current is None:
+            if node.keyring.current is None:
                 self.counters.bump("tx_skipped_no_key")
                 return
         else:
@@ -567,10 +568,7 @@ class Simulation:
             if node.role == "uav":
                 return ((self.gcs.id, mesh.star_uplink(state, node.session_key, counters, frame)),)
             return mesh.star_fanout(state, node.table, counters, frame)
-        hops = sc.protocol.hop_limit
-        if sc.security.encryption:
-            return ((None, mesh.originate(state, node.keyring, counters, frame, hops)),)
-        return ((None, mesh.originate_plain(state, counters, frame, hops)),)
+        return ((None, mesh.originate(state, node.keyring, counters, frame, sc.protocol.hop_limit)),)
 
     def _enqueue_data(self, node: _Node, sends: _Sends, frame=None) -> None:
         """The one place data packets are queued. Packets just sealed from
@@ -753,10 +751,7 @@ class Simulation:
         self._schedule(self.now, "advrx", deliver)
 
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
-        result = mesh.handle_rx(
-            node.mesh, node.keyring, node.window, packet, self.now,
-            plaintext_mode=not self.sc.security.encryption,
-        )
+        result = mesh.handle_rx(node.mesh, node.keyring, node.window, packet, self.now)
         self._deliver_frame(node, result.deliver)
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s

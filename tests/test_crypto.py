@@ -206,3 +206,9 @@ def test_symmetric_key_copies_and_pickles_with_a_fresh_context():
     for twin in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
         assert twin == k and twin.purpose is crypto.KeyPurpose.BROADCAST
         assert crypto.aead_open(twin, b"\x05" * 12, box, b"aad") == b"payload"
+    null = crypto.aead_seal(crypto.NULL_KEY, b"\x05" * 12, b"payload", b"aad")
+    assert (null.ciphertext, null.tag) == (b"payload", bytes(crypto.TAG_LEN))
+    null_key = crypto.NULL_KEY
+    for twin in (copy.copy(null_key), copy.deepcopy(null_key), pickle.loads(pickle.dumps(null_key))):
+        assert twin == null_key and twin._aead is crypto._NULL_CIPHER
+        assert crypto.aead_open(twin, b"\x05" * 12, crypto.AeadBox(b"payload", b"\xff" * 16), b"") == b"payload"

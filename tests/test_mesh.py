@@ -12,7 +12,7 @@ from swarmlink.errors import AuthError, ReplayError
 from swarmlink.golden import generated_scenarios
 from swarmlink.handshake import SessionTable
 from swarmlink.metrics import Counters
-from swarmlink.rekey import BroadcastKey, KeyRing
+from swarmlink.rekey import NULL_RING, BroadcastKey, KeyRing
 from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import TELEMETRY_MSG_ID, Simulation
 
@@ -156,7 +156,8 @@ def test_plaintext_mode_floods_without_keys():
     sender = mesh.MeshState(node_id=2, dedup=mesh.DedupCache())
     receiver = mesh.MeshState(node_id=3, dedup=mesh.DedupCache())
     pkt = mesh.originate_plain(sender, codec.PacketCounters(), frame_of(b"clear"), hop_limit=1)
-    result = mesh.handle_rx(receiver, None, codec.ReplayWindow(), pkt, now=0.1, plaintext_mode=True)
+    assert pkt.tag == codec.PLAIN_TAG and pkt.ciphertext == frame_of(b"clear").to_bytes()
+    result = mesh.handle_rx(receiver, NULL_RING, codec.ReplayWindow(), pkt, now=0.1)
     assert result.deliver == frame_of(b"clear")
 
 

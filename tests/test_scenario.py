@@ -328,6 +328,16 @@ def test_mode_validation():
     expect_invalid(d, "security.encryption")  # the plaintext baseline floods
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"mode": "star", "security": {"leak_epochs": [1]}}, {"security": {"encryption": False, "leak_epochs": [1]}}],
+    ids=["star", "plaintext_mesh"],
+)
+def test_leak_epochs_are_refused_where_no_broadcast_epoch_is_minted(overrides):
+    expect_invalid(base_scenario_dict(**overrides), "security.leak_epochs")
+    scenario_from_dict(base_scenario_dict(security={"leak_epochs": [1]}))  # an encrypted mesh leaks
+
+
 def test_replace_rechecks_the_whole_scenario():
     sc = scenario_from_dict(base_scenario_dict(security={"encryption": False}))
     with pytest.raises(ValidationError) as exc_info:

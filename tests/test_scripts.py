@@ -62,15 +62,16 @@ def test_bench_pairs_compares_a_tree_with_itself(capsys):
 
 
 @pytest.mark.parametrize(
-    "change_digest, change_failed, status",
+    "change_digest, change_failed, worse, status",
     [
-        ("same", 0, 0),
-        ("moved", 0, 1),  # digests DIFFER
-        ("same", 1, 1),  # the change failed more passes than the base
+        pytest.param("same", 0, False, 0, id="same-0-0"),
+        pytest.param("moved", 0, False, 1, id="moved-0-1"),  # digests DIFFER
+        pytest.param("same", 1, False, 1, id="same-1-1"),  # the change failed more passes than the base
+        pytest.param("same", 0, True, 1, id="worse"),  # every metric 50 % worse than the base
     ],
 )
 def test_bench_pairs_exits_1_when_digests_differ_or_the_change_fails_more(
-    monkeypatch, capsys, tmp_path, change_digest, change_failed, status
+    monkeypatch, capsys, tmp_path, change_digest, change_failed, worse, status
 ):
     bench_pairs = _script("bench_pairs")
     root = SCRIPTS.parent
@@ -78,8 +79,14 @@ def test_bench_pairs_exits_1_when_digests_differ_or_the_change_fails_more(
 
     def stub_run_bench(tree, workload, seed, seconds):
         change = tree == tmp_path
+
+        def value(metric):
+            if change and worse:
+                return 0.5 if metric["better"] == "higher" else 1.5
+            return 1.0
+
         return {
-            "metrics": {m["name"]: {"value": 1.0} for m in declared["end_to_end"]},
+            "metrics": {m["name"]: {"value": value(m)} for m in declared["end_to_end"]},
             "digest": change_digest if change else "same",
             "failed": change_failed if change else 0,
             "attempted": 2,
@@ -90,7 +97,9 @@ def test_bench_pairs_exits_1_when_digests_differ_or_the_change_fails_more(
     (tmp_path / "BENCHMARK.json").symlink_to(root / "BENCHMARK.json")
     argv = ["--base", str(root), "--change", str(tmp_path), "--workloads", "grid_flood", "star_fanout", "--pairs", "2"]
     assert bench_pairs.main(argv) == status
-    assert ("DIFFER" in capsys.readouterr().out) == (change_digest == "moved")
+    out = capsys.readouterr().out
+    assert ("DIFFER" in out) == (change_digest == "moved")
+    assert (" worse" in out) == worse
 
 
 RATE = {"name": "radio_ops_per_ref", "better": "higher", "bound": 0.25}

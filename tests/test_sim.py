@@ -104,6 +104,31 @@ def test_plaintext_mode_runs_and_leaks():
     assert report["delivery"]["overall_ratio"] == 1.0
 
 
+def test_a_tap_free_plaintext_flood_parses_no_frame(monkeypatch):
+    # Every receiver opens under the null key, and a packet returns the
+    # frame it was sealed from, as an encrypted flood's do.
+    parses = []
+    real = codec.Frame.from_bytes
+    monkeypatch.setattr(codec.Frame, "from_bytes", lambda data: parses.append(data) or real(data))
+    plain = resolve_scenario("mesh_5_lossless")
+    report = Simulation(replace(plain, security=replace(plain.security, encryption=False))).run()
+    assert report["delivery"]["overall_ratio"] == 1.0 and report["delivery"]["delivered"] > 0
+    assert parses == []
+
+
+@pytest.mark.parametrize(
+    "name, null_cipher_used",
+    [("contested13_replay", False), ("star9_mitm_replay", False), ("plain9_replay_down", True)],
+)
+def test_the_null_cipher_runs_only_in_a_plaintext_run(monkeypatch, name, null_cipher_used):
+    calls = []
+    for op in ("encrypt", "decrypt"):
+        real = getattr(crypto._NULL_CIPHER, op)
+        monkeypatch.setattr(crypto._NULL_CIPHER, op, lambda *a, op=op, real=real: calls.append(op) or real(*a))
+    run_scenario(scenario_from_dict(generated_scenarios()[name]))
+    assert sorted(set(calls)) == (["decrypt", "encrypt"] if null_cipher_used else [])
+
+
 def test_encrypted_mode_leaks_nothing_without_keys():
     d = base_scenario_dict()
     d["adversaries"] = [{"kind": "eavesdrop", "start_s": 0.0, "end_s": 5.0}]
