@@ -16,7 +16,10 @@ script sits in:
   (`max_rss_mb`, its own `getrusage(RUSAGE_SELF)`, interpreter included:
   `RUSAGE_CHILDREN` in this process would give the largest child reaped
   so far, not this rung's); its transmissions (`tx_sent`), receptions
-  (`rx_events`) and report bytes;
+  (`rx_events`) and report bytes; and, from one more run in a child of
+  its own after the timed ones, so that tracing slows no timed run, the
+  MiB tracemalloc sees live when the event loop ends, before the report
+  is built (`state_mb`: the scenario, nodes, caches, windows and ledger);
 - `retained_memory`: `scripts/retained_memory.py`'s table for
   RETAINED_SCENARIO at each of RETAINED_DURATIONS simulated seconds, in a
   child process of its own: the MB still live after `run()` returns
@@ -28,10 +31,11 @@ Wall times are raw host seconds, so compare them only with runs taken on
 the same host, side by side. Each record goes in a file of its own, named
 on the command line:
 
-    PYTHONPATH=src python scripts/bench_record.py --out BENCH_2.json
+    PYTHONPATH=src python scripts/bench_record.py --out BENCH_4.json
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -40,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from swarmlink.golden import _grid_nodes, generated_scenarios
@@ -105,6 +110,28 @@ def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
     }
 
 
+def rung_state_mb(side: int, duration_s: float) -> float:
+    """MiB live under tracemalloc when one rung's event loop ends, after
+    an untraced 4-node run that pays the one-time costs (cryptography's
+    lazy backend import) no rung should carry."""
+
+    class Probe(Simulation):
+        def _build_report(self, *args):
+            gc.collect()
+            self.state_bytes = tracemalloc.get_traced_memory()[0]
+            return super()._build_report(*args)
+
+    Simulation(scenario_from_dict(grid_scenario(2, duration_s))).run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        probe = Probe(scenario_from_dict(grid_scenario(side, duration_s)))
+        probe.run()
+    finally:
+        tracemalloc.stop()
+    return probe.state_bytes / 2**20
+
+
 # Runs one function of a script in a fresh interpreter and prints its
 # result as JSON: argv is the source tree's src/, the script, the
 # function's name and the JSON list of its arguments.
@@ -125,8 +152,12 @@ def in_child(script: Path, function: str, args: list):
 
 
 def grid_rung(side: int) -> dict:
-    """One rung in a child process of its own, so its max RSS is its own."""
-    return in_child(Path(__file__).resolve(), "ladder_rung", [side, RUNG_DURATION_S, REPEATS])
+    """One rung in a child process of its own, so its max RSS is its own,
+    then its state_mb in another, so tracemalloc slows no timed run."""
+    script = Path(__file__).resolve()
+    rung = in_child(script, "ladder_rung", [side, RUNG_DURATION_S, REPEATS])
+    rung["state_mb"] = in_child(script, "rung_state_mb", [side, RUNG_DURATION_S])
+    return rung
 
 
 def retained_memory() -> list:
@@ -141,7 +172,7 @@ def retained_memory() -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True, help="the record to write, e.g. BENCH_2.json")
+    parser.add_argument("--out", type=Path, required=True, help="the record to write, e.g. BENCH_4.json")
     args = parser.parse_args(argv)
 
     record = {

@@ -6,10 +6,13 @@
 Builds the workload's scenario as `bench/run.py` does and runs whole
 passes of it (scenario load, `Simulation`, `run()`, report and trace
 text) until `--seconds` of CPU time have gone. Meanwhile
-`signal.setitimer(ITIMER_PROF)` interrupts the process every
+`signal.setitimer(ITIMER_PROF)` asks to interrupt the process every
 millisecond of CPU time, and each interrupt records the Python stack it
-lands in. For the 40 functions most often on the stack (`file:function`)
-it prints the inclusive share, the samples with the function anywhere on
+lands in. The kernel may tick coarser than that (every 4 ms on some
+Linux hosts), so the first line prints the interval measured, CPU
+seconds over samples, and says so when it is coarser than the request.
+For the 40 functions most often on the stack (`file:function`) it
+prints the inclusive share, the samples with the function anywhere on
 the stack, and the leaf share, the samples in which it was the one
 running (a lambda or comprehension is named with its first line);
 time in C code (AES-GCM, the JSON encoder) counts for the Python function
@@ -47,7 +50,8 @@ def _workloads():
     return module.WORKLOADS
 
 
-INTERVAL_S = 0.001  # CPU time between samples
+INTERVAL_S = 0.001  # CPU time between samples, as requested
+COARSER = 1.25  # a measured interval this many times the request is noted
 TOP = 40  # functions printed
 
 
@@ -111,9 +115,12 @@ def main(argv=None) -> int:
         while passes == 0 or time.process_time() - start < args.seconds:
             run_pass(data)
             passes += 1
+        cpu_s = time.process_time() - start
     total = max(sampler.samples, 1)
-    print(f"{args.workload} seed {args.seed}: {passes} passes, {sampler.samples} samples "
-          f"every {INTERVAL_S * 1000:g} ms of CPU time")
+    interval_s = cpu_s / total
+    note = f", coarser than the {INTERVAL_S * 1000:g} ms requested" if interval_s > COARSER * INTERVAL_S else ""
+    print(f"{args.workload} seed {args.seed}: {passes} passes, {sampler.samples} samples in "
+          f"{cpu_s:.2f} s of CPU time, one per {interval_s * 1000:.2f} ms{note}")
     print(f"{'incl%':>7} {'leaf%':>7}  function")
     for name, count in sampler.inclusive.most_common(TOP):
         print(f"{100 * count / total:7.1f} {100 * sampler.leaf[name] / total:7.1f}  {name}")

@@ -21,14 +21,18 @@ The nonce never repeats under one key: origin disambiguates sealers and the
 per-epoch counter is strictly increasing per origin.
 
 A packet keeps, under private names that equality, hash and repr ignore,
-the AeadBox and Frame it was sealed into and from, and its encoding (the
+the AeadBox and Frame it was sealed into and from, its encoding (the
 header the seal packed, followed by ciphertext and tag; else built once by
-`to_bytes`, or the bytes `from_bytes` parsed, since the parse is strict).
+`to_bytes`, or the bytes `from_bytes` parsed, since the parse is strict),
+and its flood key, the int origin << 32 | seq that mesh dedup caches
+hold, computed once when the packet is built.
 Its nonce and AAD are sliced from that header when an open needs them.
 `forwarded()` checks only the hop_limit it changes and shares the rest,
 none of which binds hop_limit; only its encoding differs, by the hop byte.
-`dataclasses.replace` builds a new packet that keeps no state. So only
-packets with the same nonce and AAD ever share a box.
+So every hop's copy of a flood carries the one flood key object its
+sealed packet was built with, and the dedup caches of all its receivers
+store that one int. `dataclasses.replace` builds a new packet that keeps only a flood key
+of its own. So only packets with the same nonce and AAD ever share a box.
 
 Every receiver of a flood opens the same ciphertext, so the box its
 honest copies share keeps the key bytes it last verified under and the
@@ -75,6 +79,11 @@ PLAIN_TAG = b"\x00" * crypto.TAG_LEN  # the null cipher's tag
 def _pack_header(version: int, epoch: int, origin: int, seq: int, hop_limit: int, counter: int) -> bytes:
     """The 18-byte header; raises struct.error on a field out of range."""
     return _HEADER.pack(version, epoch, origin, seq, hop_limit, counter >> 32, counter & 0xFFFFFFFF)
+
+
+def _flood_key_of(origin: int, seq: int) -> int:
+    """The one int that names a flood, as mesh dedup caches hold it."""
+    return origin << 32 | seq  # seq is a u32
 
 
 def _nonce_aad_of(header: bytes) -> Tuple[bytes, bytes]:
@@ -194,9 +203,9 @@ def compose_frames(messages: Iterable[TelemetryMessage], mtu_bytes: int) -> List
 class WirePacket:
     """Sealed frame plus the cleartext header relays need for forwarding.
 
-    A packet keeps the AeadBox and Frame it was sealed into and from, and
-    its encoding (see the module docstring). Equality, hash and repr
-    ignore them."""
+    A packet keeps the AeadBox and Frame it was sealed into and from, its
+    encoding and its flood key (see the module docstring). Equality, hash
+    and repr ignore them."""
 
     epoch: int
     origin: int
@@ -207,7 +216,8 @@ class WirePacket:
     tag: bytes
     version: int = wire.PACKET_VERSION
 
-    # Kept state, not fields: the AeadBox, the Frame, the encoding.
+    # Kept state, not fields: the AeadBox, the Frame, the encoding; and
+    # _flood_key, which __init__ sets.
     _kept_box = None
     _kept_frame = None
     _encoded = None
@@ -246,6 +256,7 @@ class WirePacket:
         fields["ciphertext"] = ciphertext
         fields["tag"] = tag
         fields["version"] = version
+        fields["_flood_key"] = origin << 32 | seq  # _flood_key_of, inlined
 
     def nonce(self) -> bytes:
         return self._nonce_aad()[0]
@@ -332,22 +343,28 @@ class PacketCounters:
 
 
 class ReplayWindow:
-    """Sliding anti-replay windows keyed by (origin, epoch).
+    """Sliding anti-replay windows, one per (origin, epoch).
 
-    Tracks the highest counter seen plus a 64-bit bitmap of the counters just
-    below it. `check` only inspects; `accept` is called after the packet
-    authenticates, so forged counters can never advance the window.
+    Each tracks the highest counter accepted plus a `width`-bit bitmap of
+    the counters at and just below it (bit k is highest - k), packed into
+    one int, highest << width | bitmap, held per epoch and then per origin:
+    `{epoch: {origin: packed}}`. `check` only inspects; `accept` is called
+    after the packet authenticates, so forged counters can never advance
+    the window.
     """
 
     def __init__(self, width: int = REPLAY_WINDOW) -> None:
         self.width = width
-        self._state: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._state: Dict[int, Dict[int, int]] = {}
 
     def check(self, origin: int, epoch: int, counter: int) -> None:
-        state = self._state.get((origin, epoch))
-        if state is None:
+        origins = self._state.get(epoch)
+        if origins is None:
             return
-        highest, bitmap = state
+        packed = origins.get(origin)
+        if packed is None:
+            return
+        highest = packed >> self.width
         if counter > highest:
             return
         offset = highest - counter
@@ -355,22 +372,26 @@ class ReplayWindow:
             raise ReplayError(
                 f"counter {counter} from origin {origin} fell behind window at {highest}"
             )
-        if bitmap & (1 << offset):
+        if packed >> offset & 1:
             raise ReplayError(f"counter {counter} from origin {origin} already seen")
 
     def accept(self, origin: int, epoch: int, counter: int) -> None:
-        key = (origin, epoch)
-        state = self._state.get(key)
-        if state is None:
-            self._state[key] = (counter, 1)
+        width = self.width
+        origins = self._state.get(epoch)
+        if origins is None:
+            origins = self._state[epoch] = {}
+        packed = origins.get(origin)
+        if packed is None:
+            origins[origin] = counter << width | 1
             return
-        highest, bitmap = state
+        highest = packed >> width
         if counter > highest:
             shift = counter - highest
-            bitmap = (bitmap << shift) & ((1 << self.width) - 1) if shift < self.width else 0
-            self._state[key] = (counter, bitmap | 1)
-        else:
-            self._state[key] = (highest, bitmap | (1 << (highest - counter)))
+            bitmap = (packed << shift) & ((1 << width) - 1) if shift < width else 0
+            origins[origin] = counter << width | bitmap | 1
+        elif highest - counter < width:
+            origins[origin] = packed | 1 << (highest - counter)
+        # else it is behind the window, where check reads no bit
 
     def _drop_past_epochs(self, keyring: KeyRing) -> None:
         """Forget every epoch but `keyring`'s current and previous one; call
@@ -379,7 +400,7 @@ class ReplayWindow:
         comes back (installs only go up), so such an entry decides nothing.
         Epoch 0 (star and plaintext traffic) never meets a keyring install."""
         keep = {bkey.epoch for bkey in (keyring.current, keyring.previous) if bkey is not None}
-        self._state = {key: state for key, state in self._state.items() if key[1] in keep}
+        self._state = {epoch: origins for epoch, origins in self._state.items() if epoch in keep}
 
 
 def seal_packet(

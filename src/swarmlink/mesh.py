@@ -2,11 +2,14 @@
 
 Mesh mode floods: every node rebroadcasts each packet it has not seen
 before, with a hop budget that decrements per forward. Duplicate
-suppression keys on (origin, seq), and the dedup cache is updated before
-the forward copy is queued so a node never retransmits the same packet
-twice even if copies arrive back-to-back. A node never handles a packet of
-its own origin, even a replay whose cache entry is gone. A packet that
-fails its checks raises out of handle_rx and leaves the cache as it was.
+suppression keys on (origin, seq), as the packet's flood key (see
+codec.py): every hop's copy carries the one int its origin's packet
+computed, so all the caches that hold a flood share one key object. The
+dedup cache is updated before the forward copy is queued so a node never
+retransmits the same packet twice even if copies arrive back-to-back. A
+node never handles a packet of its own origin, even a replay whose cache
+entry is gone. A packet that fails its checks raises out of handle_rx and
+leaves the cache as it was.
 Relays never need the payload key: their header rides outside the ciphertext.
 A plaintext mesh floods on the same path, its nodes holding
 rekey.NULL_RING (see codec.py).
@@ -41,10 +44,13 @@ DEDUP_CAPACITY = 1024
 class DedupCache:
     """Fixed-capacity FIFO set of (origin, seq) pairs already handled.
 
-    Each pair is kept as one int, origin << 32 | seq (seq is a u32), as a
-    dict key for lookup and in a deque for eviction order. A dict, not a
-    set: under steady eviction a set's table settles at eight slots per
-    live entry, while a dict compacts whenever it resizes."""
+    Each pair is kept as one int, its flood key (codec._flood_key_of), as
+    a dict key for lookup and in a deque for eviction order. `handle_rx`
+    stores the packet's own flood key, the int object every copy of its
+    flood shares, so N caches that hold one flood hold one int between
+    them; `add` builds a fresh one. A dict, not a set: under steady
+    eviction a set's table settles at eight slots per live entry, while a
+    dict compacts whenever it resizes."""
 
     def __init__(self, capacity: int = DEDUP_CAPACITY) -> None:
         if capacity < 1:
@@ -54,10 +60,12 @@ class DedupCache:
         self._order: Deque[int] = deque()
 
     def seen(self, origin: int, seq: int) -> bool:
-        return (origin << 32 | seq) in self._keys
+        return codec._flood_key_of(origin, seq) in self._keys
 
     def add(self, origin: int, seq: int) -> None:
-        key = origin << 32 | seq
+        self._add(codec._flood_key_of(origin, seq))
+
+    def _add(self, key: int) -> None:
         if key in self._keys:
             return
         if len(self._order) >= self.capacity:
@@ -127,10 +135,11 @@ def handle_rx(
     forwarded, and does not enter the dedup cache, so a later honest copy
     of the same (origin, seq) still gets through.
     """
-    if packet.origin == state.node_id or state.dedup.seen(packet.origin, packet.seq):
+    key = packet._flood_key
+    if packet.origin == state.node_id or key in state.dedup._keys:
         return _DUPLICATE
     frame = codec.open_packet(keyring, window, packet, now)
-    state.dedup.add(packet.origin, packet.seq)
+    state.dedup._add(key)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
     return RxResult(frame, forward)
 
@@ -140,10 +149,10 @@ def _fresh_receivers(
 ) -> List[int]:
     """The ids of one packet's live receivers that handle_rx would not
     answer with its duplicate result: every node that is not the packet's
-    origin and does not hold its (origin, seq). One dict lookup per
+    origin and does not hold its flood key. One dict lookup per
     receiver."""
     origin = packet.origin
-    key = origin << 32 | packet.seq
+    key = packet._flood_key
     return [rid for rid in receivers if rid != origin and key not in caches[rid]._keys]
 
 

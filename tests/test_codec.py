@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -338,12 +339,12 @@ def test_a_window_drops_an_epoch_only_once_it_has_left_the_ring():
     codec.open_packet(r, window, pkt, now=1.0)
     r.install(bkey(2, 0x21), now=2.0, grace_window_s=5.0)
     window._drop_past_epochs(r)
-    assert {epoch for _origin, epoch in window._state} == {1}
+    assert set(window._state) == {1}
     with pytest.raises(ReplayError):  # epoch 1 is in grace: its entry still decides
         codec.open_packet(r, window, pkt, now=3.0)
     r.install(bkey(3, 0x22), now=4.0, grace_window_s=5.0)
     window._drop_past_epochs(r)
-    assert {epoch for _origin, epoch in window._state} == set()
+    assert set(window._state) == set()
     with pytest.raises(UnknownEpoch):  # the ring refuses it before the window is asked
         codec.open_packet(r, window, pkt, now=4.5)
 
@@ -613,3 +614,103 @@ def test_window_property_accept_at_most_once(counter_draws):
         w.accept(3, 1, c)
         assert c not in accepted
         accepted.add(c)
+
+
+class TupleReplayWindow:
+    """The replay window as it was before its state was packed: one
+    (highest, bitmap) tuple per (origin, epoch) key. The reference the
+    packed ReplayWindow must answer exactly like."""
+
+    def __init__(self, width: int = codec.REPLAY_WINDOW) -> None:
+        self.width = width
+        self._state = {}
+
+    def check(self, origin, epoch, counter):
+        state = self._state.get((origin, epoch))
+        if state is None:
+            return
+        highest, bitmap = state
+        if counter > highest:
+            return
+        offset = highest - counter
+        if offset >= self.width:
+            raise ReplayError(
+                f"counter {counter} from origin {origin} fell behind window at {highest}"
+            )
+        if bitmap & (1 << offset):
+            raise ReplayError(f"counter {counter} from origin {origin} already seen")
+
+    def accept(self, origin, epoch, counter):
+        key = (origin, epoch)
+        state = self._state.get(key)
+        if state is None:
+            self._state[key] = (counter, 1)
+            return
+        highest, bitmap = state
+        if counter > highest:
+            shift = counter - highest
+            bitmap = (bitmap << shift) & ((1 << self.width) - 1) if shift < self.width else 0
+            self._state[key] = (counter, bitmap | 1)
+        else:
+            self._state[key] = (highest, bitmap | (1 << (highest - counter)))
+
+    def _drop_past_epochs(self, keyring):
+        keep = {bkey.epoch for bkey in (keyring.current, keyring.previous) if bkey is not None}
+        self._state = {key: state for key, state in self._state.items() if key[1] in keep}
+
+
+def _check_outcome(window, origin, epoch, counter):
+    try:
+        window.check(origin, epoch, counter)
+    except ReplayError as exc:
+        return str(exc)
+    return None
+
+
+# One step: ("open", origin, epoch, (k, d)) checks, and accepts when the
+# check passes, the counter k * width + d away from the reference's highest
+# for that (origin, epoch), or from 0 if it has none; ("accept", ...)
+# accepts without a check; ("drop", current, previous) forgets every other
+# epoch. k in [-2, 2] and d in [-1, 1] reach shift and offset width - 1,
+# width and width + 1 from either side.
+_WINDOW_WIDTHS = (1, 4, 64)
+_deltas = st.one_of(
+    st.tuples(st.integers(-2, 2), st.integers(-1, 1)),
+    st.tuples(st.just(0), st.integers(min_value=-150, max_value=150)),
+)
+_window_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("open", "open", "open", "accept")), st.integers(1, 3), st.integers(0, 3), _deltas),
+        st.tuples(st.just("drop"), st.integers(0, 3), st.none() | st.integers(0, 3)),
+    ),
+    max_size=80,
+)
+
+
+@given(width=st.sampled_from(_WINDOW_WIDTHS), steps=_window_steps)
+@settings(max_examples=300, deadline=None)
+def test_a_packed_window_answers_as_the_tuple_window_did(width, steps):
+    packed, reference = codec.ReplayWindow(width), TupleReplayWindow(width)
+    for step in steps:
+        if step[0] == "drop":
+            _, current, previous = step
+            keyring = types.SimpleNamespace(
+                current=types.SimpleNamespace(epoch=current),
+                previous=None if previous is None else types.SimpleNamespace(epoch=previous),
+            )
+            packed._drop_past_epochs(keyring)
+            reference._drop_past_epochs(keyring)
+            continue
+        kind, origin, epoch, (k, d) = step
+        state = reference._state.get((origin, epoch))
+        counter = max(0, (state[0] if state else 0) + k * width + d)
+        outcome = _check_outcome(reference, origin, epoch, counter)
+        assert _check_outcome(packed, origin, epoch, counter) == outcome
+        if kind == "accept" or outcome is None:
+            packed.accept(origin, epoch, counter)
+            reference.accept(origin, epoch, counter)
+    # Every counter near each window the reference still holds answers alike.
+    for (origin, epoch), (highest, _bitmap) in reference._state.items():
+        for counter in range(max(0, highest - width - 2), highest + 3):
+            assert _check_outcome(packed, origin, epoch, counter) == _check_outcome(reference, origin, epoch, counter)
+    assert {epoch for _origin, epoch in reference._state} == set(packed._state)

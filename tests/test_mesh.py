@@ -112,6 +112,35 @@ def test_rx_results_keep_their_fields_and_every_duplicate_shares_one():
     assert mesh.handle_rx(receiver, ring, window, pkt, now=0.3) is mesh._DUPLICATE
 
 
+def test_every_cache_that_holds_a_flood_holds_its_one_key_object():
+    sim = Simulation(scenario_from_dict(generated_scenarios()["grid25_churn"]))
+    sim.run()
+    first_held = {}
+    holders = {}
+    for node in sim.nodes.values():
+        cache = node.mesh.dedup
+        for key, ordered in zip(cache._keys, cache._order):
+            assert ordered is key  # eviction order holds the same object as the lookup
+            assert first_held.setdefault(key, key) is key
+            holders[key] = holders.get(key, 0) + 1
+    assert max(holders.values()) == len(sim.nodes) - 1  # some flood reached every other node
+
+
+def test_a_flood_copy_rebuilt_from_its_bytes_is_still_a_duplicate():
+    ring = make_ring()
+    receiver = mesh.MeshState(node_id=3)
+    pkt = mesh.originate(mesh.MeshState(node_id=2), ring, codec.PacketCounters(), frame_of(), hop_limit=2)
+    window = codec.ReplayWindow()
+    forward = mesh.handle_rx(receiver, ring, window, pkt, now=0.1).forward
+    assert forward._flood_key is pkt._flood_key
+    (held,) = receiver.dedup._keys
+    assert held is pkt._flood_key
+    rebuilt = codec.WirePacket.from_bytes(forward.to_bytes())
+    assert rebuilt._flood_key == held and rebuilt._flood_key is not held
+    assert mesh._fresh_receivers([3], {3: receiver.dedup}, rebuilt) == []
+    assert mesh.handle_rx(receiver, ring, window, rebuilt, now=0.2) is mesh._DUPLICATE
+
+
 def test_handle_rx_stops_forwarding_at_hop_zero():
     ring = make_ring()
     sender = mesh.MeshState(node_id=2, dedup=mesh.DedupCache())

@@ -196,10 +196,11 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     for rung in record["grid_ladder"]:
         assert sorted(rung) == [
             "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes", "run_s",
-            "transmissions", "wall_s",
+            "state_mb", "transmissions", "wall_s",
         ]
         assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
         assert rung["duration_s"] == 4.0 and 0 < rung["render_s"] < rung["wall_s"] and rung["max_rss_mb"] > 0
+        assert 0 < rung["state_mb"] < rung["max_rss_mb"]
 
 
 def test_bench_record_without_out_writes_nothing(capsys):
@@ -216,4 +217,5 @@ def test_sample_profile_names_the_event_loop(capsys):
     assert _script("sample_profile").main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("contested_churn seed 1: ")
+    assert " s of CPU time, one per " in out.splitlines()[0]
     assert "sim.py:run\n" in out

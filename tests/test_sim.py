@@ -614,8 +614,9 @@ def test_every_window_keeps_only_the_epochs_its_keyring_still_holds():
     for node in sim.nodes.values():
         ring = {bkey.epoch for bkey in (node.keyring.current, node.keyring.previous) if bkey is not None}
         epochs = {}
-        for origin, epoch in node.window._state:
-            epochs.setdefault(origin, set()).add(epoch)
+        for epoch, origins in node.window._state.items():
+            for origin in origins:
+                epochs.setdefault(origin, set()).add(epoch)
         assert all(len(seen) <= 2 and seen <= ring for seen in epochs.values())
 
 
