@@ -47,6 +47,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+from swarmlink import report as report_module
 from swarmlink.golden import _grid_nodes, generated_scenarios
 from swarmlink.metrics import render_json
 from swarmlink.scenario import scenario_from_dict
@@ -111,25 +112,28 @@ def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
 
 
 def rung_state_mb(side: int, duration_s: float) -> float:
-    """MiB live under tracemalloc when one rung's event loop ends, after
-    an untraced 4-node run that pays the one-time costs (cryptography's
-    lazy backend import) no rung should carry."""
+    """MiB live under tracemalloc when one rung's event loop ends, read as
+    run() hands its state to report.build, after an untraced 4-node run
+    that pays the one-time costs (cryptography's lazy backend import) no
+    rung should carry."""
+    state_bytes = []
+    build = report_module.build
 
-    class Probe(Simulation):
-        def _build_report(self, *args):
-            gc.collect()
-            self.state_bytes = tracemalloc.get_traced_memory()[0]
-            return super()._build_report(*args)
+    def probe(*args):
+        gc.collect()
+        state_bytes.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
 
     Simulation(scenario_from_dict(grid_scenario(2, duration_s))).run()
     gc.collect()
+    report_module.build = probe
     tracemalloc.start()
     try:
-        probe = Probe(scenario_from_dict(grid_scenario(side, duration_s)))
-        probe.run()
+        Simulation(scenario_from_dict(grid_scenario(side, duration_s))).run()
     finally:
         tracemalloc.stop()
-    return probe.state_bytes / 2**20
+        report_module.build = build
+    return state_bytes[0] / 2**20
 
 
 # Runs one function of a script in a fresh interpreter and prints its

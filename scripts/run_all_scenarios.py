@@ -3,7 +3,8 @@
 
 Useful as a smoke test and as the quickest way to see the whole stack
 exercised: delivery ratios, latency, rekeying, and what each adversary
-actually achieved. Pass --out-dir to keep the full JSON reports.
+actually achieved. Pass --out-dir to keep the full JSON reports. Exits 1
+when any run fails packet conservation, 0 otherwise.
 """
 
 import argparse
@@ -43,6 +44,7 @@ def main(argv=None) -> int:
     header = f"{'scenario':<18} {'mode':<5} {'n':>2} {'delivery':>9} {'p50 ms':>7} {'epochs':>6}  adversary"
     print(header)
     print("-" * len(header))
+    status = 0
     for name in names:
         sc = resolve_scenario(name)
         report, _trace = run_scenario(sc)
@@ -55,11 +57,12 @@ def main(argv=None) -> int:
         )
         if not report["conservation"]["balanced"]:
             print(f"  WARNING: {name} failed packet conservation", file=sys.stderr)
+            status = 1
         if args.out_dir:
             path = os.path.join(args.out_dir, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_json(report))
-    return 0
+    return status
 
 
 if __name__ == "__main__":

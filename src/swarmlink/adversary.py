@@ -82,7 +82,7 @@ class Eavesdrop(Tap):
         if bkey.epoch in self.sim.sc.security.leak_epochs:
             key = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
             self.leaked[bkey.epoch] = self.keys[bkey.epoch] = key
-            self.sim._trace("key_leaked", epoch=bkey.epoch)
+            self.sim.trace.add(self.sim.now, "key_leaked", epoch=bkey.epoch)
 
     def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
         if packet.epoch in self.keys:
@@ -151,7 +151,7 @@ class KeySubstitution(Tap):
             nonce=msg.nonce,
             signature=msg.signature,  # stale: signs the honest key, not ours
         )
-        self.sim._trace("mitm_substitute", item=item.kind, nonce=msg.nonce.hex())
+        self.sim.trace.add(self.sim.now, "mitm_substitute", item=item.kind, nonce=msg.nonce.hex())
         return forged.to_bytes()
 
     def report(self) -> Dict[str, object]:
@@ -213,7 +213,7 @@ class ReplayInjector(Tap):
         pick = sim.rng_adv.randrange(len(self.recorded))
         rx_ids = self.recorded_rx[pick]
         self.injections += 1
-        sim._trace("replay_inject", receivers=list(rx_ids))
+        sim.trace.add(sim.now, "replay_inject", receivers=list(rx_ids))
         sim.inject(rx_ids, self.recorded[pick], self.outcomes)
 
     def report(self) -> Dict[str, object]:

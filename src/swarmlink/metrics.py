@@ -15,7 +15,7 @@ whose values are all scalars (every per-pair entry) is filled into one
 `%`-template per shape, its sorted keys and depth, compiled once; every
 other dict or list is joined one level at a time. Scalars get json's own
 text: `encode_basestring_ascii`, a finite number's repr, else NaN or
-Infinity (`_number_text`, which the trace lines in sim.py use too). It
+Infinity (`_number_text`, which the trace lines in report.py use too). It
 takes only what reports hold: dicts with str keys, lists, and values of
 exactly str, int, float, bool or None. Any other key or value, a tuple or
 a subclass among them, raises TypeError; the one exception is a str

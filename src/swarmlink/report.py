@@ -1,0 +1,195 @@
+"""What a finished run recorded: its report dict (`build`) and trace lines (`Trace`).
+
+Reports and traces contain no wall-clock values; each trace line is exactly
+`json.dumps(entry, sort_keys=True)` of its time, its kind and the fields
+TRACE_KINDS declares for that kind, no more and no fewer. It is written from a
+`%`-style template compiled per kind at import, keys in sorted order and the
+kind inlined: a string value is escaped as json escapes it, a number goes in
+as metrics._number_text writes it (the report's scalar text too), and a list
+or dict is encoded by one JSONEncoder built at import. The time's text is
+encoded once per `now` object, so an int and a float time never share one.
+"""
+
+from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
+from typing import Dict, FrozenSet, Optional, Tuple
+
+from .metrics import _number_text, latency_summary
+
+# A value's JSON text, exactly what `json.dumps(value, sort_keys=True)`
+# writes, from an encoder built once instead of once per line. No circular
+# check: a trace value is a fresh scalar, list or dict.
+_encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+# Every trace event kind and the JSON type of each of its fields. Each line
+# also carries "t", the simulated time rounded to 9 places, and "event".
+TRACE_KINDS: Dict[str, Dict[str, type]] = {
+    "security": {"node": int, "error": str, "detail": str},
+    "node_down": {"node": int},
+    "link_event": {"link": str, "set": dict},
+    "handshake_offer": {"uav": int, "attempt": int},
+    "unreachable": {"uav": int},
+    "session_uav": {"node": int},
+    "session_gcs": {"uav": int},
+    "rotate": {"epoch": int, "not_after": float},
+    "rekey_installed": {"node": int, "epoch": int},
+    "link_switch": {"node": int, "link": str},
+    "defer": {"node": int, "link": str, "until": float},
+    "drop": {"node": int, "reason": str, "item": str},
+    # Written by the taps in adversary.py.
+    "key_leaked": {"epoch": int},
+    "mitm_substitute": {"item": str, "nonce": str},
+    "replay_inject": {"receivers": list},
+}
+
+# JSON type -> the function that gives a value's text; an int's text is
+# its str(), which `%s` takes as is.
+_ENCODERS = {
+    str: encode_basestring_ascii,
+    float: _number_text,
+    list: _encode_line,
+    dict: _encode_line,
+}
+
+
+def _compile_line(kind: str, fields: Dict[str, type]) -> Tuple[str, FrozenSet[str], Tuple]:
+    """(template, field names, (name, encoder) per field that needs one)."""
+    texts = {name: f"%({name})s" for name in (*fields, "t")}
+    texts["event"] = encode_basestring_ascii(kind)
+    template = "{" + ", ".join(f"{encode_basestring_ascii(key)}: {texts[key]}" for key in sorted(texts)) + "}"
+    encoders = tuple((name, _ENCODERS[t]) for name, t in fields.items() if t is not int)
+    return template, frozenset(fields), encoders
+
+
+_TRACE_LINES = {kind: _compile_line(kind, fields) for kind, fields in TRACE_KINDS.items()}
+
+
+class Trace(list):
+    """A run's trace lines, in the order they were written."""
+
+    __slots__ = ("_now", "_t")  # the `now` whose "t" text add() encoded last, and that text
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now: Optional[float] = None
+        self._t = ""
+
+    def add(self, now: float, kind: str, **fields) -> None:
+        """Append one line of a kind TRACE_KINDS declares, with exactly its fields."""
+        line = _TRACE_LINES.get(kind)
+        if line is None or fields.keys() != line[1]:
+            wanted = sorted(TRACE_KINDS.get(kind, ()))
+            raise TypeError(f"trace kind {kind!r} takes {wanted}, got {sorted(fields)}")
+        for name, encode in line[2]:
+            fields[name] = encode(fields[name])
+        if now is not self._now:
+            self._now = now
+            self._t = _number_text(round(now, 9))
+        fields["t"] = self._t
+        self.append(line[0] % fields)
+
+
+def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
+    """The report of a finished run, with the receptions still in flight."""
+    sc = sim.sc
+    c = sim.counters
+    audit = sim.audit
+    node_ids = tuple(sim.node_order)
+    uav_ids = tuple(n.id for n in sc.uavs())
+    # One sorted latency list at a time: each is summarised, then dropped.
+    uav_latency = latency_summary(audit.latencies_between(uav_ids, uav_ids))
+    latency = latency_summary(audit.latencies())
+    # Each message goes to every node but its source, and none delivers its
+    # own: sent is messages x (N - 1), delivered one per latency; UAVs alike.
+    sent_total = len(audit.originated) * (len(node_ids) - 1)
+    got_total = latency["count"]
+    uav_sent = sum(audit.sent_by.get(u, 0) for u in uav_ids) * (len(uav_ids) - 1)
+    uav_got = uav_latency["count"]
+    queued = sum(len(n.txq) for n in sim.nodes.values())
+    conservation = {
+        "tx_enqueued": c.get("tx_enqueued"),
+        "tx_sent": c.get("tx_sent"),
+        "tx_dropped": c.get("tx_dropped"),
+        "tx_deferrals": c.get("tx_deferrals"),
+        "queued_at_end": queued,
+        "rx_events": c.get("rx_events"),
+        "rx_processed": c.get("rx_processed"),
+        "rx_lost": c.get("rx_lost"),
+        "rx_in_flight_at_end": rx_in_flight,
+        "adv_rx_events": c.get("adv_rx_events"),
+        "adv_rx_processed": c.get("adv_rx_processed"),
+        "adv_rx_in_flight_at_end": adv_in_flight,
+        "balanced": (
+            c.get("tx_enqueued") == c.get("tx_sent") + c.get("tx_dropped") + queued
+            and c.get("rx_events") == c.get("rx_processed") + rx_in_flight
+            and c.get("adv_rx_events") == c.get("adv_rx_processed") + adv_in_flight
+        ),
+    }
+    duty = {
+        f"{node_id}:{link_name}": {
+            "max_window_utilization": round(peak, 9),
+            "budget_s": sim.nodes[node_id].meters[link_name].budget(),
+            "total_airtime_s": round(airtime, 9),
+        }
+        for (node_id, link_name), (peak, airtime) in sorted(sim.duty_use.items())
+    }
+    session_times = sorted(t for _key, t in sim.gcs.table.established.values())
+    source = sim.gcs.source
+    return {
+        "scenario": sc.name,
+        "seed": sc.seed,
+        "mode": sc.mode,
+        "duration_s": sc.duration_s,
+        "nodes": len(node_ids),
+        "handshakes": {
+            "attempts": c.get("handshake_attempts"),
+            "retries": c.get("handshake_retries"),
+            "established": c.get("sessions_established"),
+            "unreachable": sorted(sim.gcs.unreachable),
+            "last_established_s": session_times[-1] if session_times else None,
+            "all_established": len(session_times) == len(uav_ids),
+        },
+        "broadcast": {
+            "epochs_reached": source.current.epoch if source and source.current else 0,
+            "rekeys_sent": c.get("rekeys_sent"),
+            "rekeys_installed": c.get("rekeys_installed"),
+            "rekey_resends": c.get("rekey_resends"),
+            "rekey_duplicates": c.get("rekey_duplicates"),
+            "acks_received": c.get("acks_received"),
+        },
+        "traffic": {
+            "messages_originated": len(audit.originated),
+            "frames_sealed": c.get("frames_sealed"),
+            "messages_delivered": got_total + audit.duplicate_deliveries,
+            "skipped_no_key": c.get("tx_skipped_no_key"),
+            "skipped_no_session": c.get("tx_skipped_no_session"),
+        },
+        "delivery": {
+            "pairs": audit.pair_stats(node_ids),
+            "sent": sent_total,
+            "delivered": got_total,
+            "overall_ratio": (got_total / sent_total) if sent_total else 0.0,
+            "uav_to_uav": {
+                "sent": uav_sent,
+                "delivered": uav_got,
+                "ratio": (uav_got / uav_sent) if uav_sent else 0.0,
+            },
+            "duplicate_deliveries": audit.duplicate_deliveries,
+        },
+        "latency": latency,
+        "latency_uav_to_uav": uav_latency,
+        "security_events": dict(sorted(sim.security_events.values.items())),
+        "links": {
+            "per_link_tx": dict(sorted(sim.per_link_tx.items())),
+            "per_link_data_tx": dict(sorted(sim.per_link_data_tx.items())),
+            "switches": sum(n.selector.switches for n in sim.nodes.values()),
+            "deferrals": c.get("tx_deferrals"),
+            "wire_bytes": dict(sorted(sim.wire_bytes.items())),
+        },
+        "duty_cycle": duty,
+        "adversary": {tap.name: tap.report() for tap in sim.taps},
+        "conservation": conservation,
+    }

@@ -50,15 +50,7 @@ metrics and a trace. Determinism rules:
   chosen link is in the set;
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
-- reports and traces contain no wall-clock values; each trace line is
-  exactly `json.dumps(entry, sort_keys=True)` of its time, its kind and
-  the fields TRACE_KINDS declares for that kind, no more and no fewer. It
-  is written from a `%`-style template compiled per kind at import, keys
-  in sorted order and the kind inlined: a string value is escaped as json
-  escapes it, a number goes in as metrics._number_text writes it (the
-  report's scalar text too), and a list or dict is encoded by one
-  JSONEncoder built at import. The time's text is encoded once per `now`
-  object, so an int and a float time never share one.
+- reports and traces contain no wall-clock values (see report.py).
 
 Adversaries are taps on the air (see adversary.py); the simulation calls
 their hooks and never names one. A receive handler raises the
@@ -70,17 +62,15 @@ or "rejected_<error>", which is how a tap learns the fate of its bytes.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from . import adversary, codec, crypto, handshake, links, mesh, rekey, wire
+from . import adversary, codec, crypto, handshake, links, mesh, rekey, report, wire
 from .errors import (
     NoSession,
     NoViableLink,
@@ -90,8 +80,8 @@ from .errors import (
     UnknownMessage,
     ValidationError,
 )
-# render_json stays importable as sim.render_json.
-from .metrics import Counters, DeliveryAudit, _number_text, latency_summary, render_json  # noqa: F401
+# sim.render_json and sim.latency_summary: aliases bench/test_bench.py reads.
+from .metrics import Counters, DeliveryAudit, latency_summary, render_json  # noqa: F401
 from .scenario import Scenario
 
 TELEMETRY_MSG_ID = 0x01
@@ -108,56 +98,6 @@ class _TxItem:
     # The message `data` was serialised from, handed as is to every
     # receiver when no tap changed the bytes, so none of them parses them.
     message: object = None
-
-
-# A value's JSON text, exactly what `json.dumps(value, sort_keys=True)`
-# writes, from an encoder built once instead of once per line. No circular
-# check: a trace value is a fresh scalar, list or dict.
-_encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
-
-# Every trace event kind and the JSON type of each of its fields. Each line
-# also carries "t", the simulated time rounded to 9 places, and "event",
-# the kind.
-TRACE_KINDS: Dict[str, Dict[str, type]] = {
-    "security": {"node": int, "error": str, "detail": str},
-    "node_down": {"node": int},
-    "link_event": {"link": str, "set": dict},
-    "handshake_offer": {"uav": int, "attempt": int},
-    "unreachable": {"uav": int},
-    "session_uav": {"node": int},
-    "session_gcs": {"uav": int},
-    "rotate": {"epoch": int, "not_after": float},
-    "rekey_installed": {"node": int, "epoch": int},
-    "link_switch": {"node": int, "link": str},
-    "defer": {"node": int, "link": str, "until": float},
-    "drop": {"node": int, "reason": str, "item": str},
-    # Written by the taps in adversary.py.
-    "key_leaked": {"epoch": int},
-    "mitm_substitute": {"item": str, "nonce": str},
-    "replay_inject": {"receivers": list},
-}
-
-# JSON type -> the function that gives a value's text; an int's text is
-# its str(), which `%s` takes as is.
-_ENCODERS = {
-    str: encode_basestring_ascii,
-    float: _number_text,
-    list: _encode_line,
-    dict: _encode_line,
-}
-
-
-def _compile_line(kind: str, fields: Dict[str, type]) -> Tuple[str, FrozenSet[str], Tuple]:
-    """(template, field names, (name, encoder) per field that needs one)."""
-    texts = {name: f"%({name})s" for name in (*fields, "t")}
-    texts["event"] = encode_basestring_ascii(kind)
-    template = "{" + ", ".join(f"{encode_basestring_ascii(key)}: {texts[key]}" for key in sorted(texts)) + "}"
-    encoders = tuple((name, _ENCODERS[t]) for name, t in fields.items() if t is not int)
-    return template, frozenset(fields), encoders
-
-
-_TRACE_LINES = {kind: _compile_line(kind, fields) for kind, fields in TRACE_KINDS.items()}
 
 
 class _Node:
@@ -228,10 +168,7 @@ class Simulation:
         self.counters = Counters()
         self.security_events = Counters()
         self.audit = DeliveryAudit()
-        self.trace: List[str] = []
-        # The `now` whose "t" text _trace encoded last, and that text.
-        self._trace_now: Optional[float] = None
-        self._trace_t = ""
+        self.trace = report.Trace()
         self.installed_keys: List[Tuple[int, bytes]] = []
         self.duty_log: List[Tuple[int, str, float, float]] = []
         # (node, link) -> [peak window utilisation, total airtime], per metered send.
@@ -325,41 +262,16 @@ class Simulation:
                 times = takewhile(lambda t: t < stop, count(start, period))
                 self.chain(times, partial(self._traffic_event, sender))
 
-    # ---- tracing / accounting --------------------------------------------
-
-    def _trace(self, kind: str, **fields) -> None:
-        """Append one line of a kind TRACE_KINDS declares, with exactly its fields."""
-        line = _TRACE_LINES.get(kind)
-        if line is None or fields.keys() != line[1]:
-            raise TypeError(
-                f"trace kind {kind!r} takes {sorted(TRACE_KINDS.get(kind, ()))}, got {sorted(fields)}"
-            )
-        for name, encode in line[2]:
-            fields[name] = encode(fields[name])
-        now = self.now
-        if now is not self._trace_now:
-            self._trace_now = now
-            self._trace_t = _number_text(round(now, 9))
-        fields["t"] = self._trace_t
-        self.trace.append(line[0] % fields)
-
-    def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
-        """Count and trace a rejection; returns it as a receive outcome."""
-        name = type(exc).__name__
-        self.security_events.bump(name)
-        self._trace("security", node=node.id, error=name, detail=str(exc))
-        return f"rejected_{name}"
-
     # ---- node and link lifecycle ------------------------------------------
 
     def _node_down(self, node: _Node) -> None:
         self._down.add(node.id)
         self._covering_cache.clear()
-        self._trace("node_down", node=node.id)
+        self.trace.add(self.now, "node_down", node=node.id)
 
     def _apply_link_event(self, ev) -> None:
         self.profiles[ev.link] = dc_replace(self.profiles[ev.link], **ev.set)
-        self._trace("link_event", link=ev.link, set=dict(sorted(ev.set.items())))
+        self.trace.add(self.now, "link_event", link=ev.link, set=dict(sorted(ev.set.items())))
 
     def _neighbours(self, node_id: int, link: str) -> List[int]:
         key = (node_id, link)
@@ -413,7 +325,7 @@ class Simulation:
             self.roster, g.sig_key, g.table, uav_id, self.rng_keys, self.now, timeout
         )
         self.counters.bump("handshake_attempts")
-        self._trace("handshake_offer", uav=uav_id, attempt=g.hs_attempts[uav_id])
+        self.trace.add(self.now, "handshake_offer", uav=uav_id, attempt=g.hs_attempts[uav_id])
         self._enqueue(g, _TxItem("offer", offer.to_bytes(), uav_id, offer))
         self._schedule(self.now + timeout + _EPS, "timer", partial(self._handshake_timeout, uav_id))
 
@@ -428,7 +340,7 @@ class Simulation:
             self._start_handshake(uav_id)
         elif uav_id not in g.unreachable:
             g.unreachable.append(uav_id)
-            self._trace("unreachable", uav=uav_id)
+            self.trace.add(self.now, "unreachable", uav=uav_id)
 
     def _rx_offer(self, node: _Node, offer: handshake.KeyOffer) -> None:
         if node.role != "uav":
@@ -439,7 +351,7 @@ class Simulation:
         )
         node.session_key = session_key
         self.installed_keys.append((node.id, session_key.bytes_))
-        self._trace("session_uav", node=node.id)
+        self.trace.add(self.now, "session_uav", node=node.id)
         self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id, response))
 
     def _rx_response(self, node: _Node, response: handshake.KeyResponse) -> None:
@@ -452,7 +364,7 @@ class Simulation:
         uav_id = response.sender_id
         self.installed_keys.append((node.id, session_key.bytes_))
         self.counters.bump("sessions_established")
-        self._trace("session_gcs", uav=uav_id)
+        self.trace.add(self.now, "session_gcs", uav=uav_id)
         if node.source is not None:
             if node.source.current is None:
                 self._generate_epoch()
@@ -467,7 +379,7 @@ class Simulation:
         g.window._drop_past_epochs(g.keyring)
         for tap in self.taps:
             tap.on_epoch(bkey)
-        self._trace("rotate", epoch=bkey.epoch, not_after=round(bkey.not_after, 9))
+        self.trace.add(self.now, "rotate", epoch=bkey.epoch, not_after=round(bkey.not_after, 9))
         self._schedule(bkey.not_after, "timer", self._rotation_due)
 
     def _rotation_due(self) -> None:
@@ -523,7 +435,7 @@ class Simulation:
         else:
             self.counters.bump("rekeys_installed")
             node.window._drop_past_epochs(node.keyring)
-            self._trace("rekey_installed", node=node.id, epoch=bkey.epoch)
+            self.trace.add(self.now, "rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
         self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id, ack))
 
@@ -601,7 +513,7 @@ class Simulation:
                 self._drop(node, "no_viable_link")
                 continue
             if node.selector.active != prev_active and prev_active is not None:
-                self._trace("link_switch", node=node.id, link=profile.name)
+                self.trace.add(self.now, "link_switch", node=node.id, link=profile.name)
             if len(item.data) > profile.mtu_bytes:
                 self._drop(node, "mtu")
                 continue
@@ -620,7 +532,7 @@ class Simulation:
                     self._drop(node, "duty_budget")
                     continue
                 self.counters.bump("tx_deferrals")
-                self._trace("defer", node=node.id, link=profile.name, until=round(result.until, 9))
+                self.trace.add(self.now, "defer", node=node.id, link=profile.name, until=round(result.until, 9))
                 self._reserve_tx_done(node, result.until)
                 return
             node.txq.popleft()
@@ -648,7 +560,7 @@ class Simulation:
     def _drop(self, node: _Node, reason: str) -> None:
         item = node.txq.popleft()
         self.counters.bump("tx_dropped")
-        self._trace("drop", node=node.id, reason=reason, item=item.kind)
+        self.trace.add(self.now, "drop", node=node.id, reason=reason, item=item.kind)
 
     def _complete_tx(
         self, node: _Node, item: _TxItem, profile: links.LinkProfile, result: links.TransmitResult
@@ -744,6 +656,13 @@ class Simulation:
             if outcomes is not None and outcome is not None:
                 outcomes.bump(outcome)
 
+    def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
+        """Count and trace a rejection; returns it as a receive outcome."""
+        name = type(exc).__name__
+        self.security_events.bump(name)
+        self.trace.add(self.now, "security", node=node.id, error=name, detail=str(exc))
+        return f"rejected_{name}"
+
     def inject(self, receiver_ids: Sequence[int], data: bytes, outcomes: Counters) -> None:
         """Hand a tap's bytes to its receivers now, in one event, tallying each outcome."""
         self.counters.bump("adv_rx_events", len(receiver_ids))
@@ -785,7 +704,7 @@ class Simulation:
             except UnknownMessage as exc:
                 self._security_event(node, exc)
 
-    # ---- run and report -------------------------------------------------------
+    # ---- run ---------------------------------------------------------------
 
     def run(self) -> dict:
         heap, duration = self._heap, self.sc.duration_s
@@ -797,117 +716,10 @@ class Simulation:
         # rx and advrx events are partials of _deliver over all their receivers.
         rx_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "rx")
         adv_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "advrx")
-        return self._build_report(rx_in_flight, adv_in_flight)
-
-    def _build_report(self, rx_in_flight: int, adv_in_flight: int) -> dict:
-        sc = self.sc
-        c = self.counters
-        node_ids = tuple(self.node_order)
-        uav_ids = tuple(n.id for n in sc.uavs())
-        pairs = self.audit.pair_stats(node_ids)
-        sent_total = sum(p["sent"] for p in pairs.values())
-        got_total = sum(p["delivered"] for p in pairs.values())
-        # The UAV-to-UAV subset of `pairs`: every UAV's sends count once per other UAV.
-        sent_by = self.audit.sent_by
-        uav_sent = sum(sent_by.get(u, 0) for u in uav_ids) * (len(uav_ids) - 1)
-        uav_got = sum(
-            pairs[f"{src}->{dst}"]["delivered"]
-            for src in uav_ids if src in sent_by
-            for dst in uav_ids if dst != src
-        )
-        queued = sum(len(n.txq) for n in self.nodes.values())
-        dropped = c.get("tx_dropped")
-        conservation = {
-            "tx_enqueued": c.get("tx_enqueued"),
-            "tx_sent": c.get("tx_sent"),
-            "tx_dropped": dropped,
-            "tx_deferrals": c.get("tx_deferrals"),
-            "queued_at_end": queued,
-            "rx_events": c.get("rx_events"),
-            "rx_processed": c.get("rx_processed"),
-            "rx_lost": c.get("rx_lost"),
-            "rx_in_flight_at_end": rx_in_flight,
-            "adv_rx_events": c.get("adv_rx_events"),
-            "adv_rx_processed": c.get("adv_rx_processed"),
-            "adv_rx_in_flight_at_end": adv_in_flight,
-            "balanced": (
-                c.get("tx_enqueued") == c.get("tx_sent") + dropped + queued
-                and c.get("rx_events") == c.get("rx_processed") + rx_in_flight
-                and c.get("adv_rx_events") == c.get("adv_rx_processed") + adv_in_flight
-            ),
-        }
-        duty = {
-            f"{node_id}:{link_name}": {
-                "max_window_utilization": round(peak, 9),
-                "budget_s": self.nodes[node_id].meters[link_name].budget(),
-                "total_airtime_s": round(airtime, 9),
-            }
-            for (node_id, link_name), (peak, airtime) in sorted(self.duty_use.items())
-        }
-        # One sorted latency list at a time: each is summarised, then dropped.
-        uav_latency = latency_summary(self.audit.latencies_between(uav_ids, uav_ids))
-        latency = latency_summary(self.audit.latencies())
-        session_times = sorted(t for _key, t in self.gcs.table.established.values())
-        source = self.gcs.source
-        return {
-            "scenario": sc.name,
-            "seed": sc.seed,
-            "mode": sc.mode,
-            "duration_s": sc.duration_s,
-            "nodes": len(node_ids),
-            "handshakes": {
-                "attempts": c.get("handshake_attempts"),
-                "retries": c.get("handshake_retries"),
-                "established": c.get("sessions_established"),
-                "unreachable": sorted(self.gcs.unreachable),
-                "last_established_s": session_times[-1] if session_times else None,
-                "all_established": len(session_times) == len(uav_ids),
-            },
-            "broadcast": {
-                "epochs_reached": source.current.epoch if source and source.current else 0,
-                "rekeys_sent": c.get("rekeys_sent"),
-                "rekeys_installed": c.get("rekeys_installed"),
-                "rekey_resends": c.get("rekey_resends"),
-                "rekey_duplicates": c.get("rekey_duplicates"),
-                "acks_received": c.get("acks_received"),
-            },
-            "traffic": {
-                "messages_originated": len(self.audit.originated),
-                "frames_sealed": c.get("frames_sealed"),
-                "messages_delivered": latency["count"] + self.audit.duplicate_deliveries,
-                "skipped_no_key": c.get("tx_skipped_no_key"),
-                "skipped_no_session": c.get("tx_skipped_no_session"),
-            },
-            "delivery": {
-                "pairs": pairs,
-                "sent": sent_total,
-                "delivered": got_total,
-                "overall_ratio": (got_total / sent_total) if sent_total else 0.0,
-                "uav_to_uav": {
-                    "sent": uav_sent,
-                    "delivered": uav_got,
-                    "ratio": (uav_got / uav_sent) if uav_sent else 0.0,
-                },
-                "duplicate_deliveries": self.audit.duplicate_deliveries,
-            },
-            "latency": latency,
-            "latency_uav_to_uav": uav_latency,
-            "security_events": dict(sorted(self.security_events.values.items())),
-            "links": {
-                "per_link_tx": dict(sorted(self.per_link_tx.items())),
-                "per_link_data_tx": dict(sorted(self.per_link_data_tx.items())),
-                "switches": sum(n.selector.switches for n in self.nodes.values()),
-                "deferrals": c.get("tx_deferrals"),
-                "wire_bytes": dict(sorted(self.wire_bytes.items())),
-            },
-            "duty_cycle": duty,
-            "adversary": {tap.name: tap.report() for tap in self.taps},
-            "conservation": conservation,
-        }
+        return report.build(self, rx_in_flight, adv_in_flight)
 
 
 def run_scenario(sc: Scenario) -> Tuple[dict, List[str]]:
     """Run one scenario; returns (report dict, trace lines)."""
     sim = Simulation(sc)
-    report = sim.run()
-    return report, sim.trace
+    return sim.run(), sim.trace

@@ -38,8 +38,18 @@ def test_generated_scenario_matches_stored_digest(name):
 
 @pytest.mark.parametrize("name", [*SHIPPED_SCENARIOS, *sorted(GENERATED)])
 def test_every_first_delivery_has_one_latency_and_every_delivery_one_count(name):
+    """The report takes its delivery totals from the ledger: messages x
+    (N - 1) sent, one first delivery per latency. Summed over the per-pair
+    block, which counts each (source, destination), they must agree."""
     sc = scenario_from_dict(GENERATED[name]) if name in GENERATED else resolve_scenario(name)
     report, _ = run_scenario(sc)
     delivery = report["delivery"]
     assert report["latency"]["count"] == delivery["delivered"]
     assert report["traffic"]["messages_delivered"] == delivery["delivered"] + delivery["duplicate_deliveries"]
+    pairs = delivery["pairs"]
+    uav_ids = {node.id for node in sc.uavs()}
+    uav_pairs = [stats for key, stats in pairs.items() if {int(i) for i in key.split("->")} <= uav_ids]
+    assert delivery["sent"] == sum(stats["sent"] for stats in pairs.values())
+    assert delivery["delivered"] == sum(stats["delivered"] for stats in pairs.values())
+    assert delivery["uav_to_uav"]["sent"] == sum(stats["sent"] for stats in uav_pairs)
+    assert delivery["uav_to_uav"]["delivered"] == sum(stats["delivered"] for stats in uav_pairs)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlink import codec, crypto, handshake, mesh, rekey, sim as sim_module, wire
+from swarmlink import codec, crypto, handshake, mesh, rekey, report as report_module, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
 from swarmlink.golden import generated_scenarios
@@ -176,7 +176,7 @@ trace_values = st.recursive(
 def test_trace_lines_are_exactly_what_json_dumps_writes(fields, t):
     entry = {"t": t, **fields}
     expected = json.dumps(entry, sort_keys=True)
-    assert sim_module._encode_line(entry) == expected
+    assert report_module._encode_line(entry) == expected
 
 
 # A value of each JSON type a trace field declares.
@@ -194,7 +194,7 @@ trace_field_values = {
 @given(
     lines=st.lists(
         st.tuples(
-            st.sampled_from(sorted(sim_module.TRACE_KINDS)),
+            st.sampled_from(sorted(report_module.TRACE_KINDS)),
             st.one_of(st.floats(), st.integers(0, 10**6), st.sampled_from([1 / 3, 5.0, 5])),
             st.data(),
         ),
@@ -203,21 +203,20 @@ trace_field_values = {
     )
 )
 def test_every_declared_kind_writes_exactly_what_json_dumps_writes(lines):
-    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    trace = report_module.Trace()
     expected = []
     for kind, now, data in lines:
         fields = {
             name: data.draw(trace_field_values[json_type], label=name)
-            for name, json_type in sim_module.TRACE_KINDS[kind].items()
+            for name, json_type in report_module.TRACE_KINDS[kind].items()
         }
         expected.append(json.dumps({"t": round(now, 9), "event": kind, **fields}, sort_keys=True))
-        sim.now = now
-        sim._trace(kind, **fields)
-    assert sim.trace == expected
+        trace.add(now, kind, **fields)
+    assert trace == expected
 
 
 def test_an_undeclared_trace_kind_or_a_wrong_field_set_raises():
-    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    trace = report_module.Trace()
     for kind, fields in [
         ("probe", {"node": 7}),  # undeclared
         ("node_down", {}),  # missing
@@ -226,8 +225,8 @@ def test_an_undeclared_trace_kind_or_a_wrong_field_set_raises():
         ("security", {"node": 1, "error": "AuthError"}),
     ]:
         with pytest.raises(TypeError):
-            sim._trace(kind, **fields)
-    assert sim.trace == []
+            trace.add(1.0, kind, **fields)
+    assert trace == []
 
 
 def test_conservation_identity_over_modes():
@@ -265,17 +264,53 @@ def test_handshake_retry_exhaustion_marks_unreachable():
     assert report["conservation"]["balanced"]
 
 
-def test_a_send_to_a_live_peer_out_of_range_is_one_drop_naming_its_cause():
+def _drop_line(reason: str, t: str) -> str:
+    return f'{{"event": "drop", "item": "offer", "node": 1, "reason": "{reason}", "t": {t}}}'
+
+
+def _uav_3_out_of_range() -> dict:
     d = base_scenario_dict()
     d["nodes"][2]["position"] = [5000.0, 0.0]  # UAV 3: live, beyond wifi24 range of every node
-    report, trace = run(d)
-    # The offer to UAV 3 queues behind the one to UAV 2; its retry follows the 5 s handshake timeout.
-    assert [line for line in trace if '"drop"' in line] == [
-        '{"event": "drop", "item": "offer", "node": 1, "reason": "no_viable_link", "t": 9.36e-05}',
-        '{"event": "drop", "item": "offer", "node": 1, "reason": "no_viable_link", "t": 5.000000001}',
-    ]
-    assert report["conservation"]["tx_dropped"] == 2 and report["conservation"]["balanced"]
-    assert report["handshakes"]["established"] == 1
+    return d
+
+
+def _star_pair(links: dict, payload_bytes: int) -> dict:
+    """The GCS and one UAV in star mode for 4 s: one offer, retried only after the 5 s timeout."""
+    d = base_scenario_dict(mode="star", duration_s=4.0, links=links)
+    d["nodes"] = d["nodes"][:2]
+    d["traffic"]["payload_bytes"] = payload_bytes
+    return d
+
+
+@pytest.mark.parametrize(
+    "scenario, drops, established",
+    [
+        # The offer to UAV 3 queues behind the one to UAV 2; its retry follows the 5 s handshake timeout.
+        pytest.param(
+            _uav_3_out_of_range(),
+            [_drop_line("no_viable_link", "9.36e-05"), _drop_line("no_viable_link", "5.000000001")],
+            1,
+            id="no_viable_link",
+        ),
+        pytest.param(
+            _star_pair({"wifi24": {"band": "wifi24", "mtu_bytes": 64}}, 16),
+            [_drop_line("mtu", "0.0")],
+            0,
+            id="mtu",
+        ),
+        pytest.param(
+            _star_pair({"subghz": {"band": "subghz", "duty_cycle_limit": 1e-9, "duty_window_s": 1.0}}, 24),
+            [_drop_line("duty_budget", "0.0")],
+            0,
+            id="duty_budget",
+        ),
+    ],
+)
+def test_a_send_no_link_can_carry_is_one_drop_naming_its_cause(scenario, drops, established):
+    report, trace = run(scenario)
+    assert [line for line in trace if '"drop"' in line] == drops
+    assert report["conservation"]["tx_dropped"] == len(drops) and report["conservation"]["balanced"]
+    assert report["handshakes"]["established"] == established
 
 
 def test_rekey_resend_until_acked():
@@ -639,7 +674,7 @@ def test_the_report_holds_one_sorted_latency_list_at_a_time():
     gc.collect()
     tracemalloc.start()
     try:
-        report = sim._build_report(0, 0)
+        report = report_module.build(sim, 0, 0)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
