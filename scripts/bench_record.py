@@ -12,7 +12,11 @@ script sits in:
   RUNG_DURATION_S simulated seconds, REPEATS times, in a child process of
   its own: the median raw wall seconds of building, running and rendering
   it (`wall_s`), of building and running alone (`run_s`) and of rendering
-  the report alone (`render_s`); the child's maximum resident set
+  the report alone (`render_s`); the median of those wall seconds over
+  the mean time of `bench/hostspeed.py`'s fixed chunk, timed CHUNK_SAMPLES
+  times just before and just after each run (`wall_ref`, the unit
+  `bench/run.py` reports per pass, which takes host drift out of the
+  time); the child's maximum resident set
   (`max_rss_mb`, its own `getrusage(RUSAGE_SELF)`, interpreter included:
   `RUSAGE_CHILDREN` in this process would give the largest child reaped
   so far, not this rung's); its transmissions (`tx_sent`), receptions
@@ -36,6 +40,7 @@ on the command line:
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import platform
@@ -54,12 +59,17 @@ from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation
 
 ROOT = Path(__file__).resolve().parents[1]
+# bench/ is not a package: load its host-speed chunk from the file.
+_HOSTSPEED = importlib.util.spec_from_file_location("hostspeed", ROOT / "bench" / "hostspeed.py")
+hostspeed = importlib.util.module_from_spec(_HOSTSPEED)
+_HOSTSPEED.loader.exec_module(hostspeed)
 SEED = 1
 WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
 WORKLOAD_SECONDS = 20.0  # measured time per workload
 LADDER_SIDES = (5, 7, 10, 14)  # grid ladder rungs, side x side nodes
 RUNG_DURATION_S = 10.0  # simulated seconds per rung
 REPEATS = 3
+CHUNK_SAMPLES = 5  # host-speed chunks timed before and after each rung run
 RETAINED_SCENARIO = "mesh_10_lossy"
 RETAINED_DURATIONS = (25.0, 100.0, 400.0)  # simulated seconds, traffic without stop_s
 
@@ -89,14 +99,21 @@ def grid_scenario(side: int, duration_s: float) -> dict:
 
 def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
     """One rung, run in the process that calls it; see grid_rung."""
-    runs, renders = [], []
+    runs, renders, refs = [], [], []
+    speed = hostspeed.HostSpeed()
     for _ in range(repeats):
+        first = len(speed.samples)
+        for _ in range(CHUNK_SAMPLES):
+            speed.sample()
         start = time.perf_counter()
         report = Simulation(scenario_from_dict(grid_scenario(side, duration_s))).run()
         ran = time.perf_counter()
         text = render_json(report)
         runs.append(ran - start)
         renders.append(time.perf_counter() - ran)
+        for _ in range(CHUNK_SAMPLES):
+            speed.sample()
+        refs.append((runs[-1] + renders[-1]) / speed.chunk_s(first))
     conservation = report["conservation"]
     return {
         "nodes": side * side,
@@ -104,6 +121,7 @@ def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
         "wall_s": statistics.median(map(sum, zip(runs, renders))),
         "run_s": statistics.median(runs),
         "render_s": statistics.median(renders),
+        "wall_ref": statistics.median(refs),
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "transmissions": conservation["tx_sent"],
         "receptions": conservation["rx_events"],

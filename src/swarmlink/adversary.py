@@ -164,7 +164,7 @@ class KeySubstitution(Tap):
                 if eph is None:
                     continue
                 try:
-                    shared = crypto.ecdh_shared_secret(self.keypair.private_scalar, eph)
+                    shared = crypto.ecdh_shared_secret(self.keypair, eph)
                 except SwarmLinkError:
                     continue
                 candidates.add(crypto.derive_key(shared, context).bytes_)

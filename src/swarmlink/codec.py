@@ -217,7 +217,7 @@ class WirePacket:
     version: int = wire.PACKET_VERSION
 
     # Kept state, not fields: the AeadBox, the Frame, the encoding; and
-    # _flood_key, which __init__ sets.
+    # _flood_key, which __init__ and seal_with_key set.
     _kept_box = None
     _kept_frame = None
     _encoded = None
@@ -440,8 +440,14 @@ def seal_with_key(
     plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
     nonce, aad = _nonce_aad_of(header)
     box = crypto.aead_seal(key, nonce, plaintext, aad)
-    packet = WirePacket(epoch, origin, seq, hop_limit, counter, box.ciphertext, box.tag)
-    packet.__dict__.update(_kept_box=box, _kept_frame=frame, _encoded=header + box.ciphertext + box.tag)
+    # The pack range-checked every field, so no WirePacket() checks again.
+    packet = object.__new__(WirePacket)
+    packet.__dict__.update(
+        epoch=epoch, origin=origin, seq=seq, hop_limit=hop_limit, counter=counter,
+        ciphertext=box.ciphertext, tag=box.tag, version=wire.PACKET_VERSION,
+        _flood_key=origin << 32 | seq, _kept_box=box, _kept_frame=frame,
+        _encoded=header + box.ciphertext + box.tag,
+    )
     return packet
 
 

@@ -57,24 +57,45 @@ _NULL_CIPHER = types.SimpleNamespace(
 
 @dataclass(frozen=True)
 class AgreementKeyPair:
-    """X25519 key pair; the private scalar never leaves the owning node."""
+    """X25519 key pair; the private scalar never leaves the owning node.
+
+    The scalar is parsed once, with the pair, and the parsed key serves
+    every agreement under it; equality, hash and repr ignore it."""
 
     private_scalar: bytes
-    public_point: bytes
+    public_point: bytes = field(init=False)
+    _private: X25519PrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        private = X25519PrivateKey.from_private_bytes(self.private_scalar)
+        object.__setattr__(self, "_private", private)
+        object.__setattr__(self, "public_point", private.public_key().public_bytes_raw())
 
     def __repr__(self) -> str:  # keep the scalar out of logs and tracebacks
         return f"AgreementKeyPair(public_point={self.public_point.hex()})"
 
+    def __reduce__(self):  # the parsed key cannot be pickled; a copy parses its own
+        return (AgreementKeyPair, (self.private_scalar,))
+
 
 @dataclass(frozen=True)
 class SignatureKeyPair:
-    """Ed25519 key pair; the signing key is held only by its owner."""
+    """Ed25519 key pair; the signing key is held only by its owner, parsed once."""
 
     private_key: bytes
-    public_key: bytes
+    public_key: bytes = field(init=False)
+    _private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        private = Ed25519PrivateKey.from_private_bytes(self.private_key)
+        object.__setattr__(self, "_private", private)
+        object.__setattr__(self, "public_key", private.public_key().public_bytes_raw())
 
     def __repr__(self) -> str:
         return f"SignatureKeyPair(public_key={self.public_key.hex()})"
+
+    def __reduce__(self):
+        return (SignatureKeyPair, (self.private_key,))
 
 
 @dataclass(frozen=True)
@@ -145,21 +166,13 @@ def keypair_from_seed(seed: bytes, kind: str) -> AgreementKeyPair | SignatureKey
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes")
     if kind == "agreement":
-        priv = X25519PrivateKey.from_private_bytes(seed)
-        return AgreementKeyPair(
-            private_scalar=seed,
-            public_point=priv.public_key().public_bytes_raw(),
-        )
+        return AgreementKeyPair(seed)
     if kind == "signature":
-        priv = Ed25519PrivateKey.from_private_bytes(seed)
-        return SignatureKeyPair(
-            private_key=seed,
-            public_key=priv.public_key().public_bytes_raw(),
-        )
+        return SignatureKeyPair(seed)
     raise ValueError(f"unknown key kind {kind!r}")
 
 
-def ecdh_shared_secret(my_private: bytes, peer_public: bytes) -> bytes:
+def ecdh_shared_secret(mine: AgreementKeyPair, peer_public: bytes) -> bytes:
     """X25519 Diffie-Hellman output; symmetric in the two key pairs.
 
     Raises InvalidPoint for undecodable values and for low-order points that
@@ -169,16 +182,16 @@ def ecdh_shared_secret(my_private: bytes, peer_public: bytes) -> bytes:
         raise InvalidPoint(f"public point must be {PUBLIC_LEN} bytes")
     try:
         pub = X25519PublicKey.from_public_bytes(peer_public)
-        return X25519PrivateKey.from_private_bytes(my_private).exchange(pub)
+        return mine._private.exchange(pub)
     except InvalidPoint:
         raise
     except Exception as exc:
         raise InvalidPoint(str(exc)) from exc
 
 
-def sign(key: bytes, message: bytes) -> bytes:
+def sign(signer: SignatureKeyPair, message: bytes) -> bytes:
     """Ed25519 signature (64 bytes) over the message."""
-    return Ed25519PrivateKey.from_private_bytes(key).sign(message)
+    return signer._private.sign(message)
 
 
 def verify(key: bytes, message: bytes, sig: bytes) -> bool:

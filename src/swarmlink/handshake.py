@@ -192,7 +192,7 @@ def gcs_start_handshake(
         recipient_id=uav_id,
         ephemeral_pub=ephemeral.public_point,
         nonce=nonce,
-        signature=crypto.sign(gcs_sig_key.private_key, payload),
+        signature=crypto.sign(gcs_sig_key, payload),
     )
     table.pending[nonce] = PendingHandshake(uav_id=uav_id, ephemeral=ephemeral, deadline=now + timeout_s)
     return offer
@@ -220,7 +220,7 @@ def uav_on_offer(
         if not crypto.verify(gcs_pub, offer.signed_payload(), offer.signature):
             raise SignatureError(f"offer signature invalid for handshake nonce {offer.nonce.hex()}")
     ephemeral = crypto.keypair_from_seed(rng.randbytes(crypto.SEED_LEN), "agreement")
-    shared = crypto.ecdh_shared_secret(ephemeral.private_scalar, offer.ephemeral_pub)
+    shared = crypto.ecdh_shared_secret(ephemeral, offer.ephemeral_pub)
     session_key = crypto.derive_key(shared, _session_context(offer.sender_id, my_id, offer.nonce))
     payload = _signed_payload(my_id, offer.sender_id, ephemeral.public_point, offer.nonce)
     response = KeyResponse(
@@ -228,7 +228,7 @@ def uav_on_offer(
         recipient_id=offer.sender_id,
         ephemeral_pub=ephemeral.public_point,
         nonce=offer.nonce,
-        signature=crypto.sign(my_sig_key.private_key, payload),
+        signature=crypto.sign(my_sig_key, payload),
     )
     return response, session_key
 
@@ -255,7 +255,7 @@ def gcs_on_response(
         uav_pub = roster.public_key_of(response.sender_id)
         if not crypto.verify(uav_pub, response.signed_payload(), response.signature):
             raise SignatureError(f"response signature invalid for node {response.sender_id}")
-    shared = crypto.ecdh_shared_secret(entry.ephemeral.private_scalar, response.ephemeral_pub)
+    shared = crypto.ecdh_shared_secret(entry.ephemeral, response.ephemeral_pub)
     session_key = crypto.derive_key(
         shared, _session_context(roster.gcs_id, response.sender_id, response.nonce)
     )

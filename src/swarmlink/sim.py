@@ -20,6 +20,10 @@ metrics and a trace. Determinism rules:
   other event keeps its key and pops in the same order. A send the duty
   meter defers reserves its tx_done at the time it may go, like a send on
   the air, so the node waits the way a busy radio does;
+- the data packets one step queues at a node (a star's fanout of one
+  frame) go on its queue as one batch, pumped once: heap keys and loss
+  draws are those of queueing them one at a time, but the taps see
+  on_seal for every packet of the batch before the first goes on the air;
 - one event per pending step: a chain (a sender's traffic, a tap's
   injections, key rotation, rekey resends) queues its next step before
   the current step's own work, so the heap does not grow with run length;
@@ -90,7 +94,7 @@ _EPS = 1e-9
 _Sends = Sequence[Tuple[Optional[int], codec.WirePacket]]
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxItem:
     kind: str  # "offer" | "response" | "rekey" | "ack" | "data"
     data: bytes
@@ -103,7 +107,7 @@ class _TxItem:
 class _Node:
     """Runtime state for one node: radios, queues, and protocol machines."""
 
-    def __init__(self, spec, scenario: Scenario, sig_key: crypto.SignatureKeyPair):
+    def __init__(self, spec, scenario: Scenario, sig_key: crypto.SignatureKeyPair, tx_done):
         self.id = spec.id
         self.role = spec.role
         self.position = tuple(spec.position)
@@ -113,6 +117,7 @@ class _Node:
         # tells whether that event is on the heap (see Simulation._on_air).
         self.tx_end: Optional[Tuple[float, int]] = None
         self.tx_done_queued = False
+        self.tx_done = partial(tx_done, self)  # the callback of that event
         self.txq: deque = deque()
         policy = scenario.link_policy
         self.selector = links.LinkSelector(
@@ -189,7 +194,7 @@ class Simulation:
             sig_public_keys={nid: kp.public_key for nid, kp in sig_keys.items()},
         )
         self.nodes: Dict[int, _Node] = {
-            spec.id: _Node(spec, sc, sig_keys[spec.id]) for spec in specs
+            spec.id: _Node(spec, sc, sig_keys[spec.id], self._tx_done) for spec in specs
         }
         self.node_order: List[int] = [spec.id for spec in specs]
         # node id -> its dedup cache, for the duplicate filter in _deliver.
@@ -483,13 +488,18 @@ class Simulation:
         return ((None, mesh.originate(state, node.keyring, counters, frame, sc.protocol.hop_limit)),)
 
     def _enqueue_data(self, node: _Node, sends: _Sends, frame=None) -> None:
-        """The one place data packets are queued. Packets just sealed from
-        `frame` are shown to the taps; forwards come without."""
-        for dest, packet in sends:
-            if frame is not None:
+        """The one place data packets are queued, as one batch, pumped
+        once. Packets just sealed from `frame` are shown to the taps;
+        forwards come without."""
+        if not sends or node.id in self._down:
+            return
+        if frame is not None and self.taps:
+            for _dest, packet in sends:
                 for tap in self.taps:
                     tap.on_seal(packet, frame)
-            self._enqueue(node, _TxItem("data", packet.to_bytes(), dest, packet))
+        node.txq.extend([_TxItem("data", packet.to_bytes(), dest, packet) for dest, packet in sends])
+        self.counters.bump("tx_enqueued", len(sends))
+        self._pump(node)
 
     # ---- transmission ------------------------------------------------------
 
@@ -553,7 +563,7 @@ class Simulation:
             if end < self._event:
                 node.tx_end = None
                 return False
-            heapq.heappush(self._heap, (end[0], end[1], "tx_done", partial(self._tx_done, node)))
+            heapq.heappush(self._heap, (end[0], end[1], "tx_done", node.tx_done))
             node.tx_done_queued = True
         return True
 

@@ -151,7 +151,7 @@ def test_substituted_ephemerals_never_yield_a_shared_key():
                 verify_signatures=False,
             )
             peer_point = offer.ephemeral_pub
-        shared = crypto.ecdh_shared_secret(adv.private_scalar, peer_point)
+        shared = crypto.ecdh_shared_secret(adv, peer_point)
         adv_key = crypto.derive_key(shared, handshake._session_context(gcs_id, uav_id, offer.nonce))
         if adv_key.bytes_ == victim_key.bytes_:
             stolen += 1

@@ -291,16 +291,41 @@ def test_every_forward_of_a_sealed_packet_opens_under_its_key_and_no_other(heade
             codec.open_with_key(key, codec.ReplayWindow(), dataclasses.replace(packet, tag=packet.tag[::-1]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(header=headers, payload=st.binary(max_size=40))
+def test_a_sealed_packet_holds_what_the_constructor_builds_plus_its_seal_state(header, payload):
+    """seal_with_key builds its packet's state without WirePacket(), whose
+    checks its header pack has made: that state must be the constructor's
+    for the same fields (the flood key too) plus the kept box, frame and
+    encoding, so a field added to WirePacket cannot be missed there."""
+    frame = codec.Frame(messages=(msg(1, payload),))
+    counters = codec.PacketCounters()
+    counters._next[header["epoch"]] = header["counter"]
+    sealed = codec.seal_with_key(
+        crypto.SymmetricKey(b"\x20" * 32), header["epoch"], header["origin"], header["seq"],
+        header["hop_limit"], frame, counters,
+    )
+    built = codec.WirePacket(**header, ciphertext=sealed.ciphertext, tag=sealed.tag)
+    built.__dict__.update(_kept_box=sealed._kept_box, _kept_frame=frame, _encoded=built.to_bytes())
+    assert type(sealed) is codec.WirePacket and vars(sealed) == vars(built)
+    assert codec.WirePacket.from_bytes(sealed.to_bytes()) == sealed
+    assert sealed._kept_box.tag == sealed.tag and len(sealed.tag) == crypto.TAG_LEN
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("epoch", 2**32), ("epoch", -1), ("origin", wire.NODE_ID_MAX + 1), ("seq", codec.MAX_SEQ + 1),
-     ("hop_limit", 0x100), ("hop_limit", -1)],
+    [("epoch", 2**32), ("epoch", -1), ("origin", wire.NODE_ID_MAX + 1), ("origin", -1),
+     ("seq", codec.MAX_SEQ + 1), ("seq", -1), ("hop_limit", 0x100), ("hop_limit", -1),
+     ("counter", codec.MAX_COUNTER + 1), ("counter", -1)],
 )
 def test_sealing_an_out_of_range_header_field_raises_the_error_naming_it(field, value):
-    header = {"epoch": 0, "origin": 1, "seq": 0, "hop_limit": 3, field: value}
+    header = {"epoch": 0, "origin": 1, "seq": 0, "hop_limit": 3, "counter": 0, field: value}
+    counter = header.pop("counter")
+    # Any counter, even one PacketCounters would refuse to hand out.
+    counters = types.SimpleNamespace(next_for=lambda epoch: counter)
     frame = codec.Frame(messages=(msg(1, b"x"),))
     with pytest.raises(ValidationError) as err:
-        codec.seal_with_key(crypto.SymmetricKey(b"\x20" * 32), *header.values(), frame, codec.PacketCounters())
+        codec.seal_with_key(crypto.SymmetricKey(b"\x20" * 32), *header.values(), frame, counters)
     assert err.value.field == field
 
 

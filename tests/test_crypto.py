@@ -6,14 +6,18 @@ against an independent from-scratch GCM implementation before being frozen
 here. Everything else is behavioral.
 """
 
+import collections
 import copy
 import pickle
 import random
+import types
 
 import pytest
 
 from swarmlink import crypto
+from swarmlink.cli import resolve_scenario
 from swarmlink.errors import AuthError, EmptyContext, InvalidPoint, ValidationError
+from swarmlink.sim import run_scenario
 
 # AES-256-GCM known-answer vectors (key, iv, plaintext, aad, ciphertext, tag), hex.
 GCM_KATS = [
@@ -91,8 +95,8 @@ def test_ecdh_agreement_symmetric():
     for _ in range(16):
         a = crypto.keypair_from_seed(rng.randbytes(32), "agreement")
         b = crypto.keypair_from_seed(rng.randbytes(32), "agreement")
-        s1 = crypto.ecdh_shared_secret(a.private_scalar, b.public_point)
-        s2 = crypto.ecdh_shared_secret(b.private_scalar, a.public_point)
+        s1 = crypto.ecdh_shared_secret(a, b.public_point)
+        s2 = crypto.ecdh_shared_secret(b, a.public_point)
         assert s1 == s2
         assert len(s1) == 32
 
@@ -100,22 +104,62 @@ def test_ecdh_agreement_symmetric():
 def test_ecdh_rejects_bad_points():
     a = crypto.keypair_from_seed(b"\x01" * 32, "agreement")
     with pytest.raises(InvalidPoint):
-        crypto.ecdh_shared_secret(a.private_scalar, b"\x00" * 31)
+        crypto.ecdh_shared_secret(a, b"\x00" * 31)
     # all-zero point is the curve's low-order degenerate case
     with pytest.raises(InvalidPoint):
-        crypto.ecdh_shared_secret(a.private_scalar, b"\x00" * 32)
+        crypto.ecdh_shared_secret(a, b"\x00" * 32)
 
 
 def test_sign_verify_roundtrip_and_tamper():
     kp = crypto.keypair_from_seed(b"\x05" * 32, "signature")
     msg = b"telemetry channel bring-up"
-    sig = crypto.sign(kp.private_key, msg)
+    sig = crypto.sign(kp, msg)
     assert len(sig) == crypto.SIGNATURE_LEN
     assert crypto.verify(kp.public_key, msg, sig)
     assert not crypto.verify(kp.public_key, msg + b"x", sig)
     assert not crypto.verify(kp.public_key, msg, sig[:-1] + bytes([sig[-1] ^ 1]))
     other = crypto.keypair_from_seed(b"\x06" * 32, "signature")
     assert not crypto.verify(other.public_key, msg, sig)
+
+
+def test_a_key_pair_is_parsed_once_when_built_and_never_by_sign_or_agreement(monkeypatch):
+    """In one run, each private key kind is parsed exactly as often as
+    keypair_from_seed builds a pair of that kind."""
+    parsed, built, used = collections.Counter(), collections.Counter(), collections.Counter()
+
+    def counted(counter, name, call):
+        def wrapper(*args):
+            counter[name] += 1
+            return call(*args)
+        return wrapper
+
+    for cls in (crypto.Ed25519PrivateKey, crypto.X25519PrivateKey):
+        stand_in = types.SimpleNamespace(from_private_bytes=counted(parsed, cls.__name__, cls.from_private_bytes))
+        monkeypatch.setattr(crypto, cls.__name__, stand_in)
+    keypair_from_seed = crypto.keypair_from_seed
+    monkeypatch.setattr(crypto, "keypair_from_seed", lambda seed, kind: counted(built, kind, keypair_from_seed)(seed, kind))
+    monkeypatch.setattr(crypto, "sign", counted(used, "sign", crypto.sign))
+    monkeypatch.setattr(crypto, "ecdh_shared_secret", counted(used, "ecdh", crypto.ecdh_shared_secret))
+    report, _trace = run_scenario(resolve_scenario("mesh_5_lossless"))
+    assert report["delivery"]["overall_ratio"] > 0
+    assert used["sign"] > 0 and used["ecdh"] > 0
+    assert parsed == {"Ed25519PrivateKey": built["signature"], "X25519PrivateKey": built["agreement"]}
+
+
+def test_key_pairs_copy_and_pickle_with_a_fresh_parsed_key_and_keep_it_out_of_repr():
+    agree = crypto.keypair_from_seed(b"\x07" * 32, "agreement")
+    peer = crypto.keypair_from_seed(b"\x08" * 32, "agreement")
+    signer = crypto.keypair_from_seed(b"\x05" * 32, "signature")
+    shared = crypto.ecdh_shared_secret(peer, agree.public_point)
+    for twin in (copy.copy(agree), copy.deepcopy(agree), pickle.loads(pickle.dumps(agree))):
+        assert twin == agree and hash(twin) == hash(agree) and twin._private is not agree._private
+        assert crypto.ecdh_shared_secret(twin, peer.public_point) == shared
+    for twin in (copy.copy(signer), copy.deepcopy(signer), pickle.loads(pickle.dumps(signer))):
+        assert twin == signer and hash(twin) == hash(signer) and twin._private is not signer._private
+        assert crypto.verify(signer.public_key, b"m", crypto.sign(twin, b"m"))
+    for pair, private in ((agree, agree.private_scalar), (signer, signer.private_key)):
+        text = repr(pair)
+        assert private.hex() not in text and repr(private) not in text and "_private" not in text
 
 
 def test_verify_never_raises_on_garbage():

@@ -218,11 +218,14 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     for rung in record["grid_ladder"]:
         assert sorted(rung) == [
             "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes", "run_s",
-            "state_mb", "transmissions", "wall_s",
+            "state_mb", "transmissions", "wall_ref", "wall_s",
         ]
         assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
         assert rung["duration_s"] == 4.0 and 0 < rung["render_s"] < rung["wall_s"] and rung["max_rss_mb"] > 0
         assert 0 < rung["state_mb"] < rung["max_rss_mb"]
+        # One run per rung here, so wall_s / wall_ref is its mean chunk time,
+        # about 2 ms on an idle core (hostspeed.NOMINAL_CHUNK_S).
+        assert 1e-4 < rung["wall_s"] / rung["wall_ref"] < 0.5
 
 
 def test_bench_record_without_out_writes_nothing(capsys):

@@ -7,6 +7,10 @@ event only when a send waits, so both must pop every other event in the
 same (t, seq, kind) order and give the same report and trace bytes. A
 send the duty meter defers reserves a tx_done at the time it may go, so a
 send queued meanwhile waits as it would behind a send on the air.
+
+The reference also queues data packets one at a time, each pumped on its
+own, where the simulator queues the packets of one step (a star's fanout)
+as one batch and pumps once; that too must move no event and no byte.
 """
 
 import heapq
@@ -42,6 +46,13 @@ class AlwaysQueuesTxDone(Simulation):
     def _tx_done(self, node):
         node.busy = False
         self._pump(node)
+
+    def _enqueue_data(self, node, sends, frame=None):
+        for dest, packet in sends:
+            if frame is not None:
+                for tap in self.taps:
+                    tap.on_seal(packet, frame)
+            self._enqueue(node, sim_module._TxItem("data", packet.to_bytes(), dest, packet))
 
 
 class CountsTies(Simulation):
@@ -171,6 +182,24 @@ def test_queueing_tx_done_only_when_a_send_waits_keeps_every_other_event_in_orde
     assert popped == ref_popped
     assert trace == ref_trace
     assert report == ref_report
+
+
+def test_a_star_fanout_queued_as_one_batch_moves_no_event_and_no_byte():
+    """Five UAVs in range of the ground station, sending at 60 Hz over a
+    lossy radio and a duty-metered one, watched by an eavesdropper and a
+    replay injector: the ground station re-seals each uplink for the four
+    other UAVs and queues the copies as one batch."""
+    data = _scenario(6, "star", 0.0005, 0.0, 0.2, True, False, True, 60.0, 64, 5)
+    for node in data["nodes"]:
+        node["position"] = [10.0 * node["id"], 0.0]
+    data["adversaries"].append({"kind": "eavesdrop"})
+    sc = scenario_from_dict(data)
+    sim = Simulation(sc)
+    report, trace, popped = _popped_run(sim)
+    assert (report, trace, popped) == _popped_run(AlwaysQueuesTxDone(sc))
+    delivery = json.loads(report)["delivery"]
+    assert delivery["uav_to_uav"]["delivered"] > 4 * 100  # fanout copies arrived
+    assert sim.counters.get("sessions_established") == 5 and sim.counters.get("tx_deferrals") > 0
 
 
 def test_a_deferred_send_waits_like_a_busy_radio_and_goes_at_its_time():
