@@ -4,8 +4,10 @@
 Everything it writes comes from fixed inputs, in the source tree the
 script sits in:
 
-- `workloads`: the result line `bench/run.py --trace 0` prints for each
-  workload BENCHMARK.json declares, at seed 1, each run as a subprocess;
+- `workloads`: for each workload BENCHMARK.json declares, at seed 1, the
+  result line `bench/run.py --trace 0` prints (`result`: the end-to-end
+  metrics) and the one `--trace 1` prints (`traced`: the per-layer
+  metrics), each run as a subprocess;
 - `grid_ladder`: per rung, an N-node grid (`golden._grid_nodes` at 120 m
   spacing, WiFi plus cellular, the protocol block of
   `grid49_wifi_cellular`, 1 Hz from every UAV from 3.5 s, seed 7) run for
@@ -74,11 +76,11 @@ RETAINED_SCENARIO = "mesh_10_lossy"
 RETAINED_DURATIONS = (25.0, 100.0, 400.0)  # simulated seconds, traffic without stop_s
 
 
-def bench_line(workload: str) -> dict:
-    """The last line `bench/run.py --trace 0` prints for one workload at SEED."""
+def bench_line(workload: str, trace: int) -> dict:
+    """The last line `bench/run.py --trace <trace>` prints for one workload at SEED."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(WORKLOAD_SECONDS), "--trace", "0"],
+         "--seconds", str(WORKLOAD_SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True, timeout=WORKLOAD_SECONDS + 300,
     ).stdout.splitlines()
     return json.loads(out[-1])
@@ -201,7 +203,10 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "workloads": {
-            name: {"seed": SEED, "seconds": WORKLOAD_SECONDS, "result": bench_line(name)}
+            name: {
+                "seed": SEED, "seconds": WORKLOAD_SECONDS,
+                "result": bench_line(name, 0), "traced": bench_line(name, 1),
+            }
             for name in WORKLOADS
         },
         "grid_ladder": [grid_rung(side) for side in LADDER_SIDES],

@@ -60,7 +60,7 @@ class ReplayError(SwarmLinkError):
 
 
 class UnknownMessage(SwarmLinkError):
-    """Delivered telemetry carries no message uid, or one nobody originated."""
+    """Delivered telemetry has no 8-byte message tag, or one its source never handed out."""
 
 
 class NoBroadcastKey(SwarmLinkError):

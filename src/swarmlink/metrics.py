@@ -23,14 +23,14 @@ subclass key in a dict whose shape was cached, which gets a str's text,
 as json writes it. A report is a fresh tree: a container that holds
 itself ends in RecursionError, where json raises ValueError.
 
-The delivery ledger keeps each fact once, in the shape the report reads:
-per message its source, origination time and a bitmask of the nodes it
-reached; per source its message count and, in delivery order, two flat
-rows: the latency of each first delivery (`array('d')`) and the node it
-reached (`array('H')`, node ids are u16). No object exists per node pair:
-`pair_stats` counts a source's destinations when it is asked. Report cost
-grows with pairs plus deliveries, never messages x nodes, and the report
-builder holds one sorted latency list at a time.
+The delivery ledger owns message identity: a message is its source and its
+number in that source's sequence, from 1, whose 8-byte big-endian tag opens
+its payload. Per source it keeps each message's send time (`array('d')`)
+and a bitmask of the nodes it reached, and, in delivery order, the latency
+(`array('d')`) and node (`array('H')`, ids are u16) of each first delivery.
+No object exists per message or node pair: `pair_stats` counts a source's
+destinations when asked. Report cost grows with pairs plus deliveries,
+never messages x nodes; the report holds one sorted latency list at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import UnknownMessage
 
+_TAG_BYTES = 8  # a message's number in its source's sequence, big-endian, opens its payload
+
 
 def percentile(sorted_values: List[float], fraction: float) -> Optional[float]:
     """Nearest-rank percentile of an already sorted sample."""
@@ -58,45 +60,52 @@ def percentile(sorted_values: List[float], fraction: float) -> Optional[float]:
 class DeliveryAudit:
     """Ground truth of which message reached which node: the delivery ledger."""
 
-    originated: Dict[int, Tuple[int, float]] = field(default_factory=dict)  # uid -> (source, t)
-    sent_by: Dict[int, int] = field(default_factory=dict)  # source -> messages originated
+    # source -> send time of each message it originated; message n is slot n - 1.
+    sent: Dict[int, array] = field(default_factory=dict)
     # node -> its bit in `reach`, by first delivery: ids up to 65535 are too sparse for bits.
     node_bits: Dict[int, int] = field(default_factory=dict)
-    reach: Dict[int, int] = field(default_factory=dict)  # uid -> bits of nodes reached
-    # source -> (latency, destination) of each first delivery of its
-    # messages, as two parallel rows in delivery order.
+    reach: Dict[int, List[int]] = field(default_factory=dict)  # source -> bits of nodes each message reached
+    # source -> (latency, destination) of each first delivery of its messages, in delivery order.
     rows: Dict[int, Tuple[array, array]] = field(default_factory=dict)
     duplicate_deliveries: int = 0
 
-    def record_send(self, uid: int, source: int, t: float) -> None:
-        self.originated[uid] = (source, t)
-        self.sent_by[source] = self.sent_by.get(source, 0) + 1
+    def record_send(self, source: int, t: float) -> bytes:
+        """Note that `source` sent a message at `t`; returns the tag its payload opens with."""
+        times = self.sent.get(source)
+        if times is None:
+            times = self.sent[source] = array("d")
+            self.reach[source] = []
+            self.rows[source] = (array("d"), array("H"))
+        times.append(t)
+        self.reach[source].append(0)
+        return len(times).to_bytes(_TAG_BYTES, "big")
 
-    def record_delivery(self, uid: int, node: int, t: float) -> None:
-        """Record `node` receiving `uid`, or a repeat; raises UnknownMessage if none sent it."""
-        if uid not in self.originated:
-            raise UnknownMessage(f"message uid {uid} was never originated")
+    def record_delivery(self, source: int, payload: bytes, node: int, t: float) -> None:
+        """Record `node` receiving the message of `source` that `payload`'s tag
+        names, or a repeat; raises UnknownMessage if `source` sent no such message."""
+        if len(payload) < _TAG_BYTES:
+            raise UnknownMessage("payload too short to carry a message tag")
+        times = self.sent.get(source, ())
+        number = int.from_bytes(payload[:_TAG_BYTES], "big")
+        if not 0 < number <= len(times):
+            raise UnknownMessage(f"node {source} never sent message {number}")
         bit = self.node_bits.setdefault(node, 1 << len(self.node_bits))
-        reach = self.reach.get(uid, 0)
-        if reach & bit:
+        reach = self.reach[source]
+        if reach[number - 1] & bit:
             self.duplicate_deliveries += 1
             return
-        self.reach[uid] = reach | bit
-        source, t_tx = self.originated[uid]
-        row = self.rows.get(source)
-        if row is None:
-            row = self.rows[source] = (array("d"), array("H"))
-        row[0].append(t - t_tx)
-        row[1].append(node)
+        reach[number - 1] |= bit
+        latencies, dests = self.rows[source]
+        latencies.append(t - times[number - 1])
+        dests.append(node)
 
     def pair_stats(self, node_ids: Tuple[int, ...]) -> Dict[str, Dict[str, float]]:
         """Sent/delivered counts and ratio from each sender in `node_ids` to each other one."""
         out: Dict[str, Dict[str, float]] = {}
         dests = sorted(node_ids)
-        for src in sorted(set(node_ids) & self.sent_by.keys()):
-            n_sent = self.sent_by[src]
-            row = self.rows.get(src)
-            got = Counter(row[1]) if row is not None else {}
+        for src in sorted(set(node_ids) & self.sent.keys()):
+            n_sent = len(self.sent[src])
+            got = Counter(self.rows[src][1])
             for dst in dests:
                 if dst != src:
                     n_got = got.get(dst, 0)

@@ -104,14 +104,16 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
     latency = latency_summary(audit.latencies())
     # Each message goes to every node but its source, and none delivers its
     # own: sent is messages x (N - 1), delivered one per latency; UAVs alike.
-    sent_total = len(audit.originated) * (len(node_ids) - 1)
+    originated = sum(map(len, audit.sent.values()))
+    sent_total = originated * (len(node_ids) - 1)
     got_total = latency["count"]
-    uav_sent = sum(audit.sent_by.get(u, 0) for u in uav_ids) * (len(uav_ids) - 1)
+    uav_sent = sum(len(audit.sent.get(u, ())) for u in uav_ids) * (len(uav_ids) - 1)
     uav_got = uav_latency["count"]
     queued = sum(len(n.txq) for n in sim.nodes.values())
+    tx_sent = sum(sim.per_link_tx.values())
     conservation = {
         "tx_enqueued": c.get("tx_enqueued"),
-        "tx_sent": c.get("tx_sent"),
+        "tx_sent": tx_sent,
         "tx_dropped": c.get("tx_dropped"),
         "tx_deferrals": c.get("tx_deferrals"),
         "queued_at_end": queued,
@@ -123,7 +125,7 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
         "adv_rx_processed": c.get("adv_rx_processed"),
         "adv_rx_in_flight_at_end": adv_in_flight,
         "balanced": (
-            c.get("tx_enqueued") == c.get("tx_sent") + c.get("tx_dropped") + queued
+            c.get("tx_enqueued") == tx_sent + c.get("tx_dropped") + queued
             and c.get("rx_events") == c.get("rx_processed") + rx_in_flight
             and c.get("adv_rx_events") == c.get("adv_rx_processed") + adv_in_flight
         ),
@@ -161,7 +163,7 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
             "acks_received": c.get("acks_received"),
         },
         "traffic": {
-            "messages_originated": len(audit.originated),
+            "messages_originated": originated,
             "frames_sealed": c.get("frames_sealed"),
             "messages_delivered": got_total + audit.duplicate_deliveries,
             "skipped_no_key": c.get("tx_skipped_no_key"),

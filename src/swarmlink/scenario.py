@@ -49,7 +49,7 @@ class NodeSpec:
 class TrafficSpec:
     senders: Union[Literal["uavs", "all", "gcs"], Tuple[int, ...]] = "uavs"  # or node ids
     rate_hz: NonNeg = 1.0
-    # 8 bytes carry the delivery-audit uid; 255 is the frame field cap.
+    # 8 bytes carry the delivery ledger's per-source message tag; 255 is the frame field cap.
     payload_bytes: Annotated[int, (lambda v: 8 <= v <= 255, "in [8, 255]")] = 32
     start_s: NonNeg = 2.0
     stop_s: Optional[float] = None

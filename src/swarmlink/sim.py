@@ -76,13 +76,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, report, wire
 from .errors import (
-    NoSession,
-    NoViableLink,
-    StaleEpoch,
-    SwarmLinkError,
-    UnknownEpoch,
-    UnknownMessage,
-    ValidationError,
+    NoSession, NoViableLink, StaleEpoch, SwarmLinkError, UnknownEpoch, UnknownMessage, ValidationError,
 )
 # sim.render_json and sim.latency_summary: aliases bench/test_bench.py reads.
 from .metrics import Counters, DeliveryAudit, latency_summary, render_json  # noqa: F401
@@ -458,12 +452,11 @@ class Simulation:
             return
         node = self.nodes[sender_id]
         sc = self.sc
-        uid = len(self.audit.originated) + 1
-        payload = uid.to_bytes(8, "big") + bytes(sc.traffic.payload_bytes - 8)
-        message = codec.TelemetryMessage(TELEMETRY_MSG_ID, sender_id, payload)
         # The denominator of every delivery ratio: counted even when the
         # stack cannot ship it yet, so a dead relay shows up as loss.
-        self.audit.record_send(uid, sender_id, self.now)
+        tag = self.audit.record_send(sender_id, self.now)
+        payload = tag + bytes(sc.traffic.payload_bytes - len(tag))
+        message = codec.TelemetryMessage(TELEMETRY_MSG_ID, sender_id, payload)
         if sc.mode == "mesh":
             if node.keyring.current is None:
                 self.counters.bump("tx_skipped_no_key")
@@ -576,7 +569,6 @@ class Simulation:
         self, node: _Node, item: _TxItem, profile: links.LinkProfile, result: links.TransmitResult
     ) -> None:
         counts = self.counters.values
-        counts["tx_sent"] = counts.get("tx_sent", 0) + 1
         self.per_link_tx[profile.name] += 1
         if item.kind == "data":
             self.per_link_data_tx[profile.name] += 1
@@ -707,10 +699,7 @@ class Simulation:
     def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:
         for message in frame.messages:
             try:
-                if len(message.payload) < 8:
-                    raise UnknownMessage("payload too short to carry a message uid")
-                uid = int.from_bytes(message.payload[:8], "big")
-                self.audit.record_delivery(uid, node.id, self.now)
+                self.audit.record_delivery(message.source_node, message.payload, node.id, self.now)
             except UnknownMessage as exc:
                 self._security_event(node, exc)
 

@@ -454,12 +454,11 @@ def _run_flood_trial(trial: int, jitter_s: float):
     report = sim.run()
     assert report["handshakes"]["all_established"] is True
     assert report["traffic"]["messages_originated"] == 1
-    ((uid, (origin, _t)),) = sim.audit.originated.items()
-    assert origin == sender
+    assert list(sim.audit.sent) == [sender] and len(sim.audit.sent[sender]) == 1
 
     depths = _bfs_depths(adj, sender)
     oracle = {nid for nid, d in depths.items() if 0 < d <= hop_limit + 1}
-    reach = sim.audit.reach.get(uid, 0)
+    (reach,) = sim.audit.reach[sender]
     reached = {node for node, bit in sim.audit.node_bits.items() if reach & bit}
     assert sim.audit.duplicate_deliveries == 0
 

@@ -238,8 +238,7 @@ def _keyed_sim():
     bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x66" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     for node in sim.nodes.values():
         node.keyring.install(bkey, now=0.0, grace_window_s=5.0)
-    sim.audit.record_send(1, 2, 0.0)
-    payload = (1).to_bytes(8, "big") + bytes(16)
+    payload = sim.audit.record_send(2, 0.0) + bytes(16)
     frame = codec.Frame(messages=(codec.TelemetryMessage(TELEMETRY_MSG_ID, 2, payload),))
     origin = sim.nodes[2]
     packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)

@@ -1,5 +1,6 @@
 """Delivery accounting and summary statistics tests."""
 
+import copy
 import json
 import math
 from collections import OrderedDict
@@ -22,13 +23,18 @@ def test_percentile_nearest_rank():
     assert percentile([], 0.5) is None
 
 
+def _tag(number):
+    return number.to_bytes(8, "big")
+
+
 def test_audit_pair_stats():
     a = DeliveryAudit()
-    a.record_send(uid=100, source=2, t=1.0)
-    a.record_send(uid=101, source=2, t=2.0)
-    a.record_delivery(uid=100, node=3, t=1.2)
-    a.record_delivery(uid=101, node=3, t=2.4)
-    a.record_delivery(uid=100, node=1, t=1.3)
+    first = a.record_send(source=2, t=1.0)
+    second = a.record_send(source=2, t=2.0)
+    assert (first, second) == (_tag(1), _tag(2))  # numbered per source, from 1
+    a.record_delivery(source=2, payload=first, node=3, t=1.2)
+    a.record_delivery(source=2, payload=second + bytes(4), node=3, t=2.4)  # the tag opens the payload
+    a.record_delivery(source=2, payload=first, node=1, t=1.3)
     stats = a.pair_stats((1, 2, 3))
     assert stats["2->3"] == {"sent": 2, "delivered": 2, "ratio": 1.0}
     assert stats["2->1"] == {"sent": 2, "delivered": 1, "ratio": 0.5}
@@ -37,34 +43,55 @@ def test_audit_pair_stats():
 
 def test_audit_counts_duplicates_without_double_latency():
     a = DeliveryAudit()
-    a.record_send(uid=5, source=2, t=0.0)
-    a.record_delivery(uid=5, node=3, t=0.5)
-    a.record_delivery(uid=5, node=3, t=0.9)  # same pair again
+    tag = a.record_send(source=2, t=0.0)
+    a.record_delivery(source=2, payload=tag, node=3, t=0.5)
+    a.record_delivery(source=2, payload=tag, node=3, t=0.9)  # same pair again
     assert a.duplicate_deliveries == 1
     assert a.latencies() == [0.5]
 
 
 def test_latencies_between_filters_pairs():
     a = DeliveryAudit()
-    a.record_send(uid=1, source=1, t=0.0)
-    a.record_send(uid=2, source=2, t=0.0)
-    a.record_delivery(uid=1, node=2, t=0.3)
-    a.record_delivery(uid=2, node=3, t=0.7)
+    assert a.record_send(source=1, t=0.0) == a.record_send(source=2, t=0.0) == _tag(1)
+    a.record_delivery(source=1, payload=_tag(1), node=2, t=0.3)
+    a.record_delivery(source=2, payload=_tag(1), node=3, t=0.7)
     assert a.latencies_between((2,), (3,)) == [0.7]
     assert a.latencies_between((1, 2), (2, 3)) == [0.3, 0.7]
 
 
 def test_ledger_keeps_two_flat_rows_per_source_not_an_object_per_pair():
     a = DeliveryAudit()
-    for uid, src in enumerate((1, 1, 2), start=1):
-        a.record_send(uid=uid, source=src, t=0.0)
-    for uid, node, t in ((1, 2, 0.3), (1, 65535, 0.4), (2, 2, 0.5), (3, 1, 0.6), (1, 2, 0.9)):
-        a.record_delivery(uid=uid, node=node, t=t)
-    assert sorted(a.rows) == [1, 2]
+    for src, t in ((1, 0.0), (1, 0.25), (2, 0.0)):
+        a.record_send(source=src, t=t)
+    for src, number, node, t in ((1, 1, 2, 0.3), (1, 1, 65535, 0.4), (1, 2, 2, 0.5), (2, 1, 1, 0.6), (1, 1, 2, 0.9)):
+        a.record_delivery(source=src, payload=_tag(number), node=node, t=t)
+    assert sorted(a.sent) == sorted(a.reach) == sorted(a.rows) == [1, 2]
+    assert a.sent[1].typecode == "d" and list(a.sent[1]) == [0.0, 0.25]
+    assert a.reach[1] == [a.node_bits[2] | a.node_bits[65535], a.node_bits[2]]
     latencies, dests = a.rows[1]
     assert (latencies.typecode, dests.typecode) == ("d", "H")
-    assert (list(latencies), list(dests)) == ([0.3, 0.4, 0.5], [2, 65535, 2])  # delivery order
+    assert (list(latencies), list(dests)) == ([0.3, 0.4, 0.25], [2, 65535, 2])  # delivery order
     assert a.pair_stats((1, 2, 65535))["1->2"] == {"sent": 2, "delivered": 2, "ratio": 1.0}
+
+
+@pytest.mark.parametrize(
+    "source, payload",
+    [
+        pytest.param(2, _tag(1)[:7], id="short_payload"),
+        pytest.param(3, _tag(1), id="unknown_source"),
+        pytest.param(2, _tag(0), id="number_0"),
+        pytest.param(2, _tag(3), id="number_past_the_count"),
+    ],
+)
+def test_ledger_refuses_a_tag_no_source_sent_and_stays_unchanged(source, payload):
+    a = DeliveryAudit()
+    a.record_send(source=2, t=0.0)
+    a.record_send(source=2, t=1.0)
+    a.record_delivery(source=2, payload=_tag(1), node=3, t=0.5)
+    before = copy.deepcopy(a)
+    with pytest.raises(UnknownMessage):
+        a.record_delivery(source=source, payload=payload, node=4, t=2.0)
+    assert a == before
 
 
 def test_latency_summary_shape():
@@ -194,31 +221,32 @@ def test_render_json_raises_type_error_on_what_json_dumps_writes_but_no_report_h
 
 
 class _ReferenceAudit:
-    """The brute-force audit the ledger replaced: one (uid, node) -> time
-    entry per first delivery, and every statistic rebuilt from those
+    """The brute-force audit the ledger replaced: one ((source, number), node)
+    -> time entry per first delivery, and every statistic rebuilt from those
     entries. pair_stats keeps only sources in `node_ids`, as the ledger's
-    does; the ledger refuses uids never sent, so the reference never sees them."""
+    does; the ledger refuses messages never sent, so the reference never sees them."""
 
     def __init__(self):
-        self.originated = {}
+        self.originated = {}  # (source, number) -> t
         self.delivered = {}
         self.duplicate_deliveries = 0
 
-    def record_delivery(self, uid, node, t):
-        if (uid, node) in self.delivered:
+    def record_delivery(self, message, node, t):
+        if (message, node) in self.delivered:
             self.duplicate_deliveries += 1
         else:
-            self.delivered[(uid, node)] = t
+            self.delivered[(message, node)] = t
 
     def pair_stats(self, node_ids):
         sent, got = {}, {}
-        for uid, (src, _) in self.originated.items():
+        for message in self.originated:
+            src = message[0]
             if src not in node_ids:
                 continue
             for dst in node_ids:
                 if dst != src:
                     sent[(src, dst)] = sent.get((src, dst), 0) + 1
-                    if (uid, dst) in self.delivered:
+                    if (message, dst) in self.delivered:
                         got[(src, dst)] = got.get((src, dst), 0) + 1
         return {
             f"{src}->{dst}": {"sent": n, "delivered": got.get((src, dst), 0), "ratio": got.get((src, dst), 0) / n}
@@ -227,9 +255,9 @@ class _ReferenceAudit:
 
     def latencies_between(self, sources, dests):
         return sorted(
-            t - self.originated[uid][1]
-            for (uid, node), t in self.delivered.items()
-            if self.originated[uid][0] in sources and node in dests
+            t - self.originated[message]
+            for (message, node), t in self.delivered.items()
+            if message[0] in sources and node in dests
         )
 
 
@@ -241,22 +269,26 @@ _times = st.floats(0.0, 100.0, allow_nan=False)
 @settings(max_examples=150, deadline=None)
 @given(
     sources=st.lists(st.tuples(st.sampled_from(_NODES), _times), max_size=12),
-    # uids 1..15, so some were never sent; repeats and self-deliveries both occur.
-    deliveries=st.lists(st.tuples(st.integers(1, 15), st.sampled_from(_NODES), _times), max_size=60),
+    # numbers 0..6 per source, so some were never sent; repeats and self-deliveries both occur.
+    deliveries=st.lists(
+        st.tuples(st.sampled_from(_NODES), st.integers(0, 6), st.sampled_from(_NODES), _times), max_size=60
+    ),
     subset=st.sets(st.sampled_from(_NODES)),
 )
 def test_ledger_matches_the_per_delivery_reference(sources, deliveries, subset):
     ledger, ref = DeliveryAudit(), _ReferenceAudit()
-    for uid, (source, t) in enumerate(sources, start=1):
-        ledger.record_send(uid, source, t)
-        ref.originated[uid] = (source, t)
-    for uid, node, t in deliveries:
-        if uid in ref.originated:
-            ledger.record_delivery(uid, node, t)
-            ref.record_delivery(uid, node, t)
+    for source, t in sources:
+        tag = ledger.record_send(source, t)
+        number = sum(1 for message in ref.originated if message[0] == source) + 1
+        assert tag == _tag(number)
+        ref.originated[(source, number)] = t
+    for source, number, node, t in deliveries:
+        if (source, number) in ref.originated:
+            ledger.record_delivery(source, _tag(number), node, t)
+            ref.record_delivery((source, number), node, t)
         else:
             with pytest.raises(UnknownMessage):
-                ledger.record_delivery(uid, node, t)
+                ledger.record_delivery(source, _tag(number), node, t)
     assert ledger.duplicate_deliveries == ref.duplicate_deliveries
     assert ledger.latencies() == ref.latencies_between(_NODES, _NODES)
     for node_ids in (_NODES, tuple(sorted(subset))):

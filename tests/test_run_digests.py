@@ -9,13 +9,14 @@ scripts/regen_run_digests.py only when output is meant to change.
 
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
 from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
 from swarmlink.golden import generated_scenarios, run_digest
 from swarmlink.scenario import scenario_from_dict
-from swarmlink.sim import run_scenario
+from swarmlink.sim import Simulation, run_scenario
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "golden" / "run_digests.json"
 GENERATED = generated_scenarios()
@@ -53,3 +54,24 @@ def test_every_first_delivery_has_one_latency_and_every_delivery_one_count(name)
     assert delivery["delivered"] == sum(stats["delivered"] for stats in pairs.values())
     assert delivery["uav_to_uav"]["sent"] == sum(stats["sent"] for stats in uav_pairs)
     assert delivery["uav_to_uav"]["delivered"] == sum(stats["delivered"] for stats in uav_pairs)
+
+
+@pytest.mark.parametrize("name", [*SHIPPED_SCENARIOS, *sorted(GENERATED)])
+def test_the_ledger_holds_one_send_time_per_message_each_source_originated(name, monkeypatch):
+    """A message is originated by each traffic event of a sender that is not
+    down, shipped or not; the ledger's per-source rows must count exactly those."""
+    sc = scenario_from_dict(GENERATED[name]) if name in GENERATED else resolve_scenario(name)
+    originated = Counter()
+    traffic_event = Simulation._traffic_event
+
+    def counting(sim, sender_id):
+        if sender_id not in sim._down:
+            originated[sender_id] += 1
+        traffic_event(sim, sender_id)
+
+    monkeypatch.setattr(Simulation, "_traffic_event", counting)
+    sim = Simulation(sc)
+    report = sim.run()
+    assert originated
+    assert {source: len(times) for source, times in sim.audit.sent.items()} == originated
+    assert report["traffic"]["messages_originated"] == sum(originated.values())

@@ -196,6 +196,30 @@ def test_regen_run_digests_check_passes_on_the_committed_lock(capsys):
     assert committed.read_bytes() == before
 
 
+def test_digest_sweep_of_a_tree_against_itself_moves_no_digest(capsys):
+    assert _script("digest_sweep").main(["--base", str(SCRIPTS.parent), "--count", "1", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "no digest moved" in out and "digest moved:" not in out
+    # Each locked scenario runs in mesh, and in star where it validates.
+    assert re.search(r"^(\d+) runs swept: seeds 3\.\.3, mesh and star$", out, re.M)
+
+
+def test_digest_sweep_names_each_moved_run_and_exits_1(monkeypatch, capsys, tmp_path):
+    sweep = _script("digest_sweep")
+    runs = {"basic_pair 5 mesh": "a" * 64, "basic_pair 5 star": "b" * 64, "mitm_attack 5 star": None}
+
+    def stub_tree_digests(trees, seed, count):
+        assert (trees, seed, count) == ([tmp_path, sweep.ROOT], 5, 1)
+        return [runs, {**runs, "basic_pair 5 star": "c" * 64, "mitm_attack 5 star": "d" * 64}]
+
+    monkeypatch.setattr(sweep, "tree_digests", stub_tree_digests)
+    assert sweep.main(["--base", str(tmp_path), "--count", "1", "--seed", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "digest moved: basic_pair 5 star" in out
+    assert "digest moved: mitm_attack 5 star" in out  # refused in the base, run in the change
+    assert "basic_pair 5 mesh" not in out and "no digest moved" not in out
+
+
 def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, monkeypatch):
     record_script = _script("bench_record")
     monkeypatch.setattr(record_script, "WORKLOADS", ("grid_flood",))
@@ -214,6 +238,7 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
         assert 0 < row["retained_mb"] <= row["peak_mb"]
     run = record["workloads"]["grid_flood"]
     assert run["seed"] == 1 and run["result"]["correct"] and "wall_ref" in run["result"]["metrics"]
+    assert run["traced"]["correct"] and "codec.share" in run["traced"]["metrics"]
     assert [rung["nodes"] for rung in record["grid_ladder"]] == [4, 9]
     for rung in record["grid_ladder"]:
         assert sorted(rung) == [

@@ -242,7 +242,7 @@ def test_simulation_object_exposes_audit_and_duty_log():
     sc = scenario_from_dict(base_scenario_dict())
     sim = Simulation(sc)
     report = sim.run()
-    assert sim.audit.originated
+    assert sim.audit.sent
     assert isinstance(sim.duty_log, list)
     assert report["delivery"]["sent"] > 0
 
@@ -416,11 +416,11 @@ def test_inject_queues_one_event_for_all_its_receivers():
 @pytest.mark.parametrize(
     "payload",
     [(99_999).to_bytes(8, "big") + bytes(8), b"\x01\x02"],
-    ids=["uid_nobody_originated", "too_short_for_a_uid"],
+    ids=["number_the_source_never_sent", "too_short_for_a_tag"],
 )
 def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payload):
     # A plaintext frame a tap injects is accepted by the mesh, but its
-    # message cannot be matched to an originated uid: counted, not recorded.
+    # message's tag names no message its source sent: counted, not recorded.
     plain = resolve_scenario("mesh_5_lossless")
     sim = Simulation(replace(plain, security=replace(plain.security, encryption=False)))
     message = codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, payload)
@@ -432,7 +432,7 @@ def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payloa
     assert report["security_events"] == {"UnknownMessage": 1}
     assert report["delivery"]["overall_ratio"] == 1.0
     assert report["latency"]["count"] == report["delivery"]["delivered"]
-    assert 99_999 not in sim.audit.reach
+    assert len(sim.audit.reach[2]) == len(sim.audit.sent[2]) < 99_999
 
 
 def _keyed_five_node_sim():
@@ -445,8 +445,8 @@ def _keyed_five_node_sim():
     bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x77" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     for node in sim.nodes.values():
         node.keyring.install(bkey, now=0.0, grace_window_s=5.0)
-    sim.audit.record_send(1, 2, 0.0)
-    frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, (1).to_bytes(8, "big")),))
+    tag = sim.audit.record_send(2, 0.0)
+    frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, tag),))
     origin = sim.nodes[2]
     return sim, mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
 

@@ -148,9 +148,10 @@ def _popped_run(sim):
 
 def test_a_send_handed_over_as_the_last_one_ends_goes_when_the_reference_sends_it():
     sim = _tied_sends(CountsTies)
-    assert _popped_run(sim) == _popped_run(_tied_sends(AlwaysQueuesTxDone))
+    run = _popped_run(sim)
+    assert run == _popped_run(_tied_sends(AlwaysQueuesTxDone))
     assert sim.ties == {"running_first": 1, "reserved_first": 1}
-    assert sim.counters.get("tx_sent") == 6
+    assert json.loads(run[0])["conservation"]["tx_sent"] == 6
 
 
 @settings(max_examples=25, deadline=None)
@@ -223,10 +224,10 @@ def test_a_deferred_send_waits_like_a_busy_radio_and_goes_at_its_time():
 
     sim._schedule(0.0, "timer", lambda: (send(), send()))
     sim._schedule(0.2, "timer", send)  # queued behind the deferred send
-    sim.run()
+    report = sim.run()
     defers = [entry for entry in map(json.loads, sim.trace) if entry["event"] == "defer"]
     until = defers[0]["until"]
     assert defers[0]["t"] < 0.2 < until
     assert [entry for entry in defers if entry["t"] < until] == defers[:1]
     assert [t for _node, _link, t, _airtime in sim.duty_log][:2] == [0.0, until]
-    assert sim.counters.get("tx_sent") == 3
+    assert report["conservation"]["tx_sent"] == 3
