@@ -26,6 +26,13 @@ script sits in:
   its own after the timed ones, so that tracing slows no timed run, the
   MiB tracemalloc sees live when the event loop ends, before the report
   is built (`state_mb`: the scenario, nodes, caches, windows and ledger);
+- `module_shares`: for the PROFILE_SIDE x PROFILE_SIDE rung, REPEATS
+  builds, runs and renders in a child process of its own under
+  `scripts/sample_profile.py`'s sampler: per `src/swarmlink` module, the
+  share of the CPU samples in which its code was running (C code such as
+  AES-GCM or heapq counts for the Python code that called it); `other` is
+  the rest: the standard library, cryptography's Python layer, code that
+  dataclasses generate;
 - `retained_memory`: `scripts/retained_memory.py`'s table for
   RETAINED_SCENARIO at each of RETAINED_DURATIONS simulated seconds, in a
   child process of its own: the MB still live after `run()` returns
@@ -47,11 +54,13 @@ import json
 import os
 import platform
 import resource
+import runpy
 import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 from swarmlink import report as report_module
@@ -69,6 +78,7 @@ SEED = 1
 WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
 WORKLOAD_SECONDS = 20.0  # measured time per workload
 LADDER_SIDES = (5, 7, 10, 14)  # grid ladder rungs, side x side nodes
+PROFILE_SIDE = 10  # the rung whose CPU samples are split by module
 RUNG_DURATION_S = 10.0  # simulated seconds per rung
 REPEATS = 3
 CHUNK_SAMPLES = 5  # host-speed chunks timed before and after each rung run
@@ -156,6 +166,31 @@ def rung_state_mb(side: int, duration_s: float) -> float:
     return state_bytes[0] / 2**20
 
 
+def rung_module_shares(side: int, duration_s: float, repeats: int) -> dict:
+    """Each swarmlink module's share of the CPU samples taken over `repeats`
+    builds, runs and renders of a rung, by the file of the code running."""
+    profile = runpy.run_path(str(ROOT / "scripts" / "sample_profile.py"))
+    package = ROOT / "src" / "swarmlink"
+    with profile["Sampler"](profile["INTERVAL_S"]) as sampler:
+        start = time.process_time()
+        for _ in range(repeats):
+            render_json(Simulation(scenario_from_dict(grid_scenario(side, duration_s))).run())
+        cpu_s = time.process_time() - start
+    total = max(sampler.samples, 1)
+    modules = Counter()
+    for filename, samples in sampler.leaf_files.items():
+        path = Path(filename)
+        modules[path.stem if path.parent == package else "other"] += samples
+    return {
+        "nodes": side * side,
+        "duration_s": duration_s,
+        "runs": repeats,
+        "samples": sampler.samples,
+        "interval_ms": cpu_s / total * 1000,
+        "shares": {name: samples / total for name, samples in sorted(modules.items())},
+    }
+
+
 # Runs one function of a script in a fresh interpreter and prints its
 # result as JSON: argv is the source tree's src/, the script, the
 # function's name and the JSON list of its arguments.
@@ -210,6 +245,9 @@ def main(argv=None) -> int:
             for name in WORKLOADS
         },
         "grid_ladder": [grid_rung(side) for side in LADDER_SIDES],
+        "module_shares": in_child(
+            Path(__file__).resolve(), "rung_module_shares", [PROFILE_SIDE, RUNG_DURATION_S, REPEATS]
+        ),
         "retained_memory": retained_memory(),
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -57,18 +57,21 @@ TOP = 40  # functions printed
 
 class Sampler:
     """Counts, per function, the samples with it on the stack (inclusive)
-    and those in which it was running (leaf)."""
+    and those in which it was running (leaf), and the latter per source
+    file path too (`leaf_files`)."""
 
     def __init__(self, interval_s: float) -> None:
         self.interval_s = interval_s
         self.samples = 0
         self.inclusive: Counter = Counter()
         self.leaf: Counter = Counter()
+        self.leaf_files: Counter = Counter()
 
     def _sample(self, _signum, frame) -> None:
         self.samples += 1
         if frame is not None:
             self.leaf[_name(frame)] += 1
+            self.leaf_files[frame.f_code.co_filename] += 1
         on_stack = set()
         while frame is not None:
             on_stack.add(_name(frame))

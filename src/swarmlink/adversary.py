@@ -15,9 +15,9 @@ run when unset) and sees the run through four hooks:
   `item.data` were serialised from, so a tap never parses them;
 - report(): what the tap obtained, under `name` in the run report.
 
-A tap sends bytes of its own with `sim.inject(receiver_ids, data, outcomes)`
-down the honest receive path and tallies their fate in its own `outcomes`
-Counters; `sim.chain(times, step)` runs its timed steps.
+A tap sends bytes of its own with `sim.inject(receiver_ids, data, tally)`
+down the honest receive path, where `tally(outcome, n=1)` hears their
+fate; `sim.chain(times, step)` runs its timed steps.
 
 The simulation builds its taps in scenario order, so their draws from the
 adversary RNG follow that order.
@@ -214,7 +214,7 @@ class ReplayInjector(Tap):
         rx_ids = self.recorded_rx[pick]
         self.injections += 1
         sim.trace.add(sim.now, "replay_inject", receivers=list(rx_ids))
-        sim.inject(rx_ids, self.recorded[pick], self.outcomes)
+        sim.inject(rx_ids, self.recorded[pick], self.outcomes.bump)
 
     def report(self) -> Dict[str, object]:
         outcomes = self.outcomes.values

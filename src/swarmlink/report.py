@@ -92,10 +92,32 @@ class Trace(list):
         self.append(line[0] % fields)
 
 
+# Every count a run keeps (Simulation.counts), by the report block and key
+# that show it; one count may show in more than one block.
+SHOWN_COUNTS: Dict[str, Dict[str, str]] = {
+    "handshakes": {"attempts": "handshake_attempts", "retries": "handshake_retries",
+                   "established": "sessions_established"},
+    "broadcast": {key: key for key in (
+        "rekeys_sent", "rekeys_installed", "rekey_resends", "rekey_duplicates", "acks_received")},
+    "traffic": {"frames_sealed": "frames_sealed", "skipped_no_key": "tx_skipped_no_key",
+                "skipped_no_session": "tx_skipped_no_session"},
+    "links": {"deferrals": "tx_deferrals"},
+    "conservation": {key: key for key in (
+        "tx_enqueued", "tx_dropped", "tx_deferrals", "rx_events", "rx_processed", "rx_lost",
+        "adv_rx_events", "adv_rx_processed")},
+}
+# The counts a run keeps that no report shows yet.
+UNREPORTED_COUNTS = ("rx_unparseable", "rx_ignored_down", "rx_duplicates", "rekey_without_session")
+COUNT_NAMES = tuple(dict.fromkeys(
+    [*(name for keys in SHOWN_COUNTS.values() for name in keys.values()), *UNREPORTED_COUNTS]
+))
+
+
 def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
     """The report of a finished run, with the receptions still in flight."""
     sc = sim.sc
-    c = sim.counters
+    counts = sim.counts
+    shown = {block: {key: counts[name] for key, name in keys.items()} for block, keys in SHOWN_COUNTS.items()}
     audit = sim.audit
     node_ids = tuple(sim.node_order)
     uav_ids = tuple(n.id for n in sc.uavs())
@@ -112,22 +134,15 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
     queued = sum(len(n.txq) for n in sim.nodes.values())
     tx_sent = sum(sim.per_link_tx.values())
     conservation = {
-        "tx_enqueued": c.get("tx_enqueued"),
+        **shown["conservation"],
         "tx_sent": tx_sent,
-        "tx_dropped": c.get("tx_dropped"),
-        "tx_deferrals": c.get("tx_deferrals"),
         "queued_at_end": queued,
-        "rx_events": c.get("rx_events"),
-        "rx_processed": c.get("rx_processed"),
-        "rx_lost": c.get("rx_lost"),
         "rx_in_flight_at_end": rx_in_flight,
-        "adv_rx_events": c.get("adv_rx_events"),
-        "adv_rx_processed": c.get("adv_rx_processed"),
         "adv_rx_in_flight_at_end": adv_in_flight,
         "balanced": (
-            c.get("tx_enqueued") == tx_sent + c.get("tx_dropped") + queued
-            and c.get("rx_events") == c.get("rx_processed") + rx_in_flight
-            and c.get("adv_rx_events") == c.get("adv_rx_processed") + adv_in_flight
+            counts["tx_enqueued"] == tx_sent + counts["tx_dropped"] + queued
+            and counts["rx_events"] == counts["rx_processed"] + rx_in_flight
+            and counts["adv_rx_events"] == counts["adv_rx_processed"] + adv_in_flight
         ),
     }
     duty = {
@@ -147,27 +162,19 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
         "duration_s": sc.duration_s,
         "nodes": len(node_ids),
         "handshakes": {
-            "attempts": c.get("handshake_attempts"),
-            "retries": c.get("handshake_retries"),
-            "established": c.get("sessions_established"),
+            **shown["handshakes"],
             "unreachable": sorted(sim.gcs.unreachable),
             "last_established_s": session_times[-1] if session_times else None,
             "all_established": len(session_times) == len(uav_ids),
         },
         "broadcast": {
+            **shown["broadcast"],
             "epochs_reached": source.current.epoch if source and source.current else 0,
-            "rekeys_sent": c.get("rekeys_sent"),
-            "rekeys_installed": c.get("rekeys_installed"),
-            "rekey_resends": c.get("rekey_resends"),
-            "rekey_duplicates": c.get("rekey_duplicates"),
-            "acks_received": c.get("acks_received"),
         },
         "traffic": {
+            **shown["traffic"],
             "messages_originated": originated,
-            "frames_sealed": c.get("frames_sealed"),
             "messages_delivered": got_total + audit.duplicate_deliveries,
-            "skipped_no_key": c.get("tx_skipped_no_key"),
-            "skipped_no_session": c.get("tx_skipped_no_session"),
         },
         "delivery": {
             "pairs": audit.pair_stats(node_ids),
@@ -183,12 +190,12 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
         },
         "latency": latency,
         "latency_uav_to_uav": uav_latency,
-        "security_events": dict(sorted(sim.security_events.values.items())),
+        "security_events": dict(sorted(sim.security_events.items())),
         "links": {
+            **shown["links"],
             "per_link_tx": dict(sorted(sim.per_link_tx.items())),
             "per_link_data_tx": dict(sorted(sim.per_link_data_tx.items())),
             "switches": sum(n.selector.switches for n in sim.nodes.values()),
-            "deferrals": c.get("tx_deferrals"),
             "wire_bytes": dict(sorted(sim.wire_bytes.items())),
         },
         "duty_cycle": duty,

@@ -87,8 +87,7 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class LinkPolicySpec:
-    mode: Literal["adaptive", "pinned"] = "adaptive"
-    pinned_link: Optional[str] = None
+    pinned_link: Optional[str] = None  # None adapts; a link name pins every send to it
     health_threshold: Annotated[float, (lambda v: 0 <= v <= 1, "in [0, 1]")] = LinkSelector.health_threshold
     hysteresis_s: NonNeg = LinkSelector.hysteresis_s
     ewma_alpha: Annotated[float, (lambda v: 0 < v <= 1, "in (0, 1]")] = LinkSelector.ewma_alpha
@@ -171,8 +170,6 @@ class Scenario:
                 raise ValidationError(f"adversaries[{i}].end_s", "must be >= start_s")
         self._validate_link_events()
         lp = self.link_policy
-        if (lp.pinned_link is None) == (lp.mode == "pinned"):
-            raise ValidationError("link_policy.pinned_link", "required when mode is 'pinned', and only then")
         if lp.pinned_link is not None and lp.pinned_link not in self.links:
             raise ValidationError("link_policy.pinned_link", f"unknown link {lp.pinned_link!r}")
         # A repeating step too small to move the clock would rerun one instant forever.

@@ -68,7 +68,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
@@ -79,7 +79,7 @@ from .errors import (
     NoSession, NoViableLink, StaleEpoch, SwarmLinkError, UnknownEpoch, UnknownMessage, ValidationError,
 )
 # sim.render_json and sim.latency_summary: aliases bench/test_bench.py reads.
-from .metrics import Counters, DeliveryAudit, latency_summary, render_json  # noqa: F401
+from .metrics import DeliveryAudit, latency_summary, render_json  # noqa: F401
 from .scenario import Scenario
 
 TELEMETRY_MSG_ID = 0x01
@@ -96,6 +96,10 @@ class _TxItem:
     # The message `data` was serialised from, handed as is to every
     # receiver when no tap changed the bytes, so none of them parses them.
     message: object = None
+
+
+def _data_items(sends: _Sends) -> List[_TxItem]:
+    return [_TxItem("data", packet.to_bytes(), dest, packet) for dest, packet in sends]
 
 
 class _Node:
@@ -164,12 +168,12 @@ class Simulation:
         # The heap entry run() popped last; it starts before every key.
         self._event: tuple = (-math.inf, -1)
 
-        self.counters = Counters()
-        self.security_events = Counters()
+        # The counts report.COUNT_NAMES declares, and no other: an undeclared name raises KeyError.
+        self.counts: Dict[str, int] = dict.fromkeys(report.COUNT_NAMES, 0)
+        self.security_events: Counter = Counter()  # error class name -> rejections
         self.audit = DeliveryAudit()
         self.trace = report.Trace()
         self.installed_keys: List[Tuple[int, bytes]] = []
-        self.duty_log: List[Tuple[int, str, float, float]] = []
         # (node, link) -> [peak window utilisation, total airtime], per metered send.
         self.duty_use: Dict[Tuple[int, str], List[float]] = {}
         self.per_link_tx: Dict[str, int] = {name: 0 for name in sc.links}
@@ -323,9 +327,9 @@ class Simulation:
         offer = handshake.gcs_start_handshake(
             self.roster, g.sig_key, g.table, uav_id, self.rng_keys, self.now, timeout
         )
-        self.counters.bump("handshake_attempts")
+        self.counts["handshake_attempts"] += 1
         self.trace.add(self.now, "handshake_offer", uav=uav_id, attempt=g.hs_attempts[uav_id])
-        self._enqueue(g, _TxItem("offer", offer.to_bytes(), uav_id, offer))
+        self._enqueue(g, (_TxItem("offer", offer.to_bytes(), uav_id, offer),))
         self._schedule(self.now + timeout + _EPS, "timer", partial(self._handshake_timeout, uav_id))
 
     def _handshake_timeout(self, uav_id: int) -> None:
@@ -335,7 +339,7 @@ class Simulation:
         g.table.expire_pending(self.now)
         if g.hs_attempts[uav_id] <= self.sc.protocol.handshake_retries:
             g.hs_attempts[uav_id] += 1
-            self.counters.bump("handshake_retries")
+            self.counts["handshake_retries"] += 1
             self._start_handshake(uav_id)
         elif uav_id not in g.unreachable:
             g.unreachable.append(uav_id)
@@ -351,7 +355,7 @@ class Simulation:
         node.session_key = session_key
         self.installed_keys.append((node.id, session_key.bytes_))
         self.trace.add(self.now, "session_uav", node=node.id)
-        self._enqueue(node, _TxItem("response", response.to_bytes(), offer.sender_id, response))
+        self._enqueue(node, (_TxItem("response", response.to_bytes(), offer.sender_id, response),))
 
     def _rx_response(self, node: _Node, response: handshake.KeyResponse) -> None:
         if node.role != "gcs":
@@ -362,7 +366,7 @@ class Simulation:
         )
         uav_id = response.sender_id
         self.installed_keys.append((node.id, session_key.bytes_))
-        self.counters.bump("sessions_established")
+        self.counts["sessions_established"] += 1
         self.trace.add(self.now, "session_gcs", uav=uav_id)
         if node.source is not None:
             if node.source.current is None:
@@ -396,8 +400,8 @@ class Simulation:
         bkey = g.source.current
         message = rekey.wrap_for(g.table.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys)
         g.unacked[uav_id] = _TxItem("rekey", message.to_bytes(), uav_id, message)
-        self.counters.bump("rekeys_sent")
-        self._enqueue(g, g.unacked[uav_id])
+        self.counts["rekeys_sent"] += 1
+        self._enqueue(g, (g.unacked[uav_id],))
         self._ensure_resend_timer()
 
     def _ensure_resend_timer(self) -> None:
@@ -412,13 +416,13 @@ class Simulation:
         if g.id in self._down or not g.unacked:
             return
         for uav_id in sorted(g.unacked):
-            self.counters.bump("rekey_resends")
-            self._enqueue(g, g.unacked[uav_id])
+            self.counts["rekey_resends"] += 1
+            self._enqueue(g, (g.unacked[uav_id],))
         self._ensure_resend_timer()
 
     def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage) -> None:
         if node.role != "uav" or node.session_key is None:
-            self.counters.bump("rekey_without_session")
+            self.counts["rekey_without_session"] += 1
             return
         try:
             bkey = rekey.unwrap(
@@ -429,21 +433,21 @@ class Simulation:
             if current is None or exc.epoch != current.epoch:
                 raise
             # Benign duplicate of the rekey we already installed: re-ack.
-            self.counters.bump("rekey_duplicates")
+            self.counts["rekey_duplicates"] += 1
             bkey = current
         else:
-            self.counters.bump("rekeys_installed")
+            self.counts["rekeys_installed"] += 1
             node.window._drop_past_epochs(node.keyring)
             self.trace.add(self.now, "rekey_installed", node=node.id, epoch=bkey.epoch)
         ack = rekey.RekeyAck(uav_id=node.id, epoch=bkey.epoch)
-        self._enqueue(node, _TxItem("ack", ack.to_bytes(), self.gcs.id, ack))
+        self._enqueue(node, (_TxItem("ack", ack.to_bytes(), self.gcs.id, ack),))
 
     def _rx_ack(self, node: _Node, ack: rekey.RekeyAck) -> None:
         if node.role != "gcs":
             return
         if ack.uav_id in node.unacked and ack.epoch == node.source.current.epoch:
             del node.unacked[ack.uav_id]
-            self.counters.bump("acks_received")
+            self.counts["acks_received"] += 1
 
     # ---- traffic -----------------------------------------------------------
 
@@ -459,17 +463,17 @@ class Simulation:
         message = codec.TelemetryMessage(TELEMETRY_MSG_ID, sender_id, payload)
         if sc.mode == "mesh":
             if node.keyring.current is None:
-                self.counters.bump("tx_skipped_no_key")
+                self.counts["tx_skipped_no_key"] += 1
                 return
         else:
             ready = node.session_key is not None if node.role == "uav" else node.table.sessioned_ids()
             if not ready:
-                self.counters.bump("tx_skipped_no_session")
+                self.counts["tx_skipped_no_session"] += 1
                 return
         for frame in codec.compose_frames([message], self._min_mtu):
-            sends = self._seal(node, frame)
-            self.counters.bump("frames_sealed", len(sends))
-            self._enqueue_data(node, sends, frame)
+            items = _data_items(self._seal(node, frame))
+            self.counts["frames_sealed"] += len(items)
+            self._enqueue(node, items, frame)
 
     def _seal(self, node: _Node, frame: codec.Frame) -> _Sends:
         """Seal one of the node's own frames for each of its destinations."""
@@ -480,27 +484,20 @@ class Simulation:
             return mesh.star_fanout(state, node.table, counters, frame)
         return ((None, mesh.originate(state, node.keyring, counters, frame, sc.protocol.hop_limit)),)
 
-    def _enqueue_data(self, node: _Node, sends: _Sends, frame=None) -> None:
-        """The one place data packets are queued, as one batch, pumped
-        once. Packets just sealed from `frame` are shown to the taps;
-        forwards come without."""
-        if not sends or node.id in self._down:
-            return
-        if frame is not None and self.taps:
-            for _dest, packet in sends:
-                for tap in self.taps:
-                    tap.on_seal(packet, frame)
-        node.txq.extend([_TxItem("data", packet.to_bytes(), dest, packet) for dest, packet in sends])
-        self.counters.bump("tx_enqueued", len(sends))
-        self._pump(node)
-
     # ---- transmission ------------------------------------------------------
 
-    def _enqueue(self, node: _Node, item: _TxItem) -> None:
-        if node.id in self._down:
+    def _enqueue(self, node: _Node, items: Sequence[_TxItem], frame=None) -> None:
+        """The one place packets are queued: `items` as one batch, pumped
+        once. Data packets just sealed from `frame` are shown to the taps
+        first; forwards and control messages come without."""
+        if not items or node.id in self._down:
             return
-        self.counters.bump("tx_enqueued")
-        node.txq.append(item)
+        if frame is not None:
+            for item in items:
+                for tap in self.taps:
+                    tap.on_seal(item.message, frame)
+        node.txq.extend(items)
+        self.counts["tx_enqueued"] += len(items)
         self._pump(node)
 
     def _pump(self, node: _Node) -> None:
@@ -534,7 +531,7 @@ class Simulation:
                 if math.isinf(result.until):
                     self._drop(node, "duty_budget")
                     continue
-                self.counters.bump("tx_deferrals")
+                self.counts["tx_deferrals"] += 1
                 self.trace.add(self.now, "defer", node=node.id, link=profile.name, until=round(result.until, 9))
                 self._reserve_tx_done(node, result.until)
                 return
@@ -562,13 +559,12 @@ class Simulation:
 
     def _drop(self, node: _Node, reason: str) -> None:
         item = node.txq.popleft()
-        self.counters.bump("tx_dropped")
+        self.counts["tx_dropped"] += 1
         self.trace.add(self.now, "drop", node=node.id, reason=reason, item=item.kind)
 
     def _complete_tx(
         self, node: _Node, item: _TxItem, profile: links.LinkProfile, result: links.TransmitResult
     ) -> None:
-        counts = self.counters.values
         self.per_link_tx[profile.name] += 1
         if item.kind == "data":
             self.per_link_data_tx[profile.name] += 1
@@ -578,7 +574,6 @@ class Simulation:
             use = self.duty_use.setdefault((node.id, profile.name), [0.0, 0.0])
             use[0] = max(use[0], meter.used_airtime(self.now) / meter.budget())
             use[1] += result.airtime_s
-            self.duty_log.append((node.id, profile.name, self.now, result.airtime_s))
         if result.delivered or result.lost:
             total = len(result.delivered) + len(result.lost)
             node.selector.update_health(profile.name, len(result.delivered) / total)
@@ -588,12 +583,12 @@ class Simulation:
                 data = tap.on_air(item, result, data)
         delivered = result.delivered
         if delivered:
-            counts["rx_events"] = counts.get("rx_events", 0) + len(delivered)
+            self.counts["rx_events"] += len(delivered)
             message = item.message if data is item.data else None
             deliver = partial(self._deliver, "rx_processed", delivered, data, message)
             self._schedule(result.arrival, "rx", deliver)
         if result.lost:
-            counts["rx_lost"] = counts.get("rx_lost", 0) + len(result.lost)
+            self.counts["rx_lost"] += len(result.lost)
         self._reserve_tx_done(node, self.now + result.airtime_s)
 
     def _reserve_tx_done(self, node: _Node, end: float) -> None:
@@ -614,7 +609,7 @@ class Simulation:
 
     def _deliver(
         self, counter: str, receivers: Sequence[int], data: bytes,
-        message, outcomes: Optional[Counters] = None,
+        message, tally: Optional[Callable[..., None]] = None,
     ) -> None:
         """The one receive path: hand one event's bytes to its receiver ids.
         Down receivers are set aside, bytes that come without their message
@@ -622,12 +617,12 @@ class Simulation:
         handler), in mesh mode duplicate receivers are dropped in one step,
         and the handler runs for each receiver left, in order; a
         SwarmLinkError it raises is recorded as a security event here and
-        nowhere else. Tallies each outcome in `outcomes` if given."""
-        self.counters.bump(counter, len(receivers))
+        nowhere else. Passes each outcome, and how many, to `tally` if given."""
+        self.counts[counter] += len(receivers)
         if self._down:
             live = [rid for rid in receivers if rid not in self._down]
             if len(live) < len(receivers):
-                self.counters.bump("rx_ignored_down", len(receivers) - len(live))
+                self.counts["rx_ignored_down"] += len(receivers) - len(live)
                 receivers = live
         if not receivers:
             return
@@ -638,15 +633,15 @@ class Simulation:
             except ValidationError:
                 entry = None
         if entry is None:
-            self.counters.bump("rx_unparseable", len(receivers))
+            self.counts["rx_unparseable"] += len(receivers)
             return
         if self.sc.mode == "mesh" and isinstance(message, codec.WirePacket):
             fresh = mesh._fresh_receivers(receivers, self._dedup, message)
             duplicates = len(receivers) - len(fresh)
             if duplicates:
-                self.counters.bump("rx_duplicates", duplicates)
-                if outcomes is not None:
-                    outcomes.bump("rejected_dedup", duplicates)
+                self.counts["rx_duplicates"] += duplicates
+                if tally is not None:
+                    tally("rejected_dedup", duplicates)
             receivers = fresh
         handler = entry[1]
         for receiver_id in receivers:
@@ -655,20 +650,21 @@ class Simulation:
                 outcome = handler(node, message)
             except SwarmLinkError as exc:
                 outcome = self._security_event(node, exc)
-            if outcomes is not None and outcome is not None:
-                outcomes.bump(outcome)
+            if tally is not None and outcome is not None:
+                tally(outcome)
 
     def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
         """Count and trace a rejection; returns it as a receive outcome."""
         name = type(exc).__name__
-        self.security_events.bump(name)
+        self.security_events[name] += 1
         self.trace.add(self.now, "security", node=node.id, error=name, detail=str(exc))
         return f"rejected_{name}"
 
-    def inject(self, receiver_ids: Sequence[int], data: bytes, outcomes: Counters) -> None:
-        """Hand a tap's bytes to its receivers now, in one event, tallying each outcome."""
-        self.counters.bump("adv_rx_events", len(receiver_ids))
-        deliver = partial(self._deliver, "adv_rx_processed", receiver_ids, data, None, outcomes)
+    def inject(self, receiver_ids: Sequence[int], data: bytes, tally: Callable[..., None]) -> None:
+        """Hand a tap's bytes to its receivers now, in one event; each
+        outcome goes to `tally(outcome, n=1)`."""
+        self.counts["adv_rx_events"] += len(receiver_ids)
+        deliver = partial(self._deliver, "adv_rx_processed", receiver_ids, data, None, tally)
         self._schedule(self.now, "advrx", deliver)
 
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
@@ -677,8 +673,8 @@ class Simulation:
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s
             delay = self.rng_jitter.uniform(0.0, jitter_max) if jitter_max > 0 else 0.0
-            forward = ((None, result.forward),)
-            self._schedule(self.now + delay, "timer", partial(self._enqueue_data, node, forward))
+            forward = (_TxItem("data", result.forward.to_bytes(), None, result.forward),)
+            self._schedule(self.now + delay, "timer", partial(self._enqueue, node, forward))
         return "delivered_new"
 
     def _rx_data_star(self, node: _Node, packet: codec.WirePacket) -> str:
@@ -693,7 +689,7 @@ class Simulation:
             fanout = mesh.star_fanout(
                 node.mesh, node.table, node.counters, frame, exclude_id=packet.origin
             )
-            self._enqueue_data(node, fanout, frame)
+            self._enqueue(node, _data_items(fanout), frame)
         return "delivered_new"
 
     def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:

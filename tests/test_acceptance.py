@@ -569,11 +569,15 @@ def test_frame_packing_matches_first_fit_reference():
 def test_airtime_never_exceeds_duty_budget_in_any_window():
     sc = resolve_scenario("duty_cycle_stress")
     sim = Simulation(sc)
-    report = sim.run()
-
+    # Every metered burst, (start, airtime), as each node's meter records it.
     bursts_by_pair = defaultdict(list)
-    for node_id, link_name, tx_start, airtime in sim.duty_log:
-        bursts_by_pair[(node_id, link_name)].append((tx_start, airtime))
+    for node_id, node in sim.nodes.items():
+        for link_name, meter in node.meters.items():
+            def record(now, airtime, record=meter.record, key=(node_id, link_name)):
+                bursts_by_pair[key].append((now, airtime))
+                record(now, airtime)
+            meter.record = record
+    report = sim.run()
 
     windows_checked = 0
     worst = 0.0
@@ -607,7 +611,7 @@ def test_airtime_never_exceeds_duty_budget_in_any_window():
 def test_adaptive_failover_never_loses_to_pinned_degraded_link():
     base = resolve_scenario("link_failover")
     degraded = base.link_events[0].link
-    pinned_policy = LinkPolicySpec(mode="pinned", pinned_link=degraded)
+    pinned_policy = LinkPolicySpec(pinned_link=degraded)
     adaptive_sum = pinned_sum = 0.0
     for step in range(20):
         seed = 7_000 + step

@@ -226,7 +226,7 @@ HOP_BYTE = 11  # version(1)+epoch(4)+origin(2)+seq(4) precede the hop limit
 def _deliver_to(sim, node_id, raw, packet=None):
     """One-receiver batch down the run's receive path; returns its outcomes."""
     outcomes = Counters()
-    sim._deliver("rx_processed", [node_id], raw, packet, outcomes)
+    sim._deliver("rx_processed", [node_id], raw, packet, outcomes.bump)
     return outcomes.values
 
 
@@ -264,7 +264,7 @@ def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_its_box_
     for message in (None, flipped):  # parsed on arrival, or handed over parsed
         (outcome, count), = _deliver_to(sim, 1, bytes(mutated), message).items()
         assert outcome.startswith("rejected_") and outcome != "rejected_dedup" and count == 1
-    assert sum(sim.security_events.values.values()) == 2
+    assert sum(sim.security_events.values()) == 2
     assert flipped._aead_box()._verified is None  # nothing was stored on the flipped copy's box ...
     assert packet._aead_box()._verified is memo  # ... nor on the honest one's
     assert 1 not in sim.audit.node_bits  # node 1 got no delivery
@@ -307,5 +307,5 @@ def test_a_run_full_of_rejected_receptions_leaves_no_cyclic_garbage():
         unreachable = gc.collect()
     finally:
         gc.enable()
-    assert sum(simulation.security_events.values.values()) > 1000
+    assert sum(simulation.security_events.values()) > 1000
     assert unreachable == 0

@@ -131,7 +131,7 @@ def unicast_receivers(sim, src, dest):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(links, "transmit", transmit)
-        sim._enqueue(sim.nodes[src], _TxItem("data", bytes(10), dest))
+        sim._enqueue(sim.nodes[src], (_TxItem("data", bytes(10), dest),))
     return handed
 
 
@@ -158,7 +158,7 @@ def test_cached_reach_equals_its_definition_as_nodes_go_down(
     # node going down, which must clear it. A unicast reaches its live
     # destination on a covering link and nobody otherwise: not a down
     # destination, and not one the pinned link does not cover.
-    policy = {"mode": "pinned", "pinned_link": pinned} if pinned else {}
+    policy = {"pinned_link": pinned} if pinned else {}
     sim = simulation(
         positions,
         {

@@ -26,7 +26,7 @@ def test_minimal_scenario_loads():
     assert [n.id for n in sc.uavs()] == [2, 3]
     assert sc.node_ids() == (1, 2, 3)
     assert sc.protocol.hop_limit == 8  # defaults fill in
-    assert sc.link_policy.mode == "adaptive"
+    assert sc.link_policy.pinned_link is None  # adaptive
     d = base_scenario_dict()
     del d["mode"]
     assert scenario_from_dict(d).mode == "mesh"
@@ -297,26 +297,22 @@ def test_link_event_validation():
 
 
 def test_link_policy_validation():
-    d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": "wifi24"})
+    d = base_scenario_dict(link_policy={"pinned_link": "wifi24"})
     assert scenario_from_dict(d).link_policy.pinned_link == "wifi24"
 
-    d = base_scenario_dict(link_policy={"mode": "pinned"})
-    expect_invalid(d, "pinned_link")
-
-    d = base_scenario_dict(link_policy={"mode": "sticky"})
-    expect_invalid(d, "mode")
+    # pinned_link alone decides pinning; there is no mode field to set
+    d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": "wifi24"})
+    with pytest.raises(ValidationError) as exc_info:
+        scenario_from_dict(d)
+    assert (exc_info.value.field, exc_info.value.message) == ("link_policy.mode", "unknown field")
 
     d = base_scenario_dict(link_policy={"hysteresis": 0.5})
     expect_invalid(d, "link_policy.hysteresis")
 
-    d = base_scenario_dict(link_policy={"mode": "pinned", "pinned_link": 5})
+    d = base_scenario_dict(link_policy={"pinned_link": 5})
     expect_invalid(d, "link_policy.pinned_link")
 
-    # pinned_link is read only in pinned mode, so anywhere else it is an error
     d = base_scenario_dict(link_policy={"pinned_link": "nonexistent"})
-    expect_invalid(d, "link_policy.pinned_link")
-
-    d = base_scenario_dict(link_policy={"mode": "adaptive", "pinned_link": "wifi24"})
     expect_invalid(d, "link_policy.pinned_link")
 
 

@@ -225,13 +225,14 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     monkeypatch.setattr(record_script, "WORKLOADS", ("grid_flood",))
     monkeypatch.setattr(record_script, "WORKLOAD_SECONDS", 0.05)
     monkeypatch.setattr(record_script, "LADDER_SIDES", (2, 3))
+    monkeypatch.setattr(record_script, "PROFILE_SIDE", 3)
     monkeypatch.setattr(record_script, "RUNG_DURATION_S", 4.0)
     monkeypatch.setattr(record_script, "REPEATS", 1)
     monkeypatch.setattr(record_script, "RETAINED_DURATIONS", (4.0, 6.0))
     out = tmp_path / "BENCH_test.json"
     assert record_script.main(["--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert sorted(record) == ["grid_ladder", "host", "python", "retained_memory", "workloads"]
+    assert sorted(record) == ["grid_ladder", "host", "module_shares", "python", "retained_memory", "workloads"]
     assert [row["duration_s"] for row in record["retained_memory"]] == [4.0, 6.0]
     for row in record["retained_memory"]:
         assert sorted(row) == ["duration_s", "peak_mb", "retained_mb", "scenario"]
@@ -251,6 +252,11 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
         # One run per rung here, so wall_s / wall_ref is its mean chunk time,
         # about 2 ms on an idle core (hostspeed.NOMINAL_CHUNK_S).
         assert 1e-4 < rung["wall_s"] / rung["wall_ref"] < 0.5
+    profile = record["module_shares"]
+    assert (profile["nodes"], profile["duration_s"], profile["runs"]) == (9, 4.0, 1)
+    assert profile["samples"] > 0 and profile["interval_ms"] > 0
+    assert set(profile["shares"]) <= {path.stem for path in (SCRIPTS.parent / "src" / "swarmlink").glob("*.py")} | {"other"}
+    assert abs(sum(profile["shares"].values()) - 1.0) < 1e-9
 
 
 def test_bench_record_without_out_writes_nothing(capsys):

@@ -243,7 +243,6 @@ def test_simulation_object_exposes_audit_and_duty_log():
     sim = Simulation(sc)
     report = sim.run()
     assert sim.audit.sent
-    assert isinstance(sim.duty_log, list)
     assert report["delivery"]["sent"] > 0
 
 
@@ -347,10 +346,10 @@ CRAFTED = {
 def _run_with_crafted(kind, crafted):
     sim = Simulation(scenario_from_dict(base_scenario_dict()))
     sim._schedule(
-        1.5, "timer", lambda: sim._enqueue(sim.gcs, sim_module._TxItem(kind, crafted, 2))
+        1.5, "timer", lambda: sim._enqueue(sim.gcs, (sim_module._TxItem(kind, crafted, 2),))
     )
     report = sim.run()
-    assert sim.counters.get("rx_unparseable") == 1
+    assert sim.counts["rx_unparseable"] == 1
     assert report["conservation"]["balanced"]
     assert report["delivery"]["overall_ratio"] == 1.0  # traffic after t=1.5 still flows
 
@@ -402,14 +401,14 @@ def test_inject_queues_one_event_for_all_its_receivers():
     sim = Simulation(scenario_from_dict(base_scenario_dict()))
     before = len(sim._heap)
     outcomes = Counters()
-    sim.inject((2, 3), bytes([wire.PACKET_VERSION]) + bytes(20), outcomes)
+    sim.inject((2, 3), bytes([wire.PACKET_VERSION]) + bytes(20), outcomes.bump)
     advrx = [e for e in sim._heap if e[2] == "advrx"]
     assert len(sim._heap) == before + 1 and len(advrx) == 1
     assert list(advrx[0][3].args[1]) == [2, 3]
     report = sim.run()
     c = report["conservation"]
     assert c["adv_rx_events"] == c["adv_rx_processed"] == 2 and c["balanced"]
-    assert sim.counters.get("rx_unparseable") == 2
+    assert sim.counts["rx_unparseable"] == 2
     assert outcomes.values == {}  # unparseable bytes reach no handler
 
 
@@ -426,7 +425,7 @@ def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payloa
     message = codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, payload)
     packet = codec.seal_packet_plain(4000, 0, 0, codec.Frame(messages=(message,)), codec.PacketCounters())
     outcomes = Counters()
-    sim._schedule(5.0, "timer", lambda: sim.inject((3,), packet.to_bytes(), outcomes))
+    sim._schedule(5.0, "timer", lambda: sim.inject((3,), packet.to_bytes(), outcomes.bump))
     report = sim.run()
     assert outcomes.values == {"delivered_new": 1}
     assert report["security_events"] == {"UnknownMessage": 1}
@@ -470,11 +469,11 @@ def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the
     real = mesh.handle_rx
     monkeypatch.setattr(mesh, "handle_rx", lambda state, *a, **kw: handled.append(state.node_id) or real(state, *a, **kw))
     parses = _count_parses(monkeypatch)
-    before = dict(sim.counters.values)
+    before = dict(sim.counts)
     outcomes = Counters()
     batch = [3, 2, 4, 5]  # holder, origin, down, fresh
-    sim._deliver("rx_processed", batch, packet.to_bytes(), packet if honest else None, outcomes)
-    delta = {k: sim.counters.get(k) - before.get(k, 0) for k in ("rx_duplicates", "rx_ignored_down", "rx_processed")}
+    sim._deliver("rx_processed", batch, packet.to_bytes(), packet if honest else None, outcomes.bump)
+    delta = {k: sim.counts[k] - before[k] for k in ("rx_duplicates", "rx_ignored_down", "rx_processed")}
     assert delta == {"rx_duplicates": 2, "rx_ignored_down": 1, "rx_processed": 4}
     assert outcomes.values == {"rejected_dedup": 2, "delivered_new": 1}
     assert handled == [5]
@@ -486,7 +485,7 @@ def test_injected_bytes_are_parsed_once_for_all_their_receivers(monkeypatch):
     sim, packet = _keyed_five_node_sim()
     parses = _count_parses(monkeypatch)
     outcomes = Counters()
-    sim.inject((3, 4, 5), packet.to_bytes(), outcomes)
+    sim.inject((3, 4, 5), packet.to_bytes(), outcomes.bump)
     (advrx,) = [e for e in sim._heap if e[2] == "advrx"]
     advrx[3]()
     assert len(parses) == 1
@@ -508,7 +507,7 @@ def test_receive_counters_match_the_per_receiver_path(name, expected):
     generated = generated_scenarios()
     sim = Simulation(scenario_from_dict(generated[name]) if name in generated else resolve_scenario(name))
     sim.run()
-    assert {key: sim.counters.get(key) for key in expected} == expected
+    assert {key: sim.counts[key] for key in expected} == expected
 
 
 
@@ -570,12 +569,12 @@ def test_a_refused_reception_is_one_security_event_and_one_rejected_outcome(mode
     sim = Simulation(scenario_from_dict(base_scenario_dict(mode=mode)))
     receiver, data = build(sim)
     outcomes = Counters()
-    sim.inject((receiver,), data, outcomes)
+    sim.inject((receiver,), data, outcomes.bump)
     (advrx,) = [e for e in sim._heap if e[2] == "advrx"]
     advrx[3]()
     security = [entry for entry in map(json.loads, sim.trace) if entry["event"] == "security"]
     assert [(entry["node"], entry["error"]) for entry in security] == [(receiver, error)]
-    assert sim.security_events.values == {error: 1}
+    assert sim.security_events == {error: 1}
     assert outcomes.values == {f"rejected_{error}": 1}
 
 
@@ -590,9 +589,9 @@ def test_every_processed_reception_is_set_aside_or_handled_once():
 
     sim._rx_table = {byte: (cls, counted(cls.__name__, handler)) for byte, (cls, handler) in sim._rx_table.items()}
     sim.run()
-    c = sim.counters
-    processed = c.get("rx_processed") + c.get("adv_rx_processed")
-    set_aside = c.get("rx_ignored_down") + c.get("rx_unparseable") + c.get("rx_duplicates")
+    c = sim.counts
+    processed = c["rx_processed"] + c["adv_rx_processed"]
+    set_aside = c["rx_ignored_down"] + c["rx_unparseable"] + c["rx_duplicates"]
     assert processed == set_aside + sum(calls.values.values())
     assert calls.get("WirePacket") > 0 and calls.get("RekeyMessage") > 0
 
