@@ -31,11 +31,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `bench/run.py` run in `tree`: its result line plus the digest it printed."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One `bench/run.py --trace <trace>` run in `tree`: its result line plus the digest it printed."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True, timeout=seconds + 300,
     ).stdout.splitlines()
     result = json.loads(out[-1])

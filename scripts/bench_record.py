@@ -7,7 +7,8 @@ script sits in:
 - `workloads`: for each workload BENCHMARK.json declares, at seed 1, the
   result line `bench/run.py --trace 0` prints (`result`: the end-to-end
   metrics) and the one `--trace 1` prints (`traced`: the per-layer
-  metrics), each run as a subprocess;
+  metrics), each with the run's `digest`, from `scripts/bench_pairs.py`'s
+  `run_bench`;
 - `grid_ladder`: per rung, an N-node grid (`golden._grid_nodes` at 120 m
   spacing, WiFi plus cellular, the protocol block of
   `grid49_wifi_cellular`, 1 Hz from every UAV from 3.5 s, seed 7) run for
@@ -84,16 +85,6 @@ REPEATS = 3
 CHUNK_SAMPLES = 5  # host-speed chunks timed before and after each rung run
 RETAINED_SCENARIO = "mesh_10_lossy"
 RETAINED_DURATIONS = (25.0, 100.0, 400.0)  # simulated seconds, traffic without stop_s
-
-
-def bench_line(workload: str, trace: int) -> dict:
-    """The last line `bench/run.py --trace <trace>` prints for one workload at SEED."""
-    out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(WORKLOAD_SECONDS), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True, timeout=WORKLOAD_SECONDS + 300,
-    ).stdout.splitlines()
-    return json.loads(out[-1])
 
 
 def grid_scenario(side: int, duration_s: float) -> dict:
@@ -234,13 +225,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="the record to write, e.g. BENCH_4.json")
     args = parser.parse_args(argv)
 
+    run_bench = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["run_bench"]
     record = {
         "python": platform.python_version(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "workloads": {
             name: {
                 "seed": SEED, "seconds": WORKLOAD_SECONDS,
-                "result": bench_line(name, 0), "traced": bench_line(name, 1),
+                "result": run_bench(ROOT, name, SEED, WORKLOAD_SECONDS, 0),
+                "traced": run_bench(ROOT, name, SEED, WORKLOAD_SECONDS, 1),
             }
             for name in WORKLOADS
         },

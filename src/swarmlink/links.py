@@ -13,7 +13,6 @@ down the list as health decays. A hysteresis hold-down stops flapping.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -21,16 +20,9 @@ from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tupl
 from .errors import MtuExceeded, NoViableLink, ValidationError
 
 
-class Band(enum.Enum):
-    SUBGHZ = "subghz"
-    WIFI24 = "wifi24"
-    CELLULAR = "cellular"
-
-
 @dataclass(frozen=True)
 class LinkProfile:
     name: str
-    band: Band
     range_m: Optional[float]  # None: reachable at any distance
     bitrate_bps: float
     base_latency_s: float
@@ -68,10 +60,10 @@ class LinkProfile:
 
 
 def default_profiles() -> Dict[str, LinkProfile]:
+    """The default profile of each band, by band name."""
     return {
         "subghz": LinkProfile(
             name="subghz",
-            band=Band.SUBGHZ,
             range_m=5000.0,
             bitrate_bps=100_000.0,
             base_latency_s=0.020,
@@ -82,7 +74,6 @@ def default_profiles() -> Dict[str, LinkProfile]:
         ),
         "wifi24": LinkProfile(
             name="wifi24",
-            band=Band.WIFI24,
             range_m=300.0,
             bitrate_bps=10_000_000.0,
             base_latency_s=0.002,
@@ -91,7 +82,6 @@ def default_profiles() -> Dict[str, LinkProfile]:
         ),
         "cellular": LinkProfile(
             name="cellular",
-            band=Band.CELLULAR,
             range_m=None,
             bitrate_bps=1_000_000.0,
             base_latency_s=0.080,
@@ -117,6 +107,10 @@ class DutyCycleMeter:
     it, and a prune that drops bursts refolds the rest. Both are the
     left-to-right float sum that `sum()` gives on Python 3.11, on every
     Python (3.12 compensates `sum()` over floats).
+
+    `record` also keeps the meter's record of a run: its sends, their total
+    airtime and the peak of `_used / budget()` just after a burst. `transmit`
+    records just after `earliest_allowed` pruned the window at that instant.
     """
 
     def __init__(self, limit: float, window_s: float) -> None:
@@ -128,6 +122,9 @@ class DutyCycleMeter:
         self.window_s = window_s
         self._bursts: List[Tuple[float, float]] = []  # (tx_start, airtime)
         self._used = 0.0  # airtime of the bursts in _bursts, folded in order
+        self.sends = 0
+        self.total_airtime_s = 0.0
+        self.peak_use = 0.0
 
     def _prune(self, now: float) -> None:
         # Expiry is `start + window_s`, exactly as earliest_allowed computes
@@ -176,6 +173,9 @@ class DutyCycleMeter:
     def record(self, now: float, airtime: float) -> None:
         self._bursts.append((now, airtime))
         self._used = self._used + airtime
+        self.sends += 1
+        self.total_airtime_s += airtime
+        self.peak_use = max(self.peak_use, self._used / self.budget())
 
 
 @dataclass(frozen=True)

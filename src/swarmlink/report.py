@@ -147,14 +147,16 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
     }
     duty = {
         f"{node_id}:{link_name}": {
-            "max_window_utilization": round(peak, 9),
-            "budget_s": sim.nodes[node_id].meters[link_name].budget(),
-            "total_airtime_s": round(airtime, 9),
+            "max_window_utilization": round(meter.peak_use, 9),
+            "budget_s": meter.budget(),
+            "total_airtime_s": round(meter.total_airtime_s, 9),
         }
-        for (node_id, link_name), (peak, airtime) in sorted(sim.duty_use.items())
+        for node_id, node in sorted(sim.nodes.items())
+        for link_name, meter in sorted(node.meters.items())
+        if meter.sends
     }
-    session_times = sorted(t for _key, t in sim.gcs.table.established.values())
-    source = sim.gcs.source
+    session_times = sorted(t for _key, t in sim.sessions.established.values())
+    source = sim.key_source
     return {
         "scenario": sc.name,
         "seed": sc.seed,
@@ -163,7 +165,7 @@ def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
         "nodes": len(node_ids),
         "handshakes": {
             **shown["handshakes"],
-            "unreachable": sorted(sim.gcs.unreachable),
+            "unreachable": sorted(sim.unreachable),
             "last_established_s": session_times[-1] if session_times else None,
             "all_established": len(session_times) == len(uav_ids),
         },

@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 from . import wire
 from .codec import PER_MESSAGE_OVERHEAD, frame_capacity
 from .errors import ValidationError
-from .links import Band, LinkProfile, LinkSelector, default_profiles
+from .links import LinkProfile, LinkSelector, default_profiles
 from .mesh import DEDUP_CAPACITY
 
 # Bounds ride on field types as Annotated[type, (test, what the value must be)].
@@ -370,13 +370,11 @@ def _links_from_dict(data, path: str) -> Dict[str, LinkProfile]:
     for name, link in _object(data, path).items():
         where = f"{path}.{name}"
         overrides = dict(_object(link, where))
-        band_name = overrides.pop("band", name)
-        try:
-            band = Band(band_name)
-        except ValueError:
-            raise ValidationError(f"{where}.band", f"{band_name!r} unknown") from None
-        base = {**vars(default_profiles()[band.value]), "name": name, "band": band}
-        profiles[name] = _build(LinkProfile, overrides, where, base)
+        band = overrides.pop("band", name)
+        default = default_profiles().get(band) if isinstance(band, str) else None
+        if default is None:
+            raise ValidationError(f"{where}.band", f"{band!r} unknown")
+        profiles[name] = _build(LinkProfile, overrides, where, {**vars(default), "name": name})
     return profiles
 
 

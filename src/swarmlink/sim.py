@@ -56,6 +56,9 @@ metrics and a trace. Determinism rules:
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values (see report.py).
 
+The ground station's key agreement state lives once, on the Simulation beside
+`gcs`, and each duty meter keeps the record of its sends the report reads.
+
 Adversaries are taps on the air (see adversary.py); the simulation calls
 their hooks and never names one. A receive handler raises the
 SwarmLinkError that refuses a reception, and _deliver alone records it as a
@@ -103,7 +106,8 @@ def _data_items(sends: _Sends) -> List[_TxItem]:
 
 
 class _Node:
-    """Runtime state for one node: radios, queues, and protocol machines."""
+    """Runtime state for one node: radios, queues, and its own protocol
+    machines; the ground station's key agreement state is the Simulation's."""
 
     def __init__(self, spec, scenario: Scenario, sig_key: crypto.SignatureKeyPair, tx_done):
         self.id = spec.id
@@ -138,13 +142,6 @@ class _Node:
         # The plaintext baseline is the null key, not a mode (see crypto.py).
         self.keyring = rekey.KeyRing() if scenario.security.encryption else rekey.NULL_RING
         self.session_key: Optional[crypto.SymmetricKey] = None  # UAV side
-        # GCS side only:
-        self.table = handshake.SessionTable()
-        self.source: Optional[rekey.BroadcastKeySource] = None
-        # UAV id -> the rekey for the current epoch it has not acked yet.
-        self.unacked: Dict[int, _TxItem] = {}
-        self.hs_attempts: Dict[int, int] = {}
-        self.unreachable: List[int] = []
 
 
 class Simulation:
@@ -174,8 +171,6 @@ class Simulation:
         self.audit = DeliveryAudit()
         self.trace = report.Trace()
         self.installed_keys: List[Tuple[int, bytes]] = []
-        # (node, link) -> [peak window utilisation, total airtime], per metered send.
-        self.duty_use: Dict[Tuple[int, str], List[float]] = {}
         self.per_link_tx: Dict[str, int] = {name: 0 for name in sc.links}
         self.per_link_data_tx: Dict[str, int] = {name: 0 for name in sc.links}
         self.wire_bytes = {"data": 0, "control": 0}
@@ -198,8 +193,15 @@ class Simulation:
         # node id -> its dedup cache, for the duplicate filter in _deliver.
         self._dedup = {node_id: node.mesh.dedup for node_id, node in self.nodes.items()}
         self.gcs = self.nodes[sc.gcs().id]
+        # The ground station's key agreement state, kept once, here.
+        self.sessions = handshake.SessionTable()
+        self.key_source: Optional[rekey.BroadcastKeySource] = None
         if sc.mode == "mesh" and sc.security.encryption:
-            self.gcs.source = rekey.BroadcastKeySource(sc.protocol.key_lifetime_s)
+            self.key_source = rekey.BroadcastKeySource(sc.protocol.key_lifetime_s)
+        # UAV id -> the rekey for the current epoch it has not acked yet.
+        self.unacked: Dict[int, _TxItem] = {}
+        self.hs_attempts: Dict[int, int] = {}
+        self.unreachable: List[int] = []
         # (node, link) -> the peers in range, in node_order, down or not.
         # Exact for the whole run: positions are static and range_m is not
         # a mutable link field. Built on first use, so set-up time does not
@@ -254,7 +256,7 @@ class Simulation:
             self._schedule(ev.at_s, "timer", lambda e=ev: self._apply_link_event(e))
         if sc.mode == "star" or sc.security.encryption:  # both need session keys
             for uav_id in self.roster.uav_ids:
-                self.gcs.hs_attempts[uav_id] = 1
+                self.hs_attempts[uav_id] = 1
                 self._schedule(0.0, "timer", lambda u=uav_id: self._start_handshake(u))
         if sc.traffic.rate_hz > 0:
             period = 1.0 / sc.traffic.rate_hz
@@ -321,28 +323,27 @@ class Simulation:
 
     def _start_handshake(self, uav_id: int) -> None:
         g = self.gcs
-        if g.id in self._down or g.table.has_session(uav_id):
+        if g.id in self._down or self.sessions.has_session(uav_id):
             return
         timeout = self.sc.protocol.handshake_timeout_s
         offer = handshake.gcs_start_handshake(
-            self.roster, g.sig_key, g.table, uav_id, self.rng_keys, self.now, timeout
+            self.roster, g.sig_key, self.sessions, uav_id, self.rng_keys, self.now, timeout
         )
         self.counts["handshake_attempts"] += 1
-        self.trace.add(self.now, "handshake_offer", uav=uav_id, attempt=g.hs_attempts[uav_id])
+        self.trace.add(self.now, "handshake_offer", uav=uav_id, attempt=self.hs_attempts[uav_id])
         self._enqueue(g, (_TxItem("offer", offer.to_bytes(), uav_id, offer),))
         self._schedule(self.now + timeout + _EPS, "timer", partial(self._handshake_timeout, uav_id))
 
     def _handshake_timeout(self, uav_id: int) -> None:
-        g = self.gcs
-        if g.id in self._down or g.table.has_session(uav_id):
+        if self.gcs.id in self._down or self.sessions.has_session(uav_id):
             return
-        g.table.expire_pending(self.now)
-        if g.hs_attempts[uav_id] <= self.sc.protocol.handshake_retries:
-            g.hs_attempts[uav_id] += 1
+        self.sessions.expire_pending(self.now)
+        if self.hs_attempts[uav_id] <= self.sc.protocol.handshake_retries:
+            self.hs_attempts[uav_id] += 1
             self.counts["handshake_retries"] += 1
             self._start_handshake(uav_id)
-        elif uav_id not in g.unreachable:
-            g.unreachable.append(uav_id)
+        elif uav_id not in self.unreachable:
+            self.unreachable.append(uav_id)
             self.trace.add(self.now, "unreachable", uav=uav_id)
 
     def _rx_offer(self, node: _Node, offer: handshake.KeyOffer) -> None:
@@ -361,15 +362,15 @@ class Simulation:
         if node.role != "gcs":
             return
         session_key = handshake.gcs_on_response(
-            self.roster, node.table, response, self.now,
+            self.roster, self.sessions, response, self.now,
             verify_signatures=self.sc.security.verify_signatures,
         )
         uav_id = response.sender_id
         self.installed_keys.append((node.id, session_key.bytes_))
         self.counts["sessions_established"] += 1
         self.trace.add(self.now, "session_gcs", uav=uav_id)
-        if node.source is not None:
-            if node.source.current is None:
+        if self.key_source is not None:
+            if self.key_source.current is None:
                 self._generate_epoch()
             self._send_rekey(uav_id)
 
@@ -377,7 +378,7 @@ class Simulation:
 
     def _generate_epoch(self) -> None:
         g = self.gcs
-        bkey = g.source.new_epoch(self.rng_keys, self.now)
+        bkey = self.key_source.new_epoch(self.rng_keys, self.now)
         g.keyring.install(bkey, self.now, self.sc.protocol.grace_window_s)
         g.window._drop_past_epochs(g.keyring)
         for tap in self.taps:
@@ -387,21 +388,20 @@ class Simulation:
 
     def _rotation_due(self) -> None:
         # The one pending rotation, queued by the epoch it ends.
-        g = self.gcs
-        if g.id in self._down:
+        if self.gcs.id in self._down:
             return
         self._generate_epoch()
-        g.unacked = {}
-        for uav_id in g.table.sessioned_ids():
+        self.unacked = {}
+        for uav_id in self.sessions.sessioned_ids():
             self._send_rekey(uav_id)
 
     def _send_rekey(self, uav_id: int) -> None:
         g = self.gcs
-        bkey = g.source.current
-        message = rekey.wrap_for(g.table.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys)
-        g.unacked[uav_id] = _TxItem("rekey", message.to_bytes(), uav_id, message)
+        bkey = self.key_source.current
+        message = rekey.wrap_for(self.sessions.key_for(uav_id), g.id, uav_id, bkey, self.rng_keys)
+        self.unacked[uav_id] = _TxItem("rekey", message.to_bytes(), uav_id, message)
         self.counts["rekeys_sent"] += 1
-        self._enqueue(g, (g.unacked[uav_id],))
+        self._enqueue(g, (self.unacked[uav_id],))
         self._ensure_resend_timer()
 
     def _ensure_resend_timer(self) -> None:
@@ -413,11 +413,11 @@ class Simulation:
     def _resend_due(self) -> None:
         self._resend_active = False
         g = self.gcs
-        if g.id in self._down or not g.unacked:
+        if g.id in self._down or not self.unacked:
             return
-        for uav_id in sorted(g.unacked):
+        for uav_id in sorted(self.unacked):
             self.counts["rekey_resends"] += 1
-            self._enqueue(g, (g.unacked[uav_id],))
+            self._enqueue(g, (self.unacked[uav_id],))
         self._ensure_resend_timer()
 
     def _rx_rekey(self, node: _Node, message: rekey.RekeyMessage) -> None:
@@ -445,8 +445,8 @@ class Simulation:
     def _rx_ack(self, node: _Node, ack: rekey.RekeyAck) -> None:
         if node.role != "gcs":
             return
-        if ack.uav_id in node.unacked and ack.epoch == node.source.current.epoch:
-            del node.unacked[ack.uav_id]
+        if ack.uav_id in self.unacked and ack.epoch == self.key_source.current.epoch:
+            del self.unacked[ack.uav_id]
             self.counts["acks_received"] += 1
 
     # ---- traffic -----------------------------------------------------------
@@ -466,7 +466,7 @@ class Simulation:
                 self.counts["tx_skipped_no_key"] += 1
                 return
         else:
-            ready = node.session_key is not None if node.role == "uav" else node.table.sessioned_ids()
+            ready = node.session_key is not None if node.role == "uav" else self.sessions.sessioned_ids()
             if not ready:
                 self.counts["tx_skipped_no_session"] += 1
                 return
@@ -481,7 +481,7 @@ class Simulation:
         if sc.mode == "star":
             if node.role == "uav":
                 return ((self.gcs.id, mesh.star_uplink(state, node.session_key, counters, frame)),)
-            return mesh.star_fanout(state, node.table, counters, frame)
+            return mesh.star_fanout(state, self.sessions, counters, frame)
         return ((None, mesh.originate(state, node.keyring, counters, frame, sc.protocol.hop_limit)),)
 
     # ---- transmission ------------------------------------------------------
@@ -569,11 +569,6 @@ class Simulation:
         if item.kind == "data":
             self.per_link_data_tx[profile.name] += 1
         self.wire_bytes["data" if item.kind == "data" else "control"] += len(item.data)
-        meter = node.meters.get(profile.name)
-        if meter is not None:
-            use = self.duty_use.setdefault((node.id, profile.name), [0.0, 0.0])
-            use[0] = max(use[0], meter.used_airtime(self.now) / meter.budget())
-            use[1] += result.airtime_s
         if result.delivered or result.lost:
             total = len(result.delivered) + len(result.lost)
             node.selector.update_health(profile.name, len(result.delivered) / total)
@@ -680,14 +675,14 @@ class Simulation:
     def _rx_data_star(self, node: _Node, packet: codec.WirePacket) -> str:
         if packet.epoch != 0:
             raise UnknownEpoch(f"epoch {packet.epoch} in star mode")
-        key = node.table.key_for(packet.origin) if node.role == "gcs" else node.session_key
+        key = self.sessions.key_for(packet.origin) if node.role == "gcs" else node.session_key
         if key is None:
             raise NoSession(f"node {node.id} has no session")
         frame = codec.open_with_key(key, node.window, packet)
         self._deliver_frame(node, frame)
         if node.role == "gcs":
             fanout = mesh.star_fanout(
-                node.mesh, node.table, node.counters, frame, exclude_id=packet.origin
+                node.mesh, self.sessions, node.counters, frame, exclude_id=packet.origin
             )
             self._enqueue(node, _data_items(fanout), frame)
         return "delivered_new"

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from swarmlink import links
 from swarmlink.errors import MtuExceeded, NoViableLink, ValidationError
-from swarmlink.links import Band, Deferred, DutyCycleMeter, LinkProfile, LinkSelector
+from swarmlink.links import Deferred, DutyCycleMeter, LinkProfile, LinkSelector
 
 
 def profile(name="wifi", bitrate=1e6, range_m=100.0, loss=0.0, duty=None, window=None, mtu=1500, latency=0.001):
     return LinkProfile(
         name=name,
-        band=Band.WIFI24,
         bitrate_bps=bitrate,
         range_m=range_m,
         base_latency_s=latency,
@@ -166,10 +165,12 @@ def test_meter_parameters_validated():
 class ReferenceMeter:
     """The meter before it kept a running total: every query re-adds the
     bursts in the window. `_sum` is `sum()` over floats as Python 3.11
-    computes it, one addition at a time from the left."""
+    computes it, one addition at a time from the left. It keeps the run's
+    record as the meter does: sends, their airtime, and the peak use."""
 
     def __init__(self, limit, window_s):
         self.limit, self.window_s, self._bursts = limit, window_s, []
+        self.sends, self.total_airtime_s, self.peak_use = 0, 0.0, 0.0
 
     @staticmethod
     def _sum(values):
@@ -212,6 +213,10 @@ class ReferenceMeter:
 
     def record(self, now, airtime):
         self._bursts.append((now, airtime))
+        self.sends += 1
+        self.total_airtime_s = self.total_airtime_s + airtime
+        # Just after the append and with no prune, as the meter takes it.
+        self.peak_use = max(self.peak_use, self._sum(a for _, a in self._bursts) / self.budget())
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,6 +254,9 @@ def test_running_total_meter_answers_exactly_as_the_summing_reference(limit, win
             assert meter.used_airtime(now) == reference.used_airtime(now)
         else:
             assert getattr(meter, op)(now, airtime) == getattr(reference, op)(now, airtime)
+        assert (meter.sends, meter.total_airtime_s, meter.peak_use) == (
+            reference.sends, reference.total_airtime_s, reference.peak_use
+        )
 
 
 # ---- selector ---------------------------------------------------------------

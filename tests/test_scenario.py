@@ -74,6 +74,12 @@ def test_link_overrides_merge_over_band_defaults():
     d = base_scenario_dict(links={"wifi24": {"loss_prob": True}})
     expect_invalid(d, "links.wifi24.loss_prob")
 
+    for band in ("lora", ["wifi24"], 5):  # no default profile has it, or it is not a name
+        with pytest.raises(ValidationError) as exc_info:
+            scenario_from_dict(base_scenario_dict(links={"x": {"band": band}}))
+        assert (exc_info.value.field, exc_info.value.message) == ("links.x.band", f"{band!r} unknown")
+    expect_invalid(base_scenario_dict(links={"lora": {}}), "links.lora.band")  # band defaults to the name
+
 
 def test_sender_id_forms():
     sc = scenario_from_dict(base_scenario_dict())

@@ -80,6 +80,10 @@ def test_star_mode_with_gcs_down_delivers_nothing_between_uavs():
     assert report["delivery"]["uav_to_uav"]["delivered"] == 0
     assert report["delivery"]["uav_to_uav"]["ratio"] == 0.0
     assert report["conservation"]["balanced"]
+    # No UAV ever gets a session, so every message is skipped before sealing.
+    traffic = report["traffic"]
+    assert traffic["skipped_no_session"] == traffic["messages_originated"] > 0
+    assert traffic["frames_sealed"] == 0
 
 
 def test_node_down_mid_run_stops_its_traffic():
@@ -361,6 +365,21 @@ def test_crafted_short_rekey_is_unparseable_and_the_run_goes_on():
 @pytest.mark.parametrize("case", sorted(set(CRAFTED) - {"short_rekey"}))
 def test_crafted_message_with_any_first_byte_is_unparseable(case):
     _run_with_crafted(*CRAFTED[case])
+
+
+def test_a_rekey_at_a_node_without_a_session_is_counted_and_not_acted_on():
+    # At t = 0 no handshake has finished, and the GCS never takes a rekey.
+    sim = Simulation(scenario_from_dict(base_scenario_dict()))
+    bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x31" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    data = rekey.wrap_for(_session(2), 1, 2, bkey, random.Random(0)).to_bytes()
+    outcomes = Counters()
+    sim.inject((1, 2), data, outcomes.bump)
+    (advrx,) = [e for e in sim._heap if e[2] == "advrx"]
+    advrx[3]()
+    assert sim.counts["rekey_without_session"] == 2
+    assert sim.counts["rekeys_installed"] == 0 and sim.counts["tx_enqueued"] == 0  # no ack
+    assert sim.nodes[1].keyring.current is None and sim.nodes[2].keyring.current is None
+    assert outcomes.values == {} and sim.security_events == {}
 
 
 def test_duty_cycle_stress_runs_past_its_window():
