@@ -1,0 +1,76 @@
+"""Who hears a send: the neighbour index, the covering cache and the
+receiver pick of one run, over the unit discs of `links.LinkProfile.covers`.
+
+Both caches are exact: positions are static, range_m is fixed (it is not a
+scenario.MutableLinkField, so the profiles as loaded serve the whole run),
+and `down` only grows. So a neighbour list holds for good once built, and a
+node going down, the one change to what covers a send, clears that cache.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+
+from . import links
+
+
+class Air:
+    """The reach of one run's nodes over its links."""
+
+    def __init__(self, positions: Mapping[int, Tuple[float, float]], profiles: Mapping[str, links.LinkProfile]):
+        self.positions = dict(positions)  # node id -> position, in node order
+        self.profiles = dict(profiles)
+        self.down: Set[int] = set()
+        # (node, link) -> neighbours(), built on first use: set-up does not grow with N^2.
+        self._neighbours: Dict[Tuple[int, str], List[int]] = {}
+        self._covering: Dict[Tuple[int, Optional[int]], FrozenSet[str]] = {}
+
+    def node_down(self, node_id: int) -> None:
+        self.down.add(node_id)
+        self._covering.clear()
+
+    def neighbours(self, sender: int, link: str) -> List[int]:
+        """The peers `link` reaches from `sender`, in node order, down or not."""
+        key = (sender, link)
+        found = self._neighbours.get(key)
+        if found is None:
+            covers = self.profiles[link].covers
+            here = self.positions[sender]
+            found = [
+                other for other, there in self.positions.items()
+                if other != sender and covers(links.distance(here, there))
+            ]
+            self._neighbours[key] = found
+        return found
+
+    def covering(self, sender: int, dest: Optional[int]) -> FrozenSet[str]:
+        """The names of the links that cover a send from `sender` to `dest`
+        (None broadcasts): for a broadcast, unbounded links (whose neighbour
+        lists are not built) and links with a live neighbour; for a unicast,
+        the links whose range holds `dest`. With no live peer at all, or a
+        down `dest`, every link covers, and the send reaches nobody."""
+        key = (sender, dest)
+        found = self._covering.get(key)
+        if found is None:
+            down = self.down
+            if dest in down or len(down) + 1 == len(self.positions):
+                found = frozenset(self.profiles)
+            elif dest is None:
+                found = frozenset(
+                    name for name, p in self.profiles.items()
+                    if p.range_m is None or any(n not in down for n in self.neighbours(sender, name))
+                )
+            else:
+                dist = links.distance(self.positions[sender], self.positions[dest])
+                found = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
+            self._covering[key] = found
+        return found
+
+    def receivers(self, sender: int, dest: Optional[int], link: str) -> Sequence[int]:
+        """Who a send on `link` reaches: a broadcast, every live neighbour in
+        node order; a unicast, its destination if live and covered, else nobody."""
+        down = self.down
+        if dest is None:
+            found = self.neighbours(sender, link)
+            return [n for n in found if n not in down] if down else found
+        return (dest,) if dest not in down and link in self.covering(sender, dest) else ()

@@ -52,11 +52,9 @@ class LinkProfile:
     def airtime_s(self, nbytes: int) -> float:
         return nbytes * 8 / self.bitrate_bps
 
-    def covers(self, distance_m: Optional[float]) -> bool:
-        """Closed-disc reachability; distance None means 'self', always covered."""
-        if self.range_m is None or distance_m is None:
-            return True
-        return distance_m <= self.range_m
+    def covers(self, distance_m: float) -> bool:
+        """Closed-disc reachability."""
+        return self.range_m is None or distance_m <= self.range_m
 
 
 def default_profiles() -> Dict[str, LinkProfile]:

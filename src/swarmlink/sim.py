@@ -46,12 +46,8 @@ metrics and a trace. Determinism rules:
   AeadBox its copies share, and a star copy returns the frame it was
   sealed from (see codec.py). That state lives on the packets, so two
   runs share none of it;
-- what a send reaches is the set of names of the links that cover it
-  (see _covering), cached per (sender, destination) pair. That is exact:
-  positions are static, range_m is not a mutable link field, and _down
-  only grows, so a node going down is the one change, and it clears the
-  cache. A unicast reaches its destination iff that is live and the
-  chosen link is in the set;
+- who hears a send, and which links cover it, is `air.Air`'s to say
+  (see air.py for why its caches are exact);
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values (see report.py).
@@ -75,9 +71,10 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import count, takewhile
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import adversary, codec, crypto, handshake, links, mesh, rekey, report, wire
+from .air import Air
 from .errors import (
     NoSession, NoViableLink, StaleEpoch, SwarmLinkError, UnknownEpoch, UnknownMessage, ValidationError,
 )
@@ -112,7 +109,6 @@ class _Node:
     def __init__(self, spec, scenario: Scenario, sig_key: crypto.SignatureKeyPair, tx_done):
         self.id = spec.id
         self.role = spec.role
-        self.position = tuple(spec.position)
         self.sig_key = sig_key
         # The heap key (end time, sequence number) reserved for the tx_done
         # of the send on the air or deferred, None when idle; tx_done_queued
@@ -190,6 +186,7 @@ class Simulation:
             spec.id: _Node(spec, sc, sig_keys[spec.id], self._tx_done) for spec in specs
         }
         self.node_order: List[int] = [spec.id for spec in specs]
+        self.air = Air({spec.id: tuple(spec.position) for spec in specs}, sc.links)
         # node id -> its dedup cache, for the duplicate filter in _deliver.
         self._dedup = {node_id: node.mesh.dedup for node_id, node in self.nodes.items()}
         self.gcs = self.nodes[sc.gcs().id]
@@ -202,15 +199,6 @@ class Simulation:
         self.unacked: Dict[int, _TxItem] = {}
         self.hs_attempts: Dict[int, int] = {}
         self.unreachable: List[int] = []
-        # (node, link) -> the peers in range, in node_order, down or not.
-        # Exact for the whole run: positions are static and range_m is not
-        # a mutable link field. Built on first use, so set-up time does not
-        # grow with N^2.
-        self._neighbour_index: Dict[Tuple[int, str], List[int]] = {}
-        self._down: Set[int] = set()
-        # (sender, destination or None for a broadcast) -> the names of the
-        # links that cover a send. Exact until _down grows, which clears it.
-        self._covering_cache: Dict[Tuple[int, Optional[int]], FrozenSet[str]] = {}
         # First wire byte -> (message class, handler). The parser is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
         rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
@@ -270,60 +258,18 @@ class Simulation:
     # ---- node and link lifecycle ------------------------------------------
 
     def _node_down(self, node: _Node) -> None:
-        self._down.add(node.id)
-        self._covering_cache.clear()
+        self.air.node_down(node.id)
         self.trace.add(self.now, "node_down", node=node.id)
 
     def _apply_link_event(self, ev) -> None:
         self.profiles[ev.link] = dc_replace(self.profiles[ev.link], **ev.set)
         self.trace.add(self.now, "link_event", link=ev.link, set=dict(sorted(ev.set.items())))
 
-    def _neighbours(self, node_id: int, link: str) -> List[int]:
-        key = (node_id, link)
-        found = self._neighbour_index.get(key)
-        if found is None:
-            covers = self.profiles[link].covers
-            here = self.nodes[node_id].position
-            found = [
-                other for other in self.node_order
-                if other != node_id and covers(links.distance(here, self.nodes[other].position))
-            ]
-            self._neighbour_index[key] = found
-        return found
-
-    def _live_neighbours(self, node_id: int, link: str) -> List[int]:
-        found = self._neighbours(node_id, link)
-        down = self._down
-        return [n for n in found if n not in down] if down else found
-
-    def _covering(self, node_id: int, dest: Optional[int]) -> FrozenSet[str]:
-        """The names of the links that cover a send from `node_id` to `dest`
-        (None broadcasts): for a broadcast, unbounded links (whose neighbour
-        lists are not built) and links with a live neighbour; for a unicast,
-        the links whose range holds `dest`. With no live peer at all, or a
-        down `dest`, every link covers, and the send reaches nobody."""
-        key = (node_id, dest)
-        found = self._covering_cache.get(key)
-        if found is None:
-            down = self._down
-            if dest in down or len(down) + 1 == len(self.node_order):
-                found = frozenset(self.profiles)
-            elif dest is None:
-                found = frozenset(
-                    name for name, p in self.profiles.items()
-                    if p.range_m is None or any(n not in down for n in self._neighbours(node_id, name))
-                )
-            else:
-                dist = links.distance(self.nodes[node_id].position, self.nodes[dest].position)
-                found = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
-            self._covering_cache[key] = found
-        return found
-
     # ---- handshake orchestration -------------------------------------------
 
     def _start_handshake(self, uav_id: int) -> None:
         g = self.gcs
-        if g.id in self._down or self.sessions.has_session(uav_id):
+        if g.id in self.air.down or self.sessions.has_session(uav_id):
             return
         timeout = self.sc.protocol.handshake_timeout_s
         offer = handshake.gcs_start_handshake(
@@ -335,7 +281,7 @@ class Simulation:
         self._schedule(self.now + timeout + _EPS, "timer", partial(self._handshake_timeout, uav_id))
 
     def _handshake_timeout(self, uav_id: int) -> None:
-        if self.gcs.id in self._down or self.sessions.has_session(uav_id):
+        if self.gcs.id in self.air.down or self.sessions.has_session(uav_id):
             return
         self.sessions.expire_pending(self.now)
         if self.hs_attempts[uav_id] <= self.sc.protocol.handshake_retries:
@@ -388,7 +334,7 @@ class Simulation:
 
     def _rotation_due(self) -> None:
         # The one pending rotation, queued by the epoch it ends.
-        if self.gcs.id in self._down:
+        if self.gcs.id in self.air.down:
             return
         self._generate_epoch()
         self.unacked = {}
@@ -413,7 +359,7 @@ class Simulation:
     def _resend_due(self) -> None:
         self._resend_active = False
         g = self.gcs
-        if g.id in self._down or not self.unacked:
+        if g.id in self.air.down or not self.unacked:
             return
         for uav_id in sorted(self.unacked):
             self.counts["rekey_resends"] += 1
@@ -452,7 +398,7 @@ class Simulation:
     # ---- traffic -----------------------------------------------------------
 
     def _traffic_event(self, sender_id: int) -> None:
-        if sender_id in self._down:
+        if sender_id in self.air.down:
             return
         node = self.nodes[sender_id]
         sc = self.sc
@@ -490,7 +436,7 @@ class Simulation:
         """The one place packets are queued: `items` as one batch, pumped
         once. Data packets just sealed from `frame` are shown to the taps
         first; forwards and control messages come without."""
-        if not items or node.id in self._down:
+        if not items or node.id in self.air.down:
             return
         if frame is not None:
             for item in items:
@@ -501,11 +447,12 @@ class Simulation:
         self._pump(node)
 
     def _pump(self, node: _Node) -> None:
-        if node.id in self._down or not node.txq or self._on_air(node):
+        air = self.air
+        if node.id in air.down or not node.txq or self._on_air(node):
             return
         while node.txq:
             item = node.txq[0]
-            covering = self._covering(node.id, item.dest)
+            covering = air.covering(node.id, item.dest)
             prev_active = node.selector.active
             try:
                 profile = node.selector.select(self.profiles, covering, self.now)
@@ -517,12 +464,7 @@ class Simulation:
             if len(item.data) > profile.mtu_bytes:
                 self._drop(node, "mtu")
                 continue
-            if item.dest is None:
-                receivers = self._live_neighbours(node.id, profile.name)
-            elif profile.name in covering and item.dest not in self._down:
-                receivers = (item.dest,)
-            else:
-                receivers = ()
+            receivers = air.receivers(node.id, item.dest, profile.name)
             meter = node.meters.get(profile.name)
             result = links.transmit(
                 profile, len(item.data), self.now, receivers, self.rng_loss, meter
@@ -614,8 +556,9 @@ class Simulation:
         SwarmLinkError it raises is recorded as a security event here and
         nowhere else. Passes each outcome, and how many, to `tally` if given."""
         self.counts[counter] += len(receivers)
-        if self._down:
-            live = [rid for rid in receivers if rid not in self._down]
+        down = self.air.down
+        if down:
+            live = [rid for rid in receivers if rid not in down]
             if len(live) < len(receivers):
                 self.counts["rx_ignored_down"] += len(receivers) - len(live)
                 receivers = live

@@ -44,8 +44,7 @@ def test_coverage_is_a_closed_disc():
     assert p.covers(99.9) and p.covers(100.0)
     assert not p.covers(100.0001)
     unlimited = profile(range_m=None)
-    assert unlimited.covers(1e9) and unlimited.covers(None)
-    assert p.covers(None)  # distance unknown: assume reachable
+    assert unlimited.covers(1e9)
 
 
 def test_default_profiles_sane():

@@ -73,7 +73,7 @@ def test_the_ledger_holds_one_send_time_per_message_each_source_originated(name,
     traffic_event = Simulation._traffic_event
 
     def counting(sim, sender_id):
-        if sender_id not in sim._down:
+        if sender_id not in sim.air.down:
             originated[sender_id] += 1
         traffic_event(sim, sender_id)
 

@@ -483,7 +483,7 @@ def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the
     sim, packet = _keyed_five_node_sim()
     for holder in (3, 4):
         sim.nodes[holder].mesh.dedup.add(packet.origin, packet.seq)
-    sim._node_down(sim.nodes[4])  # a down node is ignored, whatever it holds
+    sim.air.node_down(4)  # a down node is ignored, whatever it holds
     handled = []
     real = mesh.handle_rx
     monkeypatch.setattr(mesh, "handle_rx", lambda state, *a, **kw: handled.append(state.node_id) or real(state, *a, **kw))
