@@ -21,6 +21,11 @@ fate; `sim.chain(times, step)` runs its timed steps.
 
 The simulation builds its taps in scenario order, so their draws from the
 adversary RNG follow that order.
+
+What a tap keeps is values, each held once: the replay injector's log
+shares one object among equal payloads and one among equal receiver
+tuples, and the eavesdropper's ground truth is a frame's encoding, not the
+frame and its messages.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ class Eavesdrop(Tap):
     for as they pass: epoch 0 of a plaintext run under crypto.NULL_KEY,
     and each leaked epoch under the key built from its leaked bytes.
 
-    Ground truth, the frame each readable packet was sealed from, lives
-    here alone, so a run without an eavesdropper keeps none. A packet is
-    opened through the memo on its box (see codec.py), so the tap and the
-    honest receivers of its copies open it once.
+    Ground truth, the encoding of the frame each readable packet was
+    sealed from (the bytes the seal already built), lives here alone, so a
+    run without an eavesdropper keeps none, and this one keeps no frame
+    or message object alive. A packet is opened through the memo on its
+    box (see codec.py), so the tap and the honest receivers of its copies
+    open it once.
     """
 
     name = "eavesdrop"
@@ -74,7 +81,7 @@ class Eavesdrop(Tap):
         # epoch -> the key the tap reads it under: the leaked ones, or the
         # null key of a plaintext run (Scenario.validate keeps leaks out of it).
         self.keys = {} if sim.sc.security.encryption else {0: crypto.NULL_KEY}
-        self.truth: Dict[Tuple[int, int, int], codec.Frame] = {}
+        self.truth: Dict[Tuple[int, int, int], bytes] = {}
         self.observed: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
 
@@ -86,7 +93,7 @@ class Eavesdrop(Tap):
 
     def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
         if packet.epoch in self.keys:
-            self.truth[(packet.origin, packet.epoch, packet.counter)] = frame
+            self.truth[(packet.origin, packet.epoch, packet.counter)] = frame.to_bytes()
 
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind != "data":
@@ -102,7 +109,7 @@ class Eavesdrop(Tap):
         except SwarmLinkError:
             return data
         truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
-        if truth is not None and plaintext == truth.to_bytes():
+        if truth is not None and plaintext == truth:
             self.recovered[ekey] = self.recovered.get(ekey, 0) + 1
         return data
 
@@ -182,16 +189,27 @@ class ReplayInjector(Tap):
     """Records delivered data packets and re-sends one at random times.
 
     The injection times are drawn when the tap is built and run as a chain.
+
+    A record is a transmission's bytes and its receivers. Every record
+    stays for the whole run: each injection draws one uniformly over all
+    of them, and that draw fixes the adversary RNG sequence. Equal records
+    are many (a flood forwards the same bytes to the same neighbours over
+    and over), so each payload and each receiver tuple goes through a
+    canonicalising dict of its kind and equal ones share one object.
     """
 
     name = "replay"
 
     def __init__(self, spec, sim) -> None:
         super().__init__(spec, sim)
-        # Each recorded transmission's bytes and its receivers (the
-        # TransmitResult's own tuple), as two parallel lists.
+        # Each recorded transmission's bytes and its receivers, as two
+        # parallel lists.
         self.recorded: List[bytes] = []
         self.recorded_rx: List[Tuple[int, ...]] = []
+        # Each distinct value -> its first recorded copy, which every later
+        # equal record shares.
+        self.payloads: Dict[bytes, bytes] = {}
+        self.receiver_tuples: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.injections = 0
         self.noops = 0
         self.outcomes = metrics.Counters()
@@ -200,9 +218,11 @@ class ReplayInjector(Tap):
         sim.chain(iter(times), self.inject)
 
     def on_air(self, item, result, data: bytes) -> bytes:
-        if item.kind == "data" and result.delivered:
-            self.recorded.append(item.data)
-            self.recorded_rx.append(result.delivered)
+        delivered = result.delivered
+        if item.kind == "data" and delivered:
+            payload = item.data
+            self.recorded.append(self.payloads.setdefault(payload, payload))
+            self.recorded_rx.append(self.receiver_tuples.setdefault(delivered, delivered))
         return data
 
     def inject(self) -> None:

@@ -6,10 +6,17 @@ import types
 import pytest
 
 from swarmlink import adversary, crypto, sim
-from swarmlink.cli import resolve_scenario
+from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
 from swarmlink.golden import generated_scenarios
+from swarmlink.metrics import render_json
 from swarmlink.scenario import ADVERSARY_KINDS, scenario_from_dict
 from swarmlink.sim import run_scenario
+
+GENERATED = generated_scenarios()
+
+
+def _locked(name):
+    return scenario_from_dict(GENERATED[name]) if name in GENERATED else resolve_scenario(name)
 
 
 def test_every_adversary_kind_has_a_tap():
@@ -49,8 +56,6 @@ def test_eavesdropper_builds_one_key_per_leaked_epoch_not_per_packet(monkeypatch
     [("eavesdrop_keyleak", {"1": 96}), ("contested13_replay", {"2": 1261})],
 )
 def test_eavesdropper_opens_each_leaked_ciphertext_once_and_still_counts_every_copy(monkeypatch, name, recovered):
-    scenarios = generated_scenarios()
-    sc = scenario_from_dict(scenarios[name]) if name in scenarios else resolve_scenario(name)
     opens = []
     real_open = crypto.aead_open
 
@@ -59,7 +64,7 @@ def test_eavesdropper_opens_each_leaked_ciphertext_once_and_still_counts_every_c
         return real_open(key, nonce, box, aad)
 
     monkeypatch.setattr(crypto, "aead_open", counted_open)
-    simulation = sim.Simulation(sc)
+    simulation = sim.Simulation(_locked(name))
     report = simulation.run()
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
     tap_opens = [entry[1:] for entry in opens if any(entry[0] is key for key in tap.leaked.values())]
@@ -72,3 +77,69 @@ def test_eavesdropper_opens_each_leaked_ciphertext_once_and_still_counts_every_c
     under_leaked = [entry for entry in opens if entry[0].bytes_ in leaked]
     injections = sum(t.injections for t in simulation.taps if t.name == "replay")
     assert len(tap_opens) <= len(under_leaked) <= len(tap_opens) + injections
+
+
+class PlainReplayInjector(adversary.ReplayInjector):
+    """The replay tap recording each transmission's own bytes and receiver
+    tuple, with no canonicalising: the reference the shared records must
+    match pick for pick and byte for byte."""
+
+    def on_air(self, item, result, data):
+        if item.kind == "data" and result.delivered:
+            self.recorded.append(item.data)
+            self.recorded_rx.append(result.delivered)
+        return data
+
+
+REPLAYED = [
+    name
+    for name in [*SHIPPED_SCENARIOS, *sorted(GENERATED)]
+    if any(spec.kind == "replay_injector" for spec in _locked(name).adversaries)
+]
+
+
+def test_the_locked_replay_runs_are_the_ones_the_reference_covers():
+    assert sorted(REPLAYED) == ["contested13_replay", "plain9_replay_down", "replay_attack", "star9_mitm_replay"]
+
+
+def _replay_run(name):
+    """A run's report bytes, trace lines and its replay tap's records."""
+    simulation = sim.Simulation(_locked(name))
+    report = simulation.run()
+    tap = next(t for t in simulation.taps if t.name == "replay")
+    return render_json(report), simulation.trace, tap.recorded, tap.recorded_rx
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_shared_replay_records_give_the_bytes_of_the_plain_recorder(monkeypatch, name):
+    shared = _replay_run(name)
+    monkeypatch.setitem(adversary.TAPS, "replay_injector", PlainReplayInjector)
+    plain = _replay_run(name)
+    # The records too: a replayed copy that differs only where no locked
+    # run looks (its hop byte, say) must not pass for another.
+    assert plain == shared
+
+
+def _one_object_per_value(values):
+    return len({id(value) for value in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_equal_replay_records_are_one_object(name):
+    simulation = sim.Simulation(_locked(name))
+    simulation.run()
+    tap = next(t for t in simulation.taps if t.name == "replay")
+    # Receiver tuples repeat on every run, so the check below has something
+    # to share; payloads repeat where a flood forwards them, not in a star.
+    assert len(set(tap.recorded_rx)) < len(tap.recorded_rx)
+    assert (len(set(tap.recorded)) < len(tap.recorded)) == (simulation.sc.mode == "mesh")
+    assert _one_object_per_value(tap.recorded) and _one_object_per_value(tap.recorded_rx)
+
+
+@pytest.mark.parametrize("name", ["eavesdrop_keyleak", "contested13_replay"])
+def test_eavesdropper_ground_truth_is_frame_encodings(name):
+    simulation = sim.Simulation(_locked(name))
+    report = simulation.run()
+    tap = next(t for t in simulation.taps if t.name == "eavesdrop")
+    assert report["adversary"]["eavesdrop"]["recovered_packets"] > 0
+    assert tap.truth and all(type(truth) is bytes for truth in tap.truth.values())

@@ -27,6 +27,7 @@ def _script(name: str):
         ("loss_sweep", ["--losses", "0.1", "--seeds", "1"], "0.10"),
         ("run_all_scenarios", ["basic_pair"], "basic_pair"),
         ("retained_memory", ["--durations", "4", "6"], "retained_mb"),
+        ("retained_memory", ["--scenario", "contested13_replay", "--durations", "4", "6"], "retained_mb"),
     ],
 )
 def test_script_runs(name, argv, expected, capsys):
