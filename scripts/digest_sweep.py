@@ -25,7 +25,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Prints, as one JSON object, "<scenario> <seed> <mode>" -> its run
 # digest, or None where the scenario refuses the mode. argv is the tree's
-# src/, the first seed and the number of seeds.
+# src/, the first seed and the number of seeds. It lists the locked
+# scenarios itself, not through golden.locked_scenarios, so that it also
+# runs in base trees older than that function.
 CHILD = """
 import dataclasses, json, sys
 sys.path.insert(0, sys.argv[1])

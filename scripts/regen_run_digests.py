@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate tests/golden/run_digests.json, the whole-run behaviour lock.
 
-The file maps every shipped scenario, and every scenario from
-`swarmlink.golden.generated_scenarios`, to the SHA-256 of its canonical
+The file maps every locked scenario (`swarmlink.golden.locked_scenarios`:
+every shipped one and every generated one) to the SHA-256 of its canonical
 report followed by its trace. tests/test_run_digests.py checks each run
 against it. Regenerate only when a change is meant to alter run output,
 and say in CHANGES.md which digests moved and why. Before it overwrites
@@ -19,9 +19,7 @@ import argparse
 import json
 import pathlib
 
-from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
-from swarmlink.golden import generated_scenarios, run_digest
-from swarmlink.scenario import scenario_from_dict
+from swarmlink.golden import locked_scenarios, run_digest
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "run_digests.json"
 
@@ -30,9 +28,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true", help="write nothing; exit 1 if a digest moved")
     args = parser.parse_args(argv)
-    digests = {name: run_digest(resolve_scenario(name)) for name in SHIPPED_SCENARIOS}
-    for name, data in generated_scenarios().items():
-        digests[name] = run_digest(scenario_from_dict(data))
+    digests = {name: run_digest(sc) for name, sc in locked_scenarios().items()}
     before = json.loads(OUT.read_text()) if OUT.exists() else {}
     moved = sorted(n for n in digests.keys() | before.keys() if digests.get(n) != before.get(n))
     for name in moved:

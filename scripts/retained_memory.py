@@ -12,8 +12,8 @@ process pays one-time costs no later run pays, cryptography's lazy
 backend import among them (about 0.5 MB), and without the warm-up they
 would land in whichever row is measured first.
 
-`--scenario` takes a shipped name, a generated one (see
-`swarmlink.golden.generated_scenarios`) or a path.
+`--scenario` takes the name of a locked scenario, shipped or generated
+(see `swarmlink.golden.locked_scenarios`), or a path.
 
     PYTHONPATH=src python scripts/retained_memory.py --durations 25 100 400
     PYTHONPATH=src python scripts/retained_memory.py --scenario contested13_replay --durations 16 64
@@ -26,8 +26,7 @@ from dataclasses import replace
 from typing import List, Sequence, Tuple
 
 from swarmlink.cli import resolve_scenario
-from swarmlink.golden import generated_scenarios
-from swarmlink.scenario import scenario_from_dict
+from swarmlink.golden import locked_scenarios
 from swarmlink.sim import Simulation
 
 
@@ -50,8 +49,8 @@ def measure(sc):
 def table(scenario: str, durations: Sequence[float]) -> List[Tuple[float, float, float]]:
     """(duration_s, retained MB, peak MB) of `scenario` without `stop_s`,
     per duration, after one untraced warm-up run."""
-    generated = generated_scenarios()
-    base = scenario_from_dict(generated[scenario]) if scenario in generated else resolve_scenario(scenario)
+    locked = locked_scenarios()
+    base = locked[scenario] if scenario in locked else resolve_scenario(scenario)
     base = replace(base, traffic=replace(base.traffic, stop_s=None))
     Simulation(replace(base, duration_s=min(durations))).run()
     return [(duration, *measure(replace(base, duration_s=duration))) for duration in durations]

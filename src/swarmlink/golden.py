@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from . import codec, crypto, handshake, rekey
 from .metrics import render_json
-from .scenario import Scenario
+from .scenario import Scenario, load_scenario, scenario_from_dict
 from .sim import run_scenario
 
 _GOLDEN_SEED = 0x5EED
@@ -244,3 +244,14 @@ def generated_scenarios() -> Dict[str, dict]:
             ],
         },
     }
+
+
+def locked_scenarios() -> Dict[str, Scenario]:
+    """Every scenario the run-digest lock covers, by name: the shipped ones
+    in name order, then the generated ones, sorted."""
+    from .cli import SHIPPED_SCENARIOS, shipped_scenario_path  # cli imports this module
+
+    locked = {name: load_scenario(shipped_scenario_path(name)) for name in SHIPPED_SCENARIOS}
+    generated = generated_scenarios()
+    locked.update((name, scenario_from_dict(generated[name])) for name in sorted(generated))
+    return locked

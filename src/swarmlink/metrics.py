@@ -16,12 +16,11 @@ whose values are all scalars (every per-pair entry) is filled into one
 other dict or list is joined one level at a time. Scalars get json's own
 text: `encode_basestring_ascii`, a finite number's repr, else NaN or
 Infinity (`_number_text`, which the trace lines in report.py use too). It
-takes only what reports hold: dicts with str keys, lists, and values of
-exactly str, int, float, bool or None. Any other key or value, a tuple or
-a subclass among them, raises TypeError; the one exception is a str
-subclass key in a dict whose shape was cached, which gets a str's text,
-as json writes it. A report is a fresh tree: a container that holds
-itself ends in RecursionError, where json raises ValueError.
+takes only what reports hold: dicts with str keys (a str subclass too,
+as json takes it), lists, and values of exactly str, int, float, bool or
+None. Any other key or value, a tuple or a subclass among them, raises
+TypeError. A report is a fresh tree: a container that holds itself ends
+in RecursionError, where json raises ValueError.
 
 The delivery ledger owns message identity: a message is its source and its
 number in that source's sequence, from 1, whose 8-byte big-endian tag opens
@@ -229,7 +228,7 @@ def _joined(opening: str, texts: List[str], closing: str, depth: int) -> str:
 
 
 def _key_text(key) -> str:
-    if type(key) is not str:
+    if not isinstance(key, str):
         raise TypeError(f"report keys are str, not {type(key).__name__}")
     return encode_basestring_ascii(key)
 

@@ -2,7 +2,10 @@
 
 One run wires real protocol state machines (handshakes, rekeying, sealing,
 flooding or star relay) to simulated radios and adversaries, then reports
-metrics and a trace. Determinism rules:
+metrics and a trace. Determinism rules; where a rule is a fast path that
+acts exactly as if a plainer rule held, tests/reference_sim.py's
+`Reference` applies the plainer rule, through the override its clause
+names, and must give the same run:
 
 - one master RNG seeded from the scenario, split at startup into
   purpose-specific child RNGs (keys, loss rolls, jitter, traffic phases,
@@ -19,11 +22,13 @@ metrics and a trace. Determinism rules:
   numbers are taken exactly as if every tx_done were queued, so every
   other event keeps its key and pops in the same order. A send the duty
   meter defers reserves its tx_done at the time it may go, like a send on
-  the air, so the node waits the way a busy radio does;
+  the air, so the node waits the way a busy radio does
+  (`Reference._reserve_tx_done` queues every tx_done as its send starts);
 - the data packets one step queues at a node (a star's fanout of one
   frame) go on its queue as one batch, pumped once: heap keys and loss
   draws are those of queueing them one at a time, but the taps see
-  on_seal for every packet of the batch before the first goes on the air;
+  on_seal for every packet of the batch before the first goes on the air
+  (`Reference._enqueue` queues and pumps each packet on its own);
 - one event per pending step: a chain (a sender's traffic, a tap's
   injections, key rotation, rekey resends) queues its next step before
   the current step's own work, so the heap does not grow with run length;
@@ -41,13 +46,17 @@ metrics and a trace. Determinism rules:
   them, as the event then carries the message they were serialised from),
   and in mesh mode every live receiver that is the packet's origin or
   already holds its (origin, seq) is counted as a duplicate in one step.
-  The handler runs only for the receivers left, in order;
+  The handler runs only for the receivers left, in order
+  (`Reference._deliver` parses the bytes for each live receiver, and
+  `Reference._rx_data_mesh` counts `mesh.handle_rx`'s own duplicate result);
 - a flood's ciphertext is verified once per key, through the memo on the
   AeadBox its copies share, and a star copy returns the frame it was
   sealed from (see codec.py). That state lives on the packets, so two
-  runs share none of it;
+  runs share none of it (the parse per receiver in `Reference._deliver`
+  gives each receiver its own packet, box and memo);
 - who hears a send, and which links cover it, is `air.Air`'s to say
-  (see air.py for why its caches are exact);
+  (see air.py for why its caches are exact; `Reference` runs on
+  `BruteForceAir`, which recomputes both on every call);
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values (see report.py).

@@ -6,17 +6,12 @@ import types
 import pytest
 
 from swarmlink import adversary, crypto, sim
-from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
-from swarmlink.golden import generated_scenarios
+from swarmlink.golden import locked_scenarios
 from swarmlink.metrics import render_json
-from swarmlink.scenario import ADVERSARY_KINDS, scenario_from_dict
+from swarmlink.scenario import ADVERSARY_KINDS
 from swarmlink.sim import run_scenario
 
-GENERATED = generated_scenarios()
-
-
-def _locked(name):
-    return scenario_from_dict(GENERATED[name]) if name in GENERATED else resolve_scenario(name)
+LOCKED = locked_scenarios()
 
 
 def test_every_adversary_kind_has_a_tap():
@@ -30,7 +25,7 @@ def test_the_simulator_names_no_adversary_kind():
 
 
 def test_replay_outcomes_account_for_every_injected_reception():
-    report, _ = run_scenario(resolve_scenario("replay_attack"))
+    report, _ = run_scenario(LOCKED["replay_attack"])
     replay = report["adversary"]["replay"]
     tallied = sum(replay["rejected"].values()) + replay["delivered_new"]
     assert tallied == report["conservation"]["adv_rx_processed"] > 0
@@ -45,7 +40,7 @@ def test_eavesdropper_builds_one_key_per_leaked_epoch_not_per_packet(monkeypatch
 
     spy = types.SimpleNamespace(**{**vars(crypto), "SymmetricKey": counted_key})
     monkeypatch.setattr(adversary, "crypto", spy)
-    report, _ = run_scenario(resolve_scenario("eavesdrop_keyleak"))
+    report, _ = run_scenario(LOCKED["eavesdrop_keyleak"])
     spied = report["adversary"]["eavesdrop"]
     assert spied["leaked_epochs"] == [1] and spied["recovered_packets"] > 1
     assert len(built) == 1
@@ -64,7 +59,7 @@ def test_eavesdropper_opens_each_leaked_ciphertext_once_and_still_counts_every_c
         return real_open(key, nonce, box, aad)
 
     monkeypatch.setattr(crypto, "aead_open", counted_open)
-    simulation = sim.Simulation(_locked(name))
+    simulation = sim.Simulation(LOCKED[name])
     report = simulation.run()
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
     tap_opens = [entry[1:] for entry in opens if any(entry[0] is key for key in tap.leaked.values())]
@@ -91,11 +86,7 @@ class PlainReplayInjector(adversary.ReplayInjector):
         return data
 
 
-REPLAYED = [
-    name
-    for name in [*SHIPPED_SCENARIOS, *sorted(GENERATED)]
-    if any(spec.kind == "replay_injector" for spec in _locked(name).adversaries)
-]
+REPLAYED = [name for name, sc in LOCKED.items() if any(spec.kind == "replay_injector" for spec in sc.adversaries)]
 
 
 def test_the_locked_replay_runs_are_the_ones_the_reference_covers():
@@ -104,7 +95,7 @@ def test_the_locked_replay_runs_are_the_ones_the_reference_covers():
 
 def _replay_run(name):
     """A run's report bytes, trace lines and its replay tap's records."""
-    simulation = sim.Simulation(_locked(name))
+    simulation = sim.Simulation(LOCKED[name])
     report = simulation.run()
     tap = next(t for t in simulation.taps if t.name == "replay")
     return render_json(report), simulation.trace, tap.recorded, tap.recorded_rx
@@ -126,7 +117,7 @@ def _one_object_per_value(values):
 
 @pytest.mark.parametrize("name", REPLAYED)
 def test_equal_replay_records_are_one_object(name):
-    simulation = sim.Simulation(_locked(name))
+    simulation = sim.Simulation(LOCKED[name])
     simulation.run()
     tap = next(t for t in simulation.taps if t.name == "replay")
     # Receiver tuples repeat on every run, so the check below has something
@@ -138,7 +129,7 @@ def test_equal_replay_records_are_one_object(name):
 
 @pytest.mark.parametrize("name", ["eavesdrop_keyleak", "contested13_replay"])
 def test_eavesdropper_ground_truth_is_frame_encodings(name):
-    simulation = sim.Simulation(_locked(name))
+    simulation = sim.Simulation(LOCKED[name])
     report = simulation.run()
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
     assert report["adversary"]["eavesdrop"]["recovered_packets"] > 0

@@ -181,6 +181,8 @@ _json_trees = st.recursive(
     "latency": {"by_node": {"2": math.nan, "10": -math.inf, "-1": math.inf}, "sent": 1, "ratio": 0.5, "delivered": 0},
     "text": ["\u00e9\x00\ud800", {"%(x)s": "100%"}],
 })
+# A str subclass key, its dict's shape first uncached, then cached, and in a dict of containers.
+@example(tree={"a": {_Str("str_subclass_key"): 1}, "b": {_Str("str_subclass_key"): 2}, _Str("c"): [{}]})
 def test_render_json_writes_exactly_what_json_dumps_writes(tree):
     assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 

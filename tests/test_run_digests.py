@@ -15,20 +15,15 @@ from collections import Counter
 import pytest
 
 from swarmlink import sim as sim_module
-from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
-from swarmlink.golden import generated_scenarios, run_digest
+from swarmlink.cli import SHIPPED_SCENARIOS
+from swarmlink.golden import generated_scenarios, locked_scenarios, run_digest
 from swarmlink.report import COUNT_NAMES, SHOWN_COUNTS, UNREPORTED_COUNTS
-from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation, run_scenario
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "golden" / "run_digests.json"
 GENERATED = generated_scenarios()
 STORED = json.loads(DIGESTS_PATH.read_text())
-LOCKED = [*SHIPPED_SCENARIOS, *sorted(GENERATED)]
-
-
-def _locked(name):
-    return scenario_from_dict(GENERATED[name]) if name in GENERATED else resolve_scenario(name)
+LOCKED = locked_scenarios()
 
 
 def test_lock_covers_exactly_the_shipped_and_generated_scenarios():
@@ -37,12 +32,12 @@ def test_lock_covers_exactly_the_shipped_and_generated_scenarios():
 
 @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
 def test_shipped_scenario_matches_stored_digest(name):
-    assert run_digest(resolve_scenario(name)) == STORED[name]
+    assert run_digest(LOCKED[name]) == STORED[name]
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_generated_scenario_matches_stored_digest(name):
-    assert run_digest(scenario_from_dict(GENERATED[name])) == STORED[name]
+    assert run_digest(LOCKED[name]) == STORED[name]
 
 
 @pytest.mark.parametrize("name", LOCKED)
@@ -50,7 +45,7 @@ def test_every_first_delivery_has_one_latency_and_every_delivery_one_count(name)
     """The report takes its delivery totals from the ledger: messages x
     (N - 1) sent, one first delivery per latency. Summed over the per-pair
     block, which counts each (source, destination), they must agree."""
-    sc = _locked(name)
+    sc = LOCKED[name]
     report, _ = run_scenario(sc)
     delivery = report["delivery"]
     assert report["latency"]["count"] == delivery["delivered"]
@@ -68,7 +63,7 @@ def test_every_first_delivery_has_one_latency_and_every_delivery_one_count(name)
 def test_the_ledger_holds_one_send_time_per_message_each_source_originated(name, monkeypatch):
     """A message is originated by each traffic event of a sender that is not
     down, shipped or not; the ledger's per-source rows must count exactly those."""
-    sc = _locked(name)
+    sc = LOCKED[name]
     originated = Counter()
     traffic_event = Simulation._traffic_event
 
@@ -87,7 +82,7 @@ def test_the_ledger_holds_one_send_time_per_message_each_source_originated(name,
 
 @pytest.mark.parametrize("name", LOCKED)
 def test_a_run_keeps_exactly_the_declared_counts_and_reports_each_shown_one_where_declared(name):
-    sim = Simulation(_locked(name))
+    sim = Simulation(LOCKED[name])
     report = sim.run()
     assert list(sim.counts) == list(COUNT_NAMES)
     for block, keys in SHOWN_COUNTS.items():

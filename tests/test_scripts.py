@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from swarmlink.cli import resolve_scenario
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -163,8 +165,7 @@ def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys
     # One shipped scenario only, written to a copy: the committed file is never touched.
     committed = json.loads((SCRIPTS.parent / "tests" / "golden" / "run_digests.json").read_text())
     regen = _script("regen_run_digests")
-    monkeypatch.setattr(regen, "SHIPPED_SCENARIOS", ("basic_pair",))
-    monkeypatch.setattr(regen, "generated_scenarios", dict)
+    monkeypatch.setattr(regen, "locked_scenarios", lambda: {"basic_pair": resolve_scenario("basic_pair")})
     monkeypatch.setattr(regen, "OUT", tmp_path / "run_digests.json")
     regen.OUT.write_text(json.dumps({"basic_pair": committed["basic_pair"]}))
     assert regen.main([]) == 0
@@ -179,8 +180,7 @@ def test_regen_run_digests_names_each_moved_digest(tmp_path, monkeypatch, capsys
 
 def test_regen_run_digests_check_writes_nothing_and_exits_1_when_a_digest_moved(tmp_path, monkeypatch, capsys):
     regen = _script("regen_run_digests")
-    monkeypatch.setattr(regen, "SHIPPED_SCENARIOS", ("basic_pair",))
-    monkeypatch.setattr(regen, "generated_scenarios", dict)
+    monkeypatch.setattr(regen, "locked_scenarios", lambda: {"basic_pair": resolve_scenario("basic_pair")})
     monkeypatch.setattr(regen, "OUT", tmp_path / "run_digests.json")
     moved = json.dumps({"basic_pair": "0" * 64})
     regen.OUT.write_text(moved)
