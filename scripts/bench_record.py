@@ -26,7 +26,9 @@ script sits in:
   (`rx_events`) and report bytes; and, from one more run in a child of
   its own after the timed ones, so that tracing slows no timed run, the
   MiB tracemalloc sees live when the event loop ends, before the report
-  is built (`state_mb`: the scenario, nodes, caches, windows and ledger);
+  is built (`state_mb`: the scenario, nodes, caches, windows and ledger),
+  and how many more are live once `report.build` has returned the report
+  (`report_mb`: the report dict, with the report still held);
 - `module_shares`: for the PROFILE_SIDE x PROFILE_SIDE rung, REPEATS
   builds, runs and renders in a child process of its own under
   `scripts/sample_profile.py`'s sampler: per `src/swarmlink` module, the
@@ -132,18 +134,22 @@ def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
     }
 
 
-def rung_state_mb(side: int, duration_s: float) -> float:
+def rung_memory_mb(side: int, duration_s: float) -> dict:
     """MiB live under tracemalloc when one rung's event loop ends, read as
-    run() hands its state to report.build, after an untraced 4-node run
-    that pays the one-time costs (cryptography's lazy backend import) no
-    rung should carry."""
-    state_bytes = []
+    run() hands its state to report.build (`state_mb`), and the growth
+    from there to just after build returns, the report held (`report_mb`);
+    after an untraced 4-node run that pays the one-time costs
+    (cryptography's lazy backend import) no rung should carry."""
+    live_bytes = []
     build = report_module.build
 
     def probe(*args):
         gc.collect()
-        state_bytes.append(tracemalloc.get_traced_memory()[0])
-        return build(*args)
+        live_bytes.append(tracemalloc.get_traced_memory()[0])
+        report = build(*args)
+        gc.collect()
+        live_bytes.append(tracemalloc.get_traced_memory()[0])
+        return report
 
     Simulation(scenario_from_dict(grid_scenario(2, duration_s))).run()
     gc.collect()
@@ -154,7 +160,8 @@ def rung_state_mb(side: int, duration_s: float) -> float:
     finally:
         tracemalloc.stop()
         report_module.build = build
-    return state_bytes[0] / 2**20
+    state, with_report = live_bytes
+    return {"state_mb": state / 2**20, "report_mb": (with_report - state) / 2**20}
 
 
 def rung_module_shares(side: int, duration_s: float, repeats: int) -> dict:
@@ -203,10 +210,11 @@ def in_child(script: Path, function: str, args: list):
 
 def grid_rung(side: int) -> dict:
     """One rung in a child process of its own, so its max RSS is its own,
-    then its state_mb in another, so tracemalloc slows no timed run."""
+    then its state_mb and report_mb in another, so tracemalloc slows no
+    timed run."""
     script = Path(__file__).resolve()
     rung = in_child(script, "ladder_rung", [side, RUNG_DURATION_S, REPEATS])
-    rung["state_mb"] = in_child(script, "rung_state_mb", [side, RUNG_DURATION_S])
+    rung.update(in_child(script, "rung_memory_mb", [side, RUNG_DURATION_S]))
     return rung
 
 

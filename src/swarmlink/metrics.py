@@ -13,14 +13,17 @@ grows as N^2, so that list would be the memory peak of a 49-node run,
 and at 400 nodes it takes 122 MB to write a 14 MB report. Here a dict
 whose values are all scalars (every per-pair entry) is filled into one
 `%`-template per shape, its sorted keys and depth, compiled once; every
-other dict or list is joined one level at a time. Scalars get json's own
+other dict or list is joined one level at a time, each distinct value
+object of a level rendered once and its text reused for every key that
+holds it (equal per-pair entries are one dict). Scalars get json's own
 text: `encode_basestring_ascii`, a finite number's repr, else NaN or
 Infinity (`_number_text`, which the trace lines in report.py use too). It
 takes only what reports hold: dicts with str keys (a str subclass too,
 as json takes it), lists, and values of exactly str, int, float, bool or
 None. Any other key or value, a tuple or a subclass among them, raises
-TypeError. A report is a fresh tree: a container that holds itself ends
-in RecursionError, where json raises ValueError.
+TypeError. A report is read-only: equal entries share one object, so a
+change to one would show under every key that holds it. A container that
+holds itself ends in RecursionError, where json raises ValueError.
 
 The delivery ledger owns message identity: a message is its source and its
 number in that source's sequence, from 1, whose 8-byte big-endian tag opens
@@ -28,8 +31,10 @@ its payload. Per source it keeps each message's send time (`array('d')`)
 and a bitmask of the nodes it reached, and, in delivery order, the latency
 (`array('d')`) and node (`array('H')`, ids are u16) of each first delivery.
 No object exists per message or node pair: `pair_stats` counts a source's
-destinations when asked. Report cost grows with pairs plus deliveries,
-never messages x nodes; the report holds one sorted latency list at a time.
+destinations when asked, and pairs with equal (sent, delivered) counts
+share one entry dict, so the report holds one dict per distinct entry,
+not per pair. Report cost grows with pairs plus deliveries, never
+messages x nodes; the report holds one sorted latency list at a time.
 """
 
 from __future__ import annotations
@@ -99,8 +104,10 @@ class DeliveryAudit:
         dests.append(node)
 
     def pair_stats(self, node_ids: Tuple[int, ...]) -> Dict[str, Dict[str, float]]:
-        """Sent/delivered counts and ratio from each sender in `node_ids` to each other one."""
+        """Sent/delivered counts and ratio from each sender in `node_ids` to
+        each other one. Pairs with equal counts share one entry dict."""
         out: Dict[str, Dict[str, float]] = {}
+        entries: Dict[Tuple[int, int], Dict[str, float]] = {}  # (sent, delivered) -> its one entry
         dests = sorted(node_ids)
         for src in sorted(set(node_ids) & self.sent.keys()):
             n_sent = len(self.sent[src])
@@ -108,7 +115,11 @@ class DeliveryAudit:
             for dst in dests:
                 if dst != src:
                     n_got = got.get(dst, 0)
-                    out[f"{src}->{dst}"] = {"sent": n_sent, "delivered": n_got, "ratio": n_got / n_sent}
+                    entry = entries.get((n_sent, n_got))
+                    if entry is None:
+                        ratio = n_got / n_sent
+                        entry = entries[n_sent, n_got] = {"sent": n_sent, "delivered": n_got, "ratio": ratio}
+                    out[f"{src}->{dst}"] = entry
         return out
 
     def latencies(self) -> List[float]:
@@ -204,8 +215,17 @@ def _dict_text(d: dict, depth: int) -> str:
     try:
         texts = tuple([_SCALAR_TEXT[type(value)](value) for value in values])
     except KeyError:  # a container among the values: join this level
-        items = zip(keys, values)
-        return _joined("{", [f"{_key_text(key)}: {_text(value, depth + 1)}" for key, value in items], "}", depth)
+        # Each value object is rendered once at depth + 1; every key that
+        # holds it reuses the text. The memo lives for this level only, so
+        # its depth is fixed and `values` keeps every id it holds alive.
+        seen: Dict[int, str] = {}
+        texts = []
+        for key, value in zip(keys, values):
+            text = seen.get(id(value))
+            if text is None:
+                text = seen[id(value)] = _text(value, depth + 1)
+            texts.append(f"{_key_text(key)}: {text}")
+        return _joined("{", texts, "}", depth)
     keys = tuple(keys)
     return (_TEMPLATES.get((keys, depth)) or _leaf_template(keys, depth)) % texts
 

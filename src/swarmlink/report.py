@@ -114,7 +114,8 @@ COUNT_NAMES = tuple(dict.fromkeys(
 
 
 def build(sim, rx_in_flight: int, adv_in_flight: int) -> dict:
-    """The report of a finished run, with the receptions still in flight."""
+    """The report of a finished run, with the receptions still in flight.
+    It is read-only: pairs with equal delivery counts share one entry dict."""
     sc = sim.sc
     counts = sim.counts
     shown = {block: {key: counts[name] for key, name in keys.items()} for block, keys in SHOWN_COUNTS.items()}

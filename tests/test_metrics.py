@@ -41,6 +41,16 @@ def test_audit_pair_stats():
     assert "3->1" not in stats  # only sources that actually sent get rows
 
 
+def test_pair_stats_shares_one_entry_per_distinct_count():
+    a = DeliveryAudit()
+    one, two = a.record_send(source=1, t=0.0), a.record_send(source=2, t=0.0)
+    for source, payload, node in ((1, one, 2), (1, one, 3), (2, two, 1)):
+        a.record_delivery(source=source, payload=payload, node=node, t=0.5)
+    stats = a.pair_stats((1, 2, 3))
+    assert stats["1->2"] is stats["1->3"] is stats["2->1"]  # each (1 sent, 1 delivered)
+    assert stats["2->3"] == {"sent": 1, "delivered": 0, "ratio": 0.0}
+
+
 def test_audit_counts_duplicates_without_double_latency():
     a = DeliveryAudit()
     tag = a.record_send(source=2, t=0.0)
@@ -185,6 +195,24 @@ _json_trees = st.recursive(
 @example(tree={"a": {_Str("str_subclass_key"): 1}, "b": {_Str("str_subclass_key"): 2}, _Str("c"): [{}]})
 def test_render_json_writes_exactly_what_json_dumps_writes(tree):
     assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_json_reuses_a_shared_dict_text_only_at_its_own_depth():
+    # One entry object under several keys of one level, then again one and
+    # two levels deeper: each place must show it indented for its own depth.
+    entry = {"delivered": 1, "ratio": 0.5, "sent": 2}
+    nested = {"inner": entry, "list": [entry, {"leaf": entry}]}
+    tree = {"a": entry, "b": entry, "c": nested, "d": nested, "e": {"x": entry, "y": entry}, "f": 1}
+    assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_json_of_a_dict_that_holds_itself_ends_in_recursion_error():
+    tree = {"a": {"sent": 1}}
+    tree["b"] = tree
+    with pytest.raises(ValueError):
+        json.dumps(tree, sort_keys=True, indent=2)
+    with pytest.raises(RecursionError):
+        render_json(tree)
 
 
 @pytest.mark.parametrize("tree", [

@@ -17,6 +17,7 @@ import pytest
 from swarmlink import sim as sim_module
 from swarmlink.cli import SHIPPED_SCENARIOS
 from swarmlink.golden import generated_scenarios, locked_scenarios, run_digest
+from swarmlink.metrics import render_json
 from swarmlink.report import COUNT_NAMES, SHOWN_COUNTS, UNREPORTED_COUNTS
 from swarmlink.sim import Simulation, run_scenario
 
@@ -57,6 +58,16 @@ def test_every_first_delivery_has_one_latency_and_every_delivery_one_count(name)
     assert delivery["delivered"] == sum(stats["delivered"] for stats in pairs.values())
     assert delivery["uav_to_uav"]["sent"] == sum(stats["sent"] for stats in uav_pairs)
     assert delivery["uav_to_uav"]["delivered"] == sum(stats["delivered"] for stats in uav_pairs)
+
+
+@pytest.mark.parametrize("name", LOCKED)
+def test_equal_pair_entries_are_one_object_and_render_as_json_dumps_writes_them(name):
+    """The report holds one dict per distinct (sent, delivered) pair entry,
+    and rendering the shared entries gives json.dumps's bytes."""
+    report, _ = run_scenario(LOCKED[name])
+    entries = report["delivery"]["pairs"].values()
+    assert len({id(entry) for entry in entries}) == len({(entry["sent"], entry["delivered"]) for entry in entries})
+    assert render_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", LOCKED)

@@ -221,6 +221,33 @@ def test_digest_sweep_names_each_moved_run_and_exits_1(monkeypatch, capsys, tmp_
     assert "basic_pair 5 mesh" not in out and "no digest moved" not in out
 
 
+def test_digest_sweep_against_the_reference_finds_no_run_that_differs(monkeypatch, capsys):
+    sweep = _script("digest_sweep")
+    monkeypatch.setattr(sweep, "SCENARIOS", ["basic_pair"])
+    assert sweep.main(["--reference", "--count", "1", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "no run differs from its reference" in out and "differs from reference:" not in out
+    assert re.search(r"^2 runs swept: seeds 3\.\.3, mesh and star$", out, re.M)
+
+
+def test_digest_sweep_names_each_run_that_differs_from_its_reference_and_exits_1(monkeypatch, capsys):
+    sweep = _script("digest_sweep")
+    runs = {"basic_pair 5 mesh": "a" * 64, "basic_pair 5 star": "b" * 64}
+
+    def stub_tree_digests(trees, seed, count, reference=False):
+        assert (trees, seed, count, reference) == ([sweep.ROOT, sweep.ROOT], 5, 1, True)
+        return [runs, {**runs, "basic_pair 5 star": "c" * 64}]
+
+    monkeypatch.setattr(sweep, "tree_digests", stub_tree_digests)
+    assert sweep.main(["--reference", "--count", "1", "--seed", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "differs from reference: basic_pair 5 star" in out
+    assert "basic_pair 5 mesh" not in out and "no run differs" not in out
+    with pytest.raises(SystemExit) as refused:  # one of --base and --reference, not both
+        sweep.main(["--reference", "--base", str(sweep.ROOT)])
+    assert refused.value.code == 2
+
+
 def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, monkeypatch):
     record_script = _script("bench_record")
     monkeypatch.setattr(record_script, "WORKLOADS", ("grid_flood",))
@@ -244,12 +271,13 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     assert [rung["nodes"] for rung in record["grid_ladder"]] == [4, 9]
     for rung in record["grid_ladder"]:
         assert sorted(rung) == [
-            "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes", "run_s",
-            "state_mb", "transmissions", "wall_ref", "wall_s",
+            "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes", "report_mb",
+            "run_s", "state_mb", "transmissions", "wall_ref", "wall_s",
         ]
         assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
         assert rung["duration_s"] == 4.0 and 0 < rung["render_s"] < rung["wall_s"] and rung["max_rss_mb"] > 0
         assert 0 < rung["state_mb"] < rung["max_rss_mb"]
+        assert 0 < rung["report_mb"] < rung["max_rss_mb"]
         # One run per rung here, so wall_s / wall_ref is its mean chunk time,
         # about 2 ms on an idle core (hostspeed.NOMINAL_CHUNK_S).
         assert 1e-4 < rung["wall_s"] / rung["wall_ref"] < 0.5
