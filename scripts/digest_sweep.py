@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """List every run whose digest differs between two source trees.
 
-Reruns the 15 locked scenarios (every shipped one and every one from
-`swarmlink.golden.generated_scenarios`) at seeds S .. S+N-1, in mesh and
+Reruns the 15 locked scenarios (`swarmlink.golden.locked_scenarios`: every
+shipped one and every generated one) at seeds S .. S+N-1, in mesh and
 in star mode wherever `Scenario.validate` accepts that mode for the
 scenario, in the base tree given and in the tree this script sits in. A
 run's digest is `golden.run_digest`: the SHA-256 of its canonical report
@@ -38,34 +38,22 @@ SCENARIOS = None
 # digest, or None where the scenario refuses the mode. argv is the tree's
 # src/, the first seed, the number of seeds, SCENARIOS as JSON and, to
 # run each on tests/reference_sim.Reference in place of Simulation, the
-# tree's tests/. It lists the locked scenarios itself, not through
-# golden.locked_scenarios, so that it also runs in base trees older than
-# that function.
+# tree's tests/.
 CHILD = """
 import dataclasses, json, sys
 sys.path.insert(0, sys.argv[1])
-from swarmlink.cli import SHIPPED_SCENARIOS, resolve_scenario
 from swarmlink.errors import ValidationError
-from swarmlink.golden import generated_scenarios, run_digest
-from swarmlink.scenario import scenario_from_dict
+from swarmlink.golden import locked_scenarios, run_digest
 
 first, count, only = int(sys.argv[2]), int(sys.argv[3]), json.loads(sys.argv[4])
 if len(sys.argv) > 5:
-    import hashlib
-    from swarmlink.metrics import render_json
+    from functools import partial
     sys.path.insert(0, sys.argv[5])
     from reference_sim import Reference
+    run_digest = partial(run_digest, simulation=Reference)
 
-    def run_digest(sc):  # golden.run_digest's text, from the reference's run
-        sim = Reference(sc)
-        report = sim.run()
-        text = render_json(report) + "\\n".join(sim.trace) + ("\\n" if sim.trace else "")
-        return hashlib.sha256(text.encode()).hexdigest()
-
-locked = {name: resolve_scenario(name) for name in SHIPPED_SCENARIOS}
-locked.update((name, scenario_from_dict(data)) for name, data in generated_scenarios().items())
 digests = {}
-for name, sc in sorted(locked.items()):
+for name, sc in sorted(locked_scenarios().items()):
     if only is not None and name not in only:
         continue
     for seed in range(first, first + count):

@@ -5,10 +5,9 @@ plaintexts recovered, replays delivered) are computed from what they
 captured plus ground truth, never asserted.
 
 A tap is active from its spec's start_s until its end_s (the end of the
-run when unset) and sees the run through four hooks:
+run when unset) and sees the run through three hooks:
 
 - on_epoch(bkey): the ground station minted a broadcast epoch;
-- on_seal(packet, frame): a data packet was sealed from this frame;
 - on_air(item, result, data) -> bytes: a transmission is on the air while
   the tap is active; returns the bytes its receivers get, `data` unless
   the tap rewrites them. `item.message` is the message the honest bytes
@@ -24,8 +23,8 @@ adversary RNG follow that order.
 
 What a tap keeps is values, each held once: the replay injector's log
 shares one object among equal payloads and one among equal receiver
-tuples, and the eavesdropper's ground truth is a frame's encoding, not the
-frame and its messages.
+tuples. The eavesdropper keeps nothing per packet: its ground truth is the
+simulation's delivery ledger.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ class Tap:
     def on_epoch(self, bkey) -> None:
         pass
 
-    def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
-        pass
-
     def on_air(self, item, result, data: bytes) -> bytes:
         return data
 
@@ -64,12 +60,13 @@ class Eavesdrop(Tap):
     for as they pass: epoch 0 of a plaintext run under crypto.NULL_KEY,
     and each leaked epoch under the key built from its leaked bytes.
 
-    Ground truth, the encoding of the frame each readable packet was
-    sealed from (the bytes the seal already built), lives here alone, so a
-    run without an eavesdropper keeps none, and this one keeps no frame
-    or message object alive. A packet is opened through the memo on its
-    box (see codec.py), so the tap and the honest receivers of its copies
-    open it once.
+    A packet is recovered when it opens and every message of its frame
+    carries a tag that names a message its source sent: the rule the
+    delivery ledger applies to a delivery (`DeliveryAudit._number`). So a
+    forged packet that opens, or a forward of one, is observed but not
+    recovered, and the tap keeps nothing per packet. A packet is opened
+    through the memo on its box (see codec.py), so the tap and the honest
+    receivers of its copies open it once.
     """
 
     name = "eavesdrop"
@@ -81,7 +78,6 @@ class Eavesdrop(Tap):
         # epoch -> the key the tap reads it under: the leaked ones, or the
         # null key of a plaintext run (Scenario.validate keeps leaks out of it).
         self.keys = {} if sim.sc.security.encryption else {0: crypto.NULL_KEY}
-        self.truth: Dict[Tuple[int, int, int], bytes] = {}
         self.observed: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
 
@@ -90,10 +86,6 @@ class Eavesdrop(Tap):
             key = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
             self.leaked[bkey.epoch] = self.keys[bkey.epoch] = key
             self.sim.trace.add(self.sim.now, "key_leaked", epoch=bkey.epoch)
-
-    def on_seal(self, packet: codec.WirePacket, frame: codec.Frame) -> None:
-        if packet.epoch in self.keys:
-            self.truth[(packet.origin, packet.epoch, packet.counter)] = frame.to_bytes()
 
     def on_air(self, item, result, data: bytes) -> bytes:
         if item.kind != "data":
@@ -105,12 +97,11 @@ class Eavesdrop(Tap):
         if key is None:
             return data
         try:
-            plaintext = codec._open_frame(key, packet).to_bytes()
+            for message in codec._open_frame(key, packet).messages:
+                self.sim.audit._number(message.source_node, message.payload)
         except SwarmLinkError:
             return data
-        truth = self.truth.get((packet.origin, packet.epoch, packet.counter))
-        if truth is not None and plaintext == truth:
-            self.recovered[ekey] = self.recovered.get(ekey, 0) + 1
+        self.recovered[ekey] = self.recovered.get(ekey, 0) + 1
         return data
 
     def report(self) -> Dict[str, object]:

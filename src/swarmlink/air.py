@@ -1,10 +1,12 @@
 """Who hears a send: the neighbour index, the covering cache and the
 receiver pick of one run, over the unit discs of `links.LinkProfile.covers`.
 
-Both caches are exact: positions are static, range_m is fixed (it is not a
-scenario.MutableLinkField, so the profiles as loaded serve the whole run),
-and `down` only grows. So a neighbour list holds for good once built, and a
-node going down, the one change to what covers a send, clears that cache.
+`profiles` is the run's one copy of its link profiles: a link event
+replaces an entry, and the link selector reads them from here. Both caches
+are exact: positions are static, a link event changes only fields `Air`
+does not read (range_m is not a scenario.MutableLinkField), and `down` only
+grows. So a neighbour list holds for good once built, and a node going
+down, the one change to what covers a send, clears that cache.
 """
 
 from __future__ import annotations

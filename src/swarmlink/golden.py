@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List
+from typing import Dict, List, Type
 
 from . import codec, crypto, handshake, rekey
 from .metrics import render_json
 from .scenario import Scenario, load_scenario, scenario_from_dict
-from .sim import run_scenario
+from .sim import Simulation
 
 _GOLDEN_SEED = 0x5EED
 
@@ -114,9 +114,11 @@ def generate_golden() -> dict:
     }
 
 
-def run_digest(sc: Scenario) -> str:
-    """SHA-256 of a run's canonical JSON report followed by its joined trace."""
-    report, trace = run_scenario(sc)
+def run_digest(sc: Scenario, simulation: Type[Simulation] = Simulation) -> str:
+    """SHA-256 of a run's canonical JSON report followed by its joined
+    trace, run on `simulation` (a subclass, say, with its fast paths off)."""
+    sim = simulation(sc)
+    report, trace = sim.run(), sim.trace
     text = render_json(report) + "\n".join(trace) + ("\n" if trace else "")
     return hashlib.sha256(text.encode()).hexdigest()
 

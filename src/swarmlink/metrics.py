@@ -30,6 +30,8 @@ number in that source's sequence, from 1, whose 8-byte big-endian tag opens
 its payload. Per source it keeps each message's send time (`array('d')`)
 and a bitmask of the nodes it reached, and, in delivery order, the latency
 (`array('d')`) and node (`array('H')`, ids are u16) of each first delivery.
+`_number` says which message a tag names, for a delivery and for what the
+eavesdropper opens (see adversary.py) alike.
 No object exists per message or node pair: `pair_stats` counts a source's
 destinations when asked, and pairs with equal (sent, delivered) counts
 share one entry dict, so the report holds one dict per distinct entry,
@@ -84,15 +86,20 @@ class DeliveryAudit:
         self.reach[source].append(0)
         return len(times).to_bytes(_TAG_BYTES, "big")
 
+    def _number(self, source: int, payload: bytes) -> int:
+        """The number of the message of `source` that `payload`'s tag names;
+        raises UnknownMessage if `source` sent no such message."""
+        if len(payload) < _TAG_BYTES:
+            raise UnknownMessage("payload too short to carry a message tag")
+        number = int.from_bytes(payload[:_TAG_BYTES], "big")
+        if not 0 < number <= len(self.sent.get(source, ())):
+            raise UnknownMessage(f"node {source} never sent message {number}")
+        return number
+
     def record_delivery(self, source: int, payload: bytes, node: int, t: float) -> None:
         """Record `node` receiving the message of `source` that `payload`'s tag
         names, or a repeat; raises UnknownMessage if `source` sent no such message."""
-        if len(payload) < _TAG_BYTES:
-            raise UnknownMessage("payload too short to carry a message tag")
-        times = self.sent.get(source, ())
-        number = int.from_bytes(payload[:_TAG_BYTES], "big")
-        if not 0 < number <= len(times):
-            raise UnknownMessage(f"node {source} never sent message {number}")
+        number = self._number(source, payload)
         bit = self.node_bits.setdefault(node, 1 << len(self.node_bits))
         reach = self.reach[source]
         if reach[number - 1] & bit:
@@ -100,7 +107,7 @@ class DeliveryAudit:
             return
         reach[number - 1] |= bit
         latencies, dests = self.rows[source]
-        latencies.append(t - times[number - 1])
+        latencies.append(t - self.sent[source][number - 1])
         dests.append(node)
 
     def pair_stats(self, node_ids: Tuple[int, ...]) -> Dict[str, Dict[str, float]]:

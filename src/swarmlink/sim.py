@@ -26,8 +26,7 @@ names, and must give the same run:
   (`Reference._reserve_tx_done` queues every tx_done as its send starts);
 - the data packets one step queues at a node (a star's fanout of one
   frame) go on its queue as one batch, pumped once: heap keys and loss
-  draws are those of queueing them one at a time, but the taps see
-  on_seal for every packet of the batch before the first goes on the air
+  draws are those of queueing them one at a time
   (`Reference._enqueue` queues and pumps each packet on its own);
 - one event per pending step: a chain (a sender's traffic, a tap's
   injections, key rotation, rekey resends) queues its next step before
@@ -161,7 +160,6 @@ class Simulation:
         self.rng_traffic = random.Random(master.getrandbits(64))
         self.rng_adv = random.Random(master.getrandbits(64))
 
-        self.profiles: Dict[str, links.LinkProfile] = dict(sc.links)
         # mtu_bytes is not a mutable link field, so this holds for the whole run.
         self._min_mtu = min(p.mtu_bytes for p in sc.links.values())
         self.now = 0.0
@@ -271,7 +269,8 @@ class Simulation:
         self.trace.add(self.now, "node_down", node=node.id)
 
     def _apply_link_event(self, ev) -> None:
-        self.profiles[ev.link] = dc_replace(self.profiles[ev.link], **ev.set)
+        profiles = self.air.profiles
+        profiles[ev.link] = dc_replace(profiles[ev.link], **ev.set)
         self.trace.add(self.now, "link_event", link=ev.link, set=dict(sorted(ev.set.items())))
 
     # ---- handshake orchestration -------------------------------------------
@@ -428,7 +427,7 @@ class Simulation:
         for frame in codec.compose_frames([message], self._min_mtu):
             items = _data_items(self._seal(node, frame))
             self.counts["frames_sealed"] += len(items)
-            self._enqueue(node, items, frame)
+            self._enqueue(node, items)
 
     def _seal(self, node: _Node, frame: codec.Frame) -> _Sends:
         """Seal one of the node's own frames for each of its destinations."""
@@ -441,16 +440,10 @@ class Simulation:
 
     # ---- transmission ------------------------------------------------------
 
-    def _enqueue(self, node: _Node, items: Sequence[_TxItem], frame=None) -> None:
-        """The one place packets are queued: `items` as one batch, pumped
-        once. Data packets just sealed from `frame` are shown to the taps
-        first; forwards and control messages come without."""
+    def _enqueue(self, node: _Node, items: Sequence[_TxItem]) -> None:
+        """The one place packets are queued: `items` as one batch, pumped once."""
         if not items or node.id in self.air.down:
             return
-        if frame is not None:
-            for item in items:
-                for tap in self.taps:
-                    tap.on_seal(item.message, frame)
         node.txq.extend(items)
         self.counts["tx_enqueued"] += len(items)
         self._pump(node)
@@ -464,7 +457,7 @@ class Simulation:
             covering = air.covering(node.id, item.dest)
             prev_active = node.selector.active
             try:
-                profile = node.selector.select(self.profiles, covering, self.now)
+                profile = node.selector.select(air.profiles, covering, self.now)
             except NoViableLink:
                 self._drop(node, "no_viable_link")
                 continue
@@ -636,7 +629,7 @@ class Simulation:
             fanout = mesh.star_fanout(
                 node.mesh, self.sessions, node.counters, frame, exclude_id=packet.origin
             )
-            self._enqueue(node, _data_items(fanout), frame)
+            self._enqueue(node, _data_items(fanout))
         return "delivered_new"
 
     def _deliver_frame(self, node: _Node, frame: codec.Frame) -> None:

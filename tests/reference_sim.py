@@ -58,9 +58,9 @@ class Reference(Simulation):
     def _on_air(self, node):
         return node.tx_end is not None
 
-    def _enqueue(self, node, items, frame=None):
+    def _enqueue(self, node, items):
         for item in items:
-            super()._enqueue(node, (item,), frame)
+            super()._enqueue(node, (item,))
 
     def _deliver(self, counter, receivers, data, _carried, tally=None):
         """Each live receiver parses the bytes itself, so no two share a

@@ -5,11 +5,13 @@ import types
 
 import pytest
 
-from swarmlink import adversary, crypto, sim
+from swarmlink import adversary, codec, crypto, sim
 from swarmlink.golden import locked_scenarios
-from swarmlink.metrics import render_json
-from swarmlink.scenario import ADVERSARY_KINDS
+from swarmlink.metrics import Counters, render_json
+from swarmlink.scenario import ADVERSARY_KINDS, scenario_from_dict
 from swarmlink.sim import run_scenario
+
+from conftest import base_scenario_dict
 
 LOCKED = locked_scenarios()
 
@@ -128,9 +130,42 @@ def test_equal_replay_records_are_one_object(name):
 
 
 @pytest.mark.parametrize("name", ["eavesdrop_keyleak", "contested13_replay"])
-def test_eavesdropper_ground_truth_is_frame_encodings(name):
+def test_eavesdropper_keeps_nothing_per_packet_and_still_recovers(name):
     simulation = sim.Simulation(LOCKED[name])
-    report = simulation.run()
+    eavesdrop = simulation.run()["adversary"]["eavesdrop"]
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
-    assert report["adversary"]["eavesdrop"]["recovered_packets"] > 0
-    assert tap.truth and all(type(truth) is bytes for truth in tap.truth.values())
+    assert sorted(vars(tap)) == ["end", "keys", "leaked", "observed", "recovered", "sim", "start"]
+    # Each table it holds is keyed by epoch.
+    epochs = {int(epoch) for epoch in tap.observed}
+    tables = (tap.keys, tap.leaked, tap.observed, tap.recovered)
+    assert all({int(epoch) for epoch in table} <= epochs for table in tables)
+    assert 0 < eavesdrop["recovered_packets"] and len(epochs) < eavesdrop["observed_packets"]
+
+
+def test_a_forged_packet_forwarded_on_the_air_is_observed_not_recovered(monkeypatch):
+    # A plaintext flood that a tap injects opens for the eavesdropper, but
+    # its message's tag names no message node 2 sent; every honest packet
+    # of a plaintext run is recovered.
+    sc = scenario_from_dict(
+        base_scenario_dict(security={"encryption": False}, adversaries=[{"kind": "eavesdrop"}])
+    )
+    simulation = sim.Simulation(sc)
+    message = codec.TelemetryMessage(sim.TELEMETRY_MSG_ID, 2, (99_999).to_bytes(8, "big"))
+    forged = codec.seal_packet_plain(4000, 0, 3, codec.Frame(messages=(message,)), codec.PacketCounters())
+    outcomes = Counters()
+    simulation._schedule(2.0, "timer", lambda: simulation.inject((3,), forged.to_bytes(), outcomes.bump))
+    origins = []
+    real_on_air = adversary.Eavesdrop.on_air
+
+    def seen(tap, item, result, data):
+        if item.kind == "data":
+            origins.append(item.message.origin)
+        return real_on_air(tap, item, result, data)
+
+    monkeypatch.setattr(adversary.Eavesdrop, "on_air", seen)
+    report = simulation.run()
+    eavesdrop = report["adversary"]["eavesdrop"]
+    assert outcomes.values == {"delivered_new": 1}
+    forwards = origins.count(4000)
+    assert forwards > 0 and eavesdrop["observed_packets"] == len(origins) > forwards
+    assert eavesdrop["recovered_packets"] == len(origins) - forwards

@@ -3,8 +3,9 @@ receiver pick.
 
 A broadcast costs work in proportion to its in-range receivers because
 each (node, link) keeps its in-range peers in node order. These tests pin
-that index to the brute-force definition (every other node the link's
-range covers), check how the links that cover a send feed the link
+that index and the covering cache, call for call, to
+`reference_sim.BruteForceAir`, which recomputes both from their definition
+on every call, check how the links that cover a send feed the link
 selector, and check which receivers a send is handed.
 """
 
@@ -23,6 +24,7 @@ from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation, _TxItem
 
 from conftest import base_scenario_dict
+from reference_sim import BruteForceAir
 
 DEFAULTS = links.default_profiles()
 
@@ -32,9 +34,9 @@ def profiles(**ranges):
     return {name: replace(DEFAULTS[name], range_m=r) for name, r in ranges.items()}
 
 
-def air_over(positions, link_profiles):
-    """Air over nodes 1..n at these positions."""
-    return Air({i: pos for i, pos in enumerate(positions, 1)}, link_profiles)
+def air_over(positions, link_profiles, cls=Air):
+    """An Air of class `cls` over nodes 1..n at these positions."""
+    return cls({i: pos for i, pos in enumerate(positions, 1)}, link_profiles)
 
 
 def selector(link_profiles):
@@ -53,15 +55,11 @@ link_range = st.one_of(st.none(), st.floats(min_value=1.0, max_value=1200.0))
     subghz_range=link_range,
 )
 def test_neighbour_lists_equal_brute_force_coverage(positions, wifi_range, subghz_range):
-    air = air_over(positions, profiles(wifi24=wifi_range, subghz=subghz_range))
-    for node_id, here in air.positions.items():
-        for name, profile in air.profiles.items():
-            expected = [
-                other
-                for other, there in air.positions.items()
-                if other != node_id and profile.covers(links.distance(here, there))
-            ]
-            assert air.neighbours(node_id, name) == expected
+    link_profiles = profiles(wifi24=wifi_range, subghz=subghz_range)
+    air, brute = (air_over(positions, link_profiles, cls) for cls in (Air, BruteForceAir))
+    for node_id in air.positions:
+        for name in air.profiles:
+            assert air.neighbours(node_id, name) == brute.neighbours(node_id, name)
 
 
 WIFI_ONLY = {"wifi24": DEFAULTS["wifi24"]}
@@ -133,35 +131,23 @@ NODE_2_GOES_DOWN = dict(  # node 2 is node 1's only WiFi neighbour, then goes do
 )
 def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_range, subghz_range, victims):
     # The first round fills the per-pair cache; each later round follows a
-    # node going down, which must clear it. A unicast reaches its live
-    # destination on a covering link and nobody otherwise.
-    air = air_over(positions, profiles(wifi24=wifi_range, subghz=subghz_range))
+    # node going down, which must clear it.
+    link_profiles = profiles(wifi24=wifi_range, subghz=subghz_range)
+    air, brute = (air_over(positions, link_profiles, cls) for cls in (Air, BruteForceAir))
     ids = list(air.positions)
     for victim in (None, *victims):
         if victim in air.positions:
             air.node_down(victim)
-        down = air.down
+            brute.node_down(victim)
         for src in ids:
-            if src in down:
+            if src in air.down:
                 continue  # a down node sends nothing
-            here = air.positions[src]
             for dest in (None, *ids):
                 if dest == src:
                     continue
-                covering = air.covering(src, dest)
-                for name, profile in air.profiles.items():
-                    if dest is None:
-                        live = [n for n in air.neighbours(src, name) if n not in down]
-                        alone = len(down) + 1 == len(ids)
-                        assert (name in covering) == (alone or profile.range_m is None or bool(live))
-                        assert air.receivers(src, dest, name) == live
-                    elif dest in down:
-                        assert name in covering
-                        assert air.receivers(src, dest, name) == ()
-                    else:
-                        reached = profile.covers(links.distance(here, air.positions[dest]))
-                        assert (name in covering) == reached
-                        assert air.receivers(src, dest, name) == ((dest,) if reached else ())
+                assert air.covering(src, dest) == brute.covering(src, dest)
+                for name in air.profiles:
+                    assert air.receivers(src, dest, name) == brute.receivers(src, dest, name)
 
 
 def simulation(positions, link_specs, **overrides):

@@ -511,6 +511,22 @@ def test_injected_bytes_are_parsed_once_for_all_their_receivers(monkeypatch):
     assert outcomes.values == {"delivered_new": 3}
 
 
+def test_a_receiver_holding_other_key_bytes_for_the_epoch_does_not_take_the_memo():
+    # Node 3 opens the flood first and leaves its frame in the memo on the
+    # box; node 5, in the same batch, holds other bytes for epoch 1.
+    sim, packet = _keyed_five_node_sim()
+    other = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x78" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    sim.nodes[5].keyring = rekey.KeyRing()
+    sim.nodes[5].keyring.install(other, now=0.0, grace_window_s=5.0)
+    outcomes = Counters()
+    sim._deliver("rx_processed", [3, 5], packet.to_bytes(), packet, outcomes.bump)
+    assert outcomes.values == {"delivered_new": 1, "rejected_AuthError": 1}
+    security = [(entry["node"], entry["error"]) for entry in map(json.loads, sim.trace) if entry["event"] == "security"]
+    assert security == [(5, "AuthError")]
+    assert sim.security_events == {"AuthError": 1}
+    assert sim.audit.reach[2] == [sim.audit.node_bits[3]]  # node 3 took the delivery
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [

@@ -53,7 +53,7 @@ def _tied_sends(cls):
         "traffic": {"rate_hz": 0.0},
     })
     sim = cls(sc)
-    airtime = sim.profiles["wifi24"].airtime_s
+    airtime = sim.air.profiles["wifi24"].airtime_s
 
     def send(*node_ids):
         for node_id in node_ids:
