@@ -16,7 +16,11 @@ prints the inclusive share, the samples with the function anywhere on
 the stack, and the leaf share, the samples in which it was the one
 running (a lambda or comprehension is named with its first line);
 time in C code (AES-GCM, the JSON encoder) counts for the Python function
-that called it.
+that called it. Last, one more pass, untimed and unsampled, counts the
+heap events `run()` pops by kind (`tx_done`, `rx`, `advrx`, `timer`),
+through a wrapper on the `heapq.heappop` that sim.py calls; a tx_done
+that a node's drain runs in place is never on the heap, so it is not
+counted.
 
 The outside-in tracer (`bench/run.py --trace 1`) times only the public
 callables it wraps and leaves the rest in `sim.self_s`; this profile wraps
@@ -25,10 +29,12 @@ from this checkout's `src/`, never from an installed copy.
 """
 
 import argparse
+import heapq
 import importlib.util
 import signal
 import sys
 import time
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +59,7 @@ def _workloads():
 INTERVAL_S = 0.001  # CPU time between samples, as requested
 COARSER = 1.25  # a measured interval this many times the request is noted
 TOP = 40  # functions printed
+EVENT_KINDS = ("tx_done", "rx", "advrx", "timer")  # every kind sim.py queues
 
 
 class Sampler:
@@ -103,6 +110,24 @@ def run_pass(data: dict) -> None:
     "\n".join(simulation.trace)
 
 
+def popped_events(data: dict) -> Counter:
+    """The heap events one pass pops, by kind."""
+    popped: Counter = Counter()
+
+    def counting_pop(heap):
+        event = heapq.heappop(heap)
+        popped[event[2]] += 1
+        return event
+
+    real = sim.heapq
+    sim.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
+    try:
+        run_pass(data)
+    finally:
+        sim.heapq = real
+    return popped
+
+
 def main(argv=None) -> int:
     workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -127,6 +152,9 @@ def main(argv=None) -> int:
     print(f"{'incl%':>7} {'leaf%':>7}  function")
     for name, count in sampler.inclusive.most_common(TOP):
         print(f"{100 * count / total:7.1f} {100 * sampler.leaf[name] / total:7.1f}  {name}")
+    popped = popped_events(data)
+    kinds = ", ".join(f"{kind} {popped[kind]:,}" for kind in EVENT_KINDS)
+    print(f"heap events popped per pass: {sum(popped.values()):,} ({kinds})")
     return 0
 
 

@@ -22,8 +22,14 @@ names, and must give the same run:
   numbers are taken exactly as if every tx_done were queued, so every
   other event keeps its key and pops in the same order. A send the duty
   meter defers reserves its tx_done at the time it may go, like a send on
-  the air, so the node waits the way a busy radio does
-  (`Reference._reserve_tx_done` queues every tx_done as its send starts);
+  the air, so the node waits the way a busy radio does. A tx_done drains
+  its node's queue in place: after a send starts with another waiting, if
+  the reserved key comes before every event on the heap and within the
+  run's duration, that tx_done is the event run() would pop next, so it
+  runs there, setting `_event` and `now` as run() would, and the next send
+  goes; otherwise it is queued under its key
+  (`Reference._reserve_tx_done` queues every tx_done as its send starts,
+  and `Reference._tx_done` starts one send per event);
 - the data packets one step queues at a node (a star's fanout of one
   frame) go on its queue as one batch, pumped once: heap keys and loss
   draws are those of queueing them one at a time
@@ -165,7 +171,9 @@ class Simulation:
         self.now = 0.0
         self._heap: List[Tuple[float, int, str, Callable[[], None]]] = []
         self._eseq = 0
-        # The heap entry run() popped last; it starts before every key.
+        # The running event's key: the heap entry run() popped last, or the
+        # reserved (t, seq) of a tx_done a drain runs in place (see _tx_done).
+        # It starts before every key.
         self._event: tuple = (-math.inf, -1)
 
         # The counts report.COUNT_NAMES declares, and no other: an undeclared name raises KeyError.
@@ -446,12 +454,15 @@ class Simulation:
             return
         node.txq.extend(items)
         self.counts["tx_enqueued"] += len(items)
-        self._pump(node)
+        if not self._on_air(node):
+            self._pump(node)
+            if node.txq:
+                self._on_air(node)  # a send waits behind the one just started or deferred
 
     def _pump(self, node: _Node) -> None:
+        """Start the first send the node's queue holds, or defer it, dropping
+        the packets that cannot go, and reserve its tx_done."""
         air = self.air
-        if node.id in air.down or not node.txq or self._on_air(node):
-            return
         while node.txq:
             item = node.txq[0]
             covering = air.covering(node.id, item.dest)
@@ -532,17 +543,31 @@ class Simulation:
 
     def _reserve_tx_done(self, node: _Node, end: float) -> None:
         """Reserve the heap key of the tx_done at `end`, as _schedule would
-        number it, and queue the event only if a send waits behind it: the
-        end of a send, or the time a deferred send may go."""
+        number it: the end of a send, or the time a deferred send may go.
+        Whoever started the send queues the event if a send waits behind it."""
         node.tx_end = (end, self._eseq)
         self._eseq += 1
         node.tx_done_queued = False
-        if node.txq:
-            self._on_air(node)  # the running event comes first, so this queues it
 
     def _tx_done(self, node: _Node) -> None:
+        """Pump the node's queue, and while a send waits and the reserved
+        tx_done is the event run() would pop next, run it here: the drain."""
         node.tx_end = None
-        self._pump(node)
+        if node.id in self.air.down:
+            return
+        heap, limit = self._heap, self.sc.duration_s + _EPS
+        while True:
+            self._pump(node)
+            end = node.tx_end
+            if end is None or not node.txq:
+                return
+            if end[0] > limit or (heap and heap[0] < end):
+                heapq.heappush(heap, (end[0], end[1], "tx_done", node.tx_done))
+                node.tx_done_queued = True
+                return
+            self._event = end
+            self.now = end[0]
+            node.tx_end = None
 
     # ---- receive dispatch ----------------------------------------------------
 

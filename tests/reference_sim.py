@@ -2,10 +2,14 @@
 
 `Reference` keeps `swarmlink.sim.Simulation`'s protocol handlers and, in
 place of each rule sim.py's docstring says holds "exactly as if", applies
-the plainer rule; that docstring names the override that does. Run on one
-scenario, both must show the same `observed` run. Both share every
-protocol handler, so this proves the fast paths, not the protocol: a
-fault in a handler shows in both.
+the plainer rule; that docstring names the override that does. Its heap
+holds every tx_done, one per send, where the simulator runs a node's
+queued sends back to back in one tx_done event while each next one is
+the event run() would pop. Run on one scenario, both must show the same
+`observed` run, and `observed` asserts on either that events, popped or
+drained in place, start in strictly increasing (t, seq) order and that
+`now` never goes back. Both share every protocol handler, so this proves
+the fast paths, not the protocol: a fault in a handler shows in both.
 """
 
 import heapq
@@ -58,6 +62,12 @@ class Reference(Simulation):
     def _on_air(self, node):
         return node.tx_end is not None
 
+    def _tx_done(self, node):
+        """One send per event: the next one's tx_done goes on the heap as it starts."""
+        node.tx_end = None
+        if node.id not in self.air.down:
+            self._pump(node)
+
     def _enqueue(self, node, items):
         for item in items:
             super()._enqueue(node, (item,))
@@ -104,14 +114,34 @@ class Reference(Simulation):
 def observed(sim):
     """Run `sim`; its report bytes, trace lines, every count (the unreported
     ones too) and the popped (t, seq, kind) of every event but tx_done,
-    which only the reference always queues."""
-    popped = []
+    which only the reference always queues. Asserts that the keys (t, seq)
+    of the events run() pops, and of the tx_done events a drain runs in
+    place, strictly increase, and that `now` never goes back while they run."""
+    popped, keys, times = [], [], []
 
     def recording_pop(heap):
         popped.append(heapq.heappop(heap))
         return popped[-1]
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim_module, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop))
-        report = sim.run()
+    class Watched(type(sim)):
+        """Records each value set as `_event` or `now`: each event's, as it starts."""
+
+        def __setattr__(self, name, value):
+            if name == "_event":
+                keys.append(value[:2])
+            elif name == "now":
+                times.append(value)
+            super().__setattr__(name, value)
+
+    cls, sim.__class__ = type(sim), Watched
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim_module, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop))
+            report = sim.run()
+    finally:
+        sim.__class__ = cls
+    assert all(a < b for a, b in zip(keys, keys[1:])), "event keys out of order"
+    # run() sets `now` to the duration as it ends, which may be below the last event's time.
+    *steps, end = times
+    assert end == sim.sc.duration_s and all(a <= b for a, b in zip(steps, steps[1:])), "now went back"
     return render_json(report), list(sim.trace), sim.counts, [e[:3] for e in popped if e[2] != "tx_done"]

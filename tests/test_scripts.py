@@ -304,3 +304,13 @@ def test_sample_profile_names_the_event_loop(capsys):
     assert out.startswith("contested_churn seed 1: ")
     assert " s of CPU time, one per " in out.splitlines()[0]
     assert "sim.py:run\n" in out
+
+
+def test_sample_profile_counts_the_heap_events_a_pass_pops_by_kind(capsys):
+    argv = ["--workload", "contested_churn", "--seed", "1", "--seconds", "0"]
+    assert _script("sample_profile").main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    line = re.fullmatch(r"heap events popped per pass: ([\d,]+) \(tx_done ([\d,]+), rx ([\d,]+), advrx ([\d,]+), timer ([\d,]+)\)", last)
+    assert line, last
+    total, *kinds = (int(n.replace(",", "")) for n in line.groups())
+    assert total == sum(kinds) and all(kinds)
