@@ -16,11 +16,13 @@ prints the inclusive share, the samples with the function anywhere on
 the stack, and the leaf share, the samples in which it was the one
 running (a lambda or comprehension is named with its first line);
 time in C code (AES-GCM, the JSON encoder) counts for the Python function
-that called it. Last, one more pass, untimed and unsampled, counts the
-heap events `run()` pops by kind (`tx_done`, `rx`, `advrx`, `timer`),
-through a wrapper on the `heapq.heappop` that sim.py calls; a tx_done
-that a node's drain runs in place is never on the heap, so it is not
-counted.
+that called it. Last, one more pass, untimed and unsampled, counts its
+AES-GCM seals and opens, through wrappers on `crypto.aead_seal` and
+`crypto.aead_open` (a plaintext run's null-key seals and opens take the
+same calls, so they count too), and the heap events `run()` pops by kind
+(`tx_done`, `rx`, `advrx`, `timer`), through a wrapper on the
+`heapq.heappop` that sim.py calls; a tx_done that a node's drain runs in
+place is never on the heap, so it is not counted.
 
 The outside-in tracer (`bench/run.py --trace 1`) times only the public
 callables it wraps and leaves the rest in `sim.self_s`; this profile wraps
@@ -43,7 +45,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 import swarmlink  # noqa: E402
-from swarmlink import metrics, scenario, sim  # noqa: E402
+from swarmlink import crypto, metrics, scenario, sim  # noqa: E402
 
 if Path(swarmlink.__file__).resolve().parent != SRC / "swarmlink":
     raise SystemExit(f"sample_profile: imported swarmlink from {swarmlink.__file__}, not {SRC}")
@@ -110,22 +112,32 @@ def run_pass(data: dict) -> None:
     "\n".join(simulation.trace)
 
 
-def popped_events(data: dict) -> Counter:
-    """The heap events one pass pops, by kind."""
+def counted_pass(data: dict) -> tuple[Counter, Counter]:
+    """The heap events one pass pops, by kind, and its AES-GCM calls, by
+    "seal" and "open"."""
     popped: Counter = Counter()
+    aead: Counter = Counter()
 
     def counting_pop(heap):
         event = heapq.heappop(heap)
         popped[event[2]] += 1
         return event
 
-    real = sim.heapq
+    def counting(op, real):
+        def call(*args):
+            aead[op] += 1
+            return real(*args)
+        return call
+
+    real_heapq, real_seal, real_open = sim.heapq, crypto.aead_seal, crypto.aead_open
     sim.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
+    crypto.aead_seal, crypto.aead_open = counting("seal", real_seal), counting("open", real_open)
     try:
         run_pass(data)
     finally:
-        sim.heapq = real
-    return popped
+        sim.heapq = real_heapq
+        crypto.aead_seal, crypto.aead_open = real_seal, real_open
+    return popped, aead
 
 
 def main(argv=None) -> int:
@@ -152,7 +164,8 @@ def main(argv=None) -> int:
     print(f"{'incl%':>7} {'leaf%':>7}  function")
     for name, count in sampler.inclusive.most_common(TOP):
         print(f"{100 * count / total:7.1f} {100 * sampler.leaf[name] / total:7.1f}  {name}")
-    popped = popped_events(data)
+    popped, aead = counted_pass(data)
+    print(f"aead per pass: seal {aead['seal']:,}, open {aead['open']:,}")
     kinds = ", ".join(f"{kind} {popped[kind]:,}" for kind in EVENT_KINDS)
     print(f"heap events popped per pass: {sum(popped.values()):,} ({kinds})")
     return 0

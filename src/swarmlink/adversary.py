@@ -65,8 +65,8 @@ class Eavesdrop(Tap):
     delivery ledger applies to a delivery (`DeliveryAudit._number`). So a
     forged packet that opens, or a forward of one, is observed but not
     recovered, and the tap keeps nothing per packet. A packet is opened
-    through the memo on its box (see codec.py), so the tap and the honest
-    receivers of its copies open it once.
+    through the memo on its box (see codec.py): an honest copy was sealed
+    under the leaked or null key's bytes, so the tap decrypts none.
     """
 
     name = "eavesdrop"

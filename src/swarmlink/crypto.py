@@ -130,8 +130,8 @@ NULL_KEY = SymmetricKey(bytes(KEY_LEN), KeyPurpose.NULL)
 class AeadBox:
     """AES-GCM output: ciphertext plus the 16-byte tag appended after it.
 
-    It keeps the key bytes an open last verified it under with what came
-    out (see codec.py); equality, hash and repr ignore that."""
+    It keeps the key bytes a seal or an open last verified it under with
+    what came out (see codec.py); equality, hash and repr ignore that."""
 
     ciphertext: bytes
     tag: bytes

@@ -54,11 +54,14 @@ names, and must give the same run:
   The handler runs only for the receivers left, in order
   (`Reference._deliver` parses the bytes for each live receiver, and
   `Reference._rx_data_mesh` counts `mesh.handle_rx`'s own duplicate result);
-- a flood's ciphertext is verified once per key, through the memo on the
-  AeadBox its copies share, and a star copy returns the frame it was
-  sealed from (see codec.py). That state lives on the packets, so two
-  runs share none of it (the parse per receiver in `Reference._deliver`
-  gives each receiver its own packet, box and memo);
+- a packet's AeadBox is verified at its seal, under the key bytes that
+  sealed it, and every copy of the packet shares that box: a receiver
+  holding those bytes takes the frame the seal left in the box's memo,
+  one holding others runs AES-GCM, and a box verified anew keeps that
+  open's result (see codec.py). That state lives on the packets, so two
+  runs share none of it. The parse per receiver in `Reference._deliver`
+  is the slow form: it gives each receiver its own packet and a box
+  with no memo, so each receiver's open runs AES-GCM;
 - who hears a send, and which links cover it, is `air.Air`'s to say
   (see air.py for why its caches are exact; `Reference` runs on
   `BruteForceAir`, which recomputes both on every call);

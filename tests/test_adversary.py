@@ -49,31 +49,45 @@ def test_eavesdropper_builds_one_key_per_leaked_epoch_not_per_packet(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "name, recovered",  # recovered counts as read before the tap opened each ciphertext once
-    [("eavesdrop_keyleak", {"1": 96}), ("contested13_replay", {"2": 1261})],
+    "name, recovered, leaked_opens",
+    [("eavesdrop_keyleak", {"1": 96}, 0), ("contested13_replay", {"2": 1261}, 11)],
 )
-def test_eavesdropper_opens_each_leaked_ciphertext_once_and_still_counts_every_copy(monkeypatch, name, recovered):
+def test_eavesdropper_takes_the_seal_memo_and_still_counts_every_copy(monkeypatch, name, recovered, leaked_opens):
     opens = []
     real_open = crypto.aead_open
 
     def counted_open(key, nonce, box, aad):
-        opens.append((key, nonce, aad, box.ciphertext, box.tag))
+        opens.append((key, box))
         return real_open(key, nonce, box, aad)
 
+    # Each packet parsed from bytes, with the kind of event that parsed it.
+    parsed = []
+    real_parse = codec.WirePacket.from_bytes.__func__
+
+    def recorded_parse(cls, data):
+        packet = real_parse(cls, data)
+        parsed.append((simulation._event[2], packet))
+        return packet
+
     monkeypatch.setattr(crypto, "aead_open", counted_open)
+    monkeypatch.setattr(codec.WirePacket, "from_bytes", classmethod(recorded_parse))
     simulation = sim.Simulation(LOCKED[name])
     report = simulation.run()
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
-    tap_opens = [entry[1:] for entry in opens if any(entry[0] is key for key in tap.leaked.values())]
     assert report["adversary"]["eavesdrop"]["recovered_by_epoch"] == recovered
-    assert 0 < len(tap_opens) == len(set(tap_opens)) < sum(recovered.values())
-    # The receivers of a copy the tap opened take the memo it left on the
-    # copy's box. Only bytes a replay injector re-sent arrive in a box of
-    # their own, and each such injection is opened at most once.
+    # Every copy the tap reads was sealed under the leaked key's bytes, so
+    # it takes the memo the seal left on the copy's box.
+    assert [key for key, _box in opens if any(key is leaked for leaked in tap.leaked.values())] == []
+    # Only bytes a replay injector re-sent arrive in a box the seal never
+    # saw: parsed once per injection event, and opened at most once.
     leaked = {key.bytes_ for key in tap.leaked.values()}
-    under_leaked = [entry for entry in opens if entry[0].bytes_ in leaked]
+    under_leaked = [box for key, box in opens if key.bytes_ in leaked]
+    assert {kind for kind, _packet in parsed} <= {"advrx"}
+    injected = {id(packet._kept_box) for _kind, packet in parsed}
+    assert len(under_leaked) == len({id(box) for box in under_leaked}) == leaked_opens
+    assert all(id(box) in injected for box in under_leaked)
     injections = sum(t.injections for t in simulation.taps if t.name == "replay")
-    assert len(tap_opens) <= len(under_leaked) <= len(tap_opens) + injections
+    assert len(parsed) == injections
 
 
 class PlainReplayInjector(adversary.ReplayInjector):

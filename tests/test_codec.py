@@ -296,20 +296,23 @@ def test_every_forward_of_a_sealed_packet_opens_under_its_key_and_no_other(heade
 def test_a_sealed_packet_holds_what_the_constructor_builds_plus_its_seal_state(header, payload):
     """seal_with_key builds its packet's state without WirePacket(), whose
     checks its header pack has made: that state must be the constructor's
-    for the same fields (the flood key too) plus the kept box, frame and
-    encoding, so a field added to WirePacket cannot be missed there."""
+    for the same fields (the flood key too) plus the kept box and encoding,
+    so a field added to WirePacket cannot be missed there. The box holds
+    the seal's memo: the sealing key's bytes and the frame sealed."""
     frame = codec.Frame(messages=(msg(1, payload),))
     counters = codec.PacketCounters()
     counters._next[header["epoch"]] = header["counter"]
+    key = crypto.SymmetricKey(b"\x20" * 32)
     sealed = codec.seal_with_key(
-        crypto.SymmetricKey(b"\x20" * 32), header["epoch"], header["origin"], header["seq"],
-        header["hop_limit"], frame, counters,
+        key, header["epoch"], header["origin"], header["seq"], header["hop_limit"], frame, counters,
     )
     built = codec.WirePacket(**header, ciphertext=sealed.ciphertext, tag=sealed.tag)
-    built.__dict__.update(_kept_box=sealed._kept_box, _kept_frame=frame, _encoded=built.to_bytes())
+    built.__dict__.update(_kept_box=sealed._kept_box, _encoded=built.to_bytes())
     assert type(sealed) is codec.WirePacket and vars(sealed) == vars(built)
     assert codec.WirePacket.from_bytes(sealed.to_bytes()) == sealed
     assert sealed._kept_box.tag == sealed.tag and len(sealed.tag) == crypto.TAG_LEN
+    memo_key, memo_frame = sealed._kept_box._verified
+    assert memo_key == key.bytes_ and memo_frame is frame
 
 
 @pytest.mark.parametrize(
@@ -339,7 +342,7 @@ def test_a_packet_keeps_its_seal_state_outside_its_value():
     first = sealed.to_bytes()
     assert sealed.to_bytes() is first  # encoded once
     copy = sealed.forwarded()
-    assert copy._kept_box is sealed._kept_box and copy._kept_frame is sealed._kept_frame
+    assert copy._kept_box is sealed._kept_box and sealed._kept_box._verified[1] is frame
     assert copy._nonce_aad() == sealed._nonce_aad()  # hop_limit binds neither
     assert copy.ciphertext is sealed.ciphertext
     with pytest.raises(ValidationError):
@@ -414,18 +417,19 @@ def test_failed_open_is_never_stored_and_a_stored_frame_needs_its_key(monkeypatc
     frame = codec.Frame(messages=(msg(1, b"kept out"),))
     pkt = codec.seal_packet(right, 2, 0, 3, frame, codec.PacketCounters())
     box = pkt._aead_box()
+    memo = box._verified  # the seal's
+    assert memo == (right.current.key.bytes_, frame) and memo[1] is frame
     opens = count_opens(monkeypatch)
-    for _ in range(2):
+    for n in (1, 2):  # the memo is keyed on the key bytes: each is a real open
         with pytest.raises(AuthError):
             codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0)
-        assert box._verified is None
+        assert box._verified is memo and opens == [wrong.current.key.bytes_] * n
     assert codec.open_packet(right, codec.ReplayWindow(), pkt, now=1.0) is frame
-    assert box._verified == (right.current.key.bytes_, frame)
     assert codec.open_packet(right, codec.ReplayWindow(), pkt.forwarded(), now=1.0) is frame
-    assert len(opens) == 3  # two failures, one success; the forward hit the memo
-    with pytest.raises(AuthError):  # the memo is keyed on the key bytes too
+    assert len(opens) == 2  # the sealing key's bytes take the memo, the forward's too
+    with pytest.raises(AuthError):
         codec.open_packet(wrong, codec.ReplayWindow(), pkt.forwarded(), now=1.0)
-    assert box._verified == (right.current.key.bytes_, frame) and len(opens) == 4
+    assert box._verified is memo and opens == [wrong.current.key.bytes_] * 3
 
 
 def test_stored_frame_still_runs_each_receivers_replay_window(monkeypatch):
@@ -439,8 +443,8 @@ def test_stored_frame_still_runs_each_receivers_replay_window(monkeypatch):
         codec.open_packet(r, window, pkt.forwarded(), now=1.0)
     # A forwarded copy differs only in the unauthenticated hop limit: same box.
     other = codec.ReplayWindow()
-    assert codec.open_packet(r, other, pkt.forwarded(), now=1.0) == frame
-    assert len(opens) == 1
+    assert codec.open_packet(r, other, pkt.forwarded(), now=1.0) is frame
+    assert opens == []  # the seal left its memo on the box
     with pytest.raises(ReplayError):  # the hit advanced this receiver's window too
         codec.open_packet(r, other, pkt, now=1.0)
 
@@ -454,7 +458,7 @@ def test_a_box_keeps_one_memo_the_last_open_that_verified():
     pkt = codec.seal_packet(r, 2, 0, 3, frame, codec.PacketCounters())
     box = pkt._aead_box()
     box.__dict__["_verified"] = (b"\x21" * 32, codec.Frame(messages=()))
-    assert codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0) is frame
+    assert codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0) == frame
     assert box._verified == (r.current.key.bytes_, frame)
     assert [k for k in vars(box) if k not in ("ciphertext", "tag")] == ["_verified"]
 
@@ -482,37 +486,57 @@ def test_a_star_plaintext_shared_by_several_copies_is_parsed_at_most_once(monkey
     assert parses == [frame.to_bytes()]
 
 
-def test_a_kept_frame_still_needs_the_receivers_own_key_and_window():
+def test_a_star_copys_seal_memo_still_needs_the_receivers_own_key_and_window(monkeypatch):
     frame = codec.Frame(messages=(msg(1, b"for uavs 3 and 4"),))
     (k3, k4), (to_3, to_4) = star_copies(frame, 3, 4)
-    assert codec.open_with_key(k3, codec.ReplayWindow(), to_3) is frame
-    # Both copies keep the frame, and UAV 3's box has verified, yet a UAV
-    # holding the wrong key still fails the tag check: UAV 4 on UAV 3's
-    # copy, UAV 3 on UAV 4's.
+    memos = [to_3._aead_box()._verified, to_4._aead_box()._verified]
+    assert memos == [(k3.bytes_, frame), (k4.bytes_, frame)]
+    opens = count_opens(monkeypatch)
+    assert codec.open_with_key(k3, codec.ReplayWindow(), to_3) is frame and opens == []
+    # Each copy's box was verified at its seal, yet a UAV holding the
+    # wrong key still fails the tag check through a real open: UAV 4 on
+    # UAV 3's copy, UAV 3 on UAV 4's.
     with pytest.raises(AuthError):
         codec.open_with_key(k4, codec.ReplayWindow(), to_3)
     with pytest.raises(AuthError):
         codec.open_with_key(k3, codec.ReplayWindow(), to_4)
+    assert opens == [k4.bytes_, k3.bytes_]
+    assert [to_3._aead_box()._verified, to_4._aead_box()._verified] == memos
     window = codec.ReplayWindow()
-    assert codec.open_with_key(k4, window, to_4) is frame  # the kept frame ...
+    assert codec.open_with_key(k4, window, to_4) is frame  # the seal's memo ...
     with pytest.raises(ReplayError):  # ... after UAV 4's own window advanced
         codec.open_with_key(k4, window, to_4)
+    assert len(opens) == 2
 
 
-def test_a_kept_frame_is_returned_only_when_the_verified_plaintext_equals_its_encoding(monkeypatch):
+def test_only_the_sealed_box_returns_the_sealed_frame(monkeypatch):
     frame = codec.Frame(messages=(msg(1, b"sealed"),))
     (key,), (pkt,) = star_copies(frame, 0x35)
-    assert pkt._kept_frame is frame
-    parses = count_parses(monkeypatch)
-    # A packet that keeps some other frame than its plaintext encodes.
-    other = codec.Frame(messages=(msg(1, b"not what was sealed"),))
-    stale = codec.WirePacket.from_bytes(pkt.to_bytes())
-    stale.__dict__["_kept_frame"] = other
-    opened = codec.open_with_key(key, codec.ReplayWindow(), stale)
-    assert opened == frame and opened is not other and parses == [frame.to_bytes()]
-    # Equal encodings return the kept frame itself.
+    opens, parses = count_opens(monkeypatch), count_parses(monkeypatch)
+    # The same bytes parsed into a packet of their own: no memo, so one
+    # AES-GCM open and one parse, to an equal frame.
+    rebuilt = codec.WirePacket.from_bytes(pkt.to_bytes())
+    opened = codec.open_with_key(key, codec.ReplayWindow(), rebuilt)
+    assert opened == frame and opened is not frame
+    assert opens == [key.bytes_] and parses == [frame.to_bytes()]
+    assert rebuilt._aead_box()._verified == (key.bytes_, opened)
+    # The sealed packet returns the frame it was sealed from, with neither.
     assert codec.open_with_key(key, codec.ReplayWindow(), pkt) is frame
-    assert len(parses) == 1
+    assert len(opens) == len(parses) == 1
+
+
+def test_a_seal_leaves_its_memo_on_the_box_only_its_forwards_share():
+    key = crypto.SymmetricKey(b"\x44" * 32)
+    frame = codec.Frame(messages=(msg(1, b"memo at seal"),))
+    sealed = codec.seal_with_key(key, 1, 2, 0, 3, frame, codec.PacketCounters())
+    box = sealed._kept_box
+    assert box._verified == (key.bytes_, frame) and box._verified[1] is frame
+    assert all(copy._kept_box is box for copy in forward_chain(sealed, hops=3))
+    parsed = codec.WirePacket.from_bytes(sealed.to_bytes())
+    replaced = dataclasses.replace(sealed, hop_limit=1)
+    for other in (parsed, replaced):
+        assert other._kept_box is None
+        assert other._aead_box() is not box and other._aead_box()._verified is None
 
 
 def test_a_plaintext_that_fails_to_parse_is_never_stored():

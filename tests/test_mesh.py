@@ -272,30 +272,93 @@ def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_its_box_
     assert _deliver_to(sim, 1, raw) == {"delivered_new": 1}
 
 
-def _frames_opened_in_one_run(monkeypatch, scenario):
-    """(AES-GCM opens, frames the receive path returned) over one run."""
-    opens, frames = [], []
+def _star_sim():
+    """A star run whose ground station (node 1) holds a session with UAV 3
+    and has fanned out a frame of UAV 2's to it: the one copy, sealed
+    under UAV 3's session key, which UAV 3 holds too."""
+    sim = Simulation(scenario_from_dict(base_scenario_dict(mode="star")))
+    key = crypto.SymmetricKey(b"\x67" * 32)
+    sim.sessions.established = {3: (key, 0.0)}
+    sim.nodes[3].session_key = key
+    payload = sim.audit.record_send(2, 0.0) + bytes(16)
+    frame = codec.Frame(messages=(codec.TelemetryMessage(TELEMETRY_MSG_ID, 2, payload),))
+    gcs = sim.nodes[1]
+    (uav_id, packet), = mesh.star_fanout(gcs.mesh, sim.sessions, gcs.counters, frame, exclude_id=2)
+    assert uav_id == 3 and packet._aead_box()._verified == (key.bytes_, frame)
+    return sim, packet
+
+
+EPOCH_BYTES = range(1, 5)  # a star copy's epoch must read 0, refused before any open
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_star_copy_with_one_byte_flipped_is_refused_by_a_real_open_nor_touches_a_box_memo(data):
+    # The copy's box was verified at its seal, under UAV 3's key, yet a
+    # copy with one authenticated byte flipped lives in a box of its own,
+    # so UAV 3 refuses it through an AES-GCM open of its own.
+    sim, packet = _star_sim()
+    raw = packet.to_bytes()
+    memo = packet._aead_box()._verified
+    pos = data.draw(st.integers(1, len(raw) - 1).filter(lambda i: i != HOP_BYTE), label="byte")
+    bit = data.draw(st.integers(0, 7), label="bit")
+    mutated = bytearray(raw)
+    mutated[pos] ^= 1 << bit
+    flipped = codec.WirePacket.from_bytes(bytes(mutated))
+    opens = []
+    real_open = crypto.aead_open
+    crypto.aead_open = lambda *a: opens.append(a) or real_open(*a)
+    try:
+        for message in (None, flipped):  # parsed on arrival, or handed over parsed
+            outcome = "rejected_UnknownEpoch" if pos in EPOCH_BYTES else "rejected_AuthError"
+            assert _deliver_to(sim, 3, bytes(mutated), message) == {outcome: 1}
+        assert len(opens) == (0 if pos in EPOCH_BYTES else 2)
+        assert flipped._aead_box()._verified is None  # nothing was stored on the flipped copy's box ...
+        assert packet._aead_box()._verified is memo  # ... nor on the honest one's
+        assert 3 not in sim.audit.node_bits  # UAV 3 got no delivery
+        # The honest copy still opens at UAV 3 afterwards, through its memo.
+        assert _deliver_to(sim, 3, raw, packet) == {"delivered_new": 1}
+        assert len(opens) == (0 if pos in EPOCH_BYTES else 2)
+    finally:
+        crypto.aead_open = real_open
+
+
+def _opened_in_one_run(monkeypatch, scenario):
+    """Over one run: the box of every AES-GCM open, and the frames the
+    receive path returned with the boxes of the packets they came from."""
+    opens, frames, boxes = [], [], []
     real_open, real_frame = crypto.aead_open, codec._open_frame
-    monkeypatch.setattr(crypto, "aead_open", lambda *a: opens.append(a) or real_open(*a))
-    monkeypatch.setattr(codec, "_open_frame", lambda *a: frames.append(real_frame(*a)) or frames[-1])
+
+    def recorded_frame(key, packet):
+        frames.append(real_frame(key, packet))
+        boxes.append(packet._kept_box)
+        return frames[-1]
+
+    monkeypatch.setattr(crypto, "aead_open", lambda *a: opens.append(a[2]) or real_open(*a))
+    monkeypatch.setattr(codec, "_open_frame", recorded_frame)
     Simulation(scenario_from_dict(scenario)).run()
     monkeypatch.undo()
-    return len(opens), frames
+    return opens, frames, boxes
 
 
 def test_two_runs_share_no_opened_frames(monkeypatch):
-    first_opens, first = _frames_opened_in_one_run(monkeypatch, base_scenario_dict())
-    second_opens, second = _frames_opened_in_one_run(monkeypatch, base_scenario_dict())
+    first_opens, first, _ = _opened_in_one_run(monkeypatch, base_scenario_dict())
+    second_opens, second, _ = _opened_in_one_run(monkeypatch, base_scenario_dict())
     # The second run verifies as often as the first and returns none of its frames.
-    assert second_opens == first_opens > 0 and len(second) == len(first) > first_opens
+    assert len(second_opens) == len(first_opens) > 0 and len(second) == len(first) > len(first_opens)
     assert not {id(f) for f in first} & {id(f) for f in second}
 
 
-def test_two_star_runs_share_no_parsed_plaintexts(monkeypatch):
-    first_opens, first = _frames_opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
-    second_opens, second = _frames_opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
-    assert second_opens == first_opens == len(first) == len(second) > 0  # every star copy verifies
+def test_two_star_runs_share_no_frame_nor_box_and_open_no_data_packet(monkeypatch):
+    first_opens, first, first_boxes = _opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
+    second_opens, second, second_boxes = _opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
+    assert len(first) == len(second) > 0
+    # Every star copy is opened by the holder of the key that sealed it,
+    # so it takes the memo its seal left, and a star run has no rekey to
+    # unwrap: nothing is decrypted.
+    assert first_opens == second_opens == []
     assert not {id(f) for f in first} & {id(f) for f in second}
+    assert not {id(box) for box in first_boxes} & {id(box) for box in second_boxes}
 
 
 def test_a_run_full_of_rejected_receptions_leaves_no_cyclic_garbage():

@@ -314,3 +314,15 @@ def test_sample_profile_counts_the_heap_events_a_pass_pops_by_kind(capsys):
     assert line, last
     total, *kinds = (int(n.replace(",", "")) for n in line.groups())
     assert total == sum(kinds) and all(kinds)
+
+
+def test_sample_profile_counts_the_aes_gcm_calls_of_a_pass(capsys):
+    # Every star copy is opened by the holder of the key that sealed it,
+    # so it takes the memo the seal left on its box: no open at all.
+    argv = ["--workload", "star_fanout", "--seed", "1", "--seconds", "0"]
+    assert _script("sample_profile").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    line = re.fullmatch(r"aead per pass: seal ([\d,]+), open ([\d,]+)", lines[-2])
+    assert line, lines[-2]
+    seals, opens = (int(n.replace(",", "")) for n in line.groups())
+    assert seals > 0 and opens == 0
