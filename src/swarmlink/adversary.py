@@ -64,27 +64,26 @@ class Eavesdrop(Tap):
     carries a tag that names a message its source sent: the rule the
     delivery ledger applies to a delivery (`DeliveryAudit._number`). So a
     forged packet that opens, or a forward of one, is observed but not
-    recovered, and the tap keeps nothing per packet. A packet is opened
-    through the memo on its box (see codec.py): an honest copy was sealed
-    under the leaked or null key's bytes, so the tap decrypts none.
+    recovered, and the tap keeps nothing per packet. An honest copy was
+    sealed under the leaked or null key's bytes, so it opens to its seal's
+    frame (see codec.py) and the tap decrypts none.
     """
 
     name = "eavesdrop"
 
     def __init__(self, spec, sim) -> None:
         super().__init__(spec, sim)
-        # epoch -> the key built once from its leaked bytes
-        self.leaked: Dict[int, crypto.SymmetricKey] = {}
-        # epoch -> the key the tap reads it under: the leaked ones, or the
-        # null key of a plaintext run (Scenario.validate keeps leaks out of it).
+        # epoch -> the key the tap reads it under: one built once from each
+        # leaked epoch's bytes, or the null key of a plaintext run's epoch 0
+        # (Scenario.validate keeps leaks out of a plaintext run, and leaked
+        # epochs start at 1).
         self.keys = {} if sim.sc.security.encryption else {0: crypto.NULL_KEY}
         self.observed: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
 
     def on_epoch(self, bkey) -> None:
         if bkey.epoch in self.sim.sc.security.leak_epochs:
-            key = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
-            self.leaked[bkey.epoch] = self.keys[bkey.epoch] = key
+            self.keys[bkey.epoch] = crypto.SymmetricKey(bkey.key.bytes_, crypto.KeyPurpose.BROADCAST)
             self.sim.trace.add(self.sim.now, "key_leaked", epoch=bkey.epoch)
 
     def on_air(self, item, result, data: bytes) -> bytes:
@@ -110,7 +109,7 @@ class Eavesdrop(Tap):
             "observed_by_epoch": self.observed,
             "recovered_packets": sum(self.recovered.values()),
             "recovered_by_epoch": self.recovered,
-            "leaked_epochs": sorted(self.leaked),
+            "leaked_epochs": sorted(e for e in self.keys if e),
         }
 
 

@@ -21,30 +21,28 @@ The nonce never repeats under one key: origin disambiguates sealers and the
 per-epoch counter is strictly increasing per origin.
 
 A packet keeps, under private names that equality, hash and repr ignore,
-the AeadBox it was sealed into, its encoding (the header the seal packed,
-followed by ciphertext and tag; else built once by `to_bytes`, or the
-bytes `from_bytes` parsed, since the parse is strict), and its flood key,
-the int origin << 32 | seq that mesh dedup caches hold, computed once
-when the packet is built.
+its encoding (the header the seal packed, followed by ciphertext and tag;
+else built once by `to_bytes`, or the bytes `from_bytes` parsed, since the
+parse is strict), its flood key, the int origin << 32 | seq that mesh
+dedup caches hold, computed once when the packet is built, and, when it
+was sealed here, its seal: the sealing key's bytes and the frame sealed.
 Its nonce and AAD are sliced from that header when an open needs them.
 `forwarded()` checks only the hop_limit it changes and shares the rest,
 none of which binds hop_limit; only its encoding differs, by the hop byte.
 So every hop's copy of a flood carries the one flood key object its
 sealed packet was built with, and the dedup caches of all its receivers
-store that one int. `dataclasses.replace` builds a new packet that keeps only a flood key
-of its own. So only packets with the same nonce and AAD ever share a box.
+store that one int.
 
-A box keeps, as its memo, key bytes it verified under and the frame that
-came out. The seal writes the first one, the sealing key's bytes and the
-frame it sealed, since AES-GCM decryption of an unchanged ciphertext under
-the key, nonce and AAD that sealed it returns the sealed plaintext. After
-that only an open that verified and decoded writes it. An open under the
-memo's key bytes returns its frame; under others it runs one AES-GCM
-open. So no receiver holding the sealing key decrypts an honest copy, of
-a flood or of the copies a star's ground station re-seals per UAV, while
-a packet built any other way (parsed from bytes, or by
-`dataclasses.replace`) has a box of its own with no memo and gets a real
-open. Either way each receiver checks and advances its own replay window.
+The seal is written once, by `seal_with_key`, and read only by an open.
+AES-GCM decryption of an unchanged ciphertext under the key, nonce and
+AAD that sealed it returns the sealed plaintext, so an open under the
+seal's key bytes returns the sealed frame; under others, or on a packet
+with no seal (parsed from bytes, or built by `dataclasses.replace`), it
+runs one AES-GCM open and writes nothing. So no receiver holding the
+sealing key decrypts an honest copy, of a flood or of the copies a
+star's ground station re-seals per UAV, and no open changes a packet
+that several receivers share. Either way each receiver checks and
+advances its own replay window.
 """
 
 from __future__ import annotations
@@ -205,9 +203,8 @@ def compose_frames(messages: Iterable[TelemetryMessage], mtu_bytes: int) -> List
 class WirePacket:
     """Sealed frame plus the cleartext header relays need for forwarding.
 
-    A packet keeps the AeadBox it was sealed into, its encoding and its
-    flood key (see the module docstring). Equality, hash and repr ignore
-    them."""
+    A packet keeps its encoding, its flood key and its seal (see the
+    module docstring). Equality, hash and repr ignore them."""
 
     epoch: int
     origin: int
@@ -218,10 +215,10 @@ class WirePacket:
     tag: bytes
     version: int = wire.PACKET_VERSION
 
-    # Kept state, not fields: the AeadBox, the encoding; and _flood_key,
-    # which __init__ and seal_with_key set.
-    _kept_box = None
+    # Kept state, not fields: the encoding, the seal (key bytes, frame);
+    # and _flood_key, which __init__ and seal_with_key set.
     _encoded = None
+    _sealed = None
 
     def __init__(
         self,
@@ -268,13 +265,6 @@ class WirePacket:
     def _nonce_aad(self) -> Tuple[bytes, bytes]:
         return _nonce_aad_of(self._encoded or self.header_bytes())
 
-    def _aead_box(self) -> crypto.AeadBox:
-        box = self._kept_box
-        if box is None:
-            box = crypto.AeadBox(self.ciphertext, self.tag)
-            self.__dict__["_kept_box"] = box
-        return box
-
     def header_bytes(self) -> bytes:
         return _pack_header(self.version, self.epoch, self.origin, self.seq, self.hop_limit, self.counter)
 
@@ -292,8 +282,8 @@ class WirePacket:
         """Copy with hop_limit decremented; header changes, seal stays valid.
 
         Every other field was checked when this packet was built, so the
-        copy shares them and the kept box (hop_limit is in neither the
-        nonce nor the AAD); its encoding is this one's with the hop byte
+        copy shares them and the seal (hop_limit is in neither the nonce
+        nor the AAD); its encoding is this one's with the hop byte
         replaced."""
         if self.hop_limit == 0:
             raise ValidationError("hop_limit", "cannot forward at hop_limit 0")
@@ -430,8 +420,8 @@ def seal_with_key(
     """Seal a frame under an explicit key; epoch 0 marks session-key traffic.
 
     The header is packed once; the nonce and AAD are slices of it, and it
-    starts the packet's kept encoding. The box is stored as verified under
-    `key` to `frame` (see the module docstring)."""
+    starts the packet's kept encoding. The packet keeps its seal, `key`'s
+    bytes and `frame` (see the module docstring)."""
     counter = counters.next_for(epoch)
     try:
         header = _pack_header(wire.PACKET_VERSION, epoch, origin, seq, hop_limit, counter)
@@ -442,13 +432,12 @@ def seal_with_key(
     plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
     nonce, aad = _nonce_aad_of(header)
     box = crypto.aead_seal(key, nonce, plaintext, aad)
-    box.__dict__["_verified"] = (key.bytes_, frame)
     # The pack range-checked every field, so no WirePacket() checks again.
     packet = object.__new__(WirePacket)
     packet.__dict__.update(
         epoch=epoch, origin=origin, seq=seq, hop_limit=hop_limit, counter=counter,
         ciphertext=box.ciphertext, tag=box.tag, version=wire.PACKET_VERSION,
-        _flood_key=origin << 32 | seq, _kept_box=box,
+        _flood_key=origin << 32 | seq, _sealed=(key.bytes_, frame),
         _encoded=header + box.ciphertext + box.tag,
     )
     return packet
@@ -479,17 +468,14 @@ def _open(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) ->
 
 def _open_frame(key: crypto.SymmetricKey, packet: WirePacket) -> Frame:
     """The frame a packet's seal verifies to under `key`, without a replay
-    window: the box's memo when it was sealed or verified under these key
-    bytes, else one AES-GCM open, memoised only once it verified and
-    decoded (see the module docstring). Raises AuthError or ValidationError."""
-    box = packet._aead_box()
-    memo = box._verified
-    if memo is not None and memo[0] == key.bytes_:
-        return memo[1]
+    window: the sealed frame when `key` has the seal's key bytes, else one
+    AES-GCM open (see the module docstring). Writes nothing; raises
+    AuthError or ValidationError."""
+    sealed = packet._sealed
+    if sealed is not None and sealed[0] == key.bytes_:
+        return sealed[1]
     nonce, aad = packet._nonce_aad()
-    frame = Frame.from_bytes(crypto.aead_open(key, nonce, box, aad))
-    box.__dict__["_verified"] = (key.bytes_, frame)
-    return frame
+    return Frame.from_bytes(crypto.aead_open(key, nonce, crypto.AeadBox(packet.ciphertext, packet.tag), aad))
 
 
 def seal_packet_plain(

@@ -128,16 +128,10 @@ NULL_KEY = SymmetricKey(bytes(KEY_LEN), KeyPurpose.NULL)
 
 @dataclass(frozen=True)
 class AeadBox:
-    """AES-GCM output: ciphertext plus the 16-byte tag appended after it.
-
-    It keeps the key bytes a seal or an open last verified it under with
-    what came out (see codec.py); equality, hash and repr ignore that."""
+    """AES-GCM output: ciphertext plus the 16-byte tag appended after it."""
 
     ciphertext: bytes
     tag: bytes
-
-    # Kept state, not a field: (key bytes, verified value).
-    _verified = None
 
     def __init__(self, ciphertext: bytes, tag: bytes) -> None:
         if len(tag) != TAG_LEN:

@@ -17,17 +17,16 @@ rekey.NULL_RING (see codec.py).
 Most copies of a flood are duplicates, so a caller holding one packet's
 receiver ids can drop, with one lookup each, those `handle_rx` would
 answer with its duplicate result (`_fresh_receivers`). Every honest copy
-of one flood shares one AeadBox, which its seal left verified under the
-broadcast key's bytes with the frame sealed (see codec.py): a receiver
-holding that key skips AES-GCM, but each still runs its own replay
-window.
+of one flood keeps its seal, the broadcast key's bytes and the frame
+sealed (see codec.py): a receiver holding that key skips AES-GCM, but
+each still runs its own replay window.
 
 Star mode centralizes: UAVs unicast to the ground station under their
 pairwise session keys (epoch 0 on the wire) and the ground station
-re-seals for every other sessioned UAV. Each copy's box is verified at
-its seal, under the session key its receiver holds, so the ground station
-opening an uplink and a UAV opening its copy skip AES-GCM too, each
-through its own replay window. One dead ground station therefore
+re-seals for every other sessioned UAV. Each copy keeps its seal, under
+the session key its receiver holds, so the ground station opening an
+uplink and a UAV opening its copy skip AES-GCM too, each through its own
+replay window. One dead ground station therefore
 silences all UAV-to-UAV traffic, which is the trade the mesh avoids.
 """
 

@@ -10,12 +10,10 @@ sort_keys=True, indent=2)`, but not through it: `indent` makes Python
 3.11's json leave its C encoder for the pure-Python one, which first
 lists every token of the document as its own str. The per-pair block
 grows as N^2, so that list would be the memory peak of a 49-node run,
-and at 400 nodes it takes 122 MB to write a 14 MB report. Here a dict
-whose values are all scalars (every per-pair entry) is filled into one
-`%`-template per shape, its sorted keys and depth, compiled once; every
-other dict or list is joined one level at a time, each distinct value
-object of a level rendered once and its text reused for every key that
-holds it (equal per-pair entries are one dict). Scalars get json's own
+and at 400 nodes it takes 122 MB to write a 14 MB report. Here every
+dict or list is joined one level at a time, each distinct value object
+of a dict rendered once and its text reused for every key that holds it
+(equal per-pair entries are one dict). Scalars get json's own
 text: `encode_basestring_ascii`, a finite number's repr, else NaN or
 Infinity (`_number_text`, which the trace lines in report.py use too). It
 takes only what reports hold: dicts with str keys (a str subclass too,
@@ -193,10 +191,6 @@ _SCALAR_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-# (sorted str keys, depth) -> the %-template of a dict of scalars. Reports
-# have a handful of shapes; past the cap a new shape is built every time.
-_TEMPLATES: Dict[Tuple[Tuple[str, ...], int], str] = {}
-_MAX_TEMPLATES = 256
 
 
 def _text(value, depth: int) -> str:
@@ -217,31 +211,18 @@ def _text(value, depth: int) -> str:
 def _dict_text(d: dict, depth: int) -> str:
     if not d:
         return "{}"
-    keys = sorted(d)
-    values = [d[key] for key in keys]
-    try:
-        texts = tuple([_SCALAR_TEXT[type(value)](value) for value in values])
-    except KeyError:  # a container among the values: join this level
-        # Each value object is rendered once at depth + 1; every key that
-        # holds it reuses the text. The memo lives for this level only, so
-        # its depth is fixed and `values` keeps every id it holds alive.
-        seen: Dict[int, str] = {}
-        texts = []
-        for key, value in zip(keys, values):
-            text = seen.get(id(value))
-            if text is None:
-                text = seen[id(value)] = _text(value, depth + 1)
-            texts.append(f"{_key_text(key)}: {text}")
-        return _joined("{", texts, "}", depth)
-    keys = tuple(keys)
-    return (_TEMPLATES.get((keys, depth)) or _leaf_template(keys, depth)) % texts
-
-
-def _leaf_template(keys: tuple, depth: int) -> str:
-    template = _joined("{", [_key_text(key).replace("%", "%%") + ": %s" for key in keys], "}", depth)
-    if len(_TEMPLATES) < _MAX_TEMPLATES:
-        _TEMPLATES[keys, depth] = template
-    return template
+    # Each value object is rendered once at depth + 1; every key that holds
+    # it reuses the text. The memo lives for this level only, so its depth
+    # is fixed and `d` keeps every id it holds alive.
+    seen: Dict[int, str] = {}
+    texts = []
+    for key in sorted(d):
+        value = d[key]
+        text = seen.get(id(value))
+        if text is None:
+            text = seen[id(value)] = _text(value, depth + 1)
+        texts.append(f"{_key_text(key)}: {text}")
+    return _joined("{", texts, "}", depth)
 
 
 def _joined(opening: str, texts: List[str], closing: str, depth: int) -> str:

@@ -43,9 +43,8 @@ names, and must give the same run:
   pop. Bytes a tap injects follow the same rule;
 - within one such event no receiver's outcome depends on another's: it
   depends only on the receiver's own dedup cache, replay window and
-  keyring (the memo on a packet's box changes cost, never outcome),
-  forwards are queued as new events, and a node goes down only in its
-  own timer event. So every event takes one receive path, whether its
+  keyring, forwards are queued as new events, and a node goes down only
+  in its own timer event. So every event takes one receive path, whether its
   bytes are honest, changed by a tap or made by one: down receivers are
   set aside, the bytes are parsed at most once (never when no tap changed
   them, as the event then carries the message they were serialised from),
@@ -54,14 +53,12 @@ names, and must give the same run:
   The handler runs only for the receivers left, in order
   (`Reference._deliver` parses the bytes for each live receiver, and
   `Reference._rx_data_mesh` counts `mesh.handle_rx`'s own duplicate result);
-- a packet's AeadBox is verified at its seal, under the key bytes that
-  sealed it, and every copy of the packet shares that box: a receiver
-  holding those bytes takes the frame the seal left in the box's memo,
-  one holding others runs AES-GCM, and a box verified anew keeps that
-  open's result (see codec.py). That state lives on the packets, so two
-  runs share none of it. The parse per receiver in `Reference._deliver`
-  is the slow form: it gives each receiver its own packet and a box
-  with no memo, so each receiver's open runs AES-GCM;
+- a sealed packet and its forwards keep their seal, the key bytes that
+  sealed it and the frame sealed: a receiver holding those bytes takes
+  that frame, one holding others runs AES-GCM, and no open writes to the
+  packet (see codec.py). The parse per receiver in `Reference._deliver`
+  is the slow form: it gives each receiver its own packet with no seal,
+  so each receiver's open runs AES-GCM;
 - who hears a send, and which links cover it, is `air.Air`'s to say
   (see air.py for why its caches are exact; `Reference` runs on
   `BruteForceAir`, which recomputes both on every call);

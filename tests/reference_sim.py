@@ -74,8 +74,7 @@ class Reference(Simulation):
 
     def _deliver(self, counter, receivers, data, _carried, tally=None):
         """Each live receiver parses the bytes itself, so no two share a
-        packet or box, no box starts with a memo, and each receiver goes
-        to its handler."""
+        packet, no packet has a seal, and each receiver goes to its handler."""
         self.counts[counter] += len(receivers)
         for receiver_id in receivers:
             if receiver_id in self.air.down:

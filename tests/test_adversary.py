@@ -49,10 +49,10 @@ def test_eavesdropper_builds_one_key_per_leaked_epoch_not_per_packet(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "name, recovered, leaked_opens",
+    "name, recovered, opened_packets",
     [("eavesdrop_keyleak", {"1": 96}, 0), ("contested13_replay", {"2": 1261}, 11)],
 )
-def test_eavesdropper_takes_the_seal_memo_and_still_counts_every_copy(monkeypatch, name, recovered, leaked_opens):
+def test_eavesdropper_takes_the_seal_and_still_counts_every_copy(monkeypatch, name, recovered, opened_packets):
     opens = []
     real_open = crypto.aead_open
 
@@ -75,17 +75,24 @@ def test_eavesdropper_takes_the_seal_memo_and_still_counts_every_copy(monkeypatc
     report = simulation.run()
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
     assert report["adversary"]["eavesdrop"]["recovered_by_epoch"] == recovered
-    # Every copy the tap reads was sealed under the leaked key's bytes, so
-    # it takes the memo the seal left on the copy's box.
-    assert [key for key, _box in opens if any(key is leaked for leaked in tap.leaked.values())] == []
-    # Only bytes a replay injector re-sent arrive in a box the seal never
-    # saw: parsed once per injection event, and opened at most once.
-    leaked = {key.bytes_ for key in tap.leaked.values()}
-    under_leaked = [box for key, box in opens if key.bytes_ in leaked]
+    # Every honest copy the tap reads was sealed under the leaked key's
+    # bytes, so it takes the frame the copy's seal kept. Only bytes a
+    # replay injector re-sent arrive in a packet with no seal: parsed once
+    # per injection event, and, since no open writes a seal, opened once
+    # by the node that accepts it and once by the tap, which reads that
+    # node's forward. A packet's forwards share its ciphertext, and a
+    # parsed packet's ciphertext is a bytes object of its own, so its id
+    # names the injected packet an open was of.
+    leaked = {key.bytes_ for key in tap.keys.values()}
+    own = {id(key) for key in tap.keys.values()}
+    by_tap = [box.ciphertext for key, box in opens if id(key) in own]
+    by_nodes = [box.ciphertext for key, box in opens if key.bytes_ in leaked and id(key) not in own]
     assert {kind for kind, _packet in parsed} <= {"advrx"}
-    injected = {id(packet._kept_box) for _kind, packet in parsed}
-    assert len(under_leaked) == len({id(box) for box in under_leaked}) == leaked_opens
-    assert all(id(box) in injected for box in under_leaked)
+    injected = {id(packet.ciphertext) for _kind, packet in parsed}
+    for ciphertexts in (by_tap, by_nodes):
+        assert len(ciphertexts) == len({id(ct) for ct in ciphertexts}) == opened_packets
+        assert {id(ct) for ct in ciphertexts} <= injected
+    assert {id(ct) for ct in by_tap} == {id(ct) for ct in by_nodes}
     injections = sum(t.injections for t in simulation.taps if t.name == "replay")
     assert len(parsed) == injections
 
@@ -148,10 +155,11 @@ def test_eavesdropper_keeps_nothing_per_packet_and_still_recovers(name):
     simulation = sim.Simulation(LOCKED[name])
     eavesdrop = simulation.run()["adversary"]["eavesdrop"]
     tap = next(t for t in simulation.taps if t.name == "eavesdrop")
-    assert sorted(vars(tap)) == ["end", "keys", "leaked", "observed", "recovered", "sim", "start"]
-    # Each table it holds is keyed by epoch.
+    assert sorted(vars(tap)) == ["end", "keys", "observed", "recovered", "sim", "start"]
+    # Each table it holds is keyed by epoch, and the keys are the leaked ones.
+    assert sorted(tap.keys) == eavesdrop["leaked_epochs"] and set(tap.keys) <= set(simulation.sc.security.leak_epochs)
     epochs = {int(epoch) for epoch in tap.observed}
-    tables = (tap.keys, tap.leaked, tap.observed, tap.recovered)
+    tables = (tap.keys, tap.observed, tap.recovered)
     assert all({int(epoch) for epoch in table} <= epochs for table in tables)
     assert 0 < eavesdrop["recovered_packets"] and len(epochs) < eavesdrop["observed_packets"]
 

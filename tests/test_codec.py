@@ -241,8 +241,10 @@ def assert_state_matches_fields(packet):
     fields = (packet.version, packet.epoch, packet.origin, packet.seq, packet.counter)
     assert packet.to_bytes() == packet.header_bytes() + packet.ciphertext + packet.tag
     assert (packet.nonce(), packet.aad()) == nonce_and_aad(*fields)
-    assert packet._aead_box() == crypto.AeadBox(packet.ciphertext, packet.tag)
-    assert packet._aead_box().to_bytes() == packet.ciphertext + packet.tag
+    if packet._sealed is not None:  # a real open under the seal's key bytes gives the seal's frame
+        key_bytes, frame = packet._sealed
+        box = crypto.AeadBox(packet.ciphertext, packet.tag)
+        assert crypto.aead_open(crypto.SymmetricKey(key_bytes), packet.nonce(), box, packet.aad()) == frame.to_bytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,9 +298,9 @@ def test_every_forward_of_a_sealed_packet_opens_under_its_key_and_no_other(heade
 def test_a_sealed_packet_holds_what_the_constructor_builds_plus_its_seal_state(header, payload):
     """seal_with_key builds its packet's state without WirePacket(), whose
     checks its header pack has made: that state must be the constructor's
-    for the same fields (the flood key too) plus the kept box and encoding,
-    so a field added to WirePacket cannot be missed there. The box holds
-    the seal's memo: the sealing key's bytes and the frame sealed."""
+    for the same fields (the flood key too) plus the encoding and the seal,
+    so a field added to WirePacket cannot be missed there. The seal is the
+    sealing key's bytes and the frame sealed."""
     frame = codec.Frame(messages=(msg(1, payload),))
     counters = codec.PacketCounters()
     counters._next[header["epoch"]] = header["counter"]
@@ -307,12 +309,12 @@ def test_a_sealed_packet_holds_what_the_constructor_builds_plus_its_seal_state(h
         key, header["epoch"], header["origin"], header["seq"], header["hop_limit"], frame, counters,
     )
     built = codec.WirePacket(**header, ciphertext=sealed.ciphertext, tag=sealed.tag)
-    built.__dict__.update(_kept_box=sealed._kept_box, _encoded=built.to_bytes())
+    built.__dict__.update(_sealed=sealed._sealed, _encoded=built.to_bytes())
     assert type(sealed) is codec.WirePacket and vars(sealed) == vars(built)
     assert codec.WirePacket.from_bytes(sealed.to_bytes()) == sealed
-    assert sealed._kept_box.tag == sealed.tag and len(sealed.tag) == crypto.TAG_LEN
-    memo_key, memo_frame = sealed._kept_box._verified
-    assert memo_key == key.bytes_ and memo_frame is frame
+    assert len(sealed.tag) == crypto.TAG_LEN
+    seal_key, seal_frame = sealed._sealed
+    assert seal_key == key.bytes_ and seal_frame is frame
 
 
 @pytest.mark.parametrize(
@@ -336,13 +338,13 @@ def test_a_packet_keeps_its_seal_state_outside_its_value():
     frame = codec.Frame(messages=(msg(1, b"kept"),))
     sealed = codec.seal_packet(ring(), 2, 0, 3, frame, codec.PacketCounters())
     bare = codec.WirePacket(**{f.name: getattr(sealed, f.name) for f in dataclasses.fields(sealed)})
-    assert sealed._kept_box is not None and bare._kept_box is None
+    assert sealed._sealed is not None and bare._sealed is None
     assert sealed == bare and hash(sealed) == hash(bare) and repr(sealed) == repr(bare)
-    assert "_kept" not in repr(sealed) and "_encoded" not in repr(sealed)
+    assert "_sealed" not in repr(sealed) and "_encoded" not in repr(sealed)
     first = sealed.to_bytes()
     assert sealed.to_bytes() is first  # encoded once
     copy = sealed.forwarded()
-    assert copy._kept_box is sealed._kept_box and sealed._kept_box._verified[1] is frame
+    assert copy._sealed is sealed._sealed and sealed._sealed[1] is frame
     assert copy._nonce_aad() == sealed._nonce_aad()  # hop_limit binds neither
     assert copy.ciphertext is sealed.ciphertext
     with pytest.raises(ValidationError):
@@ -393,7 +395,7 @@ def test_plaintext_mode_roundtrip():
     assert out == frame
 
 
-# ---- memo on the shared box ----------------------------------------------------
+# ---- the seal a packet keeps ---------------------------------------------------
 
 
 def count_opens(monkeypatch):
@@ -416,20 +418,19 @@ def test_failed_open_is_never_stored_and_a_stored_frame_needs_its_key(monkeypatc
     right, wrong = ring(byte=0x20), ring(byte=0x21)  # same epoch, other key bytes
     frame = codec.Frame(messages=(msg(1, b"kept out"),))
     pkt = codec.seal_packet(right, 2, 0, 3, frame, codec.PacketCounters())
-    box = pkt._aead_box()
-    memo = box._verified  # the seal's
-    assert memo == (right.current.key.bytes_, frame) and memo[1] is frame
+    seal, state = pkt._sealed, dict(vars(pkt))
+    assert seal == (right.current.key.bytes_, frame) and seal[1] is frame
     opens = count_opens(monkeypatch)
-    for n in (1, 2):  # the memo is keyed on the key bytes: each is a real open
+    for n in (1, 2):  # the seal is keyed on the key bytes: each is a real open
         with pytest.raises(AuthError):
             codec.open_packet(wrong, codec.ReplayWindow(), pkt, now=1.0)
-        assert box._verified is memo and opens == [wrong.current.key.bytes_] * n
+        assert vars(pkt) == state and pkt._sealed is seal and opens == [wrong.current.key.bytes_] * n
     assert codec.open_packet(right, codec.ReplayWindow(), pkt, now=1.0) is frame
     assert codec.open_packet(right, codec.ReplayWindow(), pkt.forwarded(), now=1.0) is frame
-    assert len(opens) == 2  # the sealing key's bytes take the memo, the forward's too
+    assert len(opens) == 2  # the sealing key's bytes take the seal, the forward's too
     with pytest.raises(AuthError):
         codec.open_packet(wrong, codec.ReplayWindow(), pkt.forwarded(), now=1.0)
-    assert box._verified is memo and opens == [wrong.current.key.bytes_] * 3
+    assert vars(pkt) == state and pkt._sealed is seal and opens == [wrong.current.key.bytes_] * 3
 
 
 def test_stored_frame_still_runs_each_receivers_replay_window(monkeypatch):
@@ -441,26 +442,29 @@ def test_stored_frame_still_runs_each_receivers_replay_window(monkeypatch):
     assert codec.open_packet(r, window, pkt, now=1.0) == frame
     with pytest.raises(ReplayError):
         codec.open_packet(r, window, pkt.forwarded(), now=1.0)
-    # A forwarded copy differs only in the unauthenticated hop limit: same box.
+    # A forwarded copy differs only in the unauthenticated hop limit: same seal.
     other = codec.ReplayWindow()
     assert codec.open_packet(r, other, pkt.forwarded(), now=1.0) is frame
-    assert opens == []  # the seal left its memo on the box
+    assert opens == []  # the packet keeps its seal
     with pytest.raises(ReplayError):  # the hit advanced this receiver's window too
         codec.open_packet(r, other, pkt, now=1.0)
 
 
-def test_a_box_keeps_one_memo_the_last_open_that_verified():
-    # Two keys that both verify one box cannot be built, so the second
-    # entry is planted: an open under other key bytes verifies anew and
-    # replaces the memo rather than adding to it.
+def test_an_open_that_verifies_under_other_key_bytes_than_the_seal_writes_nothing(monkeypatch):
+    # Two keys that both verify one packet cannot be built, so the seal is
+    # planted: an open under other key bytes verifies anew each time and
+    # leaves the packet's seal, and the rest of its state, as it was.
     r = ring(byte=0x20)
     frame = codec.Frame(messages=(msg(1, b"one slot"),))
     pkt = codec.seal_packet(r, 2, 0, 3, frame, codec.PacketCounters())
-    box = pkt._aead_box()
-    box.__dict__["_verified"] = (b"\x21" * 32, codec.Frame(messages=()))
-    assert codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0) == frame
-    assert box._verified == (r.current.key.bytes_, frame)
-    assert [k for k in vars(box) if k not in ("ciphertext", "tag")] == ["_verified"]
+    planted = (b"\x21" * 32, codec.Frame(messages=()))
+    pkt.__dict__["_sealed"] = planted
+    state = dict(vars(pkt))
+    opens = count_opens(monkeypatch)
+    for n in (1, 2):
+        opened = codec.open_packet(r, codec.ReplayWindow(), pkt, now=1.0)
+        assert opened == frame and opened is not frame
+        assert vars(pkt) == state and pkt._sealed is planted and opens == [r.current.key.bytes_] * n
 
 
 def star_copies(frame, *key_bytes):
@@ -471,72 +475,72 @@ def star_copies(frame, *key_bytes):
     return keys, [codec.seal_with_key(k, 0, 1, 0, 0, frame, counters) for k in keys]
 
 
-def test_a_star_plaintext_shared_by_several_copies_is_parsed_at_most_once(monkeypatch):
+def test_a_star_plaintext_is_parsed_by_no_sealed_copy_and_once_per_open_of_a_rebuilt_one(monkeypatch):
     frame = codec.Frame(messages=(msg(1, b"fan-out"),))
     keys, copies = star_copies(frame, 3, 4, 5)
     parses = count_parses(monkeypatch)
     for key, pkt in zip(keys, copies):  # each copy returns the frame it was sealed from
         assert codec.open_with_key(key, codec.ReplayWindow(), pkt) is frame
     assert parses == []
-    # A copy rebuilt from its bytes keeps no frame: parsed once, then every
-    # receiver of that one parsed packet takes the memo on its box.
+    # A copy rebuilt from its bytes has no seal, and no open writes one:
+    # every receiver of that one parsed packet opens and parses it anew.
     rebuilt = codec.WirePacket.from_bytes(copies[0].to_bytes())
     for _ in range(3):
         assert codec.open_with_key(keys[0], codec.ReplayWindow(), rebuilt) == frame
-    assert parses == [frame.to_bytes()]
+    assert parses == [frame.to_bytes()] * 3 and rebuilt._sealed is None
 
 
-def test_a_star_copys_seal_memo_still_needs_the_receivers_own_key_and_window(monkeypatch):
+def test_a_star_copys_seal_still_needs_the_receivers_own_key_and_window(monkeypatch):
     frame = codec.Frame(messages=(msg(1, b"for uavs 3 and 4"),))
     (k3, k4), (to_3, to_4) = star_copies(frame, 3, 4)
-    memos = [to_3._aead_box()._verified, to_4._aead_box()._verified]
-    assert memos == [(k3.bytes_, frame), (k4.bytes_, frame)]
+    seals = [to_3._sealed, to_4._sealed]
+    assert seals == [(k3.bytes_, frame), (k4.bytes_, frame)]
     opens = count_opens(monkeypatch)
     assert codec.open_with_key(k3, codec.ReplayWindow(), to_3) is frame and opens == []
-    # Each copy's box was verified at its seal, yet a UAV holding the
-    # wrong key still fails the tag check through a real open: UAV 4 on
-    # UAV 3's copy, UAV 3 on UAV 4's.
+    # Each copy keeps its seal, yet a UAV holding the wrong key still
+    # fails the tag check through a real open: UAV 4 on UAV 3's copy,
+    # UAV 3 on UAV 4's.
     with pytest.raises(AuthError):
         codec.open_with_key(k4, codec.ReplayWindow(), to_3)
     with pytest.raises(AuthError):
         codec.open_with_key(k3, codec.ReplayWindow(), to_4)
     assert opens == [k4.bytes_, k3.bytes_]
-    assert [to_3._aead_box()._verified, to_4._aead_box()._verified] == memos
+    assert [to_3._sealed, to_4._sealed] == seals and to_3._sealed is seals[0]
     window = codec.ReplayWindow()
-    assert codec.open_with_key(k4, window, to_4) is frame  # the seal's memo ...
+    assert codec.open_with_key(k4, window, to_4) is frame  # the seal's frame ...
     with pytest.raises(ReplayError):  # ... after UAV 4's own window advanced
         codec.open_with_key(k4, window, to_4)
     assert len(opens) == 2
 
 
-def test_only_the_sealed_box_returns_the_sealed_frame(monkeypatch):
+def test_only_the_sealed_packet_returns_the_sealed_frame(monkeypatch):
     frame = codec.Frame(messages=(msg(1, b"sealed"),))
     (key,), (pkt,) = star_copies(frame, 0x35)
     opens, parses = count_opens(monkeypatch), count_parses(monkeypatch)
-    # The same bytes parsed into a packet of their own: no memo, so one
-    # AES-GCM open and one parse, to an equal frame.
+    # The same bytes parsed into a packet of their own: no seal, so each
+    # open is one AES-GCM open and one parse, to an equal frame.
     rebuilt = codec.WirePacket.from_bytes(pkt.to_bytes())
-    opened = codec.open_with_key(key, codec.ReplayWindow(), rebuilt)
-    assert opened == frame and opened is not frame
-    assert opens == [key.bytes_] and parses == [frame.to_bytes()]
-    assert rebuilt._aead_box()._verified == (key.bytes_, opened)
+    for n in (1, 2):
+        opened = codec.open_with_key(key, codec.ReplayWindow(), rebuilt)
+        assert opened == frame and opened is not frame
+        assert opens == [key.bytes_] * n and parses == [frame.to_bytes()] * n
+    assert rebuilt._sealed is None
     # The sealed packet returns the frame it was sealed from, with neither.
     assert codec.open_with_key(key, codec.ReplayWindow(), pkt) is frame
-    assert len(opens) == len(parses) == 1
+    assert len(opens) == len(parses) == 2
 
 
-def test_a_seal_leaves_its_memo_on_the_box_only_its_forwards_share():
+def test_a_seal_is_kept_by_its_packet_and_shared_only_by_its_forwards():
     key = crypto.SymmetricKey(b"\x44" * 32)
-    frame = codec.Frame(messages=(msg(1, b"memo at seal"),))
+    frame = codec.Frame(messages=(msg(1, b"seal kept"),))
     sealed = codec.seal_with_key(key, 1, 2, 0, 3, frame, codec.PacketCounters())
-    box = sealed._kept_box
-    assert box._verified == (key.bytes_, frame) and box._verified[1] is frame
-    assert all(copy._kept_box is box for copy in forward_chain(sealed, hops=3))
+    seal = sealed._sealed
+    assert seal == (key.bytes_, frame) and seal[1] is frame
+    assert all(copy._sealed is seal for copy in forward_chain(sealed, hops=3))
     parsed = codec.WirePacket.from_bytes(sealed.to_bytes())
     replaced = dataclasses.replace(sealed, hop_limit=1)
     for other in (parsed, replaced):
-        assert other._kept_box is None
-        assert other._aead_box() is not box and other._aead_box()._verified is None
+        assert "_sealed" not in vars(other) and other._sealed is None
 
 
 def test_a_plaintext_that_fails_to_parse_is_never_stored():
@@ -544,11 +548,11 @@ def test_a_plaintext_that_fails_to_parse_is_never_stored():
     nonce, aad = nonce_and_aad(1, 0, 1, 0, 0)
     box = crypto.aead_seal(key, nonce, b"\x01\x00", aad)  # claims one message, holds none
     pkt = codec.WirePacket(0, 1, 0, 0, 0, box.ciphertext, box.tag)
-    window = codec.ReplayWindow()
+    window, state = codec.ReplayWindow(), dict(vars(pkt))
     for _ in range(2):  # not stored, and the window did not advance either
         with pytest.raises(ValidationError):
             codec.open_with_key(key, window, pkt)
-        assert pkt._aead_box()._verified is None
+        assert vars(pkt) == state and pkt._sealed is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -557,7 +561,7 @@ def test_a_plaintext_that_fails_to_parse_is_never_stored():
     payload=st.binary(max_size=24),
     hops=st.integers(0, 3),
 )
-def test_only_packets_with_the_same_nonce_and_aad_share_a_box(headers, payload, hops):
+def test_only_packets_with_the_same_nonce_and_aad_share_a_seal(headers, payload, hops):
     # Every way a packet comes to be: sealed, forwarded, parsed from bytes
     # and rebuilt by dataclasses.replace (which changes one bound field).
     key = crypto.SymmetricKey(b"\x20" * 32)
@@ -570,14 +574,14 @@ def test_only_packets_with_the_same_nonce_and_aad_share_a_box(headers, payload, 
             key, header["epoch"], header["origin"], header["seq"], header["hop_limit"], frame, counters
         )
         chain = forward_chain(sealed, hops)
-        assert all(packet._aead_box() is sealed._aead_box() for packet in chain)
+        assert all(packet._sealed is sealed._sealed is not None for packet in chain)
         for packet in chain:
             packets.append(packet)
             packets.append(codec.WirePacket.from_bytes(packet.to_bytes()))
             packets.append(dataclasses.replace(packet, seq=(packet.seq + 1) % (codec.MAX_SEQ + 1)))
     for a in packets:
         for b in packets:
-            if a._aead_box() is b._aead_box():
+            if a._sealed is not None and a._sealed is b._sealed:
                 assert a._nonce_aad() == b._nonce_aad()
 
 

@@ -206,7 +206,7 @@ def test_aead_empty_aad_equals_none():
     assert with_empty.tag == with_none.tag
 
 
-def test_aead_box_serialization():
+def test_aeadbox_serialization():
     box = crypto.AeadBox(b"abc", b"\x01" * 16)
     assert crypto.AeadBox.from_bytes(box.to_bytes()) == box
     with pytest.raises(ValidationError) as short:

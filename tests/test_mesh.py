@@ -232,8 +232,8 @@ def _deliver_to(sim, node_id, raw, packet=None):
 
 def _keyed_sim():
     """A three-node mesh run with one broadcast key in every ring and a
-    packet originated by node 2 whose honest copy node 3 has opened, so
-    the box that copy shares keeps the frame it verified to."""
+    packet originated by node 2, which keeps its seal under that key and
+    whose honest copy node 3 has opened."""
     sim = Simulation(scenario_from_dict(base_scenario_dict()))
     bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x66" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     for node in sim.nodes.values():
@@ -243,30 +243,30 @@ def _keyed_sim():
     origin = sim.nodes[2]
     packet = mesh.originate(origin.mesh, origin.keyring, origin.counters, frame, hop_limit=3)
     assert _deliver_to(sim, 3, packet.to_bytes(), packet) == {"delivered_new": 1}
-    assert packet._aead_box()._verified == (bkey.key.bytes_, frame)
+    assert packet._sealed == (bkey.key.bytes_, frame)
     return sim, packet
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_touches_its_box_memo(data):
+def test_flooded_packet_with_one_byte_flipped_never_decodes_nor_writes_to_either_packet(data):
     # Byte 0 picks the message class and byte 11 is the hop limit, which the
     # seal leaves out on purpose; every other byte is authenticated. Node 1
     # receives the copy: no single flip turns origin 2 into 1 (a duplicate).
     sim, packet = _keyed_sim()
     raw = packet.to_bytes()
-    memo = packet._aead_box()._verified
     pos = data.draw(st.integers(1, len(raw) - 1).filter(lambda i: i != HOP_BYTE), label="byte")
     bit = data.draw(st.integers(0, 7), label="bit")
     mutated = bytearray(raw)
     mutated[pos] ^= 1 << bit
     flipped = codec.WirePacket.from_bytes(bytes(mutated))
+    states = [dict(vars(flipped)), dict(vars(packet))]
     for message in (None, flipped):  # parsed on arrival, or handed over parsed
         (outcome, count), = _deliver_to(sim, 1, bytes(mutated), message).items()
         assert outcome.startswith("rejected_") and outcome != "rejected_dedup" and count == 1
     assert sum(sim.security_events.values()) == 2
-    assert flipped._aead_box()._verified is None  # nothing was stored on the flipped copy's box ...
-    assert packet._aead_box()._verified is memo  # ... nor on the honest one's
+    # Nothing was written to the flipped copy, nor to the honest one.
+    assert [vars(flipped), vars(packet)] == states and flipped._sealed is None
     assert 1 not in sim.audit.node_bits  # node 1 got no delivery
     # The honest copy still opens at node 1 afterwards.
     assert _deliver_to(sim, 1, raw) == {"delivered_new": 1}
@@ -284,7 +284,7 @@ def _star_sim():
     frame = codec.Frame(messages=(codec.TelemetryMessage(TELEMETRY_MSG_ID, 2, payload),))
     gcs = sim.nodes[1]
     (uav_id, packet), = mesh.star_fanout(gcs.mesh, sim.sessions, gcs.counters, frame, exclude_id=2)
-    assert uav_id == 3 and packet._aead_box()._verified == (key.bytes_, frame)
+    assert uav_id == 3 and packet._sealed == (key.bytes_, frame)
     return sim, packet
 
 
@@ -293,18 +293,18 @@ EPOCH_BYTES = range(1, 5)  # a star copy's epoch must read 0, refused before any
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_star_copy_with_one_byte_flipped_is_refused_by_a_real_open_nor_touches_a_box_memo(data):
-    # The copy's box was verified at its seal, under UAV 3's key, yet a
-    # copy with one authenticated byte flipped lives in a box of its own,
-    # so UAV 3 refuses it through an AES-GCM open of its own.
+def test_star_copy_with_one_byte_flipped_is_refused_by_a_real_open_nor_writes_to_either_packet(data):
+    # The copy keeps its seal, under UAV 3's key, yet a copy with one
+    # authenticated byte flipped is a packet with no seal, so UAV 3
+    # refuses it through an AES-GCM open of its own.
     sim, packet = _star_sim()
     raw = packet.to_bytes()
-    memo = packet._aead_box()._verified
     pos = data.draw(st.integers(1, len(raw) - 1).filter(lambda i: i != HOP_BYTE), label="byte")
     bit = data.draw(st.integers(0, 7), label="bit")
     mutated = bytearray(raw)
     mutated[pos] ^= 1 << bit
     flipped = codec.WirePacket.from_bytes(bytes(mutated))
+    states = [dict(vars(flipped)), dict(vars(packet))]
     opens = []
     real_open = crypto.aead_open
     crypto.aead_open = lambda *a: opens.append(a) or real_open(*a)
@@ -313,10 +313,10 @@ def test_star_copy_with_one_byte_flipped_is_refused_by_a_real_open_nor_touches_a
             outcome = "rejected_UnknownEpoch" if pos in EPOCH_BYTES else "rejected_AuthError"
             assert _deliver_to(sim, 3, bytes(mutated), message) == {outcome: 1}
         assert len(opens) == (0 if pos in EPOCH_BYTES else 2)
-        assert flipped._aead_box()._verified is None  # nothing was stored on the flipped copy's box ...
-        assert packet._aead_box()._verified is memo  # ... nor on the honest one's
+        # Nothing was written to the flipped copy, nor to the honest one.
+        assert [vars(flipped), vars(packet)] == states and flipped._sealed is None
         assert 3 not in sim.audit.node_bits  # UAV 3 got no delivery
-        # The honest copy still opens at UAV 3 afterwards, through its memo.
+        # The honest copy still opens at UAV 3 afterwards, through its seal.
         assert _deliver_to(sim, 3, raw, packet) == {"delivered_new": 1}
         assert len(opens) == (0 if pos in EPOCH_BYTES else 2)
     finally:
@@ -325,20 +325,20 @@ def test_star_copy_with_one_byte_flipped_is_refused_by_a_real_open_nor_touches_a
 
 def _opened_in_one_run(monkeypatch, scenario):
     """Over one run: the box of every AES-GCM open, and the frames the
-    receive path returned with the boxes of the packets they came from."""
-    opens, frames, boxes = [], [], []
+    receive path returned with the seals of the packets they came from."""
+    opens, frames, seals = [], [], []
     real_open, real_frame = crypto.aead_open, codec._open_frame
 
     def recorded_frame(key, packet):
         frames.append(real_frame(key, packet))
-        boxes.append(packet._kept_box)
+        seals.append(packet._sealed)
         return frames[-1]
 
     monkeypatch.setattr(crypto, "aead_open", lambda *a: opens.append(a[2]) or real_open(*a))
     monkeypatch.setattr(codec, "_open_frame", recorded_frame)
     Simulation(scenario_from_dict(scenario)).run()
     monkeypatch.undo()
-    return opens, frames, boxes
+    return opens, frames, seals
 
 
 def test_two_runs_share_no_opened_frames(monkeypatch):
@@ -349,16 +349,17 @@ def test_two_runs_share_no_opened_frames(monkeypatch):
     assert not {id(f) for f in first} & {id(f) for f in second}
 
 
-def test_two_star_runs_share_no_frame_nor_box_and_open_no_data_packet(monkeypatch):
-    first_opens, first, first_boxes = _opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
-    second_opens, second, second_boxes = _opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
+def test_two_star_runs_share_no_frame_nor_seal_and_open_no_data_packet(monkeypatch):
+    first_opens, first, first_seals = _opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
+    second_opens, second, second_seals = _opened_in_one_run(monkeypatch, base_scenario_dict(mode="star"))
     assert len(first) == len(second) > 0
     # Every star copy is opened by the holder of the key that sealed it,
-    # so it takes the memo its seal left, and a star run has no rekey to
+    # so it takes its seal's frame, and a star run has no rekey to
     # unwrap: nothing is decrypted.
     assert first_opens == second_opens == []
+    assert all(seal[1] is frame for seal, frame in zip(first_seals, first))
     assert not {id(f) for f in first} & {id(f) for f in second}
-    assert not {id(box) for box in first_boxes} & {id(box) for box in second_boxes}
+    assert not {id(seal) for seal in first_seals} & {id(seal) for seal in second_seals}
 
 
 def test_a_run_full_of_rejected_receptions_leaves_no_cyclic_garbage():

@@ -157,7 +157,7 @@ class _List(list):
 
 _texts = st.one_of(
     st.text(max_size=8),
-    # Non-ASCII, control characters, quotes, a lone surrogate and template syntax.
+    # Non-ASCII, control characters, quotes, a lone surrogate and %-format syntax.
     st.lists(
         st.sampled_from(['\x00', '\x1f', '"', '\\', '%', '%(', ')s', '\u00e9', '\u2028', '\ud800', '\U0001f600', 'a']),
         max_size=5,
@@ -177,7 +177,7 @@ _json_trees = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         _dicts(inner),
-        # One leaf dict at three depths, so its shape is filled at each.
+        # One dict of scalars at three depths, so it is indented for each.
         _dicts(_scalars).map(lambda leaf: {"leaf": leaf, "deeper": {"leaf": leaf, "list": [leaf]}}),
     ),
     max_leaves=20,
@@ -191,7 +191,7 @@ _json_trees = st.recursive(
     "latency": {"by_node": {"2": math.nan, "10": -math.inf, "-1": math.inf}, "sent": 1, "ratio": 0.5, "delivered": 0},
     "text": ["\u00e9\x00\ud800", {"%(x)s": "100%"}],
 })
-# A str subclass key, its dict's shape first uncached, then cached, and in a dict of containers.
+# A str subclass key, in two dicts of scalars and in a dict of containers.
 @example(tree={"a": {_Str("str_subclass_key"): 1}, "b": {_Str("str_subclass_key"): 2}, _Str("c"): [{}]})
 def test_render_json_writes_exactly_what_json_dumps_writes(tree):
     assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"

@@ -318,7 +318,7 @@ def test_sample_profile_counts_the_heap_events_a_pass_pops_by_kind(capsys):
 
 def test_sample_profile_counts_the_aes_gcm_calls_of_a_pass(capsys):
     # Every star copy is opened by the holder of the key that sealed it,
-    # so it takes the memo the seal left on its box: no open at all.
+    # so it takes the frame its packet's seal kept: no open at all.
     argv = ["--workload", "star_fanout", "--seed", "1", "--seconds", "0"]
     assert _script("sample_profile").main(argv) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from swarmlink import codec, crypto, handshake, mesh, rekey, report as report_module, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
 from swarmlink.errors import ValidationError
-from swarmlink.golden import generated_scenarios
+from swarmlink.golden import generated_scenarios, locked_scenarios
 from swarmlink.metrics import Counters, render_json
 from swarmlink.rekey import BroadcastKey
 from swarmlink.scenario import scenario_from_dict
@@ -135,7 +135,7 @@ def count_null_ops(monkeypatch):
 )
 def test_the_null_cipher_runs_only_in_a_plaintext_run(monkeypatch, name, null_ops):
     # A plaintext run seals under the null key, and every receiver takes
-    # the memo the seal left; its replayed bytes are all refused, as
+    # the frame its packet's seal kept; its replayed bytes are all refused, as
     # duplicates or by a replay window, before an open. So nothing runs the
     # null decrypt.
     calls = count_null_ops(monkeypatch)
@@ -533,8 +533,8 @@ def test_injected_bytes_are_parsed_once_for_all_their_receivers(monkeypatch):
 
 
 def test_a_receiver_holding_other_key_bytes_for_the_epoch_does_not_take_the_memo():
-    # Node 3 opens the flood first and leaves its frame in the memo on the
-    # box; node 5, in the same batch, holds other bytes for epoch 1.
+    # The flood keeps its seal under epoch 1's key, which node 3 holds;
+    # node 5, in the same batch, holds other bytes for epoch 1.
     sim, packet = _keyed_five_node_sim()
     other = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x78" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     sim.nodes[5].keyring = rekey.KeyRing()
@@ -546,6 +546,33 @@ def test_a_receiver_holding_other_key_bytes_for_the_epoch_does_not_take_the_memo
     assert security == [(5, "AuthError")]
     assert sim.security_events == {"AuthError": 1}
     assert sim.audit.reach[2] == [sim.audit.node_bits[3]]  # node 3 took the delivery
+
+
+@pytest.mark.parametrize(
+    "name, real_opens",
+    [("contested13_replay", 39), ("star9_mitm_replay", 351), ("plain9_replay_down", 0), ("eavesdrop_keyleak", 0)],
+)
+def test_no_open_writes_to_the_packet_it_opens(monkeypatch, name, real_opens):
+    # Every open of a run, the receivers' and the eavesdropper's, returned
+    # or raised: the packet keeps the same state keys, holding the same
+    # objects, so receivers that share a packet cannot reach each other
+    # through it. `real_opens` counts the opens that take no seal.
+    real_open_frame = codec._open_frame
+    took_seal = []
+
+    def checked(key, packet):
+        before = list(vars(packet).items())
+        took_seal.append(packet._sealed is not None and packet._sealed[0] == key.bytes_)
+        try:
+            return real_open_frame(key, packet)
+        finally:
+            after = list(vars(packet).items())
+            assert len(after) == len(before)
+            assert all(k is k0 and v is v0 for (k, v), (k0, v0) in zip(after, before))
+
+    monkeypatch.setattr(codec, "_open_frame", checked)
+    run_scenario(locked_scenarios()[name])
+    assert any(took_seal) and took_seal.count(False) == real_opens
 
 
 @pytest.mark.parametrize(
