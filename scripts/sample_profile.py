@@ -22,7 +22,9 @@ AES-GCM seals and opens, through wrappers on `crypto.aead_seal` and
 same calls, so they count too), and the heap events `run()` pops by kind
 (`tx_done`, `rx`, `advrx`, `timer`), through a wrapper on the
 `heapq.heappop` that sim.py calls; a tx_done that a node's drain runs in
-place is never on the heap, so it is not counted.
+place is never on the heap, so it is not counted. From the same pass it
+prints the trace lines written, by kind, and the receptions refused, by
+error name (the report's `security_events`), each most first.
 
 The outside-in tracer (`bench/run.py --trace 1`) times only the public
 callables it wraps and leaves the rest in `sim.self_s`; this profile wraps
@@ -33,6 +35,7 @@ from this checkout's `src/`, never from an installed copy.
 import argparse
 import heapq
 import importlib.util
+import json
 import signal
 import sys
 import time
@@ -104,17 +107,18 @@ def _name(frame) -> str:
     return f"{name}:{code.co_firstlineno}" if code.co_name.startswith("<") else name
 
 
-def run_pass(data: dict) -> None:
-    """One pass, as the benchmark times it."""
+def run_pass(data: dict) -> sim.Simulation:
+    """One pass, as the benchmark times it; returns the finished run."""
     simulation = sim.Simulation(scenario.scenario_from_dict(data))
     report = simulation.run()
     metrics.render_json(report)
     "\n".join(simulation.trace)
+    return simulation
 
 
-def counted_pass(data: dict) -> tuple[Counter, Counter]:
-    """The heap events one pass pops, by kind, and its AES-GCM calls, by
-    "seal" and "open"."""
+def counted_pass(data: dict) -> tuple[Counter, Counter, sim.Simulation]:
+    """The heap events one pass pops, by kind, its AES-GCM calls, by
+    "seal" and "open", and the finished run."""
     popped: Counter = Counter()
     aead: Counter = Counter()
 
@@ -133,11 +137,17 @@ def counted_pass(data: dict) -> tuple[Counter, Counter]:
     sim.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
     crypto.aead_seal, crypto.aead_open = counting("seal", real_seal), counting("open", real_open)
     try:
-        run_pass(data)
+        simulation = run_pass(data)
     finally:
         sim.heapq = real_heapq
         crypto.aead_seal, crypto.aead_open = real_seal, real_open
-    return popped, aead
+    return popped, aead, simulation
+
+
+def _tally(counts: Counter) -> str:
+    """`total (name count, ...)`, the largest count first, ties by name."""
+    parts = ", ".join(f"{name} {n:,}" for name, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    return f"{sum(counts.values()):,} ({parts})"
 
 
 def main(argv=None) -> int:
@@ -164,7 +174,9 @@ def main(argv=None) -> int:
     print(f"{'incl%':>7} {'leaf%':>7}  function")
     for name, count in sampler.inclusive.most_common(TOP):
         print(f"{100 * count / total:7.1f} {100 * sampler.leaf[name] / total:7.1f}  {name}")
-    popped, aead = counted_pass(data)
+    popped, aead, simulation = counted_pass(data)
+    print(f"trace lines per pass: {_tally(Counter(json.loads(line)['event'] for line in simulation.trace))}")
+    print(f"refusals per pass: {_tally(simulation.security_events)}")
     print(f"aead per pass: seal {aead['seal']:,}, open {aead['open']:,}")
     kinds = ", ".join(f"{kind} {popped[kind]:,}" for kind in EVENT_KINDS)
     print(f"heap events popped per pass: {sum(popped.values()):,} ({kinds})")

@@ -165,15 +165,27 @@ class KeyRing:
         self.grace_until = now + grace_window_s
 
     def key_for_epoch(self, epoch: int, now: float) -> crypto.SymmetricKey:
-        if self.current is not None and epoch == self.current.epoch:
-            return self.current.key
-        if (
-            self.previous is not None
-            and epoch == self.previous.epoch
-            and now <= self.grace_until
-        ):
-            return self.previous.key
-        raise UnknownEpoch(f"no usable key for epoch {epoch}")
+        key = self._usable_key(epoch, now)
+        if key is None:
+            raise _no_key(epoch)
+        return key
+
+    def _usable_key(self, epoch: int, now: float) -> Optional[crypto.SymmetricKey]:
+        """The key this ring opens `epoch` with at `now`: the current
+        epoch's, or the previous one's until its grace ends; else None.
+        sim.py's keyless prefilter asks this without raising."""
+        current = self.current
+        if current is not None and epoch == current.epoch:
+            return current.key
+        previous = self.previous
+        if previous is not None and epoch == previous.epoch and now <= self.grace_until:
+            return previous.key
+        return None
+
+
+def _no_key(epoch: int) -> UnknownEpoch:
+    """The refusal of a packet whose epoch the receiver's ring cannot open."""
+    return UnknownEpoch(f"no usable key for epoch {epoch}")
 
 
 # A plaintext node's keyring: it seals at epoch 0 under the null key and

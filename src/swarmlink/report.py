@@ -6,8 +6,12 @@ TRACE_KINDS declares for that kind, no more and no fewer. It is written from a
 `%`-style template compiled per kind at import, keys in sorted order and the
 kind inlined: a string value is escaped as json escapes it, a number goes in
 as metrics._number_text writes it (the report's scalar text too), and a list
-or dict is encoded by one JSONEncoder built at import. The time's text is
-encoded once per `now` object, so an int and a float time never share one.
+or dict is encoded by one JSONEncoder built at import, save a list of exact
+ints (no bool), joined from their str() as json writes them. The time's text
+is encoded once per `now` object, so an int and a float time never share one.
+A refusal's security line (`Trace.add_refusal`) goes through `add` once per
+`now` object, error and detail; a repeat, as the receivers one event refuses
+alike give, is the text kept before and after the node id around its own id.
 """
 
 from __future__ import annotations
@@ -45,14 +49,28 @@ TRACE_KINDS: Dict[str, Dict[str, type]] = {
     "replay_inject": {"receivers": list},
 }
 
+
+def _list_text(value: list) -> str:
+    """A list's JSON text: an int's is its str(), so a list of exact ints
+    (a bool is not one) is joined directly; any other goes to the encoder."""
+    for item in value:
+        if type(item) is not int:
+            return _encode_line(value)
+    return "[" + ", ".join(map(str, value)) + "]"
+
+
 # JSON type -> the function that gives a value's text; an int's text is
 # its str(), which `%s` takes as is.
 _ENCODERS = {
     str: encode_basestring_ascii,
     float: _number_text,
-    list: _encode_line,
+    list: _list_text,
     dict: _encode_line,
 }
+
+# What precedes the node id in a security line. In an escaped string every
+# quote follows a backslash, so `node"` is never in one: this is the key.
+_NODE_KEY = '"node": '
 
 
 def _compile_line(kind: str, fields: Dict[str, type]) -> Tuple[str, FrozenSet[str], Tuple]:
@@ -70,12 +88,17 @@ _TRACE_LINES = {kind: _compile_line(kind, fields) for kind, fields in TRACE_KIND
 class Trace(list):
     """A run's trace lines, in the order they were written."""
 
-    __slots__ = ("_now", "_t")  # the `now` whose "t" text add() encoded last, and that text
+    __slots__ = (
+        "_now", "_t",  # the `now` whose "t" text add() encoded last, and that text
+        "_stamp_now", "_stamps",  # the `now` of add_refusal()'s stamps, and (error, detail) -> (head, tail)
+    )
 
     def __init__(self) -> None:
         super().__init__()
         self._now: Optional[float] = None
         self._t = ""
+        self._stamp_now: Optional[float] = None
+        self._stamps: Dict[Tuple[str, str], Tuple[str, str]] = {}
 
     def add(self, now: float, kind: str, **fields) -> None:
         """Append one line of a kind TRACE_KINDS declares, with exactly its fields."""
@@ -90,6 +113,23 @@ class Trace(list):
             self._t = _number_text(round(now, 9))
         fields["t"] = self._t
         self.append(line[0] % fields)
+
+    def add_refusal(self, now: float, node: int, error: str, detail: str) -> None:
+        """`add(now, "security", node=node, error=error, detail=detail)`,
+        rendered through add() once per `now` object, error and detail: a
+        repeat writes the kept text before and after the node id around
+        its own id."""
+        if now is not self._stamp_now:
+            self._stamp_now = now
+            self._stamps.clear()
+        stamp = self._stamps.get((error, detail))
+        if stamp is not None:
+            self.append(stamp[0] + str(node) + stamp[1])
+            return
+        self.add(now, "security", node=node, error=error, detail=detail)
+        line = self[-1]
+        cut = line.index(_NODE_KEY) + len(_NODE_KEY)
+        self._stamps[error, detail] = (line[:cut], line[cut + len(str(node)):])
 
 
 # Every count a run keeps (Simulation.counts), by the report block and key

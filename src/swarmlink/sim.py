@@ -53,6 +53,13 @@ names, and must give the same run:
   The handler runs only for the receivers left, in order
   (`Reference._deliver` parses the bytes for each live receiver, and
   `Reference._rx_data_mesh` counts `mesh.handle_rx`'s own duplicate result);
+- in an encrypted mesh, a data packet's receiver left after that step
+  whose keyring holds no usable key for the packet's epoch at `now` is
+  refused with the UnknownEpoch that `codec.open_packet` raises first,
+  before any state changes, in receiver order, without its handler: no
+  exception, and one stamped trace line (see report.py). Both ask
+  `rekey.KeyRing._usable_key`, so the rule is written once
+  (`Reference._deliver` sends every receiver through the handler);
 - a sealed packet and its forwards keep their seal, the key bytes that
   sealed it and the frame sealed: a receiver holding those bytes takes
   that frame, one holding others runs AES-GCM, and no open writes to the
@@ -579,9 +586,10 @@ class Simulation:
         Down receivers are set aside, bytes that come without their message
         are parsed once (the first byte picks the message class and its
         handler), in mesh mode duplicate receivers are dropped in one step,
-        and the handler runs for each receiver left, in order; a
-        SwarmLinkError it raises is recorded as a security event here and
-        nowhere else. Passes each outcome, and how many, to `tally` if given."""
+        and the handler runs for each receiver left, in order, save an
+        encrypted mesh's keyless ones (_handle_keyed); a SwarmLinkError it
+        raises is recorded as a security event here and nowhere else.
+        Passes each outcome, and how many, to `tally` if given."""
         self.counts[counter] += len(receivers)
         down = self.air.down
         if down:
@@ -607,7 +615,12 @@ class Simulation:
                 self.counts["rx_duplicates"] += duplicates
                 if tally is not None:
                     tally("rejected_dedup", duplicates)
-            receivers = fresh
+                if not fresh:
+                    return
+                receivers = fresh
+            if self.key_source is not None:
+                self._handle_keyed(receivers, entry[1], message, tally)
+                return
         handler = entry[1]
         for receiver_id in receivers:
             node = self.nodes[receiver_id]
@@ -618,11 +631,35 @@ class Simulation:
             if tally is not None and outcome is not None:
                 tally(outcome)
 
+    def _handle_keyed(
+        self, receivers: Sequence[int], handler: Callable[..., str],
+        packet: codec.WirePacket, tally: Optional[Callable[..., None]],
+    ) -> None:
+        """_deliver's handler loop for an encrypted mesh's data packet: a
+        receiver whose keyring holds no usable key for the packet's epoch
+        gets the UnknownEpoch refusal open_packet would raise, first thing
+        after the duplicate check that already passed, without the handler."""
+        epoch, now, nodes = packet.epoch, self.now, self.nodes
+        keyless = None  # the refusal, built at the first keyless receiver
+        for receiver_id in receivers:
+            node = nodes[receiver_id]
+            if node.keyring._usable_key(epoch, now) is None:
+                if keyless is None:
+                    keyless = rekey._no_key(epoch)
+                outcome = self._security_event(node, keyless)
+            else:
+                try:
+                    outcome = handler(node, packet)
+                except SwarmLinkError as exc:
+                    outcome = self._security_event(node, exc)
+            if tally is not None:
+                tally(outcome)
+
     def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
         """Count and trace a rejection; returns it as a receive outcome."""
         name = type(exc).__name__
         self.security_events[name] += 1
-        self.trace.add(self.now, "security", node=node.id, error=name, detail=str(exc))
+        self.trace.add_refusal(self.now, node.id, name, str(exc))
         return f"rejected_{name}"
 
     def inject(self, receiver_ids: Sequence[int], data: bytes, tally: Callable[..., None]) -> None:

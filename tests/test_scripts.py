@@ -316,6 +316,23 @@ def test_sample_profile_counts_the_heap_events_a_pass_pops_by_kind(capsys):
     assert total == sum(kinds) and all(kinds)
 
 
+def test_sample_profile_counts_the_trace_lines_and_refusals_of_a_pass(capsys):
+    argv = ["--workload", "contested_churn", "--seed", "1", "--seconds", "0"]
+    assert _script("sample_profile").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    tallies = {}
+    for label, line in zip(("trace lines", "refusals"), lines[-4:-2]):
+        found = re.fullmatch(rf"{label} per pass: ([\d,]+) \((.+)\)", line)
+        assert found, line
+        parts = {name: int(n.replace(",", "")) for name, n in (part.split(" ") for part in found[2].split(", "))}
+        assert int(found[1].replace(",", "")) == sum(parts.values())
+        assert list(parts.values()) == sorted(parts.values(), reverse=True)
+        tallies[label] = parts
+    # Every refusal is one security line; the replay injector's are mostly keyless.
+    assert sum(tallies["refusals"].values()) == tallies["trace lines"]["security"]
+    assert tallies["trace lines"]["replay_inject"] > 0 and tallies["refusals"]["UnknownEpoch"] > 0
+
+
 def test_sample_profile_counts_the_aes_gcm_calls_of_a_pass(capsys):
     # Every star copy is opened by the holder of the key that sealed it,
     # so it takes the frame its packet's seal kept: no open at all.

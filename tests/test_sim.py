@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from swarmlink import codec, crypto, handshake, mesh, rekey, report as report_module, sim as sim_module, wire
 from swarmlink.cli import resolve_scenario
-from swarmlink.errors import ValidationError
+from swarmlink.errors import UnknownEpoch, ValidationError
 from swarmlink.golden import generated_scenarios, locked_scenarios
 from swarmlink.metrics import Counters, render_json
 from swarmlink.rekey import BroadcastKey
@@ -22,6 +22,7 @@ from swarmlink.scenario import scenario_from_dict
 from swarmlink.sim import Simulation, run_scenario
 
 from conftest import base_scenario_dict
+from reference_sim import Reference
 
 
 def run(d):
@@ -210,9 +211,12 @@ trace_field_values = {
     float: st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 1e-7])),
     # Non-ASCII, control characters, quotes, backslashes and a lone surrogate.
     str: st.one_of(st.text(), st.text(st.sampled_from('\x00\x1f\x7f"\\/%\u00e9\u2028\ud800\U0001f600 a'))),
-    list: st.lists(trace_scalars, max_size=4),
+    # Exact ints take their own path; a bool, float, str or None among them does not.
+    list: st.one_of(st.lists(st.integers(-(2**70), 2**70), max_size=4), st.lists(trace_scalars, max_size=4)),
     dict: st.dictionaries(st.text(max_size=6), trace_values, max_size=4),
 }
+# A security line's node: a wire id, the ends of its range included.
+trace_node_ids = st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535))
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,6 +232,8 @@ trace_field_values = {
     )
 )
 def test_every_declared_kind_writes_exactly_what_json_dumps_writes(lines):
+    # A security line is also written as a refusal, stamped: one or more
+    # node ids under one error and detail, as one event's receivers are.
     trace = report_module.Trace()
     expected = []
     for kind, now, data in lines:
@@ -235,9 +241,41 @@ def test_every_declared_kind_writes_exactly_what_json_dumps_writes(lines):
             name: data.draw(trace_field_values[json_type], label=name)
             for name, json_type in report_module.TRACE_KINDS[kind].items()
         }
+        if kind == "security" and data.draw(st.booleans(), label="stamped"):
+            for node in data.draw(st.lists(trace_node_ids, min_size=1, max_size=3), label="nodes"):
+                expected.append(json.dumps({"t": round(now, 9), "event": kind, **fields, "node": node}, sort_keys=True))
+                trace.add_refusal(now, node, fields["error"], fields["detail"])
+            continue
         expected.append(json.dumps({"t": round(now, 9), "event": kind, **fields}, sort_keys=True))
         trace.add(now, kind, **fields)
     assert trace == expected
+
+
+@pytest.mark.parametrize(
+    "detail",
+    ['a "quoted" word', "back\\slash \\\"", "caf\u00e9 \u2028 \U0001f600", "lone \ud800 surrogate", 'node": 7'],
+)
+def test_a_stamped_security_line_is_exactly_what_json_dumps_writes(detail):
+    # Back to back at now 5 and then 5.0, which compare equal but write
+    # "t" as 5 and 5.0: a stamp is kept per `now` object, not per value.
+    trace = report_module.Trace()
+    expected = []
+    for now in (5, 5, 5.0, 5.0):
+        for node in (0, 65535):
+            trace.add_refusal(now, node, "UnknownEpoch", detail)
+            entry = {"t": now, "event": "security", "node": node, "error": "UnknownEpoch", "detail": detail}
+            expected.append(json.dumps(entry, sort_keys=True))
+    assert trace == expected
+    assert expected[0].endswith('"t": 5}') and expected[-1].endswith('"t": 5.0}')
+
+
+@pytest.mark.parametrize(
+    "receivers", [[], [0, 65535, -3, 2**70], [1, True], [False], [1, 2.0], [1, "2"], [1, None]],
+)
+def test_a_list_field_is_exactly_what_json_dumps_writes(receivers):
+    trace = report_module.Trace()
+    trace.add(1.5, "replay_inject", receivers=receivers)
+    assert trace == [json.dumps({"t": 1.5, "event": "replay_inject", "receivers": receivers}, sort_keys=True)]
 
 
 def test_an_undeclared_trace_kind_or_a_wrong_field_set_raises():
@@ -474,13 +512,14 @@ def test_delivered_message_the_audit_cannot_attribute_is_a_security_event(payloa
     assert len(sim.audit.reach[2]) == len(sim.audit.sent[2]) < 99_999
 
 
-def _keyed_five_node_sim():
-    """A five-node mesh run with one broadcast key in every ring, and a
-    packet originated by node 2 that the audit can attribute."""
+def _keyed_mesh_sim(cls=Simulation, last=5):
+    """A mesh run of nodes 1 to `last` (five by default) with one
+    broadcast key in every ring, and a packet originated by node 2 that
+    the audit can attribute."""
     nodes = [{"id": 1, "role": "gcs", "position": [0.0, 0.0]}] + [
-        {"id": i, "role": "uav", "position": [10.0 * i, 0.0]} for i in range(2, 6)
+        {"id": i, "role": "uav", "position": [10.0 * i, 0.0]} for i in range(2, last + 1)
     ]
-    sim = Simulation(scenario_from_dict(base_scenario_dict(nodes=nodes)))
+    sim = cls(scenario_from_dict(base_scenario_dict(nodes=nodes)))
     bkey = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x77" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     for node in sim.nodes.values():
         node.keyring.install(bkey, now=0.0, grace_window_s=5.0)
@@ -501,7 +540,7 @@ def _count_parses(monkeypatch):
 def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the_rest(monkeypatch, honest):
     # Bytes a tap made take the honest path: the same counts and outcomes,
     # after one parse of the bytes for the whole batch.
-    sim, packet = _keyed_five_node_sim()
+    sim, packet = _keyed_mesh_sim()
     for holder in (3, 4):
         sim.nodes[holder].mesh.dedup.add(packet.origin, packet.seq)
     sim.air.node_down(4)  # a down node is ignored, whatever it holds
@@ -522,7 +561,7 @@ def test_one_batch_counts_held_and_own_copies_as_duplicates_and_handles_only_the
 
 
 def test_injected_bytes_are_parsed_once_for_all_their_receivers(monkeypatch):
-    sim, packet = _keyed_five_node_sim()
+    sim, packet = _keyed_mesh_sim()
     parses = _count_parses(monkeypatch)
     outcomes = Counters()
     sim.inject((3, 4, 5), packet.to_bytes(), outcomes.bump)
@@ -535,7 +574,7 @@ def test_injected_bytes_are_parsed_once_for_all_their_receivers(monkeypatch):
 def test_a_receiver_holding_other_key_bytes_for_the_epoch_does_not_take_the_memo():
     # The flood keeps its seal under epoch 1's key, which node 3 holds;
     # node 5, in the same batch, holds other bytes for epoch 1.
-    sim, packet = _keyed_five_node_sim()
+    sim, packet = _keyed_mesh_sim()
     other = BroadcastKey(epoch=1, key=crypto.SymmetricKey(b"\x78" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
     sim.nodes[5].keyring = rekey.KeyRing()
     sim.nodes[5].keyring.install(other, now=0.0, grace_window_s=5.0)
@@ -546,6 +585,46 @@ def test_a_receiver_holding_other_key_bytes_for_the_epoch_does_not_take_the_memo
     assert security == [(5, "AuthError")]
     assert sim.security_events == {"AuthError": 1}
     assert sim.audit.reach[2] == [sim.audit.node_bits[3]]  # node 3 took the delivery
+
+
+def _keyless_batch(cls):
+    """One advrx event of a keyed packet's bytes to, in this order: a
+    receiver with no key, a dedup holder, one whose window has seen the
+    counter, a fresh one, a down one, and one whose key for the epoch has
+    left its grace. Returns the run, its outcomes and the nodes whose
+    handler ran."""
+    sim, packet = _keyed_mesh_sim(cls, last=8)
+    sim.nodes[3].keyring = rekey.KeyRing()
+    sim.nodes[4].mesh.dedup.add(packet.origin, packet.seq)
+    sim.nodes[5].window.accept(packet.origin, packet.epoch, packet.counter)
+    sim.air.node_down(7)
+    newer = BroadcastKey(epoch=2, key=crypto.SymmetricKey(b"\x79" * 32, crypto.KeyPurpose.BROADCAST), not_after=1e9)
+    sim.nodes[8].keyring.install(newer, now=0.0, grace_window_s=5.0)
+    sim.now = 10.0  # epoch 1 is past node 8's grace
+    handled = []
+    real = sim._rx_table[wire.PACKET_VERSION][1]
+    sim._rx_table[wire.PACKET_VERSION] = (codec.WirePacket, lambda node, p: handled.append(node.id) or real(node, p))
+    outcomes = Counters()
+    sim.inject((3, 4, 5, 6, 7, 8), packet.to_bytes(), outcomes.bump)
+    (advrx,) = [e for e in sim._heap if e[2] == "advrx"]
+    advrx[3]()
+    return sim, outcomes.values, handled
+
+
+def test_a_keyless_receiver_is_refused_before_its_handler_as_the_handler_would_refuse_it():
+    sim, outcomes, handled = _keyless_batch(Simulation)
+    ref, ref_outcomes, ref_handled = _keyless_batch(Reference)
+    assert outcomes == ref_outcomes == {
+        "rejected_UnknownEpoch": 2, "rejected_dedup": 1, "rejected_ReplayError": 1, "delivered_new": 1,
+    }
+    security = [(entry["node"], entry["error"], entry["detail"])
+                for entry in map(json.loads, sim.trace) if entry["event"] == "security"]
+    assert [line[:2] for line in security] == [(3, "UnknownEpoch"), (5, "ReplayError"), (8, "UnknownEpoch")]
+    assert security[0][2] == security[2][2] == "no usable key for epoch 1"
+    assert sim.trace == ref.trace
+    assert sim.counts == ref.counts
+    assert sim.security_events == ref.security_events == {"UnknownEpoch": 2, "ReplayError": 1}
+    assert handled == [5, 6] and ref_handled == [3, 4, 5, 6, 8]
 
 
 @pytest.mark.parametrize(
@@ -631,6 +710,12 @@ def _tampered_mesh_packet(sim):
     return 3, raw[:-1] + bytes([raw[-1] ^ 1])
 
 
+def _mesh_packet_under_an_epoch_no_ring_holds(sim):
+    frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 2, bytes(8)),))
+    key = crypto.SymmetricKey(b"\x77" * 32, crypto.KeyPurpose.BROADCAST)
+    return 3, codec.seal_with_key(key, 1, 2, 0, 3, frame, codec.PacketCounters()).to_bytes()
+
+
 def _star_packet_to_a_uav_without_session(sim):
     frame = codec.Frame(messages=(codec.TelemetryMessage(sim_module.TELEMETRY_MSG_ID, 1, bytes(8)),))
     return 2, codec.seal_with_key(_session(2), 0, 1, 0, 0, frame, codec.PacketCounters()).to_bytes()
@@ -644,9 +729,10 @@ def _star_packet_to_a_uav_without_session(sim):
         ("mesh", _rekey_under_another_session, "AuthError"),
         ("mesh", _rekey_older_than_the_installed_epoch, "StaleEpoch"),
         ("mesh", _tampered_mesh_packet, "AuthError"),
+        ("mesh", _mesh_packet_under_an_epoch_no_ring_holds, "UnknownEpoch"),
         ("star", _star_packet_to_a_uav_without_session, "NoSession"),
     ],
-    ids=["offer", "response", "rekey", "stale_rekey", "mesh_data", "star_data"],
+    ids=["offer", "response", "rekey", "stale_rekey", "mesh_data", "mesh_data_unknown_epoch", "star_data"],
 )
 def test_a_refused_reception_is_one_security_event_and_one_rejected_outcome(mode, build, error):
     sim = Simulation(scenario_from_dict(base_scenario_dict(mode=mode)))
@@ -663,20 +749,33 @@ def test_a_refused_reception_is_one_security_event_and_one_rejected_outcome(mode
 
 def test_every_processed_reception_is_set_aside_or_handled_once():
     # The receive identity: each reception an rx or advrx event processes
-    # is ignored (receiver down), unparseable, a duplicate, or one handler call.
+    # is ignored (receiver down), unparseable, a duplicate, refused before
+    # the handler (mesh data under an epoch its receiver holds no key for),
+    # or one handler call. No handler raises UnknownEpoch in an encrypted
+    # mesh, so every one of those refusals is a prefilter's.
     sim = Simulation(scenario_from_dict(generated_scenarios()["contested13_replay"]))
     calls = Counters()
+    keyless_handled = Counters()
 
     def counted(kind, handler):
-        return lambda node, message: calls.bump(kind) or handler(node, message)
+        def call(node, message):
+            calls.bump(kind)
+            try:
+                return handler(node, message)
+            except UnknownEpoch:
+                keyless_handled.bump(kind)
+                raise
+        return call
 
     sim._rx_table = {byte: (cls, counted(cls.__name__, handler)) for byte, (cls, handler) in sim._rx_table.items()}
     sim.run()
     c = sim.counts
     processed = c["rx_processed"] + c["adv_rx_processed"]
     set_aside = c["rx_ignored_down"] + c["rx_unparseable"] + c["rx_duplicates"]
-    assert processed == set_aside + sum(calls.values.values())
+    keyless = sim.security_events["UnknownEpoch"]
+    assert processed == set_aside + keyless + sum(calls.values.values())
     assert calls.get("WirePacket") > 0 and calls.get("RekeyMessage") > 0
+    assert keyless > 0 and keyless_handled.values == {}
 
 
 # ---- metamorphic determinism: draws in one domain never shift another ------
