@@ -59,7 +59,7 @@ from .errors import (
     ReplayError,
     ValidationError,
 )
-from .rekey import KeyRing
+from .rekey import KeyRing, _no_key
 
 HEADER_LEN = 1 + 4 + 2 + 4 + 1 + 6
 _HOP_OFFSET = 1 + 4 + 2 + 4  # of hop_limit in the header
@@ -386,9 +386,10 @@ class ReplayWindow:
 
     def _drop_past_epochs(self, keyring: KeyRing) -> None:
         """Forget every epoch but `keyring`'s current and previous one; call
-        it after each install. `open_packet` asks the ring for a key before
-        it consults the window, and an epoch that has left the ring never
-        comes back (installs only go up), so such an entry decides nothing.
+        it after each install. A broadcast-keyed packet reaches the window
+        only under the key its receiver's ring gave for its epoch, and an
+        epoch that has left the ring never comes back (installs only go
+        up), so such an entry decides nothing.
         Epoch 0 (star and plaintext traffic) never meets a keyring install."""
         keep = {bkey.epoch for bkey in (keyring.current, keyring.previous) if bkey is not None}
         self._state = {epoch: origins for epoch, origins in self._state.items() if epoch in keep}
@@ -451,15 +452,14 @@ def open_packet(keyring: KeyRing, window: ReplayWindow, packet: WirePacket, now:
     AuthError when the seal does not verify. The window advances only after
     authentication succeeds.
     """
-    return _open(keyring.key_for_epoch(packet.epoch, now), window, packet)
+    key = keyring.key_for_epoch(packet.epoch, now)
+    if key is None:
+        raise _no_key(packet.epoch)
+    return open_with_key(key, window, packet)
 
 
 def open_with_key(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) -> Frame:
     """Authenticate and decode under an explicit key, same replay discipline."""
-    return _open(key, window, packet)
-
-
-def _open(key: crypto.SymmetricKey, window: ReplayWindow, packet: WirePacket) -> Frame:
     window.check(packet.origin, packet.epoch, packet.counter)
     frame = _open_frame(key, packet)
     window.accept(packet.origin, packet.epoch, packet.counter)

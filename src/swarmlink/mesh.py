@@ -8,8 +8,10 @@ computed, so all the caches that hold a flood share one key object. The
 dedup cache is updated before the forward copy is queued so a node never
 retransmits the same packet twice even if copies arrive back-to-back. A
 node never handles a packet of its own origin, even a replay whose cache
-entry is gone. A packet that fails its checks raises out of handle_rx and
-leaves the cache as it was.
+entry is gone. handle_rx takes the key its caller looked up in the
+receiver's keyring, so a receiver costs one lookup; it answers duplicates
+before it looks at the key, and a packet that fails its checks, or has no
+key, raises out of handle_rx and leaves the cache as it was.
 Relays never need the payload key: their header rides outside the ciphertext.
 A plaintext mesh floods on the same path, its nodes holding
 rekey.NULL_RING (see codec.py).
@@ -39,7 +41,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import codec, crypto
 from .errors import SwarmLinkError
 from .handshake import SessionTable
-from .rekey import NULL_RING
+from .rekey import NULL_RING, _no_key
 
 DEDUP_CAPACITY = 1024
 
@@ -128,21 +130,26 @@ _DUPLICATE = RxResult(duplicate=True)  # immutable, so every dedup hit shares it
 
 
 def handle_rx(
-    state: MeshState, keyring, window: codec.ReplayWindow, packet: codec.WirePacket, now: float
+    state: MeshState, key: Optional[crypto.SymmetricKey], window: codec.ReplayWindow, packet: codec.WirePacket
 ) -> RxResult:
     """Flooding receive path: dedup, authenticate, deliver once, forward.
 
-    `keyring` is rekey.NULL_RING in the plaintext baseline. A packet that
-    fails authentication or replay checks raises the SwarmLinkError that
-    refused it, for the caller to record. It is neither delivered nor
-    forwarded, and does not enter the dedup cache, so a later honest copy
-    of the same (origin, seq) still gets through.
+    `key` is the one the receiver's keyring gives for the packet's epoch
+    (crypto.NULL_KEY in the plaintext baseline), None if it has none. A
+    copy of the receiver's own origin, or one it holds, is a duplicate
+    whatever the key. Any other packet that fails raises the
+    SwarmLinkError that refused it, UnknownEpoch when `key` is None, for
+    the caller to record. It is neither delivered nor forwarded, and does
+    not enter the dedup cache, so a later honest copy of the same (origin,
+    seq) still gets through.
     """
-    key = packet._flood_key
-    if packet.origin == state.node_id or key in state.dedup._keys:
+    flood_key = packet._flood_key
+    if packet.origin == state.node_id or flood_key in state.dedup._keys:
         return _DUPLICATE
-    frame = codec.open_packet(keyring, window, packet, now)
-    state.dedup._add(key)
+    if key is None:
+        raise _no_key(packet.epoch)
+    frame = codec.open_with_key(key, window, packet)
+    state.dedup._add(flood_key)
     forward = packet.forwarded() if packet.hop_limit > 0 else None
     return RxResult(frame, forward)
 

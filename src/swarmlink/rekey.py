@@ -164,16 +164,9 @@ class KeyRing:
         self.current = bkey
         self.grace_until = now + grace_window_s
 
-    def key_for_epoch(self, epoch: int, now: float) -> crypto.SymmetricKey:
-        key = self._usable_key(epoch, now)
-        if key is None:
-            raise _no_key(epoch)
-        return key
-
-    def _usable_key(self, epoch: int, now: float) -> Optional[crypto.SymmetricKey]:
+    def key_for_epoch(self, epoch: int, now: float) -> Optional[crypto.SymmetricKey]:
         """The key this ring opens `epoch` with at `now`: the current
-        epoch's, or the previous one's until its grace ends; else None.
-        sim.py's keyless prefilter asks this without raising."""
+        epoch's, or the previous one's until its grace ends; else None."""
         current = self.current
         if current is not None and epoch == current.epoch:
             return current.key

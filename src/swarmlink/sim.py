@@ -53,13 +53,11 @@ names, and must give the same run:
   The handler runs only for the receivers left, in order
   (`Reference._deliver` parses the bytes for each live receiver, and
   `Reference._rx_data_mesh` counts `mesh.handle_rx`'s own duplicate result);
-- in an encrypted mesh, a data packet's receiver left after that step
-  whose keyring holds no usable key for the packet's epoch at `now` is
-  refused with the UnknownEpoch that `codec.open_packet` raises first,
-  before any state changes, in receiver order, without its handler: no
-  exception, and one stamped trace line (see report.py). Both ask
-  `rekey.KeyRing._usable_key`, so the rule is written once
-  (`Reference._deliver` sends every receiver through the handler);
+- each mesh data receiver left makes one key lookup and hands the key to
+  `mesh.handle_rx`; one with no usable key for the packet's epoch gets the
+  UnknownEpoch refusal without a raise, in one stamped trace line (see
+  report.py) (`Reference._rx_data_mesh` hands a None key on, and
+  `handle_rx` raises it after its duplicate check);
 - a sealed packet and its forwards keep their seal, the key bytes that
   sealed it and the frame sealed: a receiver holding those bytes takes
   that frame, one holding others runs AES-GCM, and no open writes to the
@@ -586,9 +584,9 @@ class Simulation:
         Down receivers are set aside, bytes that come without their message
         are parsed once (the first byte picks the message class and its
         handler), in mesh mode duplicate receivers are dropped in one step,
-        and the handler runs for each receiver left, in order, save an
-        encrypted mesh's keyless ones (_handle_keyed); a SwarmLinkError it
-        raises is recorded as a security event here and nowhere else.
+        and the handler runs for each receiver left, in order. A
+        SwarmLinkError it raises is recorded as a security event here; a
+        keyless mesh receiver's handler records its refusal without a raise.
         Passes each outcome, and how many, to `tally` if given."""
         self.counts[counter] += len(receivers)
         down = self.air.down
@@ -618,9 +616,6 @@ class Simulation:
                 if not fresh:
                     return
                 receivers = fresh
-            if self.key_source is not None:
-                self._handle_keyed(receivers, entry[1], message, tally)
-                return
         handler = entry[1]
         for receiver_id in receivers:
             node = self.nodes[receiver_id]
@@ -629,30 +624,6 @@ class Simulation:
             except SwarmLinkError as exc:
                 outcome = self._security_event(node, exc)
             if tally is not None and outcome is not None:
-                tally(outcome)
-
-    def _handle_keyed(
-        self, receivers: Sequence[int], handler: Callable[..., str],
-        packet: codec.WirePacket, tally: Optional[Callable[..., None]],
-    ) -> None:
-        """_deliver's handler loop for an encrypted mesh's data packet: a
-        receiver whose keyring holds no usable key for the packet's epoch
-        gets the UnknownEpoch refusal open_packet would raise, first thing
-        after the duplicate check that already passed, without the handler."""
-        epoch, now, nodes = packet.epoch, self.now, self.nodes
-        keyless = None  # the refusal, built at the first keyless receiver
-        for receiver_id in receivers:
-            node = nodes[receiver_id]
-            if node.keyring._usable_key(epoch, now) is None:
-                if keyless is None:
-                    keyless = rekey._no_key(epoch)
-                outcome = self._security_event(node, keyless)
-            else:
-                try:
-                    outcome = handler(node, packet)
-                except SwarmLinkError as exc:
-                    outcome = self._security_event(node, exc)
-            if tally is not None:
                 tally(outcome)
 
     def _security_event(self, node: _Node, exc: SwarmLinkError) -> str:
@@ -670,7 +641,10 @@ class Simulation:
         self._schedule(self.now, "advrx", deliver)
 
     def _rx_data_mesh(self, node: _Node, packet: codec.WirePacket) -> str:
-        result = mesh.handle_rx(node.mesh, node.keyring, node.window, packet, self.now)
+        key = node.keyring.key_for_epoch(packet.epoch, self.now)
+        if key is None:
+            return self._security_event(node, rekey._no_key(packet.epoch))
+        result = mesh.handle_rx(node.mesh, key, node.window, packet)
         self._deliver_frame(node, result.deliver)
         if result.forward is not None:
             jitter_max = self.sc.protocol.forward_jitter_max_s

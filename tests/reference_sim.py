@@ -97,8 +97,10 @@ class Reference(Simulation):
                 tally(outcome)
 
     def _rx_data_mesh(self, node, packet):
-        """Simulation._rx_data_mesh, taking `mesh.handle_rx`'s own duplicate result."""
-        result = mesh.handle_rx(node.mesh, node.keyring, node.window, packet, self.now)
+        """Simulation._rx_data_mesh, taking `mesh.handle_rx`'s own duplicate
+        result and its raise for a receiver with no key."""
+        key = node.keyring.key_for_epoch(packet.epoch, self.now)
+        result = mesh.handle_rx(node.mesh, key, node.window, packet)
         if result.duplicate:
             self.counts["rx_duplicates"] += 1
             return "rejected_dedup"

@@ -134,6 +134,41 @@ def test_shared_replay_records_give_the_bytes_of_the_plain_recorder(monkeypatch,
     assert plain == shared
 
 
+def test_each_replay_hands_over_the_picked_transmission_with_its_own_hop_byte():
+    # The tap's own records, not the run's report, say which copy a replay
+    # sends: each injection must hand over the picked transmission's bytes,
+    # hop byte included, and its receiver tuple.
+    simulation = sim.Simulation(LOCKED["contested13_replay"])
+    tap = next(t for t in simulation.taps if t.name == "replay")
+    sent, picks, injected = [], [], []
+    real_on_air, real_randrange, real_inject = tap.on_air, simulation.rng_adv.randrange, simulation.inject
+
+    def on_air(item, result, data):
+        if item.kind == "data" and result.delivered:
+            sent.append((item.data, result.delivered))
+        return real_on_air(item, result, data)
+
+    def randrange(n):
+        assert n == len(sent)  # the draw is over every transmission so far
+        picks.append(real_randrange(n))
+        return picks[-1]
+
+    def inject(receiver_ids, data, tally):
+        injected.append((data, receiver_ids))
+        real_inject(receiver_ids, data, tally)
+
+    tap.on_air, simulation.rng_adv.randrange, simulation.inject = on_air, randrange, inject
+    simulation.run()
+    assert len(picks) == len(injected) == tap.injections > 0
+    hop = codec._HOP_OFFSET
+    other_hops = 0  # picks whose flood was recorded earlier under another hop byte
+    for pick, (data, receiver_ids) in zip(picks, injected):
+        assert (data, receiver_ids) == sent[pick]
+        body = data[:hop] + data[hop + 1:]
+        other_hops += any(d[:hop] + d[hop + 1:] == body and d[hop] != data[hop] for d, _ in sent[:pick])
+    assert other_hops > 0
+
+
 def _one_object_per_value(values):
     return len({id(value) for value in values}) == len(set(values))
 

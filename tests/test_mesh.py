@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmlink import codec, crypto, mesh
-from swarmlink.errors import AuthError, ReplayError
+from swarmlink.errors import AuthError, ReplayError, UnknownEpoch
 from swarmlink.golden import generated_scenarios
 from swarmlink.handshake import SessionTable
 from swarmlink.metrics import Counters
@@ -68,7 +68,7 @@ def test_originate_assigns_sequences_and_self_dedups():
     assert (p1.seq, p2.seq) == (0, 1)
     assert p1.origin == 4
     # a node's own packet echoed back must not be re-flooded
-    result = mesh.handle_rx(state, ring, codec.ReplayWindow(), p1, now=0.1)
+    result = mesh.handle_rx(state, ring.current.key, codec.ReplayWindow(), p1)
     assert result.duplicate
 
 
@@ -78,8 +78,8 @@ def test_own_packet_stays_a_duplicate_after_its_dedup_entry_is_evicted():
     own = mesh.originate(state, ring, codec.PacketCounters(), frame_of(), hop_limit=3)
     other = mesh.originate(mesh.MeshState(node_id=5), ring, codec.PacketCounters(), frame_of(), hop_limit=3)
     window = codec.ReplayWindow()
-    assert mesh.handle_rx(state, ring, window, other, now=0.1).deliver is not None  # takes the one slot
-    replayed = mesh.handle_rx(state, ring, window, own, now=0.2)
+    assert mesh.handle_rx(state, ring.current.key, window, other).deliver is not None  # takes the one slot
+    replayed = mesh.handle_rx(state, ring.current.key, window, own)
     assert replayed.duplicate and replayed.deliver is None and replayed.forward is None
 
 
@@ -90,11 +90,11 @@ def test_handle_rx_delivers_then_suppresses():
     counters = codec.PacketCounters()
     window = codec.ReplayWindow()
     pkt = mesh.originate(sender, ring, counters, frame_of(b"once"), hop_limit=2)
-    first = mesh.handle_rx(receiver, ring, window, pkt, now=0.1)
+    first = mesh.handle_rx(receiver, ring.current.key, window, pkt)
     assert first.deliver == frame_of(b"once")
     assert first.forward is not None
     assert first.forward.hop_limit == 1
-    again = mesh.handle_rx(receiver, ring, window, pkt, now=0.2)
+    again = mesh.handle_rx(receiver, ring.current.key, window, pkt)
     assert again.duplicate and again.deliver is None and again.forward is None
 
 
@@ -106,10 +106,10 @@ def test_rx_results_keep_their_fields_and_every_duplicate_shares_one():
     receiver = mesh.MeshState(node_id=3)
     pkt = mesh.originate(mesh.MeshState(node_id=2), ring, codec.PacketCounters(), frame_of(), hop_limit=0)
     window = codec.ReplayWindow()
-    fresh = mesh.handle_rx(receiver, ring, window, pkt, now=0.1)
+    fresh = mesh.handle_rx(receiver, ring.current.key, window, pkt)
     assert fresh == (frame_of(), None, False)
-    assert mesh.handle_rx(receiver, ring, window, pkt, now=0.2) is mesh._DUPLICATE
-    assert mesh.handle_rx(receiver, ring, window, pkt, now=0.3) is mesh._DUPLICATE
+    assert mesh.handle_rx(receiver, ring.current.key, window, pkt) is mesh._DUPLICATE
+    assert mesh.handle_rx(receiver, ring.current.key, window, pkt) is mesh._DUPLICATE
 
 
 def test_every_cache_that_holds_a_flood_holds_its_one_key_object():
@@ -131,14 +131,14 @@ def test_a_flood_copy_rebuilt_from_its_bytes_is_still_a_duplicate():
     receiver = mesh.MeshState(node_id=3)
     pkt = mesh.originate(mesh.MeshState(node_id=2), ring, codec.PacketCounters(), frame_of(), hop_limit=2)
     window = codec.ReplayWindow()
-    forward = mesh.handle_rx(receiver, ring, window, pkt, now=0.1).forward
+    forward = mesh.handle_rx(receiver, ring.current.key, window, pkt).forward
     assert forward._flood_key is pkt._flood_key
     (held,) = receiver.dedup._keys
     assert held is pkt._flood_key
     rebuilt = codec.WirePacket.from_bytes(forward.to_bytes())
     assert rebuilt._flood_key == held and rebuilt._flood_key is not held
     assert mesh._fresh_receivers([3], {3: receiver.dedup}, rebuilt) == []
-    assert mesh.handle_rx(receiver, ring, window, rebuilt, now=0.2) is mesh._DUPLICATE
+    assert mesh.handle_rx(receiver, ring.current.key, window, rebuilt) is mesh._DUPLICATE
 
 
 def test_handle_rx_stops_forwarding_at_hop_zero():
@@ -146,7 +146,7 @@ def test_handle_rx_stops_forwarding_at_hop_zero():
     sender = mesh.MeshState(node_id=2, dedup=mesh.DedupCache())
     receiver = mesh.MeshState(node_id=3, dedup=mesh.DedupCache())
     pkt = mesh.originate(sender, ring, codec.PacketCounters(), frame_of(), hop_limit=0)
-    result = mesh.handle_rx(receiver, ring, codec.ReplayWindow(), pkt, now=0.1)
+    result = mesh.handle_rx(receiver, ring.current.key, codec.ReplayWindow(), pkt)
     assert result.deliver is not None
     assert result.forward is None
 
@@ -160,10 +160,10 @@ def test_handle_rx_failures_do_not_poison_dedup():
     forged = codec.WirePacket.from_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
     window = codec.ReplayWindow()
     with pytest.raises(AuthError):  # a refusal returns nothing to deliver or forward
-        mesh.handle_rx(receiver, ring, window, forged, now=0.1)
+        mesh.handle_rx(receiver, ring.current.key, window, forged)
     assert len(receiver.dedup) == 0
     # the honest copy of the same (origin, seq) still goes through afterward
-    good = mesh.handle_rx(receiver, ring, window, pkt, now=0.2)
+    good = mesh.handle_rx(receiver, ring.current.key, window, pkt)
     assert good.deliver == frame_of(b"real")
 
 
@@ -175,10 +175,35 @@ def test_handle_rx_replayed_counter_rejected():
     window = codec.ReplayWindow()
     p1 = mesh.originate(sender, ring, counters, frame_of(b"a"), hop_limit=1)
     p2 = mesh.originate(sender, ring, counters, frame_of(b"b"), hop_limit=1)
-    assert mesh.handle_rx(receiver, ring, window, p1, now=0.1).deliver
-    assert mesh.handle_rx(receiver, ring, window, p2, now=0.2).deliver  # evicts p1 from dedup
+    assert mesh.handle_rx(receiver, ring.current.key, window, p1).deliver
+    assert mesh.handle_rx(receiver, ring.current.key, window, p2).deliver  # evicts p1 from dedup
     with pytest.raises(ReplayError):
-        mesh.handle_rx(receiver, ring, window, p1, now=0.3)
+        mesh.handle_rx(receiver, ring.current.key, window, p1)
+
+
+def test_handle_rx_without_a_key_answers_duplicates_first_and_refuses_a_fresh_copy_untouched():
+    # The order Reference relies on when it hands every receiver's lookup on:
+    # a duplicate is answered whatever the key; a fresh copy with no key is
+    # refused before the dedup cache or the replay window changes.
+    ring = make_ring(epoch=3)
+    origin = mesh.MeshState(node_id=2)
+    own = mesh.originate(origin, ring, codec.PacketCounters(), frame_of(), hop_limit=2)
+    assert mesh.handle_rx(origin, None, codec.ReplayWindow(), own) is mesh._DUPLICATE
+    receiver = mesh.MeshState(node_id=3)
+    window = codec.ReplayWindow()
+    sender, counters = mesh.MeshState(node_id=4), codec.PacketCounters()
+    held = mesh.originate(sender, ring, counters, frame_of(b"held"), hop_limit=2)
+    assert mesh.handle_rx(receiver, ring.current.key, window, held).deliver == frame_of(b"held")
+    assert mesh.handle_rx(receiver, None, window, held) is mesh._DUPLICATE
+    fresh = mesh.originate(sender, ring, counters, frame_of(b"fresh"), hop_limit=2)
+    cache = (dict(receiver.dedup._keys), list(receiver.dedup._order))
+    windows = {epoch: dict(origins) for epoch, origins in window._state.items()}
+    with pytest.raises(UnknownEpoch) as info:
+        mesh.handle_rx(receiver, None, window, fresh)
+    assert str(info.value) == "no usable key for epoch 3"
+    assert (dict(receiver.dedup._keys), list(receiver.dedup._order)) == cache
+    assert {epoch: dict(origins) for epoch, origins in window._state.items()} == windows
+    assert mesh.handle_rx(receiver, ring.current.key, window, fresh).deliver == frame_of(b"fresh")
 
 
 def test_plaintext_mode_floods_without_keys():
@@ -186,7 +211,7 @@ def test_plaintext_mode_floods_without_keys():
     receiver = mesh.MeshState(node_id=3, dedup=mesh.DedupCache())
     pkt = mesh.originate_plain(sender, codec.PacketCounters(), frame_of(b"clear"), hop_limit=1)
     assert pkt.tag == codec.PLAIN_TAG and pkt.ciphertext == frame_of(b"clear").to_bytes()
-    result = mesh.handle_rx(receiver, NULL_RING, codec.ReplayWindow(), pkt, now=0.1)
+    result = mesh.handle_rx(receiver, NULL_RING.key_for_epoch(pkt.epoch, 0.1), codec.ReplayWindow(), pkt)
     assert result.deliver == frame_of(b"clear")
 
 

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmlink import crypto, rekey, wire
+from swarmlink import codec, crypto, rekey, wire
 from swarmlink.errors import AuthError, NoSession, StaleEpoch, UnknownEpoch, ValidationError
 
 SESSION = crypto.SymmetricKey(b"\x42" * 32, crypto.KeyPurpose.SESSION)
@@ -96,8 +98,7 @@ def test_ring_grace_window_semantics():
     # previous epoch stays usable through the grace deadline, inclusive
     assert ring.key_for_epoch(1, now=14.999).bytes_ == e1.key.bytes_
     assert ring.key_for_epoch(1, now=15.0).bytes_ == e1.key.bytes_
-    with pytest.raises(UnknownEpoch):
-        ring.key_for_epoch(1, now=15.001)
+    assert ring.key_for_epoch(1, now=15.001) is None
     assert ring.key_for_epoch(2, now=100.0).bytes_ == e2.key.bytes_
 
 
@@ -110,14 +111,43 @@ def test_ring_missed_epoch_is_unknown():
     ring.install(src.new_epoch(rng, now=0.0), now=0.0, grace_window_s=5.0)
     e2 = src.new_epoch(rng, now=10.0)  # lost in transit
     e3 = src.new_epoch(rng, now=20.0)
-    with pytest.raises(UnknownEpoch):
-        ring.key_for_epoch(e2.epoch, now=12.0)
+    assert ring.key_for_epoch(e2.epoch, now=12.0) is None
     # the next rekey that does arrive skips the ring forward
     ring.install(e3, now=20.0, grace_window_s=5.0)
     assert ring.key_for_epoch(3, now=21.0).bytes_ == e3.key.bytes_
     assert ring.key_for_epoch(1, now=21.0).bytes_  # old current is in grace now
-    with pytest.raises(UnknownEpoch):
-        ring.key_for_epoch(2, now=21.0)  # never installed, never usable
+    assert ring.key_for_epoch(2, now=21.0) is None  # never installed, never usable
+
+
+_QUARTERS = st.integers(0, 40).map(lambda n: n / 4)  # exact sums, so grace ends are hit
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    installs=st.lists(st.tuples(st.integers(1, 3), _QUARTERS, _QUARTERS), max_size=5),
+    back=st.integers(-1, 2),
+    later=_QUARTERS,
+)
+def test_a_ring_gives_no_key_exactly_when_open_packet_refuses_the_epoch(installs, back, later):
+    # Each install is (epoch step, time step, grace window); the packet's
+    # epoch is `back` below the last one installed. Only the ring says which
+    # epochs it opens; open_packet must refuse exactly the others.
+    ring, now, current = rekey.KeyRing(), 0.0, 0
+    for step, wait, grace in installs:
+        current, now = current + step, now + wait
+        key = crypto.SymmetricKey(bytes([current]) * 32, crypto.KeyPurpose.BROADCAST)
+        ring.install(rekey.BroadcastKey(epoch=current, key=key, not_after=1e9), now, grace)
+    now, epoch = now + later, max(current - back, 0)
+    key = ring.key_for_epoch(epoch, now)
+    frame = codec.Frame(messages=(codec.TelemetryMessage(1, 7, b"x"),))
+    sealing = key or crypto.SymmetricKey(b"\x01" * 32, crypto.KeyPurpose.BROADCAST)
+    packet = codec.seal_with_key(sealing, epoch, 2, 0, 1, frame, codec.PacketCounters())
+    if key is None:
+        with pytest.raises(UnknownEpoch) as info:
+            codec.open_packet(ring, codec.ReplayWindow(), packet, now)
+        assert str(info.value) == f"no usable key for epoch {epoch}"
+    else:
+        assert codec.open_packet(ring, codec.ReplayWindow(), packet, now) is frame
 
 
 def test_ring_stale_install_carries_epoch():

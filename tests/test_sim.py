@@ -611,7 +611,7 @@ def _keyless_batch(cls):
     return sim, outcomes.values, handled
 
 
-def test_a_keyless_receiver_is_refused_before_its_handler_as_the_handler_would_refuse_it():
+def test_a_keyless_receiver_is_refused_as_the_handler_would_refuse_it():
     sim, outcomes, handled = _keyless_batch(Simulation)
     ref, ref_outcomes, ref_handled = _keyless_batch(Reference)
     assert outcomes == ref_outcomes == {
@@ -624,7 +624,7 @@ def test_a_keyless_receiver_is_refused_before_its_handler_as_the_handler_would_r
     assert sim.trace == ref.trace
     assert sim.counts == ref.counts
     assert sim.security_events == ref.security_events == {"UnknownEpoch": 2, "ReplayError": 1}
-    assert handled == [5, 6] and ref_handled == [3, 4, 5, 6, 8]
+    assert handled == [3, 5, 6, 8] and ref_handled == [3, 4, 5, 6, 8]
 
 
 @pytest.mark.parametrize(
@@ -749,10 +749,9 @@ def test_a_refused_reception_is_one_security_event_and_one_rejected_outcome(mode
 
 def test_every_processed_reception_is_set_aside_or_handled_once():
     # The receive identity: each reception an rx or advrx event processes
-    # is ignored (receiver down), unparseable, a duplicate, refused before
-    # the handler (mesh data under an epoch its receiver holds no key for),
-    # or one handler call. No handler raises UnknownEpoch in an encrypted
-    # mesh, so every one of those refusals is a prefilter's.
+    # is ignored (receiver down), unparseable, a duplicate, or one handler
+    # call. No handler raises UnknownEpoch in an encrypted mesh: a receiver
+    # with no key for a data packet's epoch is refused without a raise.
     sim = Simulation(scenario_from_dict(generated_scenarios()["contested13_replay"]))
     calls = Counters()
     keyless_handled = Counters()
@@ -773,9 +772,32 @@ def test_every_processed_reception_is_set_aside_or_handled_once():
     processed = c["rx_processed"] + c["adv_rx_processed"]
     set_aside = c["rx_ignored_down"] + c["rx_unparseable"] + c["rx_duplicates"]
     keyless = sim.security_events["UnknownEpoch"]
-    assert processed == set_aside + keyless + sum(calls.values.values())
+    assert processed == set_aside + sum(calls.values.values())
     assert calls.get("WirePacket") > 0 and calls.get("RekeyMessage") > 0
     assert keyless > 0 and keyless_handled.values == {}
+
+
+def test_each_fresh_mesh_data_receiver_makes_one_key_lookup(monkeypatch):
+    # A receiver's one lookup either hands its key to mesh.handle_rx or
+    # refuses the packet; nothing else on the run path asks a keyring.
+    lookups, handled = Counters(), Counters()
+    real_lookup, real_handle = rekey.KeyRing.key_for_epoch, mesh.handle_rx
+
+    def lookup(ring, epoch, now):
+        lookups.bump("key_for_epoch")
+        return real_lookup(ring, epoch, now)
+
+    def handle(*args):
+        handled.bump("handle_rx")
+        return real_handle(*args)
+
+    monkeypatch.setattr(rekey.KeyRing, "key_for_epoch", lookup)
+    monkeypatch.setattr(mesh, "handle_rx", handle)
+    sim = Simulation(scenario_from_dict(generated_scenarios()["contested13_replay"]))
+    sim.run()
+    keyless = sim.security_events["UnknownEpoch"]
+    assert keyless > 0 and handled.get("handle_rx") > 0
+    assert lookups.get("key_for_epoch") == handled.get("handle_rx") + keyless
 
 
 # ---- metamorphic determinism: draws in one domain never shift another ------
