@@ -15,12 +15,20 @@ from swarmlink.cli import resolve_scenario
 from swarmlink.sim import run_scenario
 
 
+def probability(text: str) -> float:
+    """A loss level: profiles built in code are not checked, so refuse it here."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="rekey_under_loss")
     parser.add_argument(
         "--losses",
-        type=float,
+        type=probability,
         nargs="*",
         default=[0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40],
     )

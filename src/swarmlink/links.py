@@ -9,45 +9,39 @@ range hear the transmission, subject to an independent loss roll each.
 The selector keeps an exponentially weighted success score per link and
 prefers the fastest healthy link that covers the destination, falling back
 down the list as health decays. A hysteresis hold-down stops flapping.
+
+A profile's bounds sit on its field types, as every scenario field's do,
+and are checked where scenario JSON is read; a profile built in code is
+not checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Annotated, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import MtuExceeded, NoViableLink, ValidationError
+
+# Bounds ride on field types as Annotated[type, (test, what the value must
+# be)]; scenario.py reads JSON against them and shares these.
+Positive = Annotated[float, (lambda v: v > 0, "positive")]
+NonNeg = Annotated[float, (lambda v: v >= 0, "nonnegative")]
+UnitInterval = Annotated[float, (lambda v: 0 <= v <= 1, "in [0, 1]")]
+PositiveFraction = Annotated[float, (lambda v: 0 < v <= 1, "in (0, 1]")]
 
 
 @dataclass(frozen=True)
 class LinkProfile:
     name: str
-    range_m: Optional[float]  # None: reachable at any distance
-    bitrate_bps: float
-    base_latency_s: float
-    loss_prob: float
-    mtu_bytes: int
-    duty_cycle_limit: Optional[float] = None  # fraction of airtime allowed
-    duty_window_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.bitrate_bps <= 0:
-            raise ValidationError("bitrate_bps", "must be positive")
-        if self.base_latency_s < 0:
-            raise ValidationError("base_latency_s", "must be nonnegative")
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValidationError("loss_prob", "must lie in [0, 1]")
-        if self.mtu_bytes < 64:
-            raise ValidationError("mtu_bytes", "must be at least 64")
-        if self.range_m is not None and self.range_m <= 0:
-            raise ValidationError("range_m", "must be positive when bounded")
-        if (self.duty_cycle_limit is None) != (self.duty_window_s is None):
-            raise ValidationError("duty_cycle", "limit and window must be set together")
-        if self.duty_cycle_limit is not None and not 0 < self.duty_cycle_limit <= 1:
-            raise ValidationError("duty_cycle_limit", "must lie in (0, 1]")
-        if self.duty_window_s is not None and self.duty_window_s <= 0:
-            raise ValidationError("duty_window_s", "must be positive")
+    range_m: Optional[Positive]  # None: reachable at any distance
+    bitrate_bps: Positive
+    base_latency_s: NonNeg
+    loss_prob: UnitInterval
+    mtu_bytes: Annotated[int, (lambda v: v >= 64, "at least 64")]
+    # Fraction of airtime allowed per window; Scenario.validate wants both or neither.
+    duty_cycle_limit: Optional[PositiveFraction] = None
+    duty_window_s: Optional[Positive] = None
 
     def airtime_s(self, nbytes: int) -> float:
         return nbytes * 8 / self.bitrate_bps

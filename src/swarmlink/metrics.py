@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import UnknownMessage
 
-_TAG_BYTES = 8  # a message's number in its source's sequence, big-endian, opens its payload
+TAG_BYTES = 8  # a message's number in its source's sequence, big-endian, opens its payload
 
 
 def percentile(sorted_values: List[float], fraction: float) -> Optional[float]:
@@ -82,14 +82,14 @@ class DeliveryAudit:
             self.rows[source] = (array("d"), array("H"))
         times.append(t)
         self.reach[source].append(0)
-        return len(times).to_bytes(_TAG_BYTES, "big")
+        return len(times).to_bytes(TAG_BYTES, "big")
 
     def _number(self, source: int, payload: bytes) -> int:
         """The number of the message of `source` that `payload`'s tag names;
         raises UnknownMessage if `source` sent no such message."""
-        if len(payload) < _TAG_BYTES:
+        if len(payload) < TAG_BYTES:
             raise UnknownMessage("payload too short to carry a message tag")
-        number = int.from_bytes(payload[:_TAG_BYTES], "big")
+        number = int.from_bytes(payload[:TAG_BYTES], "big")
         if not 0 < number <= len(self.sent.get(source, ())):
             raise UnknownMessage(f"node {source} never sent message {number}")
         return number

@@ -2,33 +2,34 @@
 
 A scenario fixes everything a run needs: nodes and positions, link
 profiles, protocol timers, traffic, adversaries, and the seed. A field's
-type carries its own constraints (Annotated bounds, Literal choices), and
-JSON is read against those types in one pass. `Scenario.validate` holds the
-rules that tie fields together and runs whenever a Scenario is built.
-Either way a bad file fails fast with an error naming the field path and
-the constraint instead of surfacing mid-run.
+type carries its own constraints (Annotated bounds, Literal choices; a
+link's sit on `links.LinkProfile`), and JSON is read against those types in
+one pass. `Scenario.validate` holds the rules that tie fields together and
+runs whenever a Scenario is built. Either way a bad file fails fast with an
+error naming the field path and the constraint instead of surfacing mid-run.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import lru_cache, partial
 from typing import Annotated, Callable, Dict, Literal, Optional, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 from . import wire
-from .codec import PER_MESSAGE_OVERHEAD, frame_capacity
+from .codec import MAX_PAYLOAD_LEN, PER_MESSAGE_OVERHEAD, frame_capacity
 from .errors import ValidationError
-from .links import LinkProfile, LinkSelector, default_profiles
+from .links import LinkProfile, LinkSelector, NonNeg, Positive, PositiveFraction, UnitInterval, default_profiles
 from .mesh import DEDUP_CAPACITY
+from .metrics import TAG_BYTES
 
-# Bounds ride on field types as Annotated[type, (test, what the value must be)].
-Positive = Annotated[float, (lambda v: v > 0, "positive")]
-NonNeg = Annotated[float, (lambda v: v >= 0, "nonnegative")]
+# Bounds ride on field types as in links.py: Annotated[type, (test, what the value must be)].
 Count = Annotated[int, (lambda v: v >= 0, "nonnegative")]
 NodeId = Annotated[int, (lambda v: 0 <= v <= wire.NODE_ID_MAX, f"in [0, {wire.NODE_ID_MAX}]")]
+# A payload opens with the delivery ledger's message tag; the frame field caps its length.
+PayloadSize = Annotated[int, (lambda v: TAG_BYTES <= v <= MAX_PAYLOAD_LEN, f"in [{TAG_BYTES}, {MAX_PAYLOAD_LEN}]")]
 _NONEMPTY = (bool, "nonempty")
 
 AdversaryKind = Literal["eavesdrop", "mitm_key_substitution", "replay_injector"]
@@ -49,8 +50,7 @@ class NodeSpec:
 class TrafficSpec:
     senders: Union[Literal["uavs", "all", "gcs"], Tuple[int, ...]] = "uavs"  # or node ids
     rate_hz: NonNeg = 1.0
-    # 8 bytes carry the delivery ledger's per-source message tag; 255 is the frame field cap.
-    payload_bytes: Annotated[int, (lambda v: 8 <= v <= 255, "in [8, 255]")] = 32
+    payload_bytes: PayloadSize = 32
     start_s: NonNeg = 2.0
     stop_s: Optional[float] = None
 
@@ -88,9 +88,9 @@ class ProtocolSpec:
 @dataclass(frozen=True)
 class LinkPolicySpec:
     pinned_link: Optional[str] = None  # None adapts; a link name pins every send to it
-    health_threshold: Annotated[float, (lambda v: 0 <= v <= 1, "in [0, 1]")] = LinkSelector.health_threshold
+    health_threshold: UnitInterval = LinkSelector.health_threshold
     hysteresis_s: NonNeg = LinkSelector.hysteresis_s
-    ewma_alpha: Annotated[float, (lambda v: 0 < v <= 1, "in (0, 1]")] = LinkSelector.ewma_alpha
+    ewma_alpha: PositiveFraction = LinkSelector.ewma_alpha
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,8 @@ class Scenario:
         for name, profile in self.links.items():
             if profile.name != name:
                 raise ValidationError(f"links.{name}", "profile name must match its key")
+            if (profile.duty_cycle_limit is None) != (profile.duty_window_s is None):
+                raise ValidationError(f"links.{name}.duty_cycle", "limit and window must be set together")
         if not self.security.encryption and self.mode != "mesh":
             raise ValidationError("security.encryption", "plaintext baseline requires mesh mode")
         if self.security.leak_epochs and not (self.mode == "mesh" and self.security.encryption):
@@ -204,16 +206,13 @@ class Scenario:
             raise ValidationError("traffic.stop_s", "must be >= start_s")
 
     def _validate_link_events(self) -> None:
+        link_readers, _ = _field_table(LinkProfile)
         for i, ev in enumerate(self.link_events):
             path = f"link_events[{i}]"
             if ev.link not in self.links:
                 raise ValidationError(f"{path}.link", f"unknown link {ev.link!r}")
-            for fname, value in ev.set.items():
-                # Apply to a copy now so a bad value fails at validation time.
-                try:
-                    replace(self.links[ev.link], **{fname: value})
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}.set.{fname}", exc.message) from None
+            for fname, value in ev.set.items():  # the value must pass the link field's own bound
+                link_readers[fname](value, f"{path}.set.{fname}")
 
 
 # ---- reading JSON against the field types -----------------------------------
@@ -357,10 +356,7 @@ def _build(cls, data, path: str, defaults: Optional[dict] = None):
     for name in required:
         if name not in kwargs:
             raise ValidationError(f"{where}{name}", "missing required field")
-    try:
-        return cls(**kwargs)
-    except ValidationError as exc:  # LinkProfile.__post_init__ names the bare field
-        raise ValidationError(f"{where}{exc.field}", exc.message) from None
+    return cls(**kwargs)
 
 
 def _links_from_dict(data, path: str) -> Dict[str, LinkProfile]:

@@ -28,17 +28,6 @@ def profile(name="wifi", bitrate=1e6, range_m=100.0, loss=0.0, duty=None, window
 # ---- profiles ---------------------------------------------------------------
 
 
-def test_profile_validation():
-    with pytest.raises(ValidationError):
-        profile(loss=1.5)
-    with pytest.raises(ValidationError):
-        profile(bitrate=0)
-    with pytest.raises(ValidationError):
-        profile(duty=0.01)  # duty limit without a window
-    with pytest.raises(ValidationError):
-        profile(window=60.0)  # window without a limit
-
-
 def test_coverage_is_a_closed_disc():
     p = profile(range_m=100.0)
     assert p.covers(99.9) and p.covers(100.0)

@@ -2,13 +2,17 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import pytest
 
+from swarmlink.codec import MAX_PAYLOAD_LEN
 from swarmlink.errors import ValidationError
+from swarmlink.links import LinkProfile, default_profiles
+from swarmlink.metrics import TAG_BYTES
 from swarmlink.sim import Simulation
-from swarmlink.scenario import Scenario, load_scenario, scenario_from_dict
+from swarmlink.scenario import Scenario, _field_table, load_scenario, scenario_from_dict
 
 from conftest import base_scenario_dict
 
@@ -79,6 +83,68 @@ def test_link_overrides_merge_over_band_defaults():
             scenario_from_dict(base_scenario_dict(links={"x": {"band": band}}))
         assert (exc_info.value.field, exc_info.value.message) == ("links.x.band", f"{band!r} unknown")
     expect_invalid(base_scenario_dict(links={"lora": {}}), "links.lora.band")  # band defaults to the name
+
+
+@pytest.mark.parametrize(
+    "link, field",
+    [
+        ({"loss_prob": 1.5}, "links.x.loss_prob"),
+        ({"bitrate_bps": 0}, "links.x.bitrate_bps"),
+        ({"base_latency_s": -1}, "links.x.base_latency_s"),
+        ({"range_m": 0}, "links.x.range_m"),
+        ({"mtu_bytes": 63}, "links.x.mtu_bytes"),
+        ({"duty_cycle_limit": 0.01}, "links.x.duty_cycle"),  # a limit without a window
+        ({"duty_window_s": 60.0}, "links.x.duty_cycle"),  # a window without a limit
+        ({"band": "subghz", "duty_cycle_limit": 0}, "links.x.duty_cycle_limit"),
+        ({"band": "subghz", "duty_window_s": 0}, "links.x.duty_window_s"),
+    ],
+)
+def test_link_profile_bounds(link, field):
+    with pytest.raises(ValidationError) as exc_info:
+        scenario_from_dict(base_scenario_dict(links={"x": {"band": "wifi24", **link}}))
+    assert exc_info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "link",
+    [
+        {"band": "wifi24", "loss_prob": 1, "base_latency_s": 0, "mtu_bytes": 64, "range_m": None},
+        {"band": "subghz", "duty_cycle_limit": 1, "duty_window_s": 1e-3},
+    ],
+)
+def test_link_profile_bounds_admit_their_edges(link):
+    profile = scenario_from_dict(base_scenario_dict(links={"x": link})).links["x"]
+    assert vars(profile).items() >= {k: v for k, v in link.items() if k != "band"}.items()
+
+
+def test_default_profiles_pass_the_link_schema():
+    # Building a profile checks nothing, and every scenario link starts from one of these.
+    readers, _ = _field_table(LinkProfile)
+    for band, profile in default_profiles().items():
+        for name, read in readers.items():
+            read(getattr(profile, name), f"{band}.{name}")
+    sc = scenario_from_dict(base_scenario_dict(links={band: {} for band in default_profiles()}))  # the duty pair rule
+    assert sc.links == default_profiles()
+
+
+def test_no_dataclass_a_scenario_holds_checks_itself():
+    # A field's bounds sit on its type, which the JSON reader and a
+    # schema-drawn strategy both read; a __post_init__ would hide a second set.
+    def dataclasses_in(hint):
+        if isinstance(hint, type) and is_dataclass(hint):
+            yield hint
+        for arg in get_args(hint):
+            yield from dataclasses_in(arg)
+
+    held, todo = set(), [Scenario]
+    while todo:
+        for hint in get_type_hints(todo.pop(), include_extras=True).values():
+            for cls in dataclasses_in(hint):
+                if cls not in held:
+                    held.add(cls)
+                    todo.append(cls)
+    assert LinkProfile in held and Scenario not in held
+    assert sorted(cls.__name__ for cls in held if hasattr(cls, "__post_init__")) == []
 
 
 def test_sender_id_forms():
@@ -191,6 +257,17 @@ def test_traffic_errors():
     expect_invalid(d, "traffic.rate_hz")
 
 
+def test_payload_bounds_are_the_ledger_tag_and_the_frame_field_cap():
+    for size in (TAG_BYTES - 1, MAX_PAYLOAD_LEN + 1):
+        d = base_scenario_dict()
+        d["traffic"]["payload_bytes"] = size
+        expect_invalid(d, "traffic.payload_bytes")
+    for size in (TAG_BYTES, MAX_PAYLOAD_LEN):
+        d = base_scenario_dict()
+        d["traffic"]["payload_bytes"] = size
+        assert scenario_from_dict(d).traffic.payload_bytes == size
+
+
 def test_payload_must_fit_tightest_link():
     # a link with a tiny mtu caps the usable payload size
     d = base_scenario_dict(
@@ -298,8 +375,11 @@ def test_link_event_validation():
     d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"loss_prob": "x"}}])
     expect_invalid(d, "link_events[0].set.loss_prob")
 
-    d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"loss_prob": 1.5}}])
-    expect_invalid(d, "link_events[0].set.loss_prob")  # LinkProfile's own bound
+    for fname, value in (("loss_prob", 1.5), ("bitrate_bps", 0), ("base_latency_s", -1)):  # LinkProfile's own bounds
+        d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {fname: value}}])
+        with pytest.raises(ValidationError) as exc_info:
+            scenario_from_dict(d)
+        assert exc_info.value.field == f"link_events[0].set.{fname}"
 
 
 def test_link_policy_validation():

@@ -37,6 +37,13 @@ def test_script_runs(name, argv, expected, capsys):
     assert expected in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("loss", ["1.5", "-0.1", "nan"])
+def test_loss_sweep_refuses_a_loss_outside_the_unit_interval(loss, capsys):
+    with pytest.raises(SystemExit) as refused:
+        _script("loss_sweep").main(["--losses", loss, "--seeds", "1"])
+    assert refused.value.code == 2 and "--losses" in capsys.readouterr().err
+
+
 def test_retained_memory_gives_two_runs_of_one_duration_the_same_row():
     # A fresh interpreter, so the first row would pay cryptography's lazy
     # imports (about 0.5 MB) if the untraced warm-up did not.
