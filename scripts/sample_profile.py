@@ -24,7 +24,13 @@ same calls, so they count too), and the heap events `run()` pops by kind
 `heapq.heappop` that sim.py calls; a tx_done that a node's drain runs in
 place is never on the heap, so it is not counted. From the same pass it
 prints the trace lines written, by kind, and the receptions refused, by
-error name (the report's `security_events`), each most first.
+error name (the report's `security_events`), each most first, and, first
+of these lines, the Python-level calls the pass makes (`call` events seen
+by `sys.setprofile`, leaving out this script's own functions and wrappers,
+with the cyclic collector paused), in all and per transmission (the sends
+`links.transmit` put on the air). Unlike the samples, that count does not
+move with host speed, so it measures plumbing: a call less is work less on
+any host.
 
 The outside-in tracer (`bench/run.py --trace 1`) times only the public
 callables it wraps and leaves the rest in `sim.self_s`; this profile wraps
@@ -33,6 +39,7 @@ from this checkout's `src/`, never from an installed copy.
 """
 
 import argparse
+import gc
 import heapq
 import importlib.util
 import json
@@ -116,11 +123,20 @@ def run_pass(data: dict) -> sim.Simulation:
     return simulation
 
 
-def counted_pass(data: dict) -> tuple[Counter, Counter, sim.Simulation]:
+def counted_pass(data: dict) -> tuple[Counter, Counter, int, sim.Simulation]:
     """The heap events one pass pops, by kind, its AES-GCM calls, by
-    "seal" and "open", and the finished run."""
-    popped: Counter = Counter()
-    aead: Counter = Counter()
+    "seal" and "open", its Python-level calls outside this script, and the
+    finished run."""
+    # Keys set up front, so no Counter.__missing__ call lands in the count.
+    popped: Counter = Counter(dict.fromkeys(EVENT_KINDS, 0))
+    aead: Counter = Counter(seal=0, open=0)
+    calls = 0
+    here = counted_pass.__code__.co_filename
+
+    def count_call(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename != here:
+            calls += 1
 
     def counting_pop(heap):
         event = heapq.heappop(heap)
@@ -136,12 +152,17 @@ def counted_pass(data: dict) -> tuple[Counter, Counter, sim.Simulation]:
     real_heapq, real_seal, real_open = sim.heapq, crypto.aead_seal, crypto.aead_open
     sim.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
     crypto.aead_seal, crypto.aead_open = counting("seal", real_seal), counting("open", real_open)
+    # The cyclic collector is paused, so no collection's callbacks land in the count.
+    gc.disable()
+    sys.setprofile(count_call)
     try:
         simulation = run_pass(data)
     finally:
+        sys.setprofile(None)
+        gc.enable()
         sim.heapq = real_heapq
         crypto.aead_seal, crypto.aead_open = real_seal, real_open
-    return popped, aead, simulation
+    return popped, aead, calls, simulation
 
 
 def _tally(counts: Counter) -> str:
@@ -174,7 +195,9 @@ def main(argv=None) -> int:
     print(f"{'incl%':>7} {'leaf%':>7}  function")
     for name, count in sampler.inclusive.most_common(TOP):
         print(f"{100 * count / total:7.1f} {100 * sampler.leaf[name] / total:7.1f}  {name}")
-    popped, aead, simulation = counted_pass(data)
+    popped, aead, calls, simulation = counted_pass(data)
+    sends = sum(simulation.per_link_tx.values())
+    print(f"python calls per pass: {calls:,} (per transmission {calls / max(sends, 1):.1f})")
     print(f"trace lines per pass: {_tally(Counter(json.loads(line)['event'] for line in simulation.trace))}")
     print(f"refusals per pass: {_tally(simulation.security_events)}")
     print(f"aead per pass: seal {aead['seal']:,}, open {aead['open']:,}")

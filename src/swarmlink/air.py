@@ -1,12 +1,13 @@
-"""Who hears a send: the neighbour index, the covering cache and the
+"""Who hears a send: the neighbour index, the reach cache and the
 receiver pick of one run, over the unit discs of `links.LinkProfile.covers`.
 
 `profiles` is the run's one copy of its link profiles: a link event
 replaces an entry, and the link selector reads them from here. Both caches
 are exact: positions are static, a link event changes only fields `Air`
 does not read (range_m is not a scenario.MutableLinkField), and `down` only
-grows. So a neighbour list holds for good once built, and a node going
-down, the one change to what covers a send, clears that cache.
+grows. So a neighbour list holds for good once built, and the one reach
+cache, per (sender, destination), holds until a node goes down, the one
+change to who hears a send: `node_down` clears it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import links
+
+Reach = Tuple[FrozenSet[str], Dict[str, Sequence[int]]]
 
 
 class Air:
@@ -25,11 +28,11 @@ class Air:
         self.down: Set[int] = set()
         # (node, link) -> neighbours(), built on first use: set-up does not grow with N^2.
         self._neighbours: Dict[Tuple[int, str], List[int]] = {}
-        self._covering: Dict[Tuple[int, Optional[int]], FrozenSet[str]] = {}
+        self._reach: Dict[Tuple[int, Optional[int]], Reach] = {}
 
     def node_down(self, node_id: int) -> None:
         self.down.add(node_id)
-        self._covering.clear()
+        self._reach.clear()
 
     def neighbours(self, sender: int, link: str) -> List[int]:
         """The peers `link` reaches from `sender`, in node order, down or not."""
@@ -45,34 +48,45 @@ class Air:
             self._neighbours[key] = found
         return found
 
-    def covering(self, sender: int, dest: Optional[int]) -> FrozenSet[str]:
-        """The names of the links that cover a send from `sender` to `dest`
-        (None broadcasts): for a broadcast, unbounded links (whose neighbour
-        lists are not built) and links with a live neighbour; for a unicast,
-        the links whose range holds `dest`. With no live peer at all, or a
-        down `dest`, every link covers, and the send reaches nobody."""
+    def reach(self, sender: int, dest: Optional[int]) -> Reach:
+        """The links that cover a send from `sender` to `dest` (None
+        broadcasts), and a dict of link -> `receivers()` that fills as they
+        are picked. A broadcast is covered by unbounded links (whose
+        neighbour lists are not built) and links with a live neighbour; a
+        unicast by the links whose range holds `dest`. With no live peer at
+        all, or a down `dest`, every link covers, and the send reaches nobody."""
         key = (sender, dest)
-        found = self._covering.get(key)
+        found = self._reach.get(key)
         if found is None:
             down = self.down
             if dest in down or len(down) + 1 == len(self.positions):
-                found = frozenset(self.profiles)
+                covering = frozenset(self.profiles)
             elif dest is None:
-                found = frozenset(
+                covering = frozenset(
                     name for name, p in self.profiles.items()
                     if p.range_m is None or any(n not in down for n in self.neighbours(sender, name))
                 )
             else:
                 dist = links.distance(self.positions[sender], self.positions[dest])
-                found = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
-            self._covering[key] = found
+                covering = frozenset(name for name, p in self.profiles.items() if p.covers(dist))
+            found = self._reach[key] = (covering, {})
         return found
+
+    def covering(self, sender: int, dest: Optional[int]) -> FrozenSet[str]:
+        """The names of the links that cover a send (see `reach`)."""
+        return self.reach(sender, dest)[0]
 
     def receivers(self, sender: int, dest: Optional[int], link: str) -> Sequence[int]:
         """Who a send on `link` reaches: a broadcast, every live neighbour in
         node order; a unicast, its destination if live and covered, else nobody."""
-        down = self.down
-        if dest is None:
-            found = self.neighbours(sender, link)
-            return [n for n in found if n not in down] if down else found
-        return (dest,) if dest not in down and link in self.covering(sender, dest) else ()
+        covering, heard = self.reach(sender, dest)
+        found = heard.get(link)
+        if found is None:
+            down = self.down
+            if dest is None:
+                found = self.neighbours(sender, link)
+                found = [n for n in found if n not in down] if down else found
+            else:
+                found = (dest,) if dest not in down and link in covering else ()
+            heard[link] = found
+        return found

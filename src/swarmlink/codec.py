@@ -33,7 +33,8 @@ So every hop's copy of a flood carries the one flood key object its
 sealed packet was built with, and the dedup caches of all its receivers
 store that one int.
 
-The seal is written once, by `seal_with_key`, and read only by an open.
+The seal is written once, by the one seal loop `_seal_each` (one key for
+`seal_with_key`, one per UAV for a star's fanout), and read by an open.
 AES-GCM decryption of an unchanged ciphertext under the key, nonce and
 AAD that sealed it returns the sealed plaintext, so an open under the
 seal's key bytes returns the sealed frame; under others, or on a packet
@@ -216,7 +217,7 @@ class WirePacket:
     version: int = wire.PACKET_VERSION
 
     # Kept state, not fields: the encoding, the seal (key bytes, frame);
-    # and _flood_key, which __init__ and seal_with_key set.
+    # and _flood_key, which __init__ and _seal_each set.
     _encoded = None
     _sealed = None
 
@@ -418,30 +419,41 @@ def seal_with_key(
     frame: Frame,
     counters: PacketCounters,
 ) -> WirePacket:
-    """Seal a frame under an explicit key; epoch 0 marks session-key traffic.
+    """Seal a frame under an explicit key; epoch 0 marks session-key traffic."""
+    return _seal_each((key,), epoch, origin, seq, hop_limit, frame, counters)[0]
 
-    The header is packed once; the nonce and AAD are slices of it, and it
-    starts the packet's kept encoding. The packet keeps its seal, `key`'s
-    bytes and `frame` (see the module docstring)."""
-    counter = counters.next_for(epoch)
-    try:
-        header = _pack_header(wire.PACKET_VERSION, epoch, origin, seq, hop_limit, counter)
-    except struct.error:
-        # Raises the ValidationError that names the field out of range.
-        WirePacket(epoch, origin, seq, hop_limit, counter, b"", PLAIN_TAG)
-        raise
-    plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
-    nonce, aad = _nonce_aad_of(header)
-    box = crypto.aead_seal(key, nonce, plaintext, aad)
-    # The pack range-checked every field, so no WirePacket() checks again.
-    packet = object.__new__(WirePacket)
-    packet.__dict__.update(
-        epoch=epoch, origin=origin, seq=seq, hop_limit=hop_limit, counter=counter,
-        ciphertext=box.ciphertext, tag=box.tag, version=wire.PACKET_VERSION,
-        _flood_key=origin << 32 | seq, _sealed=(key.bytes_, frame),
-        _encoded=header + box.ciphertext + box.tag,
-    )
-    return packet
+
+def _seal_each(
+    keys: Iterable[crypto.SymmetricKey], epoch: int, origin: int, seq: int, hop_limit: int,
+    frame: Frame, counters: PacketCounters,
+) -> List[WirePacket]:
+    """The one seal loop: `frame` sealed under each key in turn, each copy
+    on the next counter. A header is packed once; the nonce and AAD are
+    slices of it, and it starts the packet's kept encoding. Each packet
+    keeps its seal, its key's bytes and `frame` (see the module docstring)."""
+    packets, version, flood_key = [], wire.PACKET_VERSION, origin << 32 | seq
+    next_for, pack, seal = counters.next_for, _HEADER.pack, crypto.aead_seal
+    for key in keys:
+        counter = next_for(epoch)
+        try:  # _pack_header, inlined
+            header = pack(version, epoch, origin, seq, hop_limit, counter >> 32, counter & 0xFFFFFFFF)
+        except struct.error:
+            # Raises the ValidationError that names the field out of range.
+            WirePacket(epoch, origin, seq, hop_limit, counter, b"", PLAIN_TAG)
+            raise
+        plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
+        tail = header[12:18]  # the nonce and AAD of _nonce_aad_of, inlined
+        box = seal(key, header[1:7] + tail, plaintext, header[:11] + tail)
+        # The pack range-checked every field, so no WirePacket() checks again.
+        packet = object.__new__(WirePacket)
+        packet.__dict__.update(
+            epoch=epoch, origin=origin, seq=seq, hop_limit=hop_limit, counter=counter,
+            ciphertext=box.ciphertext, tag=box.tag, version=version,
+            _flood_key=flood_key, _sealed=(key.bytes_, frame),
+            _encoded=header + box.ciphertext + box.tag,
+        )
+        packets.append(packet)
+    return packets
 
 
 def open_packet(keyring: KeyRing, window: ReplayWindow, packet: WirePacket, now: float) -> Frame:

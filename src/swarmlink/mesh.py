@@ -188,14 +188,9 @@ def star_fanout(
 
     Each copy is sealed under that UAV's session key with the ground station
     as origin, so nonces stay unique per key and receivers run their normal
-    replay windows against the ground station's counters.
+    replay windows against the ground station's counters, all in one seal loop.
     """
-    out: List[Tuple[int, codec.WirePacket]] = []
     seq = gcs_state.take_seq()
-    for uav_id in sessions.sessioned_ids():
-        if uav_id == exclude_id:
-            continue
-        key = sessions.key_for(uav_id)
-        packet = codec.seal_with_key(key, 0, gcs_state.node_id, seq, 0, frame, counters)
-        out.append((uav_id, packet))
-    return out
+    uav_ids = [uav_id for uav_id in sessions.sessioned_ids() if uav_id != exclude_id]
+    keys = [sessions.key_for(uav_id) for uav_id in uav_ids]
+    return list(zip(uav_ids, codec._seal_each(keys, 0, gcs_state.node_id, seq, 0, frame, counters)))

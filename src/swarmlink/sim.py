@@ -64,9 +64,11 @@ names, and must give the same run:
   packet (see codec.py). The parse per receiver in `Reference._deliver`
   is the slow form: it gives each receiver its own packet with no seal,
   so each receiver's open runs AES-GCM;
-- who hears a send, and which links cover it, is `air.Air`'s to say
-  (see air.py for why its caches are exact; `Reference` runs on
-  `BruteForceAir`, which recomputes both on every call);
+- who hears a send, and which links cover it, is `air.Air`'s to say: a
+  send makes one `Air.reach` lookup, whose cached receivers go to
+  `links.transmit`, and `_pump` completes it in place (see air.py for why
+  its caches are exact; `Reference` runs on `BruteForceAir`, whose `reach`
+  recomputes the links and each link's receivers on every call);
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values (see report.py).
@@ -221,7 +223,8 @@ class Simulation:
         self.unreachable: List[int] = []
         # First wire byte -> (message class, handler). The parser is looked up
         # on the class at each parse, so a wrapper set on it later sees every call.
-        rx_data = self._rx_data_mesh if sc.mode == "mesh" else self._rx_data_star
+        self._mesh = sc.mode == "mesh"  # for the duplicate filter in _deliver
+        rx_data = self._rx_data_mesh if self._mesh else self._rx_data_star
         self._rx_table = {
             wire.PACKET_VERSION: (codec.WirePacket, rx_data),
             wire.MSG_KEY_OFFER: (handshake.KeyOffer, self._rx_offer),
@@ -467,36 +470,54 @@ class Simulation:
     def _pump(self, node: _Node) -> None:
         """Start the first send the node's queue holds, or defer it, dropping
         the packets that cannot go, and reserve its tx_done."""
-        air = self.air
+        air, now, selector = self.air, self.now, node.selector
         while node.txq:
             item = node.txq[0]
-            covering = air.covering(node.id, item.dest)
-            prev_active = node.selector.active
+            covering, heard = air.reach(node.id, item.dest)
+            prev_active = selector.active
             try:
-                profile = node.selector.select(air.profiles, covering, self.now)
+                profile = selector.select(air.profiles, covering, now)
             except NoViableLink:
                 self._drop(node, "no_viable_link")
                 continue
-            if node.selector.active != prev_active and prev_active is not None:
-                self.trace.add(self.now, "link_switch", node=node.id, link=profile.name)
-            if len(item.data) > profile.mtu_bytes:
+            name, data = profile.name, item.data
+            size = len(data)
+            if selector.active != prev_active and prev_active is not None:
+                self.trace.add(now, "link_switch", node=node.id, link=name)
+            if size > profile.mtu_bytes:
                 self._drop(node, "mtu")
                 continue
-            receivers = air.receivers(node.id, item.dest, profile.name)
-            meter = node.meters.get(profile.name)
-            result = links.transmit(
-                profile, len(item.data), self.now, receivers, self.rng_loss, meter
-            )
-            if isinstance(result, links.Deferred):
+            receivers = heard.get(name)
+            if receivers is None:
+                receivers = air.receivers(node.id, item.dest, name)
+            result = links.transmit(profile, size, now, receivers, self.rng_loss, node.meters.get(name))
+            if result.__class__ is links.Deferred:
                 if math.isinf(result.until):
                     self._drop(node, "duty_budget")
                     continue
                 self.counts["tx_deferrals"] += 1
-                self.trace.add(self.now, "defer", node=node.id, link=profile.name, until=round(result.until, 9))
+                self.trace.add(now, "defer", node=node.id, link=name, until=round(result.until, 9))
                 self._reserve_tx_done(node, result.until)
                 return
             node.txq.popleft()
-            self._complete_tx(node, item, profile, result)
+            self.per_link_tx[name] += 1
+            if item.kind == "data":
+                self.per_link_data_tx[name] += 1
+            self.wire_bytes["data" if item.kind == "data" else "control"] += size
+            delivered, lost = result.delivered, result.lost
+            heard_by = len(delivered)
+            if heard_by or lost:
+                selector.update_health(name, heard_by / (heard_by + len(lost)))
+            for tap in self.taps:
+                if tap.active(now):
+                    data = tap.on_air(item, result, data)
+            if delivered:
+                self.counts["rx_events"] += heard_by
+                message = item.message if data is item.data else None
+                self._schedule(result.arrival, "rx", partial(self._deliver, "rx_processed", delivered, data, message))
+            if lost:
+                self.counts["rx_lost"] += len(lost)
+            self._reserve_tx_done(node, now + result.airtime_s)
             return
 
     def _on_air(self, node: _Node) -> bool:
@@ -521,30 +542,6 @@ class Simulation:
         item = node.txq.popleft()
         self.counts["tx_dropped"] += 1
         self.trace.add(self.now, "drop", node=node.id, reason=reason, item=item.kind)
-
-    def _complete_tx(
-        self, node: _Node, item: _TxItem, profile: links.LinkProfile, result: links.TransmitResult
-    ) -> None:
-        self.per_link_tx[profile.name] += 1
-        if item.kind == "data":
-            self.per_link_data_tx[profile.name] += 1
-        self.wire_bytes["data" if item.kind == "data" else "control"] += len(item.data)
-        if result.delivered or result.lost:
-            total = len(result.delivered) + len(result.lost)
-            node.selector.update_health(profile.name, len(result.delivered) / total)
-        data = item.data
-        for tap in self.taps:
-            if tap.active(self.now):
-                data = tap.on_air(item, result, data)
-        delivered = result.delivered
-        if delivered:
-            self.counts["rx_events"] += len(delivered)
-            message = item.message if data is item.data else None
-            deliver = partial(self._deliver, "rx_processed", delivered, data, message)
-            self._schedule(result.arrival, "rx", deliver)
-        if result.lost:
-            self.counts["rx_lost"] += len(result.lost)
-        self._reserve_tx_done(node, self.now + result.airtime_s)
 
     def _reserve_tx_done(self, node: _Node, end: float) -> None:
         """Reserve the heap key of the tx_done at `end`, as _schedule would
@@ -606,7 +603,7 @@ class Simulation:
         if entry is None:
             self.counts["rx_unparseable"] += len(receivers)
             return
-        if self.sc.mode == "mesh" and isinstance(message, codec.WirePacket):
+        if self._mesh and entry[0] is codec.WirePacket:
             fresh = mesh._fresh_receivers(receivers, self._dedup, message)
             duplicates = len(receivers) - len(fresh)
             if duplicates:
@@ -678,12 +675,14 @@ class Simulation:
     # ---- run ---------------------------------------------------------------
 
     def run(self) -> dict:
-        heap, duration = self._heap, self.sc.duration_s
-        while heap and heap[0][0] <= duration + _EPS:
-            self._event = event = heapq.heappop(heap)
-            self.now = max(self.now, event[0])
+        heap, pop, limit = self._heap, heapq.heappop, self.sc.duration_s + _EPS
+        while heap and heap[0][0] <= limit:
+            self._event = event = pop(heap)
+            # On a tie `now` keeps its object, as max() would: an int time stays an int.
+            if event[0] > self.now:
+                self.now = event[0]
             event[3]()
-        self.now = duration
+        self.now = self.sc.duration_s
         # rx and advrx events are partials of _deliver over all their receivers.
         rx_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "rx")
         adv_in_flight = sum(len(e[3].args[1]) for e in self._heap if e[2] == "advrx")

@@ -28,7 +28,7 @@ from swarmlink.sim import Simulation
 
 class BruteForceAir(Air):
     """Who hears a send, from the positions, ranges and `down` on every
-    call: no neighbour index, no covering cache."""
+    call: no neighbour index, no reach cache."""
 
     def hears(self, sender, other, link):
         here, there = self.positions[sender], self.positions[other]
@@ -48,6 +48,9 @@ class BruteForceAir(Air):
         if dest is None:
             return [n for n in self.neighbours(sender, link) if n not in self.down]
         return (dest,) if dest not in self.down and self.hears(sender, dest, link) else ()
+
+    def reach(self, sender, dest):
+        return self.covering(sender, dest), {name: self.receivers(sender, dest, name) for name in self.profiles}
 
 
 class Reference(Simulation):

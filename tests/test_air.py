@@ -1,9 +1,9 @@
-"""Who hears a send: `air.Air`'s neighbour index, covering cache and
+"""Who hears a send: `air.Air`'s neighbour index, reach cache and
 receiver pick.
 
 A broadcast costs work in proportion to its in-range receivers because
 each (node, link) keeps its in-range peers in node order. These tests pin
-that index and the covering cache, call for call, to
+that index and the reach cache, call for call, to
 `reference_sim.BruteForceAir`, which recomputes both from their definition
 on every call, check how the links that cover a send feed the link
 selector, and check which receivers a send is handed.
@@ -145,9 +145,13 @@ def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_ran
             for dest in (None, *ids):
                 if dest == src:
                     continue
-                assert air.covering(src, dest) == brute.covering(src, dest)
+                covering, heard = air.reach(src, dest)
+                want_covering, want_heard = brute.reach(src, dest)
+                assert covering == want_covering == air.covering(src, dest) == brute.covering(src, dest)
                 for name in air.profiles:
-                    assert air.receivers(src, dest, name) == brute.receivers(src, dest, name)
+                    assert air.receivers(src, dest, name) == want_heard[name] == brute.receivers(src, dest, name)
+                # Every link's receivers now sit in the one cached entry.
+                assert heard == want_heard and air.reach(src, dest)[1] is heard
 
 
 def simulation(positions, link_specs, **overrides):

@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/ run end to end on minimal arguments."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -338,6 +339,33 @@ def test_sample_profile_counts_the_trace_lines_and_refusals_of_a_pass(capsys):
     # Every refusal is one security line; the replay injector's are mostly keyless.
     assert sum(tallies["refusals"].values()) == tallies["trace lines"]["security"]
     assert tallies["trace lines"]["replay_inject"] > 0 and tallies["refusals"]["UnknownEpoch"] > 0
+
+
+def test_sample_profile_counts_the_python_calls_of_a_bare_pass(capsys):
+    # The count is that of the pass alone: the script's own wrappers, on
+    # the heap and on AES-GCM, are left out, and so are the callbacks of a
+    # collection, as the cyclic collector is paused.
+    module = _script("sample_profile")
+    assert module.main(["--workload", "contested_churn", "--seed", "1", "--seconds", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    line = re.fullmatch(r"python calls per pass: ([\d,]+) \(per transmission ([\d.]+)\)", lines[-5])
+    assert line, lines[-5]
+    here, seen = module.run_pass.__code__.co_filename, 0
+
+    def count(frame, event, _arg):
+        nonlocal seen
+        seen += event == "call" and frame.f_code.co_filename != here
+
+    data = module._workloads()["contested_churn"](1)
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        simulation = module.run_pass(data)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert int(line[1].replace(",", "")) == seen > 0
+    assert line[2] == f"{seen / sum(simulation.per_link_tx.values()):.1f}"
 
 
 def test_sample_profile_counts_the_aes_gcm_calls_of_a_pass(capsys):

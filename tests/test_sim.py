@@ -98,6 +98,20 @@ def test_node_down_mid_run_stops_its_traffic():
     assert report["conservation"]["balanced"]
 
 
+def test_a_tied_event_keeps_the_clock_time_object():
+    # Scenario times keep their JSON type: node 2 goes down at the int 2 and
+    # a link event ties it at the float 2.0. run() moves `now` only to a
+    # later time, as max() would, so the link event's line keeps the int's text.
+    d = base_scenario_dict(link_events=[{"at_s": 2.0, "link": "wifi24", "set": {"loss_prob": 0.5}}])
+    d["nodes"][1]["down_at_s"] = 2
+    _, trace = run(d)
+    lines = [line for line in trace if json.loads(line)["event"] in ("node_down", "link_event")]
+    assert lines == [
+        '{"event": "node_down", "node": 2, "t": 2}',
+        '{"event": "link_event", "link": "wifi24", "set": {"loss_prob": 0.5}, "t": 2}',
+    ]
+
+
 def test_plaintext_mode_runs_and_leaks():
     d = base_scenario_dict(security={"encryption": False})
     d["adversaries"] = [{"kind": "eavesdrop", "start_s": 0.0, "end_s": 5.0}]
