@@ -77,13 +77,21 @@ def summarise(metric: dict, base, change) -> dict:
     }
 
 
+def positive(text: str) -> int:
+    """A pair count: no pairs have no quartiles, so refuse it here."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
     parser.add_argument("--change", type=Path, default=ROOT, help="source tree of the change")
     parser.add_argument("--workloads", nargs="*", help="default: every workload BENCHMARK.json declares")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=positive, default=10)
     parser.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
     args = parser.parse_args(argv)
 

@@ -17,10 +17,18 @@ from swarmlink.cli import resolve_scenario
 from swarmlink.sim import run_scenario
 
 
+def positive(text: str) -> int:
+    """A seed count: a sweep over none proves nothing, so refuse it here."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="star_vs_mesh", help="base layout to sweep")
-    parser.add_argument("--seeds", type=int, default=20, help="number of seeds")
+    parser.add_argument("--seeds", type=positive, default=20, help="number of seeds")
     parser.add_argument("--first-seed", type=int, default=100)
     parser.add_argument("--kill-hub", action="store_true", help="also run star with the GCS down from t=0")
     args = parser.parse_args(argv)

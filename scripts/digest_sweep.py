@@ -84,6 +84,14 @@ def tree_digests(trees, seed: int, count: int, reference: bool = False) -> list:
     return out
 
 
+def positive(text: str) -> int:
+    """A seed count: a sweep over none proves nothing, so refuse it here."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     against = parser.add_mutually_exclusive_group(required=True)
@@ -91,7 +99,7 @@ def main(argv=None) -> int:
     against.add_argument(
         "--reference", action="store_true", help="compare this tree's Simulation with its tests/reference_sim.Reference"
     )
-    parser.add_argument("--count", type=int, default=10, help="seeds per scenario")
+    parser.add_argument("--count", type=positive, default=10, help="seeds per scenario")
     parser.add_argument("--seed", type=int, default=100, help="the first seed")
     args = parser.parse_args(argv)
     if args.reference:

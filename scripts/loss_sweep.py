@@ -23,6 +23,14 @@ def probability(text: str) -> float:
     return value
 
 
+def positive(text: str) -> int:
+    """A seed count: a sweep over none proves nothing, so refuse it here."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="rekey_under_loss")
@@ -32,7 +40,7 @@ def main(argv=None) -> int:
         nargs="*",
         default=[0.0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40],
     )
-    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--seeds", type=positive, default=5)
     parser.add_argument("--first-seed", type=int, default=300)
     args = parser.parse_args(argv)
 

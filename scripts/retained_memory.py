@@ -21,6 +21,7 @@ would land in whichever row is measured first.
 
 import argparse
 import gc
+import math
 import tracemalloc
 from dataclasses import replace
 from typing import List, Sequence, Tuple
@@ -56,10 +57,18 @@ def table(scenario: str, durations: Sequence[float]) -> List[Tuple[float, float,
     return [(duration, *measure(replace(base, duration_s=duration))) for duration in durations]
 
 
+def run_length(text: str) -> float:
+    """A run length, as scenario JSON would take it: finite and positive."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite positive duration")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", default="mesh_10_lossy")
-    parser.add_argument("--durations", type=float, nargs="+", default=[25.0, 100.0, 400.0])
+    parser.add_argument("--durations", type=run_length, nargs="+", default=[25.0, 100.0, 400.0])
     args = parser.parse_args(argv)
 
     print(f"{'duration_s':>10} {'retained_mb':>12} {'peak_mb':>8}")

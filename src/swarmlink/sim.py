@@ -65,10 +65,11 @@ names, and must give the same run:
   is the slow form: it gives each receiver its own packet with no seal,
   so each receiver's open runs AES-GCM;
 - who hears a send, and which links cover it, is `air.Air`'s to say: a
-  send makes one `Air.reach` lookup, whose cached receivers go to
-  `links.transmit`, and `_pump` completes it in place (see air.py for why
-  its caches are exact; `Reference` runs on `BruteForceAir`, whose `reach`
-  recomputes the links and each link's receivers on every call);
+  send makes one `Air.reach` lookup, whose entry holds every link's
+  receivers, the picked link's go to `links.transmit`, and `_pump`
+  completes the send in place (see air.py for why its one cache is exact;
+  `Reference` runs on `BruteForceAir`, whose `reach` recomputes the links
+  and each link's receivers on every call);
 - every iteration that feeds events or reports runs over sorted ids or
   insertion-ordered containers, never bare set order;
 - reports and traces contain no wall-clock values (see report.py).
@@ -487,10 +488,7 @@ class Simulation:
             if size > profile.mtu_bytes:
                 self._drop(node, "mtu")
                 continue
-            receivers = heard.get(name)
-            if receivers is None:
-                receivers = air.receivers(node.id, item.dest, name)
-            result = links.transmit(profile, size, now, receivers, self.rng_loss, node.meters.get(name))
+            result = links.transmit(profile, size, now, heard[name], self.rng_loss, node.meters.get(name))
             if result.__class__ is links.Deferred:
                 if math.isinf(result.until):
                     self._drop(node, "duty_budget")

@@ -28,29 +28,19 @@ from swarmlink.sim import Simulation
 
 class BruteForceAir(Air):
     """Who hears a send, from the positions, ranges and `down` on every
-    call: no neighbour index, no reach cache."""
+    call: no reach cache."""
 
     def hears(self, sender, other, link):
         here, there = self.positions[sender], self.positions[other]
         return self.profiles[link].covers(links.distance(here, there))
 
-    def neighbours(self, sender, link):
-        return [n for n in self.positions if n != sender and self.hears(sender, n, link)]
-
-    def covering(self, sender, dest):
-        live = [n for n in self.positions if n != sender and n not in self.down]
-        if not live or dest in self.down:
-            return frozenset(self.profiles)  # the send reaches nobody, on any link
-        targets = live if dest is None else [dest]
-        return frozenset(name for name in self.profiles if any(self.hears(sender, n, name) for n in targets))
-
-    def receivers(self, sender, dest, link):
-        if dest is None:
-            return [n for n in self.neighbours(sender, link) if n not in self.down]
-        return (dest,) if dest not in self.down and self.hears(sender, dest, link) else ()
-
     def reach(self, sender, dest):
-        return self.covering(sender, dest), {name: self.receivers(sender, dest, name) for name in self.profiles}
+        live = [n for n in self.positions if n != sender and n not in self.down]
+        targets = live if dest is None else [n for n in live if n == dest]
+        heard = {name: tuple(n for n in targets if self.hears(sender, n, name)) for name in self.profiles}
+        if not targets:  # no live peer, or a down destination: nobody hears, on any link
+            return frozenset(self.profiles), heard
+        return frozenset(name for name in self.profiles if heard[name]), heard
 
 
 class Reference(Simulation):

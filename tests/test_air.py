@@ -1,12 +1,11 @@
-"""Who hears a send: `air.Air`'s neighbour index, reach cache and
-receiver pick.
+"""Who hears a send: `air.Air`'s one reach cache.
 
-A broadcast costs work in proportion to its in-range receivers because
-each (node, link) keeps its in-range peers in node order. These tests pin
-that index and the reach cache, call for call, to
-`reference_sim.BruteForceAir`, which recomputes both from their definition
-on every call, check how the links that cover a send feed the link
-selector, and check which receivers a send is handed.
+Each (sender, destination) entry holds the links that cover the send and
+every link's receivers, filled whole on first use. These tests pin every
+entry, before and after each node goes down, to
+`reference_sim.BruteForceAir`, which recomputes it from its definition on
+every call, check how the links that cover a send feed the link selector,
+and check which receivers a send is handed.
 """
 
 import math
@@ -47,19 +46,44 @@ def selector(link_profiles):
 coordinate = st.floats(min_value=-800.0, max_value=800.0, allow_nan=False)
 link_range = st.one_of(st.none(), st.floats(min_value=1.0, max_value=1200.0))
 
+NODE_2_GOES_DOWN = dict(  # node 2 is node 1's only WiFi neighbour, then goes down
+    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=None, victims=[2],
+)
 
-@settings(max_examples=60, deadline=None)
+
+@settings(max_examples=80, deadline=None)
+@example(**NODE_2_GOES_DOWN)
+@example(  # every peer goes down: the last one left reaches nobody, on every link
+    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=500.0, victims=[2, 3],
+)
 @given(
     positions=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12),
     wifi_range=link_range,
     subghz_range=link_range,
+    victims=st.lists(st.integers(1, 12), max_size=4),
 )
-def test_neighbour_lists_equal_brute_force_coverage(positions, wifi_range, subghz_range):
+def test_every_reach_entry_equals_its_definition_as_nodes_go_down(positions, wifi_range, subghz_range, victims):
+    # Every sender, down or not, to every destination and as a broadcast.
+    # The first round fills the cache; each later round follows a node
+    # going down, which must clear it, and refills it.
     link_profiles = profiles(wifi24=wifi_range, subghz=subghz_range)
     air, brute = (air_over(positions, link_profiles, cls) for cls in (Air, BruteForceAir))
-    for node_id in air.positions:
-        for name in air.profiles:
-            assert air.neighbours(node_id, name) == brute.neighbours(node_id, name)
+    pairs = [(src, dest) for src in air.positions for dest in (None, *air.positions) if dest != src]
+    filled = {}
+    for victim in (None, *victims):
+        went_down = victim in air.positions
+        if went_down:
+            air.node_down(victim)
+            brute.node_down(victim)
+        for pair in pairs:
+            entry = air.reach(*pair)
+            assert entry == brute.reach(*pair)
+            assert list(entry[1]) == list(link_profiles)  # every link, filled at once
+            if went_down:
+                assert entry is not filled[pair]
+            filled[pair] = entry
+        for pair in pairs:
+            assert air.reach(*pair) is filled[pair]  # held until the next node goes down
 
 
 WIFI_ONLY = {"wifi24": DEFAULTS["wifi24"]}
@@ -71,15 +95,15 @@ def test_no_live_peer_means_every_link_covers():
     # so the broadcast goes out on the configured link and reaches nobody.
     air = air_over([(0.0, 0.0), (1000.0, 0.0)], WIFI_ONLY)
     air.node_down(2)
-    covering = air.covering(1, None)
+    covering, heard = air.reach(1, None)
     assert covering == {"wifi24"}
     assert selector(WIFI_ONLY).select(WIFI_ONLY, covering, 0.0).name == "wifi24"
-    assert air.receivers(1, None, "wifi24") == []
+    assert heard == {"wifi24": ()}
 
 
 def test_live_peers_out_of_range_raise_no_viable_link():
     air = air_over([(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0)], WIFI_ONLY)
-    covering = air.covering(1, None)
+    covering = air.reach(1, None)[0]
     assert covering == frozenset()
     with pytest.raises(NoViableLink):
         selector(WIFI_ONLY).select(WIFI_ONLY, covering, 0.0)
@@ -88,70 +112,31 @@ def test_live_peers_out_of_range_raise_no_viable_link():
 def test_down_peer_drops_out_of_coverage_and_receivers():
     # Node 2 is the GCS's only WiFi neighbour; node 3 hears sub-GHz only.
     air = air_over([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
-    assert air.receivers(1, None, "wifi24") == [2]
+    assert air.reach(1, None)[1]["wifi24"] == (2,)
     air.node_down(2)
-    covering = air.covering(1, None)
+    covering, heard = air.reach(1, None)
     assert "wifi24" not in covering
     assert "subghz" in covering
-    assert air.receivers(1, None, "subghz") == [3]
-    assert air.neighbours(1, "wifi24") == [2]  # the index itself keeps it
+    assert heard == {"wifi24": (), "subghz": (3,)}
 
 
 def test_hysteresis_holds_a_link_that_still_has_a_live_neighbour():
     air = air_over([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
     sel = selector(WIFI_AND_SUBGHZ)
-    assert sel.select(WIFI_AND_SUBGHZ, air.covering(1, None), 0.0).name == "wifi24"
+    assert sel.select(WIFI_AND_SUBGHZ, air.reach(1, None)[0], 0.0).name == "wifi24"
     for _ in range(20):
         sel.update_health("wifi24", 0.0)
     # inside the hold the active link is kept although sub-GHz scores better
-    assert sel.select(WIFI_AND_SUBGHZ, air.covering(1, None), 1.0).name == "wifi24"
-    assert sel.select(WIFI_AND_SUBGHZ, air.covering(1, None), 2.5).name == "subghz"
+    assert sel.select(WIFI_AND_SUBGHZ, air.reach(1, None)[0], 1.0).name == "wifi24"
+    assert sel.select(WIFI_AND_SUBGHZ, air.reach(1, None)[0], 2.5).name == "subghz"
 
 
 def test_hold_is_released_when_the_active_link_loses_its_last_live_neighbour():
     air = air_over([(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], WIFI_AND_SUBGHZ)
     sel = selector(WIFI_AND_SUBGHZ)
-    assert sel.select(WIFI_AND_SUBGHZ, air.covering(1, None), 0.0).name == "wifi24"
+    assert sel.select(WIFI_AND_SUBGHZ, air.reach(1, None)[0], 0.0).name == "wifi24"
     air.node_down(2)
-    assert sel.select(WIFI_AND_SUBGHZ, air.covering(1, None), 0.5).name == "subghz"
-
-
-NODE_2_GOES_DOWN = dict(  # node 2 is node 1's only WiFi neighbour, then goes down
-    positions=[(0.0, 0.0), (100.0, 0.0), (1000.0, 0.0)], wifi_range=300.0, subghz_range=None, victims=[2],
-)
-
-
-@settings(max_examples=40, deadline=None)
-@example(**NODE_2_GOES_DOWN)
-@given(
-    positions=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=8),
-    wifi_range=link_range,
-    subghz_range=link_range,
-    victims=st.lists(st.integers(1, 8), max_size=4),
-)
-def test_cached_reach_equals_its_definition_as_nodes_go_down(positions, wifi_range, subghz_range, victims):
-    # The first round fills the per-pair cache; each later round follows a
-    # node going down, which must clear it.
-    link_profiles = profiles(wifi24=wifi_range, subghz=subghz_range)
-    air, brute = (air_over(positions, link_profiles, cls) for cls in (Air, BruteForceAir))
-    ids = list(air.positions)
-    for victim in (None, *victims):
-        if victim in air.positions:
-            air.node_down(victim)
-            brute.node_down(victim)
-        for src in ids:
-            if src in air.down:
-                continue  # a down node sends nothing
-            for dest in (None, *ids):
-                if dest == src:
-                    continue
-                covering, heard = air.reach(src, dest)
-                want_covering, want_heard = brute.reach(src, dest)
-                assert covering == want_covering == air.covering(src, dest) == brute.covering(src, dest)
-                for name in air.profiles:
-                    assert air.receivers(src, dest, name) == want_heard[name] == brute.receivers(src, dest, name)
-                # Every link's receivers now sit in the one cached entry.
-                assert heard == want_heard and air.reach(src, dest)[1] is heard
+    assert sel.select(WIFI_AND_SUBGHZ, air.reach(1, None)[0], 0.5).name == "subghz"
 
 
 def simulation(positions, link_specs, **overrides):
@@ -218,7 +203,7 @@ def test_a_queued_unicast_is_handed_its_live_covered_destination_or_nobody(
             for dest in ids:
                 if dest == src:
                     continue
-                covering = sim.air.covering(src, dest)
+                covering = sim.air.reach(src, dest)[0]
                 if pinned is None and not covering:
                     expected = []  # no viable link: dropped before it is sent
                 elif dest in down or (pinned is not None and pinned not in covering):
@@ -230,6 +215,6 @@ def test_a_queued_unicast_is_handed_its_live_covered_destination_or_nobody(
 
 def test_no_link_range_changes_mid_run():
     assert "range_m" not in typing.get_args(scenario.MutableLinkField), (
-        "a link event may now change range_m: air.Air's caches are exact only while "
+        "a link event may now change range_m: air.Air's reach cache is exact only while "
         "range is fixed (see air.py's docstring)"
     )

@@ -79,7 +79,7 @@ STAR_FANOUT_AT_60_HZ = _tied_line(6, "star", 60.0, 200)
 # Node 3's one neighbour is down from 0.5 s, so its sends find no covering
 # link and are dropped, until the ground station, out of its range, goes
 # down at 1 s: with no live peer left every link covers, and its sends go
-# out to nobody. A covering cache that node_down left stale keeps dropping.
+# out to nobody. A reach cache that node_down left stale keeps dropping.
 NOBODY_LEFT_TO_HEAR = base_scenario_dict(
     seed=0, duration_s=3.0,
     nodes=[{"id": 1, "role": "gcs", "position": [0.0, 21.0], "down_at_s": 1.0},

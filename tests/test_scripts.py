@@ -45,6 +45,25 @@ def test_loss_sweep_refuses_a_loss_outside_the_unit_interval(loss, capsys):
     assert refused.value.code == 2 and "--losses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, argv, flag",
+    [
+        ("digest_sweep", ["--reference", "--count", "0"], "--count"),
+        ("bench_pairs", ["--base", ".", "--pairs", "0"], "--pairs"),
+        ("loss_sweep", ["--seeds", "0"], "--seeds"),
+        ("compare_topologies", ["--seeds", "-1"], "--seeds"),
+        ("retained_memory", ["--durations", "4", "0"], "--durations"),
+        ("retained_memory", ["--durations", "-4"], "--durations"),
+        ("retained_memory", ["--durations", "inf"], "--durations"),
+        ("retained_memory", ["--durations", "nan"], "--durations"),
+    ],
+)
+def test_scripts_refuse_a_count_or_duration_that_is_not_positive(name, argv, flag, capsys):
+    with pytest.raises(SystemExit) as refused:
+        _script(name).main(argv)
+    assert refused.value.code == 2 and flag in capsys.readouterr().err
+
+
 def test_retained_memory_gives_two_runs_of_one_duration_the_same_row():
     # A fresh interpreter, so the first row would pay cryptography's lazy
     # imports (about 0.5 MB) if the untraced warm-up did not.
