@@ -23,6 +23,7 @@ differ or the change failed more passes than the base, and 0 otherwise.
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -85,6 +86,15 @@ def positive(text: str) -> int:
     return value
 
 
+def duration(text: str) -> float:
+    """A run time that ends: finite and not negative. NaN or inf would
+    never stop `bench/run.py`, or fail only when its timeout is built."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite duration of at least 0")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
@@ -92,7 +102,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="*", help="default: every workload BENCHMARK.json declares")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=positive, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
+    parser.add_argument("--seconds", type=duration, default=20.0, help="measured time per run")
     args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())

@@ -19,7 +19,12 @@ script sits in:
   the mean time of `bench/hostspeed.py`'s fixed chunk, timed CHUNK_SAMPLES
   times just before and just after each run (`wall_ref`, the unit
   `bench/run.py` reports per pass, which takes host drift out of the
-  time); the child's maximum resident set
+  time, though only drift between runs: chunks timed around a run miss
+  a slowdown during it); the median CPU seconds of building, running
+  and rendering (`cpu_s`, `time.process_time()`, which time the host
+  gives other processes does not inflate, so a pair whose `wall_ref`
+  and `run_s` disagree can be settled by it); the child's maximum
+  resident set
   (`max_rss_mb`, its own `getrusage(RUSAGE_SELF)`, interpreter included:
   `RUSAGE_CHILDREN` in this process would give the largest child reaped
   so far, not this rung's); its transmissions (`tx_sent`), receptions
@@ -104,18 +109,19 @@ def grid_scenario(side: int, duration_s: float) -> dict:
 
 def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
     """One rung, run in the process that calls it; see grid_rung."""
-    runs, renders, refs = [], [], []
+    runs, renders, refs, cpus = [], [], [], []
     speed = hostspeed.HostSpeed()
     for _ in range(repeats):
         first = len(speed.samples)
         for _ in range(CHUNK_SAMPLES):
             speed.sample()
-        start = time.perf_counter()
+        cpu_start, start = time.process_time(), time.perf_counter()
         report = Simulation(scenario_from_dict(grid_scenario(side, duration_s))).run()
         ran = time.perf_counter()
         text = render_json(report)
         runs.append(ran - start)
         renders.append(time.perf_counter() - ran)
+        cpus.append(time.process_time() - cpu_start)
         for _ in range(CHUNK_SAMPLES):
             speed.sample()
         refs.append((runs[-1] + renders[-1]) / speed.chunk_s(first))
@@ -127,6 +133,7 @@ def ladder_rung(side: int, duration_s: float, repeats: int) -> dict:
         "run_s": statistics.median(runs),
         "render_s": statistics.median(renders),
         "wall_ref": statistics.median(refs),
+        "cpu_s": statistics.median(cpus),
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "transmissions": conservation["tx_sent"],
         "receptions": conservation["rx_events"],

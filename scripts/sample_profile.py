@@ -17,12 +17,13 @@ the stack, and the leaf share, the samples in which it was the one
 running (a lambda or comprehension is named with its first line);
 time in C code (AES-GCM, the JSON encoder) counts for the Python function
 that called it. Last, one more pass, untimed and unsampled, counts its
-AES-GCM seals and opens, through wrappers on `crypto.aead_seal` and
-`crypto.aead_open` (a plaintext run's null-key seals and opens take the
-same calls, so they count too), and the heap events `run()` pops by kind
-(`tx_done`, `rx`, `advrx`, `timer`), through a wrapper on the
-`heapq.heappop` that sim.py calls; a tx_done that a node's drain runs in
-place is never on the heap, so it is not counted. From the same pass it
+AES-GCM seals and opens, through wrappers on `crypto._encrypt`, which
+every seal runs (codec's seal loop and `crypto.aead_seal`, so rekey
+wraps too), and on `crypto.aead_open` (a plaintext run's null-key seals
+and opens take the same calls, so they count too), and the heap events
+`run()` pops by kind (`tx_done`, `rx`, `advrx`, `timer`), through a
+wrapper on the `heapq.heappop` that sim.py calls; a tx_done that a
+node's drain runs in place is never on the heap, so it is not counted. From the same pass it
 prints the trace lines written, by kind, and the receptions refused, by
 error name (the report's `security_events`), each most first, and, first
 of these lines, the Python-level calls the pass makes (`call` events seen
@@ -43,6 +44,7 @@ import gc
 import heapq
 import importlib.util
 import json
+import math
 import signal
 import sys
 import time
@@ -149,9 +151,9 @@ def counted_pass(data: dict) -> tuple[Counter, Counter, int, sim.Simulation]:
             return real(*args)
         return call
 
-    real_heapq, real_seal, real_open = sim.heapq, crypto.aead_seal, crypto.aead_open
+    real_heapq, real_seal, real_open = sim.heapq, crypto._encrypt, crypto.aead_open
     sim.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
-    crypto.aead_seal, crypto.aead_open = counting("seal", real_seal), counting("open", real_open)
+    crypto._encrypt, crypto.aead_open = counting("seal", real_seal), counting("open", real_open)
     # The cyclic collector is paused, so no collection's callbacks land in the count.
     gc.disable()
     sys.setprofile(count_call)
@@ -161,7 +163,7 @@ def counted_pass(data: dict) -> tuple[Counter, Counter, int, sim.Simulation]:
         sys.setprofile(None)
         gc.enable()
         sim.heapq = real_heapq
-        crypto.aead_seal, crypto.aead_open = real_seal, real_open
+        crypto._encrypt, crypto.aead_open = real_seal, real_open
     return popped, aead, calls, simulation
 
 
@@ -171,12 +173,20 @@ def _tally(counts: Counter) -> str:
     return f"{sum(counts.values()):,} ({parts})"
 
 
+def duration(text: str) -> float:
+    """A run time that ends: finite and not negative (0 is one pass)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite duration of at least 0")
+    return value
+
+
 def main(argv=None) -> int:
     workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(workloads), default="contested_churn")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0, help="CPU time to sample, at least one pass")
+    parser.add_argument("--seconds", type=duration, default=10.0, help="CPU time to sample, at least one pass")
     args = parser.parse_args(argv)
 
     data = workloads[args.workload](args.seed)

@@ -35,6 +35,8 @@ store that one int.
 
 The seal is written once, by the one seal loop `_seal_each` (one key for
 `seal_with_key`, one per UAV for a star's fanout), and read by an open.
+It keeps the sealed bytes of one `crypto._encrypt` call per copy as the
+packet's ciphertext, tag and (after the header) encoding, with no box.
 AES-GCM decryption of an unchanged ciphertext under the key, nonce and
 AAD that sealed it returns the sealed plaintext, so an open under the
 seal's key bytes returns the sealed frame; under others, or on a packet
@@ -429,10 +431,10 @@ def _seal_each(
 ) -> List[WirePacket]:
     """The one seal loop: `frame` sealed under each key in turn, each copy
     on the next counter. A header is packed once; the nonce and AAD are
-    slices of it, and it starts the packet's kept encoding. Each packet
-    keeps its seal, its key's bytes and `frame` (see the module docstring)."""
+    slices of it, and it starts the packet's kept encoding, the sealed
+    bytes after it. Each packet keeps its seal (see the module docstring)."""
     packets, version, flood_key = [], wire.PACKET_VERSION, origin << 32 | seq
-    next_for, pack, seal = counters.next_for, _HEADER.pack, crypto.aead_seal
+    next_for, pack, cut = counters.next_for, _HEADER.pack, -crypto.TAG_LEN
     for key in keys:
         counter = next_for(epoch)
         try:  # _pack_header, inlined
@@ -443,14 +445,14 @@ def _seal_each(
             raise
         plaintext = frame._encoded or frame.to_bytes()  # a frame is encoded once
         tail = header[12:18]  # the nonce and AAD of _nonce_aad_of, inlined
-        box = seal(key, header[1:7] + tail, plaintext, header[:11] + tail)
+        # Looked up per copy, so a wrapper on crypto._encrypt sees every seal.
+        sealed = crypto._encrypt(key, header[1:7] + tail, plaintext, header[:11] + tail)
         # The pack range-checked every field, so no WirePacket() checks again.
         packet = object.__new__(WirePacket)
         packet.__dict__.update(
             epoch=epoch, origin=origin, seq=seq, hop_limit=hop_limit, counter=counter,
-            ciphertext=box.ciphertext, tag=box.tag, version=version,
-            _flood_key=flood_key, _sealed=(key.bytes_, frame),
-            _encoded=header + box.ciphertext + box.tag,
+            ciphertext=sealed[:cut], tag=sealed[cut:], version=version,
+            _flood_key=flood_key, _sealed=(key.bytes_, frame), _encoded=header + sealed,
         )
         packets.append(packet)
     return packets

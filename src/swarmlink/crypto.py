@@ -10,7 +10,8 @@ replayable. Backed by PyCA cryptography; NIST P-256 ECDH/ECDSA would be a
 drop-in alternative behind the same contracts.
 
 Serialized sizes: public points and verification keys 32 bytes, signatures
-64 bytes, AEAD tags 16 bytes appended after the ciphertext.
+64 bytes, AEAD tags 16 bytes appended after the ciphertext, in the one blob
+of `_encrypt`, which every seal runs (`aead_seal` splits it into a box).
 """
 from __future__ import annotations
 
@@ -216,11 +217,16 @@ def derive_key(
     return SymmetricKey(bytes_=okm, purpose=purpose)
 
 
+def _encrypt(key: SymmetricKey, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    """Ciphertext then tag: every seal's one AEAD call. Checks no nonce length."""
+    return key._aead.encrypt(nonce, plaintext, aad or None)
+
+
 def aead_seal(key: SymmetricKey, nonce: bytes, plaintext: bytes, aad: bytes) -> AeadBox:
     """AES-256-GCM encrypt; the 16-byte tag is split out of the sealed blob."""
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = key._aead.encrypt(nonce, plaintext, aad or None)
+    sealed = _encrypt(key, nonce, plaintext, aad)
     return AeadBox(ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 

@@ -215,7 +215,9 @@ def transmit(
     lost: List[int] = []
     for receiver_id in receivers:
         (lost if rng.random() < profile.loss_prob else delivered).append(receiver_id)
-    return TransmitResult(airtime, tuple(delivered), tuple(lost), now + profile.base_latency_s + airtime)
+    arrival = now + profile.base_latency_s + airtime
+    # As TransmitResult's generated __new__ does, without that Python frame.
+    return tuple.__new__(TransmitResult, (airtime, tuple(delivered), tuple(lost), arrival))
 
 
 @dataclass
@@ -248,7 +250,8 @@ class LinkSelector:
         self.health = {name: 1.0 for name in self.link_names}
 
     def update_health(self, link_name: str, delivered_fraction: float) -> float:
-        observed = min(1.0, max(0.0, delivered_fraction))
+        f = delivered_fraction  # min(1.0, max(0.0, f)) in two comparisons; NaN gives 0.0
+        observed = (f if f < 1.0 else 1.0) if f > 0.0 else 0.0
         h = self.health[link_name]
         h = (1 - self.ewma_alpha) * h + self.ewma_alpha * observed
         self.health[link_name] = h

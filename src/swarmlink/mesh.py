@@ -191,6 +191,9 @@ def star_fanout(
     replay windows against the ground station's counters, all in one seal loop.
     """
     seq = gcs_state.take_seq()
-    uav_ids = [uav_id for uav_id in sessions.sessioned_ids() if uav_id != exclude_id]
-    keys = [sessions.key_for(uav_id) for uav_id in uav_ids]
+    uav_ids, keys = [], []
+    for uav_id, (key, _) in sorted(sessions.established.items()):  # sessioned_ids() order
+        if uav_id != exclude_id:
+            uav_ids.append(uav_id)
+            keys.append(key)
     return list(zip(uav_ids, codec._seal_each(keys, 0, gcs_state.node_id, seq, 0, frame, counters)))

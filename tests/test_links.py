@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -286,6 +287,32 @@ def test_selector_health_ewma_tracks_fractions():
     assert sel.health["fast"] == pytest.approx(0.75)
     sel.update_health("fast", 0.25)
     assert sel.health["fast"] == pytest.approx(0.5)
+
+
+def _float_bits(value) -> bytes:
+    return struct.pack(">d", value)  # tells -0.0 from 0.0, and matches a NaN with itself
+
+
+CLAMP_EDGES = (math.nan, -0.0, 0, 1, math.inf, -math.inf, 1.5, -0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    health=st.floats(0.0, 1.0),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    fraction=st.one_of(st.sampled_from(CLAMP_EDGES), st.floats(), st.integers(-2, 2)),
+)
+@example(health=0.5, alpha=1.0, fraction=math.nan)
+@example(health=0.5, alpha=1.0, fraction=-0.0)
+@example(health=0.5, alpha=1.0, fraction=math.inf)
+def test_update_health_is_the_ewma_of_the_min_max_clamp(health, alpha, fraction):
+    # At alpha 1 the health is the clamped fraction itself.
+    sel = LinkSelector(link_names=("fast",), ewma_alpha=alpha)
+    sel.health["fast"] = health
+    expected = (1 - alpha) * health + alpha * min(1.0, max(0.0, fraction))
+    got = sel.update_health("fast", fraction)
+    assert type(got) is type(expected) and _float_bits(got) == _float_bits(expected)
+    assert sel.health["fast"] is got
 
 
 def test_selector_hysteresis_holds_choice():

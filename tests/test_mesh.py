@@ -245,6 +245,51 @@ def test_star_uplink_and_fanout_roundtrip():
             codec.open_with_key(k2, codec.ReplayWindow(), pkt)
 
 
+# An AES session key, or the null cipher's NULL_KEY, which seals on the same path.
+SEAL_KEYS = st.one_of(
+    st.just(crypto.NULL_KEY), st.binary(min_size=32, max_size=32).map(crypto.SymmetricKey)
+)
+
+
+def _assert_sealed_as_aead_seal_would(packet, key, frame):
+    """The copy's ciphertext and tag are `crypto.aead_seal`'s box under
+    `key`, its nonce and AAD, and its kept encoding is header plus both."""
+    box = crypto.aead_seal(key, packet.nonce(), frame.to_bytes(), packet.aad())
+    assert packet.ciphertext + packet.tag == box.to_bytes()
+    assert packet.to_bytes() == packet.header_bytes() + packet.ciphertext + packet.tag
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.dictionaries(st.integers(2, 30), SEAL_KEYS, min_size=1, max_size=6),
+    exclude_id=st.one_of(st.none(), st.integers(2, 30)),
+    payload=st.binary(max_size=64),
+)
+def test_every_star_copy_is_what_aead_seal_gives_under_its_uavs_key(keys, exclude_id, payload):
+    sessions = SessionTable()
+    sessions.established = {uav_id: (key, 0.0) for uav_id, key in keys.items()}
+    frame = frame_of(payload)
+    fanout = mesh.star_fanout(mesh.MeshState(node_id=1), sessions, codec.PacketCounters(), frame, exclude_id)
+    assert [uav_id for uav_id, _ in fanout] == [u for u in sessions.sessioned_ids() if u != exclude_id]
+    for uav_id, packet in fanout:
+        _assert_sealed_as_aead_seal_would(packet, keys[uav_id], frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=SEAL_KEYS,
+    epoch=st.integers(0, 0xFFFFFFFF),
+    origin=st.integers(0, 0xFFFF),
+    seq=st.integers(0, codec.MAX_SEQ),
+    hop_limit=st.integers(0, 0xFF),
+    payload=st.binary(max_size=64),
+)
+def test_seal_with_key_gives_what_aead_seal_gives(key, epoch, origin, seq, hop_limit, payload):
+    frame = frame_of(payload)
+    packet = codec.seal_with_key(key, epoch, origin, seq, hop_limit, frame, codec.PacketCounters())
+    _assert_sealed_as_aead_seal_would(packet, key, frame)
+
+
 HOP_BYTE = 11  # version(1)+epoch(4)+origin(2)+seq(4) precede the hop limit
 
 

@@ -56,6 +56,12 @@ def test_loss_sweep_refuses_a_loss_outside_the_unit_interval(loss, capsys):
         ("retained_memory", ["--durations", "-4"], "--durations"),
         ("retained_memory", ["--durations", "inf"], "--durations"),
         ("retained_memory", ["--durations", "nan"], "--durations"),
+        ("bench_pairs", ["--base", ".", "--seconds", "nan"], "--seconds"),
+        ("bench_pairs", ["--base", ".", "--seconds", "inf"], "--seconds"),
+        ("bench_pairs", ["--base", ".", "--seconds", "-1"], "--seconds"),
+        ("sample_profile", ["--seconds", "nan"], "--seconds"),
+        ("sample_profile", ["--seconds", "inf"], "--seconds"),
+        ("sample_profile", ["--seconds", "-0.5"], "--seconds"),
     ],
 )
 def test_scripts_refuse_a_count_or_duration_that_is_not_positive(name, argv, flag, capsys):
@@ -298,9 +304,12 @@ def test_bench_record_writes_every_section_on_a_tiny_configuration(tmp_path, mon
     assert [rung["nodes"] for rung in record["grid_ladder"]] == [4, 9]
     for rung in record["grid_ladder"]:
         assert sorted(rung) == [
-            "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes", "report_mb",
-            "run_s", "state_mb", "transmissions", "wall_ref", "wall_s",
+            "cpu_s", "duration_s", "max_rss_mb", "nodes", "receptions", "render_s", "report_bytes",
+            "report_mb", "run_s", "state_mb", "transmissions", "wall_ref", "wall_s",
         ]
+        # CPU time of the same build, run and render: never zero, and at most
+        # their wall time plus the clocks' granularity.
+        assert 0 < rung["cpu_s"] <= rung["wall_s"] + 0.05
         assert rung["transmissions"] > 0 and rung["receptions"] > 0 and rung["report_bytes"] > 0
         assert rung["duration_s"] == 4.0 and 0 < rung["render_s"] < rung["wall_s"] and rung["max_rss_mb"] > 0
         assert 0 < rung["state_mb"] < rung["max_rss_mb"]
